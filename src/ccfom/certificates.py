@@ -7,7 +7,7 @@ the running-average recursion
     mu_{k+1} = (1 - theta_k) mu_k
 
 where theta_k, the query points y_k, and the vectors g_k (a subgradient at
-y_k) are chosen per method:
+y_k) are chosen per method (see ``ccfom.methods.MethodSpec``):
 
     subgradient   theta_k = t_{k+1}/sum_{i<=k+1} t_i,  y_k = x_{k+1},
                   start at k=0 with z_0 = g_0, mu_0 = 1/t_0
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .methods import MethodTrace, StepSchedule
+from .methods import MethodTrace, method_spec
 from .problems import ProblemInstance, as_point
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -62,9 +62,6 @@ __all__ = [
     "mu_closed_form_residuals",
     "verify_run",
 ]
-
-# Methods whose certificate follows the momentum construction.
-_ACCEL_LIKE = ("accelerated", "prox_accelerated")
 
 CHAIN_CHECKS = ("certificate", "quad_min", "fenchel", "end_to_end")
 
@@ -107,40 +104,21 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
     """
     if trace.dim != p.dim:
         raise ValueError("trace and problem dimensions differ")
+    spec = method_spec(trace.method)
     K = trace.horizon
+    spec.require(p, K)
+    start = spec.start
     z = np.full((K + 1, trace.dim), math.nan)
     mu = np.full(K + 1, math.nan)
     theta = np.full(K + 1, math.nan)
-
-    if trace.method == "subgradient":
-        totals = np.cumsum(trace.t)
-        z[0] = trace.g[0]
-        mu[0] = 1.0 / trace.t[0]
-        for k in range(K):
-            th = trace.t[k + 1] / totals[k + 1]
-            theta[k] = th
-            z[k + 1] = (1.0 - th) * z[k] + th * trace.g[k + 1]
-            mu[k + 1] = (1.0 - th) * mu[k]
-        start = 0
-    elif trace.method in ("gradient",) + _ACCEL_LIKE:
-        if K < 1:
-            raise ValueError(f"{trace.method} certificate needs horizon >= 1")
-        if p.lipschitz_grad is None:
-            raise ValueError("gradient-type certificates need the L constant")
-        z[1] = trace.g[0]
-        mu[1] = p.lipschitz_grad
-        accel = trace.method in _ACCEL_LIKE
-        if accel and trace.theta is None:
-            raise ValueError("accelerated trace is missing its theta sequence")
-        for k in range(1, K):
-            th = trace.theta[k] if accel else 1.0 / (k + 1)
-            theta[k] = th
-            z[k + 1] = (1.0 - th) * z[k] + th * trace.g[k]
-            mu[k + 1] = (1.0 - th) * mu[k]
-        start = 1
-    else:
-        raise ValueError(f"unknown method {trace.method!r}")
-
+    theta[start:K] = spec.theta(trace)
+    g = trace.g[spec.offset:]
+    z[start] = trace.g[0]
+    mu[start] = spec.mu(trace, p.lipschitz_grad)[start]
+    for k in range(start, K):
+        th = theta[k]
+        z[k + 1] = (1.0 - th) * z[k] + th * g[k]
+        mu[k + 1] = (1.0 - th) * mu[k]
     return DualCertificate(method=trace.method, start_index=start, z=z, mu=mu, theta=theta)
 
 
@@ -182,45 +160,17 @@ def lhs_series(trace: MethodTrace, p: ProblemInstance, f_values: Optional[np.nda
     gradient      (f(x_1) + ... + f(x_k)) / k          (k >= 1)
     accelerated   f(x_k)                               (k >= 1)
     """
-    f = _f_series(trace, p) if f_values is None else f_values
-    K = trace.horizon
-    if trace.method == "subgradient":
-        if p.lipschitz_f is None:
-            raise ValueError("subgradient LHS needs the problem's G constant")
-        G = p.lipschitz_f
-        totals = np.cumsum(trace.t)
-        weighted = np.cumsum(trace.t * f)
-        squares = np.cumsum(trace.t * trace.t)
-        return (weighted - 0.5 * G * G * squares) / totals
-    if trace.method == "gradient":
-        out = np.full(K + 1, math.nan)
-        if K >= 1:
-            out[1:] = np.cumsum(f[1:]) / np.arange(1, K + 1)
-        return out
-    if trace.method in _ACCEL_LIKE:
-        out = np.array(f, dtype=float)
-        out[0] = math.nan
-        return out
-    raise ValueError(f"unknown method {trace.method!r}")
+    spec = method_spec(trace.method)
+    spec.require(p, trace.horizon)
+    return spec.lhs(trace, p, _f_series(trace, p) if f_values is None else f_values)
 
 
 def lhs(trace: MethodTrace, p: ProblemInstance, k: int) -> float:
     """LHS_k for one iteration (see :func:`lhs_series`)."""
-    start = 0 if trace.method == "subgradient" else 1
+    start = method_spec(trace.method).start
     if not start <= k <= trace.horizon:
         raise ValueError(f"k={k} outside [{start}, {trace.horizon}] for {trace.method}")
     return float(lhs_series(trace, p)[k])
-
-
-def _designated_y_g(trace: MethodTrace, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The certificate's query point y_k and vector g_k at recursion step k."""
-    if trace.method == "subgradient":
-        return trace.x[k + 1], trace.g[k + 1]
-    if trace.method == "gradient":
-        return trace.x[k], trace.g[k]
-    if trace.method in _ACCEL_LIKE:
-        return trace.y[k], trace.g[k]
-    raise ValueError(f"unknown method {trace.method!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +259,7 @@ def verify_chain(
     verdicts: list[str] = []
 
     G = p.lipschitz_f
+    g_ball = method_spec(trace.method).g_ball
     for i, k in enumerate(ks):
         z = cert.z[k]
         mu = float(cert.mu[k])
@@ -368,7 +319,7 @@ def verify_chain(
 
         if vacuous:
             hard = (
-                trace.method == "subgradient"
+                g_ball
                 and G is not None
                 and math.sqrt(znorm2) > G * (1.0 + tol.eps_rel)
             )
@@ -432,12 +383,14 @@ def verify_induction_step(
     """Check the step k -> k+1 of the certificate induction."""
     if not cert.start_index <= k <= trace.horizon - 1:
         raise ValueError(f"k={k} outside [{cert.start_index}, {trace.horizon - 1}]")
+    spec = method_spec(trace.method)
     lhs_vals = lhs_series(trace, p) if _lhs_values is None else _lhs_values
     x0 = trace.x[0]
     th = float(cert.theta[k])
     z = cert.z[k]
     mu = float(cert.mu[k])
-    y, g = _designated_y_g(trace, k)
+    y = getattr(trace, spec.query)[k + spec.offset]
+    g = trace.g[k + spec.offset]
     f_y = p.value(y)
     gnorm2 = float(g @ g)
     w = x0 - y - z / mu
@@ -457,7 +410,7 @@ def verify_induction_step(
     residuals: dict[str, float] = {}
     id_tols: dict[str, float] = {}
     norm = np.linalg.norm
-    if trace.method in ("subgradient", "gradient"):
+    if not spec.momentum:
         residuals["query_point"] = float(norm(w))
         id_tols["query_point"] = tol.bound(float(norm(x0)), float(norm(y)), float(norm(z)) / mu)
     else:
@@ -511,18 +464,8 @@ def mu_closed_form_residuals(
     gradient     mu_k = L / k
     accelerated  mu_k = L * theta_{k-1}^2
     """
-    K = trace.horizon
-    closed = np.full(K + 1, math.nan)
-    ks = np.arange(K + 1)
-    if trace.method == "subgradient":
-        closed = 1.0 / np.cumsum(trace.t)
-    elif trace.method == "gradient":
-        closed[1:] = p.lipschitz_grad / ks[1:]
-    elif trace.method in _ACCEL_LIKE:
-        closed[1:] = p.lipschitz_grad * trace.theta[:-1] ** 2
-    else:
-        raise ValueError(f"unknown method {trace.method!r}")
-    out = np.full(K + 1, math.nan)
+    closed = method_spec(trace.method).mu(trace, p.lipschitz_grad)
+    out = np.full(trace.horizon + 1, math.nan)
     s = cert.start_index
     out[s:] = np.abs(cert.mu[s:] - closed[s:]) / (1.0 + np.abs(closed[s:]))
     return out
@@ -557,34 +500,13 @@ def theorem_bound(
     gradient      L dist^2 / (2k)
     accelerated   2 L dist^2 / (k+1)^2
     """
+    spec = method_spec(method)
     x0 = as_point(x0, p.dim, "x0")
     dist = p.distance_to_solution(x0)
     if dist is None:
         return None
-    if method == "subgradient":
-        if p.lipschitz_f is None:
-            raise ValueError("subgradient bound needs G")
-        if schedule is None:
-            raise ValueError("subgradient bound needs the step schedule")
-        if isinstance(schedule, StepSchedule):
-            steps = schedule.resolve(k, p.lipschitz_grad)
-        else:
-            steps = np.asarray(schedule, dtype=float)
-        if steps.size < k + 1:
-            raise ValueError(f"schedule provides {steps.size} steps, need {k + 1}")
-        ts = steps[: k + 1]
-        G = p.lipschitz_f
-        return float((dist * dist + G * G * (ts @ ts)) / (2.0 * ts.sum()))
-    if p.lipschitz_grad is None:
-        raise ValueError(f"{method} bound needs L")
-    L = p.lipschitz_grad
-    if method == "gradient":
-        if k < 1:
-            raise ValueError("gradient bound is defined for k >= 1")
-        return float(L * dist * dist / (2.0 * k))
-    if method in _ACCEL_LIKE:
-        return float(2.0 * L * dist * dist / ((k + 1) ** 2))
-    raise ValueError(f"unknown method {method!r}")
+    spec.require(p, k)
+    return float(spec.bound(p, dist, k, schedule))
 
 
 @dataclass(frozen=True, eq=False)

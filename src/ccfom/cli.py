@@ -23,22 +23,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .certificates import verify_run
+from .certificates import lhs_series, verify_run
 from .config import ExperimentConfig, RunSpec, resolve_schedule, resolve_x0
 from .errors import ConfigError, OracleError
-from .methods import MethodTrace, run_accelerated, run_gradient, run_subgradient
+from .methods import MethodTrace, method_spec
 from .problems import ProblemInstance, from_id
 from .proxprobe import (
     CompositeProblem,
     Z_RECURSION_NOTE,
-    lasso_instance,
+    lasso_suite,
     probe_instance,
     regularizer_from_id,
 )
@@ -75,32 +74,16 @@ class CellOutcome:
         return EXIT_VERIFY_FAIL if self.rows.has_failure else EXIT_PASS
 
 
-def _canonical_schedule(spec: RunSpec) -> str:
-    if spec.schedule_spec is not None:
-        return spec.schedule_spec
-    return "horizon_sqrt" if spec.method == "subgradient" else "inverse_L"
-
-
 def execute_cell(spec: RunSpec, tol: Tolerances) -> CellOutcome:
     """Run one (problem, method, x0, K) cell and verify it inline."""
-    if spec.method == "prox_accelerated":
-        raise ConfigError("use the 'conjecture' subcommand for prox_accelerated runs")
+    method = method_spec(spec.method)
+    if method.run is None:
+        raise ConfigError(f"use the 'conjecture' subcommand for {spec.method} runs")
     p = spec.build_problem()
     x0 = resolve_x0(spec.x0_spec, p.dim)
-    if spec.method == "subgradient":
-        schedule = resolve_schedule(spec.schedule_spec, spec.method, spec.iterations)
-        trace = run_subgradient(p, x0, schedule, spec.iterations)
-    else:
-        # the smooth-method theorems are stated for t_k = 1/L only
-        if spec.schedule_spec not in (None, "inverse_L"):
-            raise ConfigError(
-                f"{spec.method} runs use the fixed step 1/L; schedule "
-                f"{spec.schedule_spec!r} is not supported"
-            )
-        if spec.method == "gradient":
-            trace = run_gradient(p, x0, spec.iterations)
-        else:
-            trace = run_accelerated(p, x0, spec.iterations)
+    schedule_name = spec.schedule_spec or method.default_schedule
+    schedule = resolve_schedule(schedule_name, spec.method, spec.iterations, p.lipschitz_grad)
+    trace = method.run(p, x0, schedule, spec.iterations)
     ver = verify_run(trace, p, tol=tol)
     rows = build_rows(trace, p, ver, tol)
     meta = {
@@ -108,17 +91,22 @@ def execute_cell(spec: RunSpec, tol: Tolerances) -> CellOutcome:
         "method": spec.method,
         "x0": ",".join(fmt(c) for c in x0),
         "iterations": str(spec.iterations),
-        "schedule": _canonical_schedule(spec),
+        "schedule": schedule_name,
         "eps_rel": fmt(tol.eps_rel),
         "eps_abs": fmt(tol.eps_abs),
     }
     return CellOutcome(spec=spec, problem=p, trace=trace, rows=rows, meta=meta)
 
 
-def _tol_from(cfg: ExperimentConfig, args) -> Tolerances:
-    eps_rel = args.eps_rel if args.eps_rel is not None else cfg.eps_rel
-    eps_abs = args.eps_abs if args.eps_abs is not None else cfg.eps_abs
-    return Tolerances(eps_rel=eps_rel, eps_abs=eps_abs)
+def _tolerances(args, eps_rel: float, eps_abs: float) -> Tolerances:
+    """The --eps-rel/--eps-abs flags, falling back to the given values."""
+    try:
+        return Tolerances(
+            eps_rel=args.eps_rel if args.eps_rel is not None else eps_rel,
+            eps_abs=args.eps_abs if args.eps_abs is not None else eps_abs,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _out_path(out_dir: Optional[str], rel: str) -> Path:
@@ -141,7 +129,7 @@ def _series_for(outcome: CellOutcome, label: str) -> list[Series]:
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     spec = cfg.single_cell()
-    tol = _tol_from(cfg, args)
+    tol = _tolerances(args, cfg.eps_rel, cfg.eps_abs)
     outcome = execute_cell(spec, tol)
     csv_path = _out_path(args.out, cfg.csv_path)
     write_csv(csv_path, outcome.meta, RUN_COLUMNS, outcome.rows.rows)
@@ -166,7 +154,10 @@ def cmd_run(args) -> int:
 # verify
 
 
-_FLOAT_COLUMNS = ["f_xk", "lhs_k", "cert_k", "mu_k", "theta_k", "theorem_bound_k"]
+_CHECKED_COLUMNS = [
+    "f_xk", "lhs_k", "cert_k", "mu_k", "theta_k", "theorem_bound_k",
+    "vacuous_flag", "residual_chain_max", "residual_induction",
+]
 
 
 def _close(stored: float, recomputed: float, tol: Tolerances) -> bool:
@@ -175,29 +166,6 @@ def _close(stored: float, recomputed: float, tol: Tolerances) -> bool:
     if math.isinf(stored) or math.isinf(recomputed):
         return stored == recomputed
     return abs(stored - recomputed) <= tol.bound(recomputed)
-
-
-def _stored_lhs(method: str, ks: list[int], f_stored: list[float], steps: np.ndarray) -> list[float]:
-    """LHS_k recomputed purely from the stored f(x_k) column."""
-    if method == "subgradient":
-        out = []
-        wsum = 0.0
-        ssum = 0.0
-        tsum = 0.0
-        for k, f in zip(ks, f_stored):
-            wsum += steps[k] * f
-            ssum += steps[k] * steps[k]
-            tsum += steps[k]
-            out.append((wsum, ssum, tsum))
-        return out  # caller applies the G term
-    if method == "gradient":
-        acc = 0.0
-        out = []
-        for k, f in zip(ks, f_stored):
-            acc += f
-            out.append(acc / k)
-        return out
-    return list(f_stored)
 
 
 def cmd_verify(args) -> int:
@@ -211,19 +179,21 @@ def cmd_verify(args) -> int:
     for key in ("problem", "method", "x0", "iterations", "schedule", "eps_rel", "eps_abs"):
         if key not in meta:
             raise ConfigError(f"{args.csv}: missing metadata key {key!r}")
-    spec = RunSpec(
-        problem_id=meta["problem"],
-        method=meta["method"],
-        x0_spec=meta["x0"],
-        iterations=int(meta["iterations"]),
-        schedule_spec=meta["schedule"],
-        eps_rel=float(meta["eps_rel"]),
-        eps_abs=float(meta["eps_abs"]),
-    )
-    tol = Tolerances(
-        eps_rel=args.eps_rel if args.eps_rel is not None else spec.eps_rel,
-        eps_abs=args.eps_abs if args.eps_abs is not None else spec.eps_abs,
-    )
+    try:
+        spec = RunSpec(
+            problem_id=meta["problem"],
+            method=meta["method"],
+            x0_spec=meta["x0"],
+            iterations=int(meta["iterations"]),
+            schedule_spec=meta["schedule"],
+            eps_rel=float(meta["eps_rel"]),
+            eps_abs=float(meta["eps_abs"]),
+        )
+        stored_ks = [int(r["k"]) for r in rows]
+        stored = [{c: float(r[c]) for c in _CHECKED_COLUMNS} for r in rows]
+    except ValueError as exc:
+        raise ConfigError(f"{args.csv}: {exc}") from exc
+    tol = _tolerances(args, spec.eps_rel, spec.eps_abs)
     outcome = execute_cell(spec, tol)
     recomputed = outcome.rows.rows
     failures: list[str] = []
@@ -233,44 +203,33 @@ def cmd_verify(args) -> int:
         failures.append(
             f"row count mismatch: stored {len(rows)}, recomputed {len(recomputed)}"
         )
-    stored_ks = [int(r["k"]) for r in rows]
-    f_stored = [float(r["f_xk"]) for r in rows]
-    steps = resolve_schedule(spec.schedule_spec, spec.method, spec.iterations).resolve(
-        spec.iterations, outcome.problem.lipschitz_grad
-    )
+    # LHS_k from the stored f(x_k) column alone, row i holding k = start + i
+    start = method_spec(spec.method).start
+    f_stored = np.full(spec.iterations + 1, math.nan)
+    for i, values in enumerate(stored[: len(recomputed)]):
+        f_stored[start + i] = values["f_xk"]
+    lhs_from_stored = lhs_series(outcome.trace, outcome.problem, f_values=f_stored)
 
-    if spec.method == "subgradient":
-        G = outcome.problem.lipschitz_f
-        partials = _stored_lhs(spec.method, stored_ks, f_stored, steps)
-        lhs_from_stored = [(w - 0.5 * G * G * s) / t for (w, s, t) in partials]
-    else:
-        lhs_from_stored = _stored_lhs(spec.method, stored_ks, f_stored, steps)
-
-    for i, row in enumerate(rows):
-        k = stored_ks[i]
-        if i < len(recomputed):
-            rec = recomputed[i]
-            if k != rec["k"]:
-                failures.append(f"k={k}: index mismatch with recomputed row {rec['k']}")
-                continue
-            for col in _FLOAT_COLUMNS + ["vacuous_flag", "residual_chain_max", "residual_induction"]:
-                stored_v = float(row[col])
-                rec_v = float(rec[col])
-                if not _close(stored_v, rec_v, tol):
-                    failures.append(
-                        f"k={k}: column {col} mismatch: stored {row[col]} vs recomputed "
-                        f"{fmt(rec_v)} (tolerance {fmt(tol.bound(rec_v))})"
-                    )
-            if row["verdict"] != rec["verdict"]:
+    for row, values, k, rec in zip(rows, stored, stored_ks, recomputed):
+        if k != rec["k"]:
+            failures.append(f"k={k}: index mismatch with recomputed row {rec['k']}")
+            continue
+        for col in _CHECKED_COLUMNS:
+            rec_v = float(rec[col])
+            if not _close(values[col], rec_v, tol):
                 failures.append(
-                    f"k={k}: verdict mismatch: stored {row['verdict']} vs recomputed {rec['verdict']}"
+                    f"k={k}: column {col} mismatch: stored {row[col]} vs recomputed "
+                    f"{fmt(rec_v)} (tolerance {fmt(tol.bound(rec_v))})"
                 )
+        if row["verdict"] != rec["verdict"]:
+            failures.append(
+                f"k={k}: verdict mismatch: stored {row['verdict']} vs recomputed {rec['verdict']}"
+            )
         # chain check (a) on the stored numbers themselves
-        cert_stored = float(row["cert_k"])
-        vac = row["vacuous_flag"] == "1"
-        if not vac:
-            resid = lhs_from_stored[i] - cert_stored
-            t = tol.bound(lhs_from_stored[i], cert_stored)
+        if row["vacuous_flag"] != "1":
+            lhs_k = float(lhs_from_stored[k])
+            resid = lhs_k - values["cert_k"]
+            t = tol.bound(lhs_k, values["cert_k"])
             state = "FAIL" if resid > t else "pass"
             lines.append(
                 f"k={k}: stored chain certificate: residual={fmt(resid)} tol={fmt(t)} {state}"
@@ -300,35 +259,21 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     cells = cfg.cells()
-    tol = _tol_from(cfg, args)
-    workers = args.workers if args.workers is not None else cfg.workers
-
-    def run_one(spec: RunSpec):
-        try:
-            return execute_cell(spec, tol), None
-        except ConfigError as exc:
-            return None, (EXIT_CONFIG, str(exc))
-        except OracleError as exc:
-            return None, (EXIT_ORACLE, str(exc))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, cells))
-    else:
-        results = [run_one(spec) for spec in cells]
-
+    tol = _tolerances(args, cfg.eps_rel, cfg.eps_abs)
     stem = Path(cfg.csv_path)
     agg_rows: list[dict] = []
     report_lines: list[str] = []
     series: list[Series] = []
     worst = EXIT_PASS
     multi_k = len(cfg.iterations) > 1
-    for i, (spec, (outcome, err)) in enumerate(zip(cells, results)):
+    for i, spec in enumerate(cells):
         label = f"{spec.method} {spec.problem_id}" + (f" K={spec.iterations}" if multi_k else "")
-        if err is not None:
-            code, msg = err
+        try:
+            outcome = execute_cell(spec, tol)
+        except (ConfigError, OracleError) as exc:
+            code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_ORACLE
             worst = max(worst, code)
-            report_lines.append(f"cell {i} ({label}): ERROR exit {code}: {msg}")
+            report_lines.append(f"cell {i} ({label}): ERROR exit {code}: {exc}")
             continue
         cell_path = _out_path(args.out, f"{stem.stem}.cell{i:03d}{stem.suffix}")
         write_csv(cell_path, outcome.meta, RUN_COLUMNS, outcome.rows.rows)
@@ -398,7 +343,7 @@ def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) ->
 
 def cmd_conjecture(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
-    tol = _tol_from(cfg, args)
+    tol = _tolerances(args, cfg.eps_rel, cfg.eps_abs)
     if cfg.methods and any(m != "prox_accelerated" for m in cfg.methods):
         raise ConfigError("conjecture runs use method = prox_accelerated")
     K = cfg.iterations[0] if cfg.iterations else None
@@ -411,32 +356,14 @@ def cmd_conjecture(args) -> int:
             raise ConfigError(f"unknown suite {cfg.suite!r}")
         instances = cfg.instances or 100
         dim = cfg.dim or 5
+        summary, probes = lasso_suite(instances, dim, K, cfg.seed, tol)
         rows: list[dict] = []
-        total = violations = vacuous = 0
-        min_margin = math.inf
-        for i in range(instances):
-            cp, x0 = lasso_instance(dim, cfg.seed + i)
-            trace, cert, result = probe_instance(cp, x0, K, tol)
+        for i, (cp, trace, cert, result) in enumerate(probes):
             rows.extend(_conjecture_rows(cp, trace, cert, result, instance=i))
-            total += result.iterations_checked
-            violations += len(result.violations)
-            vacuous += int(result.vacuous.sum())
-            finite = result.margins[~result.vacuous]
-            if finite.size:
-                min_margin = min(min_margin, float(finite.min()))
-            for k, m, t in result.violations:
-                lines.append(
-                    f"violation: seed={cfg.seed + i} dim={dim} K={K} x0=zeros k={k} "
-                    f"margin={m:.6e} tol={t:.3e} composite={result.composite_label}"
-                )
-        summary = (
-            f"CONJECTURE probe: {instances} instances, {total} iterations checked, "
-            f"{violations} violations found"
-        )
-        lines += [
-            f"vacuous records: {vacuous}",
-            f"min margin: {fmt(min_margin)}",
-            summary,
+        lines += list(summary.violation_reports) + [
+            f"vacuous records: {summary.vacuous_records}",
+            f"min margin: {fmt(summary.min_margin)}",
+            summary.summary_line(),
         ]
         meta = {
             "suite": "lasso",
@@ -451,23 +378,21 @@ def cmd_conjecture(args) -> int:
     else:
         if not cfg.problems or cfg.psi is None:
             raise ConfigError("conjecture needs problem and psi (or suite = lasso)")
-        phi = from_id(cfg.problems[0])
-        if phi.lipschitz_grad is None or not phi.is_differentiable:
-            raise ConfigError("the smooth part must be differentiable with L present")
-        cp = CompositeProblem(phi=phi, psi=regularizer_from_id(cfg.psi))
+        phi, psi = from_id(cfg.problems[0]), regularizer_from_id(cfg.psi)
+        try:
+            cp = CompositeProblem(phi=phi, psi=psi)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         x0 = resolve_x0(cfg.x0_spec, cp.dim)
         trace, cert, result = probe_instance(cp, x0, K, tol)
         rows = _conjecture_rows(cp, trace, cert, result)
-        for i, k in enumerate(result.ks):
-            lines.append(
-                f"k={k}: margin={fmt(result.margins[i])} tol={fmt(result.tolerances[i])} "
-                f"{'VACUOUS' if result.vacuous[i] else ('VIOLATION' if (int(k), float(result.margins[i]), float(result.tolerances[i])) in result.violations else 'ok')}"
-            )
-        summary = (
+        for k, m, t, vac in zip(result.ks, result.margins, result.tolerances, result.vacuous):
+            state = "VACUOUS" if vac else ("VIOLATION" if m < -t else "ok")
+            lines.append(f"k={k}: margin={fmt(m)} tol={fmt(t)} {state}")
+        lines.append(
             f"CONJECTURE probe: 1 instance, {result.iterations_checked} iterations checked, "
             f"{len(result.violations)} violations found"
         )
-        lines.append(summary)
         meta = {
             "problem": cfg.problems[0],
             "psi": cp.psi.label,
@@ -482,7 +407,7 @@ def cmd_conjecture(args) -> int:
 
     write_csv(_out_path(args.out, cfg.csv_path), meta, columns, rows)
     write_report(_out_path(args.out, cfg.report_path), [lines[0]], lines[1:])
-    print(summary)
+    print(lines[-1])  # the summary line
     return EXIT_PASS
 
 
@@ -514,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run a grid of cells and aggregate")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--workers", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_sweep)
 
@@ -537,9 +461,6 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -16,17 +16,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .methods import StepSchedule
+from .methods import StepSchedule, method_spec
 from .problems import ProblemInstance, as_point, from_id
 
 __all__ = ["ExperimentConfig", "RunSpec", "parse_config_text", "resolve_x0", "resolve_schedule"]
 
-METHODS = ("subgradient", "gradient", "accelerated", "prox_accelerated")
-
 _KNOWN_KEYS = {
     "problem", "method", "x0", "iterations", "schedule",
     "eps_rel", "eps_abs", "csv", "report", "svg", "seed",
-    "psi", "instances", "suite", "dim", "workers",
+    "psi", "instances", "suite", "dim",
 }
 _LIST_KEYS = ("problem", "method", "iterations")
 
@@ -65,9 +63,12 @@ def _positive_float(val: str, key: str) -> float:
 
 def _int_value(val: str, key: str) -> int:
     try:
-        return int(val)
+        x = int(val)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {val!r}") from None
+    if x < 0:
+        raise ConfigError(f"{key} must be >= 0, got {val!r}")
+    return x
 
 
 def resolve_x0(spec: str, dim: int) -> np.ndarray:
@@ -91,28 +92,39 @@ def resolve_x0(spec: str, dim: int) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
-def resolve_schedule(spec: Optional[str], method: str, iterations: int) -> StepSchedule:
+def resolve_schedule(
+    spec: str, method: str, iterations: int, lipschitz_grad: Optional[float]
+) -> StepSchedule:
     """Schedule descriptor: horizon_sqrt | inverse_L | constant:t=V | explicit:V,V,...
 
-    Defaults to horizon_sqrt for the subgradient method (fixed to the
-    configured horizon) and inverse_L otherwise.
+    horizon_sqrt is fixed to the configured horizon.  The smooth methods
+    accept only their default schedule, and the schedule must resolve for
+    ``iterations`` on a problem whose gradient Lipschitz constant is
+    ``lipschitz_grad``.
     """
-    if spec is None:
-        spec = "horizon_sqrt" if method == "subgradient" else "inverse_L"
+    m = method_spec(method)
     spec = spec.strip()
+    if m.smooth and spec != m.default_schedule:
+        raise ConfigError(
+            f"{method} runs use the fixed step {m.default_schedule}; "
+            f"schedule {spec!r} is not supported"
+        )
     try:
         if spec == "horizon_sqrt":
-            return StepSchedule.horizon_sqrt(iterations)
-        if spec == "inverse_L":
-            return StepSchedule.inverse_L()
-        if spec.startswith("constant:t="):
-            return StepSchedule.constant(float(spec.removeprefix("constant:t=")))
-        if spec.startswith("explicit:"):
+            schedule = StepSchedule.horizon_sqrt(iterations)
+        elif spec == "inverse_L":
+            schedule = StepSchedule.inverse_L()
+        elif spec.startswith("constant:t="):
+            schedule = StepSchedule.constant(float(spec.removeprefix("constant:t=")))
+        elif spec.startswith("explicit:"):
             vals = [float(v) for v in spec.removeprefix("explicit:").split(",")]
-            return StepSchedule.explicit(vals)
+            schedule = StepSchedule.explicit(vals)
+        else:
+            raise ConfigError(f"unknown schedule {spec!r}")
+        schedule.resolve(iterations, lipschitz_grad)
     except ValueError as exc:
         raise ConfigError(f"bad schedule {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown schedule {spec!r}")
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -130,24 +142,12 @@ class RunSpec:
     psi: Optional[str] = None
 
     def build_problem(self) -> ProblemInstance:
+        spec = method_spec(self.method)
         p = from_id(self.problem_id)
-        if self.method == "subgradient":
-            if p.lipschitz_f is None:
-                raise ConfigError(
-                    f"subgradient method needs a G constant; {self.problem_id} has none"
-                )
-            if self.iterations < 0:
-                raise ConfigError("iterations must be >= 0")
-        elif self.method in ("gradient", "accelerated", "prox_accelerated"):
-            if p.lipschitz_grad is None or not p.is_differentiable:
-                raise ConfigError(
-                    f"{self.method} method needs a differentiable problem with L; "
-                    f"{self.problem_id} does not qualify"
-                )
-            if self.iterations < 1:
-                raise ConfigError(f"{self.method} needs iterations >= 1")
-        else:
-            raise ConfigError(f"unknown method {self.method!r}")
+        try:
+            spec.require(p, self.iterations)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return p
 
 
@@ -170,7 +170,6 @@ class ExperimentConfig:
     instances: Optional[int] = None
     suite: Optional[str] = None
     dim: Optional[int] = None
-    workers: int = 1
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -184,16 +183,12 @@ class ExperimentConfig:
         problems = tuple(v.strip() for v in raw.get("problem", "").split(";") if v.strip())
         methods = tuple(v.strip() for v in raw.get("method", "").split(";") if v.strip())
         for m in methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
+            method_spec(m)
         iterations = tuple(
             _int_value(v.strip(), "iterations")
             for v in raw.get("iterations", "").split(";")
             if v.strip()
         )
-        for K in iterations:
-            if K < 0:
-                raise ConfigError("iterations must be >= 0")
         return cls(
             problems=problems,
             methods=methods,
@@ -210,7 +205,6 @@ class ExperimentConfig:
             instances=_int_value(raw["instances"], "instances") if "instances" in raw else None,
             suite=raw.get("suite"),
             dim=_int_value(raw["dim"], "dim") if "dim" in raw else None,
-            workers=_int_value(raw["workers"], "workers") if "workers" in raw else 1,
         )
 
     @classmethod

@@ -10,7 +10,7 @@ class ConfigError(CcfomError):
 
 
 class OracleError(CcfomError):
-    """An oracle produced a non-finite value during a run (CLI exit 4).
+    """An oracle produced a non-finite value or its LP solve failed (CLI exit 4).
 
     ``iteration`` is the index k at which the run was aborted, or None when
     the failure is not tied to a specific iteration.

@@ -1,4 +1,4 @@
-"""The subgradient, gradient, and accelerated gradient methods.
+"""The subgradient, gradient, and accelerated gradient methods, and their rules.
 
 Each run records its complete history: iterates x_k, the oracle outputs g_k
 at the query point of step k, the step sizes t_k, and (for the accelerated
@@ -8,20 +8,27 @@ t_K enters the averaged objective sums even though it drives no update.
 
 Runs are deterministic: identical inputs produce bitwise-identical traces,
 and the stored iterates are exactly the values the update formulas computed.
+
+Everything that differs between the methods downstream of a run (how the
+certificate is built from the trace, what it bounds, which checks apply) is
+kept in one ``MethodSpec`` record per method, looked up with
+:func:`method_spec`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import OracleError
+from .errors import ConfigError, OracleError
 from .problems import ProblemInstance, as_point
 
 __all__ = [
+    "MethodSpec",
+    "method_spec",
     "StepSchedule",
     "MethodTrace",
     "theta_next",
@@ -192,38 +199,15 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
     return MethodTrace(method=method, problem_id=p.problem_id, x=x, g=g, t=t)
 
 
-def run_subgradient(
-    p: ProblemInstance, x0, schedule: StepSchedule, K: int
+def _run_momentum(
+    p: ProblemInstance,
+    x0,
+    K: int,
+    method: str,
+    problem_id: str,
+    prox: Optional[Callable[[np.ndarray, float], np.ndarray]],
 ) -> MethodTrace:
-    """x_{k+1} = x_k - t_k g_k with g_k a subgradient of f at x_k."""
-    return _run_descent(p, x0, schedule, K, "subgradient")
-
-
-def run_gradient(p: ProblemInstance, x0, K: int) -> MethodTrace:
-    """The subgradient method with the fixed smooth step t_k = 1/L.
-
-    Descent is monotone: f(x_{k+1}) <= f(x_k) up to roundoff.
-    """
-    if p.lipschitz_grad is None:
-        raise ValueError(f"{p.problem_id} has no gradient Lipschitz constant")
-    if not p.is_differentiable:
-        raise ValueError(f"{p.problem_id} is not differentiable")
-    return _run_descent(p, x0, StepSchedule.inverse_L(), K, "gradient")
-
-
-def run_accelerated(p: ProblemInstance, x0, K: int) -> MethodTrace:
-    """Momentum method: step from y_k, then extrapolate.
-
-        x_{k+1} = y_k - (1/L) grad f(y_k)
-        y_{k+1} = x_{k+1} + (theta_{k+1}(1-theta_k)/theta_k)(x_{k+1} - x_k)
-
-    with y_0 = x_0, theta_0 = 1.  The first step coincides with the plain
-    gradient step.
-    """
-    if p.lipschitz_grad is None:
-        raise ValueError(f"{p.problem_id} has no gradient Lipschitz constant")
-    if not p.is_differentiable:
-        raise ValueError(f"{p.problem_id} is not differentiable")
+    """The momentum loop; ``prox(v, t)``, when given, maps each gradient step."""
     x0 = as_point(x0, p.dim, "x0")
     _check_budget(K, p.dim)
     t = np.full(K + 1, 1.0 / p.lipschitz_grad)
@@ -237,10 +221,185 @@ def run_accelerated(p: ProblemInstance, x0, K: int) -> MethodTrace:
     for k in range(K + 1):
         g[k] = _query(p, y[k], k)
         if k < K:
-            x[k + 1] = y[k] - t[k] * g[k]
+            step = y[k] - t[k] * g[k]
+            x[k + 1] = step if prox is None else prox(step, t[k])
             theta[k + 1] = theta_next(theta[k])
             coef = theta[k + 1] * (1.0 - theta[k]) / theta[k]
             y[k + 1] = x[k + 1] + coef * (x[k + 1] - x[k])
-    return MethodTrace(
-        method="accelerated", problem_id=p.problem_id, x=x, g=g, t=t, y=y, theta=theta
+    return MethodTrace(method=method, problem_id=problem_id, x=x, g=g, t=t, y=y, theta=theta)
+
+
+def run_subgradient(
+    p: ProblemInstance, x0, schedule: StepSchedule, K: int
+) -> MethodTrace:
+    """x_{k+1} = x_k - t_k g_k with g_k a subgradient of f at x_k."""
+    return _run_descent(p, x0, schedule, K, "subgradient")
+
+
+def run_gradient(p: ProblemInstance, x0, K: int) -> MethodTrace:
+    """The subgradient method with the fixed smooth step t_k = 1/L.
+
+    Descent is monotone: f(x_{k+1}) <= f(x_k) up to roundoff.
+    """
+    method_spec("gradient").require(p, K)
+    return _run_descent(p, x0, StepSchedule.inverse_L(), K, "gradient")
+
+
+def run_accelerated(p: ProblemInstance, x0, K: int) -> MethodTrace:
+    """Momentum method: step from y_k, then extrapolate.
+
+        x_{k+1} = y_k - (1/L) grad f(y_k)
+        y_{k+1} = x_{k+1} + (theta_{k+1}(1-theta_k)/theta_k)(x_{k+1} - x_k)
+
+    with y_0 = x_0, theta_0 = 1.  The first step coincides with the plain
+    gradient step.
+    """
+    method_spec("accelerated").require(p, K)
+    return _run_momentum(p, x0, K, "accelerated", p.problem_id, prox=None)
+
+
+# ---------------------------------------------------------------------------
+# per-method rules
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """The rules of one method, as data plus the formulas that differ.
+
+    Every certificate is the one recursion
+
+        z_{k+1} = (1 - theta_k) z_k + theta_k g_k,   mu_{k+1} = (1 - theta_k) mu_k
+
+    started at k = ``start`` from z = trace.g[0] and mu = the closed form of
+    mu at ``start``, with g_k a subgradient at the query point y_k:
+    (y_k, g_k) = (trace.<query>[k + offset], trace.g[k + offset]).
+
+    smooth           needs L and differentiability, and runs only with its
+                     default schedule t_k = 1/L, for which its theorem is
+                     stated; a method that is not smooth needs G
+    momentum         theta_k comes from the run, which also fills the
+                     theta_k column; the identity checks are the momentum
+                     identities instead of query_point
+    running_min_gap  the suboptimality gap is that of the best iterate so far
+    monotone         f(x_k) must not increase
+    g_ball           ||z_k|| > G(1+eps) is a hard failure (z_k averages subgradients)
+    """
+
+    name: str
+    start: int  # first certificate index; also the least horizon K
+    smooth: bool
+    query: str
+    offset: int
+    momentum: bool
+    running_min_gap: bool
+    monotone: bool
+    g_ball: bool
+    default_schedule: str
+    theta: Callable[[MethodTrace], np.ndarray]  # theta_k for k = start..K-1
+    # LHS_k(trace, p, f) and the closed form mu_k(trace, L), for k = 0..K, NaN below start
+    lhs: Callable[[MethodTrace, ProblemInstance, np.ndarray], np.ndarray]
+    mu: Callable[[MethodTrace, Optional[float]], np.ndarray]
+    bound: Callable[[ProblemInstance, float, int, object], float]  # (p, dist, k, schedule)
+    run: Optional[Callable[..., MethodTrace]]  # (p, x0, schedule, K); None: no plain run
+
+    def require(self, p: ProblemInstance, K: int) -> None:
+        """Raise ValueError unless ``p`` and the horizon K admit this method."""
+        if self.smooth and (p.lipschitz_grad is None or not p.is_differentiable):
+            raise ValueError(
+                f"{self.name} method needs a differentiable problem with L; "
+                f"{p.problem_id} does not qualify"
+            )
+        if not self.smooth and p.lipschitz_f is None:
+            raise ValueError(f"{self.name} method needs a G constant; {p.problem_id} has none")
+        if K < self.start:
+            raise ValueError(f"{self.name} needs iterations >= {self.start}")
+
+
+def _from_k1(K: int, values: np.ndarray) -> np.ndarray:
+    """``values`` for k = 1..K, with NaN at k = 0."""
+    out = np.full(K + 1, math.nan)
+    out[1:] = values
+    return out
+
+
+def _subgradient_lhs(trace, p, f):
+    # (sum_{i<=k} t_i f(x_i) - (G^2/2) sum_{i<=k} t_i^2) / sum_{i<=k} t_i
+    G = p.lipschitz_f
+    totals = np.cumsum(trace.t)
+    weighted = np.cumsum(trace.t * f)
+    squares = np.cumsum(trace.t * trace.t)
+    return (weighted - 0.5 * G * G * squares) / totals
+
+
+def _subgradient_bound(p, dist, k, schedule):
+    # (dist^2 + G^2 sum_{i<=k} t_i^2) / (2 sum_{i<=k} t_i)
+    if schedule is None:
+        raise ValueError("subgradient bound needs the step schedule")
+    if isinstance(schedule, StepSchedule):
+        steps = schedule.resolve(k, p.lipschitz_grad)
+    else:
+        steps = np.asarray(schedule, dtype=float)
+    if steps.size < k + 1:
+        raise ValueError(f"schedule provides {steps.size} steps, need {k + 1}")
+    ts = steps[: k + 1]
+    G = p.lipschitz_f
+    return (dist * dist + G * G * (ts @ ts)) / (2.0 * ts.sum())
+
+
+def _trace_theta(trace):
+    if trace.theta is None:
+        raise ValueError(f"{trace.method} trace is missing its theta sequence")
+    return trace.theta[1:-1]
+
+
+# The run functions are looked up by name when called, so a wrapper that
+# replaces one of them on this module is also called through the table.
+_SUBGRADIENT = MethodSpec(
+    name="subgradient", start=0, smooth=False, query="x", offset=1, momentum=False,
+    running_min_gap=True, monotone=False, g_ball=True, default_schedule="horizon_sqrt",
+    theta=lambda trace: trace.t[1:] / np.cumsum(trace.t)[1:],
+    lhs=_subgradient_lhs,
+    mu=lambda trace, L: 1.0 / np.cumsum(trace.t),  # 1 / sum_{i<=k} t_i
+    bound=_subgradient_bound,
+    run=lambda p, x0, schedule, K: run_subgradient(p, x0, schedule, K),
+)
+_GRADIENT = MethodSpec(
+    name="gradient", start=1, smooth=True, query="x", offset=0, momentum=False,
+    running_min_gap=False, monotone=True, g_ball=False, default_schedule="inverse_L",
+    theta=lambda trace: 1.0 / np.arange(2, trace.horizon + 1),  # 1/(k+1)
+    # (f(x_1) + ... + f(x_k)) / k
+    lhs=lambda trace, p, f: _from_k1(
+        trace.horizon, np.cumsum(f[1:]) / np.arange(1, trace.horizon + 1)
+    ),
+    mu=lambda trace, L: _from_k1(trace.horizon, L / np.arange(1, trace.horizon + 1)),  # L/k
+    bound=lambda p, dist, k, schedule: p.lipschitz_grad * dist * dist / (2.0 * k),
+    run=lambda p, x0, schedule, K: run_gradient(p, x0, K),
+)
+_ACCELERATED = MethodSpec(
+    name="accelerated", start=1, smooth=True, query="y", offset=0, momentum=True,
+    running_min_gap=False, monotone=False, g_ball=False, default_schedule="inverse_L",
+    theta=_trace_theta,
+    lhs=lambda trace, p, f: _from_k1(trace.horizon, f[1:]),  # f(x_k)
+    # L theta_{k-1}^2
+    mu=lambda trace, L: _from_k1(trace.horizon, L * trace.theta[:-1] ** 2),
+    bound=lambda p, dist, k, schedule: 2.0 * p.lipschitz_grad * dist * dist / ((k + 1) ** 2),
+    run=lambda p, x0, schedule, K: run_accelerated(p, x0, K),
+)
+_METHODS = {
+    spec.name: spec
+    for spec in (
+        _SUBGRADIENT,
+        _GRADIENT,
+        _ACCELERATED,
+        # run by ccfom.proxprobe; its certificate is the accelerated one verbatim
+        replace(_ACCELERATED, name="prox_accelerated", run=None),
     )
+}
+
+
+def method_spec(name: str) -> MethodSpec:
+    """The rules of method ``name``; ConfigError for an unknown name."""
+    try:
+        return _METHODS[name]
+    except KeyError:
+        raise ConfigError(f"unknown method {name!r}") from None

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import ConfigError
+from .errors import ConfigError, OracleError
 
 __all__ = [
     "ProblemInstance",
@@ -407,7 +407,7 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
         if res.status == 2:  # infeasible: z outside conv{a_i}
             return math.inf
         if not res.success:
-            raise RuntimeError(f"conjugate LP failed: {res.message}")
+            raise OracleError(f"conjugate LP failed: {res.message}")
         return float(res.fun)
 
     # min_x max_i <a_i, x> + b_i as an LP in (x, t)
@@ -428,7 +428,7 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
         project = None
         provenance = "objective unbounded below"
     else:
-        raise RuntimeError(f"optimum LP failed: {res.message}")
+        raise OracleError(f"optimum LP failed: {res.message}")
 
     return ProblemInstance(
         problem_id=problem_id or f"maxaff:custom:dim={n}:pieces={m}",

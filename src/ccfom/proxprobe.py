@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .certificates import DualCertificate, build_certificate, _quad_min_tail
-from .errors import OracleError
-from .methods import MethodTrace, theta_next
+from .methods import MethodTrace, _run_momentum
 from .problems import ProblemInstance, as_point, make_quadratic
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -59,7 +58,7 @@ class Regularizer:
 
     ``inner_min(z, mu, x0)`` returns (value, argmin) of
     min_u psi(u) + <z, u> + (mu/2)||u - x0||^2, the quantity the conjectured
-    certificate needs.
+    certificate needs.  ``dim`` is None when psi applies in any dimension.
     """
 
     kind: str
@@ -67,6 +66,7 @@ class Regularizer:
     value: Callable[[np.ndarray], float]
     prox: Callable[[np.ndarray, float], np.ndarray]
     inner_min: Callable[[np.ndarray, float, np.ndarray], tuple[float, np.ndarray]]
+    dim: Optional[int] = None
 
 
 def soft_threshold(v: np.ndarray, amount: float) -> np.ndarray:
@@ -118,7 +118,9 @@ def make_box(lo, hi) -> Regularizer:
         return val, u
 
     label = f"box:lo={','.join(f'{v:g}' for v in lo)}:hi={','.join(f'{v:g}' for v in hi)}"
-    return Regularizer(kind="box", label=label, value=value, prox=prox, inner_min=inner_min)
+    return Regularizer(
+        kind="box", label=label, value=value, prox=prox, inner_min=inner_min, dim=lo.size
+    )
 
 
 def make_zero() -> Regularizer:
@@ -181,6 +183,11 @@ class CompositeProblem:
     def __post_init__(self):
         if self.phi.lipschitz_grad is None or not self.phi.is_differentiable:
             raise ValueError("the smooth part must be differentiable with L present")
+        if self.psi.dim not in (None, self.phi.dim):
+            raise ValueError(
+                f"psi {self.psi.label} has dimension {self.psi.dim}, "
+                f"the smooth part {self.phi.dim}"
+            )
 
     @property
     def dim(self) -> int:
@@ -200,33 +207,7 @@ def run_proximal_accelerated(cp: CompositeProblem, x0, K: int) -> MethodTrace:
     The theta/y updates are unchanged; with psi == 0 the trace reproduces
     :func:`ccfom.methods.run_accelerated` bitwise.
     """
-    p = cp.phi
-    x0 = as_point(x0, p.dim, "x0")
-    t = np.full(K + 1, 1.0 / p.lipschitz_grad)
-    x = np.empty((K + 1, p.dim))
-    y = np.empty((K + 1, p.dim))
-    g = np.empty((K + 1, p.dim))
-    theta = np.empty(K + 1)
-    x[0] = x0
-    y[0] = x0
-    theta[0] = 1.0
-    for k in range(K + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = p.value(y[k])
-            gk = np.asarray(p.subgradient(y[k]), dtype=float)
-        if not math.isfinite(value):
-            raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
-        if not np.all(np.isfinite(gk)):
-            raise OracleError(f"gradient is not finite at iteration {k}", iteration=k)
-        g[k] = gk
-        if k < K:
-            x[k + 1] = cp.psi.prox(y[k] - t[k] * g[k], t[k])
-            theta[k + 1] = theta_next(theta[k])
-            coef = theta[k + 1] * (1.0 - theta[k]) / theta[k]
-            y[k + 1] = x[k + 1] + coef * (x[k + 1] - x[k])
-    return MethodTrace(
-        method="prox_accelerated", problem_id=cp.label, x=x, g=g, t=t, y=y, theta=theta
-    )
+    return _run_momentum(cp.phi, x0, K, "prox_accelerated", cp.label, prox=cp.psi.prox)
 
 
 def conjectured_certificate(
@@ -347,9 +328,13 @@ def lasso_suite(
     K: int,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[ProbeSummary, list[ProbeResult]]:
-    """Probe ``instances`` seeded lasso composites for K iterations each."""
-    results = []
+) -> tuple[ProbeSummary, list[tuple[CompositeProblem, MethodTrace, DualCertificate, ProbeResult]]]:
+    """Probe ``instances`` seeded lasso composites for K iterations each.
+
+    Returns the summary and, per instance, the composite with the outputs of
+    :func:`probe_instance`.
+    """
+    probes = []
     reports = []
     total_iters = 0
     violations = 0
@@ -357,8 +342,8 @@ def lasso_suite(
     min_margin = math.inf
     for i in range(instances):
         cp, x0 = lasso_instance(dim, seed + i)
-        _, _, res = probe_instance(cp, x0, K, tol)
-        results.append(res)
+        trace, cert, res = probe_instance(cp, x0, K, tol)
+        probes.append((cp, trace, cert, res))
         total_iters += res.iterations_checked
         violations += len(res.violations)
         vacuous += int(res.vacuous.sum())
@@ -378,4 +363,4 @@ def lasso_suite(
         min_margin=min_margin,
         violation_reports=tuple(reports),
     )
-    return summary, results
+    return summary, probes

@@ -21,7 +21,7 @@ import numpy as np
 
 from .certificates import VerificationResult, theorem_bound, reference_value
 from .errors import ConfigError
-from .methods import MethodTrace
+from .methods import MethodTrace, method_spec
 from .problems import ProblemInstance
 from .tolerances import Tolerances
 
@@ -86,14 +86,14 @@ def build_rows(
     p: ProblemInstance,
     ver: VerificationResult,
     tol: Tolerances,
-    schedule_steps: Optional[np.ndarray] = None,
 ) -> RunRows:
     """Turn a verified run into CSV rows and itemized report lines.
 
     Adds the closed-form suboptimality-bound check (skipped, never faked,
-    when the reference distance is unavailable) and, for gradient runs, the
-    monotone-descent check.
+    when the reference distance is unavailable) and, for methods whose
+    descent is monotone, the monotone-descent check.
     """
+    spec = method_spec(trace.method)
     chain = ver.chain
     cert = ver.certificate
     x0 = trace.x[0]
@@ -104,9 +104,7 @@ def build_rows(
 
     bounds = np.full(K + 1, math.nan)
     if dist is not None:
-        for k in range(start if start > 0 else 0, K + 1):
-            if trace.method == "gradient" and k < 1:
-                continue
+        for k in range(start, K + 1):
             b = theorem_bound(p, x0, trace.method, k, schedule=trace.t)
             bounds[k] = math.nan if b is None else b
 
@@ -116,10 +114,7 @@ def build_rows(
         f_all[0] = p.value(trace.x[0])
     gaps = None
     if f_ref is not None:
-        if trace.method == "subgradient":
-            gaps = np.minimum.accumulate(f_all) - f_ref
-        else:
-            gaps = f_all - f_ref
+        gaps = (np.minimum.accumulate(f_all) if spec.running_min_gap else f_all) - f_ref
 
     induction_by_k = {rec.k: rec for rec in ver.inductions}
     lines: list[str] = []
@@ -150,7 +145,7 @@ def build_rows(
                     f"> tol {fmt(btol)}"
                 )
 
-        if trace.method == "gradient" and k >= 1:
+        if spec.monotone and k >= 1:
             descent = f_all[k] - f_all[k - 1]
             if descent > tol.eps_abs:
                 verdict = "FAIL"
@@ -162,12 +157,7 @@ def build_rows(
         if verdict == "FAIL":
             any_fail = True
 
-        theta_k = math.nan
-        if trace.method in ("accelerated", "prox_accelerated") and trace.theta is not None:
-            theta_k = trace.theta[k]
-        elif not math.isnan(cert.theta[k]):
-            theta_k = cert.theta[k]
-
+        theta_k = trace.theta[k] if spec.momentum else cert.theta[k]
         rows.append(
             {
                 "k": int(k),

@@ -61,17 +61,46 @@ class TestRun:
             dict(problem="quad:diag=1", method="gradient", x0="1.0", iterations=5,
                  schedule="constant:t=0.5"),
             dict(problem="quad:diag=1", method="prox_accelerated", x0="1.0", iterations=5),
+            dict(problem="norm:G=1:dim=1", method="subgradient", x0="1.0", iterations=3,
+                 schedule="explicit:0.1,0.1"),
+            dict(problem="norm:G=1:dim=1", method="subgradient", x0="1.0", iterations=5,
+                 schedule="inverse_L"),
+            dict(problem="quad:diag=1", method="gradient", x0="1.0", iterations=5, workers=2),
         ],
     )
     def test_invalid_configs_exit_3(self, tmp_path, kv):
         cfg = run_cfg(tmp_path, **kv)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
+    def test_negative_tolerance_flag_exits_3(self, tmp_path):
+        cfg = run_cfg(tmp_path, problem="quad:diag=1", method="gradient", x0="1.0", iterations=5)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--eps-rel", "-1"]) == 3
+
     def test_oracle_failure_exits_4(self, tmp_path):
         # f(x0) overflows to +inf at the first oracle query
         cfg = run_cfg(tmp_path, problem="quad:diag=1", method="gradient",
                       x0="1.0e200", iterations=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+
+    # 0: the optimum LP while the problem is built; 1: the first conjugate LP
+    @pytest.mark.parametrize("good_calls", [0, 1])
+    def test_failed_lp_exits_4(self, tmp_path, monkeypatch, capsys, good_calls):
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if len(calls) <= good_calls:
+                return real(*args, **kwargs)
+            return scipy.optimize.OptimizeResult(status=4, success=False, message="forced")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", flaky)
+        cfg = run_cfg(tmp_path, problem="maxaff:dim=2:pieces=5:seed=1", method="subgradient",
+                      x0="0.5,-1.0", iterations=5)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        assert "LP failed: forced" in capsys.readouterr().err
 
     def test_csv_is_bit_stable(self, tmp_path):
         cfg = run_cfg(tmp_path, problem="norm:G=2:dim=3", method="subgradient",
@@ -120,6 +149,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "k=5" in out
 
+    @pytest.mark.parametrize("bad_k", ["999", "-5"])
+    def test_out_of_range_k_is_index_mismatch(self, tmp_path, capsys, bad_k):
+        csv = self.make_run(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(csv.read_text().replace("\n5,", f"\n{bad_k},", 1))
+        assert main(["verify", str(bad)]) == 2
+        assert f"k={bad_k}: index mismatch with recomputed row 5" in capsys.readouterr().out
+
+    def test_non_numeric_field_exits_3(self, tmp_path):
+        csv = self.make_run(tmp_path)
+        lines = csv.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        lines[i] = "5,abc," + lines[i].split(",", 2)[2]  # f_xk
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(bad)]) == 3
+
     def test_rejects_non_schema_file(self, tmp_path):
         f = tmp_path / "x.csv"
         f.write_text("k,f\n1,2\n")
@@ -155,7 +201,7 @@ class TestSweep:
             report="sweep.report.txt",
             svg="sweep.svg",
         )
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--workers", "2"]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         meta, cols, rows = read_csv(tmp_path / "sweep.csv")
         assert cols == ["problem", "method", "iterations"] + RUN_COLUMNS
         methods = {r["method"] for r in rows}
@@ -269,4 +315,17 @@ class TestConjecture:
     def test_requires_psi_or_suite(self, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", problem="quad:diag=1",
                         method="prox_accelerated", x0="1.0", iterations=5)
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "kv",
+        [
+            dict(suite="lasso", iterations=5, dim=-1),
+            dict(suite="lasso", iterations=5, seed=-1),
+            dict(problem="quad:diag=1", psi="box:lo=0,0:hi=1,1", method="prox_accelerated",
+                 x0="1.0", iterations=5),
+        ],
+    )
+    def test_invalid_configs_exit_3(self, tmp_path, kv):
+        cfg = write_cfg(tmp_path / "bad.cfg", csv="bad.csv", report="bad.txt", **kv)
         assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 3

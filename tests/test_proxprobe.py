@@ -92,6 +92,15 @@ class TestProximalRun:
         assert np.array_equal(tz.y, ta.y)
         assert np.array_equal(tz.theta, ta.theta)
 
+    def test_trace_budget_applies(self, monkeypatch):
+        monkeypatch.setattr(ccfom.methods, "MAX_TRACE_SCALARS", 10)
+        phi = ccfom.from_id("quad:diag=1,10")
+        with pytest.raises(ValueError, match="budget") as plain:
+            ccfom.run_accelerated(phi, [1.0, 1.0], 40)
+        with pytest.raises(ValueError, match="budget") as prox:
+            run_proximal_accelerated(CompositeProblem(phi=phi, psi=make_l1(1.0)), [1.0, 1.0], 40)
+        assert str(prox.value) == str(plain.value)
+
     def test_box_constrained_iterates_stay_feasible(self):
         phi = ccfom.from_id("quad:diag=1,10:b=1,0")
         cp = CompositeProblem(phi=phi, psi=make_box([0.0, 0.0], [5.0, 5.0]))

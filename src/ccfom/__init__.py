@@ -11,6 +11,7 @@ by iteration.
 from .certificates import (
     BoundChain,
     DualCertificate,
+    InductionChecks,
     InductionRecord,
     VerificationResult,
     build_certificate,

@@ -24,8 +24,11 @@ upper-bounds the method's averaged-objective quantity LHS_k, and chaining it
 through the quadratic-minimum relaxation and the conjugate inequality yields
 the f(x) + (mu_k/2)||x - x_0||^2 bound that the convergence rates follow
 from.  ``verify_chain`` checks every link of that chain numerically, and
-``verify_induction_step`` checks the per-step inequality and the structural
-identities that make the per-method constructions work.
+``verify_induction_all`` checks the per-step inequality and the structural
+identities that make the per-method constructions work.  Each check is one
+array expression over all iterations k at once; the per-k entry points
+(``certificate_value``, ``verify_induction_step``, ``theorem_bound``) run
+the same expressions on a single k.
 
 Index bookkeeping: ``start_index`` is 0 for the subgradient certificate and
 1 for the gradient/accelerated ones, and is part of the data model because
@@ -41,13 +44,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .methods import MethodTrace, method_spec
-from .problems import ProblemInstance, as_point
+from .problems import ProblemInstance, as_point, row_dot
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "DualCertificate",
     "BoundChain",
     "InductionRecord",
+    "InductionChecks",
     "VerificationResult",
     "build_certificate",
     "certificate_value",
@@ -122,35 +126,57 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
     return DualCertificate(method=trace.method, start_index=start, z=z, mu=mu, theta=theta)
 
 
-def _quad_min_tail(z: np.ndarray, mu: float, x0: np.ndarray) -> float:
-    """<z, x0> - ||z||^2/(2 mu): the exact minimum of <z,u> + (mu/2)||u-x0||^2."""
-    return float(z @ x0) - float(z @ z) / (2.0 * mu)
+def _quad_min_terms(Z: np.ndarray, mu, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<z, x0> and ||z||^2/(2 mu) for every row z of Z.
+
+    Their difference is the exact minimum of <z,u> + (mu/2)||u-x0||^2.
+    """
+    return row_dot(Z, x0[None]), row_dot(Z, Z) / (2.0 * mu)
+
+
+def _values(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    """f at every row of X: one ``value_batch`` call, else one ``value`` call per row."""
+    if p.value_batch is not None:
+        return np.asarray(p.value_batch(X), dtype=float)
+    return np.array([p.value(row) for row in X], dtype=float)
+
+
+def _conjugates(p: ProblemInstance, Z: np.ndarray) -> np.ndarray:
+    """f* at every row of Z: one ``conjugate_batch`` call, else one ``conjugate`` call per row."""
+    if p.conjugate_batch is not None:
+        return np.asarray(p.conjugate_batch(Z), dtype=float)
+    return np.array([p.conjugate(z) for z in Z], dtype=float)
+
+
+def _certificate_terms(p: ProblemInstance, Z: np.ndarray, mu, x0: np.ndarray):
+    """(f*(z), <z, x0>, ||z||^2/(2 mu), certificate value) for every row z of Z.
+
+    The certificate value is -f*(z) + <z, x0> - ||z||^2/(2 mu), and -inf
+    where z is outside dom(f*).
+    """
+    fstar = _conjugates(p, Z)
+    zx0, half = _quad_min_terms(Z, mu, x0)
+    value = np.where(np.isinf(fstar), -math.inf, -fstar + (zx0 - half))
+    return fstar, zx0, half, value
 
 
 def certificate_value_raw(p: ProblemInstance, z: np.ndarray, mu: float, x0: np.ndarray) -> float:
     """-f*(z) + <z, x0> - ||z||^2/(2 mu); -inf when z is outside dom(f*)."""
-    fstar = p.conjugate(z)
-    if math.isinf(fstar):
-        return -math.inf
-    return -fstar + _quad_min_tail(z, mu, x0)
+    z = np.asarray(z, dtype=float)
+    return float(_certificate_terms(p, z[None], mu, np.asarray(x0, dtype=float))[3][0])
 
 
 def certificate_value(cert: DualCertificate, p: ProblemInstance, x0, k: int) -> float:
     """The certificate upper bound at iteration k.
 
     A return of -inf means the record is vacuous: z_k left dom(f*), the
-    bound holds trivially and certifies nothing.
+    bound holds trivially and certifies nothing.  Bitwise equal to
+    ``verify_chain(...).certificate_values`` at k.
     """
     if not cert.start_index <= k <= cert.horizon:
         raise ValueError(f"k={k} outside certificate range [{cert.start_index}, {cert.horizon}]")
     x0 = as_point(x0, p.dim, "x0")
-    return certificate_value_raw(p, cert.z[k], float(cert.mu[k]), x0)
-
-
-def _f_series(trace: MethodTrace, p: ProblemInstance) -> np.ndarray:
-    if p.value_batch is not None:
-        return np.asarray(p.value_batch(trace.x), dtype=float)
-    return np.array([p.value(row) for row in trace.x])
+    return float(_certificate_terms(p, cert.z[k : k + 1], cert.mu[k : k + 1], x0)[3][0])
 
 
 def lhs_series(trace: MethodTrace, p: ProblemInstance, f_values: Optional[np.ndarray] = None) -> np.ndarray:
@@ -162,7 +188,7 @@ def lhs_series(trace: MethodTrace, p: ProblemInstance, f_values: Optional[np.nda
     """
     spec = method_spec(trace.method)
     spec.require(p, trace.horizon)
-    return spec.lhs(trace, p, _f_series(trace, p) if f_values is None else f_values)
+    return spec.lhs(trace, p, _values(p, trace.x) if f_values is None else f_values)
 
 
 def lhs(trace: MethodTrace, p: ProblemInstance, k: int) -> float:
@@ -185,12 +211,14 @@ class BoundChain:
       fenchel       -f*(z_k) + <z_k,x> <= f(x)
       end_to_end    LHS_k <= f(x) + (mu_k/2)||x-x0||^2
 
-    The point-dependent checks store the worst margin over the test points.
-    ``residual_max[k]`` is the largest violation max(LHS - RHS) over the
-    checks evaluated at k.  Vacuous records (z_k outside dom f*) carry
-    verdict VACUOUS instead of a pass/fail on the conjugate-dependent
-    checks, except in the subgradient case where ||z_k|| > G(1+eps) is a
-    hard failure (the construction provably keeps z_k in the G-ball).
+    The point-dependent checks store, per k, the margin and tolerance of
+    the test point where margin + tolerance is smallest (the first such
+    point on ties).  ``residual_max[k]`` is the largest violation
+    max(LHS - RHS) over the checks evaluated at k.  Vacuous records (z_k
+    outside dom f*) carry verdict VACUOUS instead of a pass/fail on the
+    conjugate-dependent checks (their margins are NaN), except in the
+    subgradient case where ||z_k|| > G(1+eps) is a hard failure (the
+    construction provably keeps z_k in the G-ball).
     """
 
     method: str
@@ -211,21 +239,20 @@ class BoundChain:
 
     @property
     def all_pass(self) -> bool:
-        return all(v != "FAIL" for v in self.verdicts)
+        return "FAIL" not in self.verdicts
 
     def failures(self) -> list[tuple[int, str, float, float]]:
         """(k, check name, residual LHS-RHS, tolerance) for every violation."""
         out = []
-        for i, k in enumerate(self.ks):
-            if self.verdicts[i] != "FAIL":
-                continue
+        for i in np.flatnonzero(np.array(self.verdicts) == "FAIL"):
+            k = int(self.ks[i])
             for name in CHAIN_CHECKS:
-                m = self.margins[name][i]
-                t = self.margin_tols[name][i]
+                m = float(self.margins[name][i])
+                t = float(self.margin_tols[name][i])
                 if math.isfinite(m) and m < -t:
-                    out.append((int(k), name, -m, t))
+                    out.append((k, name, -m, t))
             if self.vacuous[i]:
-                out.append((int(k), "dual vector left dom(f*)", math.inf, 0.0))
+                out.append((k, "dual vector left dom(f*)", math.inf, 0.0))
         return out
 
 
@@ -236,96 +263,60 @@ def verify_chain(
     test_points: Sequence,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> BoundChain:
-    """Check the full inequality chain at every iteration k >= start_index."""
+    """Check the full inequality chain at every iteration k >= start_index.
+
+    Every check is one expression over the records k = start..K.
+    """
     if cert.horizon != trace.horizon or cert.method != trace.method:
         raise ValueError("certificate does not match trace")
     pts = tuple(as_point(q, p.dim, "test point") for q in test_points)
     if not pts:
         raise ValueError("need at least one test point")
-    f_at_pts = [p.value(q) for q in pts]
     x0 = trace.x[0]
-    f_vals = _f_series(trace, p)
+    f_vals = _values(p, trace.x)
     lhs_vals = lhs_series(trace, p, f_vals)
 
-    start, K = cert.start_index, trace.horizon
-    ks = np.arange(start, K + 1)
-    n = ks.size
-    cert_vals = np.empty(n)
-    vac = np.zeros(n, dtype=bool)
-    margins = {name: np.full(n, math.nan) for name in CHAIN_CHECKS}
-    tols = {name: np.full(n, math.nan) for name in CHAIN_CHECKS}
-    relaxed = np.full((n, len(pts)), math.nan)
-    residual_max = np.full(n, -math.inf)
-    verdicts: list[str] = []
+    start = cert.start_index
+    ks = np.arange(start, trace.horizon + 1)
+    Z, mu, lhs_k = cert.z[start:], cert.mu[start:], lhs_vals[start:]
+    fstar, zx0, half, cert_vals = _certificate_terms(p, Z, mu, x0)
+    vac = np.isinf(fstar)
+    tail = zx0 - half
+
+    margins = {"certificate": cert_vals - lhs_k}
+    tols = {"certificate": tol.bound(lhs_k, fstar, zx0, half)}
+    relaxed = np.empty((ks.size, len(pts)))
+    for j, q in enumerate(pts):
+        f_q = p.value(q)
+        zq = row_dot(Z, q[None])
+        quad = 0.5 * mu * float(np.sum((q - x0) ** 2))
+        relaxed[:, j] = -fstar + zq + quad
+        at_q = {
+            "quad_min": ((zq + quad) - tail, tol.bound(zq, quad, zx0, half)),
+            "fenchel": (f_q - (-fstar + zq), tol.bound(f_q, fstar, zq)),
+            "end_to_end": ((f_q + quad) - lhs_k, tol.bound(f_q, quad, lhs_k)),
+        }
+        for name, (m, t) in at_q.items():
+            if j == 0:
+                margins[name], tols[name] = m, t
+            else:
+                closer = m + t < margins[name] + tols[name]  # nearer to m < -t
+                margins[name] = np.where(closer, m, margins[name])
+                tols[name] = np.where(closer, t, tols[name])
+    for name in ("certificate", "fenchel"):
+        margins[name] = np.where(vac, math.nan, margins[name])
+        tols[name] = np.where(vac, math.nan, tols[name])
+    relaxed[vac] = math.nan
+
+    failed = np.zeros(ks.size, dtype=bool)
+    for name in CHAIN_CHECKS:
+        failed |= margins[name] < -tols[name]
+    residual_max = np.fmax.reduce([-margins[name] for name in CHAIN_CHECKS])
 
     G = p.lipschitz_f
-    g_ball = method_spec(trace.method).g_ball
-    for i, k in enumerate(ks):
-        z = cert.z[k]
-        mu = float(cert.mu[k])
-        fstar = p.conjugate(z)
-        vacuous = math.isinf(fstar)
-        vac[i] = vacuous
-        zx0 = float(z @ x0)
-        znorm2 = float(z @ z)
-        tail = zx0 - znorm2 / (2.0 * mu)
-        cert_vals[i] = -math.inf if vacuous else -fstar + tail
-        L_k = float(lhs_vals[k])
-
-        failed = False
-        worst = -math.inf
-
-        if not vacuous:
-            m = cert_vals[i] - L_k
-            t = tol.bound(L_k, fstar, zx0, znorm2 / (2.0 * mu))
-            margins["certificate"][i], tols["certificate"][i] = m, t
-            failed |= m < -t
-            worst = max(worst, -m)
-
-        m_b = math.inf
-        t_b = math.inf
-        m_c = math.inf
-        t_c = math.inf
-        m_d = math.inf
-        t_d = math.inf
-        for j, (q, f_q) in enumerate(zip(pts, f_at_pts)):
-            zq = float(z @ q)
-            quad = 0.5 * mu * float(np.sum((q - x0) ** 2))
-            relaxed[i, j] = math.nan if vacuous else -fstar + zq + quad
-            m = (zq + quad) - tail
-            t = tol.bound(zq, quad, zx0, znorm2 / (2.0 * mu))
-            if m - t < m_b - t_b:
-                m_b, t_b = m, t
-            if not vacuous:
-                m = f_q - (-fstar + zq)
-                t = tol.bound(f_q, fstar, zq)
-                if m - t < m_c - t_c:
-                    m_c, t_c = m, t
-            m = (f_q + quad) - L_k
-            t = tol.bound(f_q, quad, L_k)
-            if m - t < m_d - t_d:
-                m_d, t_d = m, t
-        margins["quad_min"][i], tols["quad_min"][i] = m_b, t_b
-        if not vacuous:
-            margins["fenchel"][i], tols["fenchel"][i] = m_c, t_c
-        margins["end_to_end"][i], tols["end_to_end"][i] = m_d, t_d
-        failed |= m_b < -t_b or m_d < -t_d
-        if not vacuous:
-            failed |= m_c < -t_c
-        worst = max(worst, -m_b, -m_d)
-        if not vacuous:
-            worst = max(worst, -m_c)
-        residual_max[i] = worst
-
-        if vacuous:
-            hard = (
-                g_ball
-                and G is not None
-                and math.sqrt(znorm2) > G * (1.0 + tol.eps_rel)
-            )
-            verdicts.append("FAIL" if (hard or failed) else "VACUOUS")
-        else:
-            verdicts.append("FAIL" if failed else "PASS")
+    if method_spec(trace.method).g_ball and G is not None:
+        failed |= vac & (np.sqrt(row_dot(Z, Z)) > G * (1.0 + tol.eps_rel))
+    verdicts = np.where(failed, "FAIL", np.where(vac, "VACUOUS", "PASS"))
 
     return BoundChain(
         method=trace.method,
@@ -333,15 +324,15 @@ def verify_chain(
         start_index=start,
         ks=ks,
         f_values=f_vals[start:],
-        lhs_values=lhs_vals[start:],
+        lhs_values=lhs_k,
         certificate_values=cert_vals,
         vacuous=vac,
-        mu=np.array(cert.mu[start:]),
-        margins=margins,
-        margin_tols=tols,
+        mu=np.array(mu),
+        margins={name: margins[name] for name in CHAIN_CHECKS},
+        margin_tols={name: tols[name] for name in CHAIN_CHECKS},
         relaxed_bounds=relaxed,
         residual_max=residual_max,
-        verdicts=tuple(verdicts),
+        verdicts=tuple(verdicts.tolist()),
         test_points=pts,
     )
 
@@ -372,74 +363,120 @@ class InductionRecord:
     verdict: str
 
 
+@dataclass(frozen=True, eq=False)
+class InductionChecks:
+    """The induction checks of a range of steps k -> k+1, one array per quantity.
+
+    Entry i belongs to step ``ks[i]``; indexing and iteration give the
+    per-step :class:`InductionRecord` views.
+    """
+
+    ks: np.ndarray
+    margin: np.ndarray
+    tolerance: np.ndarray
+    identity_residuals: dict[str, np.ndarray]
+    identity_tols: dict[str, np.ndarray]
+    passed: np.ndarray
+
+    @property
+    def all_pass(self) -> bool:
+        return bool(np.all(self.passed))
+
+    def __len__(self) -> int:
+        return int(self.ks.size)
+
+    def __getitem__(self, i: int) -> InductionRecord:
+        return InductionRecord(
+            k=int(self.ks[i]),
+            margin=float(self.margin[i]),
+            tolerance=float(self.tolerance[i]),
+            identity_residuals={n: float(r[i]) for n, r in self.identity_residuals.items()},
+            identity_tols={n: float(t[i]) for n, t in self.identity_tols.items()},
+            verdict="PASS" if self.passed[i] else "FAIL",
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    return np.sqrt(row_dot(A, A))
+
+
+def _induction(
+    trace: MethodTrace,
+    cert: DualCertificate,
+    p: ProblemInstance,
+    tol: Tolerances,
+    lo: int,
+    hi: int,
+) -> InductionChecks:
+    """The induction checks of the steps k -> k+1 for k = lo..hi-1."""
+    spec = method_spec(trace.method)
+    f_x = _values(p, trace.x)
+    lhs_vals = lhs_series(trace, p, f_x)
+    x0 = trace.x[0]
+    th = cert.theta[lo:hi]
+    Z = cert.z[lo:hi]
+    mu = cert.mu[lo:hi]
+    # f over the whole query sequence, then sliced: a single step reads the
+    # same bits as the run (value_batch rows may depend on the batch)
+    queries = getattr(trace, spec.query)
+    f_y = (f_x if queries is trace.x else _values(p, queries))[lo + spec.offset : hi + spec.offset]
+    Y = queries[lo + spec.offset : hi + spec.offset]
+    g = trace.g[lo + spec.offset : hi + spec.offset]
+    z_mu = Z / mu[:, None]
+    W = x0 - Y - z_mu
+    gw = row_dot(g, W)
+
+    lhs_next = lhs_vals[lo + 1 : hi + 1]
+    lhs_prev = (1.0 - th) * lhs_vals[lo:hi]
+    curvature = th / (2.0 * (1.0 - th) * mu) * row_dot(g, g)
+    margin = th * (gw + f_y - curvature) - (lhs_next - lhs_prev)
+    tolerance = tol.bound(lhs_next, lhs_prev, th * gw, th * f_y, th * curvature)
+
+    residuals: dict[str, np.ndarray] = {}
+    id_tols: dict[str, np.ndarray] = {}
+    x0_norm = float(np.linalg.norm(x0))
+    z_norm = _row_norms(Z) / mu
+    if not spec.momentum:
+        residuals["query_point"] = _row_norms(W)
+        id_tols["query_point"] = tol.bound(x0_norm, _row_norms(Y), z_norm)
+    else:
+        X = trace.x[lo:hi]
+        a, b = (1.0 - th)[:, None], th[:, None]
+        residuals["extrapolation"] = _row_norms(Y - (a * X + b * (x0 - z_mu)))
+        id_tols["extrapolation"] = tol.bound(_row_norms(Y), _row_norms(X), x0_norm, z_norm)
+        residuals["step_balance"] = _row_norms(a * (Y - X) - b * W)
+        id_tols["step_balance"] = tol.bound(_row_norms(Y - X), x0_norm, _row_norms(Y), z_norm)
+        L = p.lipschitz_grad
+        residuals["theta_mu_ratio"] = np.abs(th * th / ((1.0 - th) * mu) - 1.0 / L)
+        id_tols["theta_mu_ratio"] = np.full(th.shape, tol.bound(1.0 / L))
+
+    passed = margin >= -tolerance
+    for name in residuals:
+        passed &= residuals[name] <= id_tols[name]
+    return InductionChecks(
+        ks=np.arange(lo, hi),
+        margin=margin,
+        tolerance=tolerance,
+        identity_residuals=residuals,
+        identity_tols=id_tols,
+        passed=passed,
+    )
+
+
 def verify_induction_step(
     trace: MethodTrace,
     cert: DualCertificate,
     p: ProblemInstance,
     k: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    _lhs_values: Optional[np.ndarray] = None,
 ) -> InductionRecord:
     """Check the step k -> k+1 of the certificate induction."""
     if not cert.start_index <= k <= trace.horizon - 1:
         raise ValueError(f"k={k} outside [{cert.start_index}, {trace.horizon - 1}]")
-    spec = method_spec(trace.method)
-    lhs_vals = lhs_series(trace, p) if _lhs_values is None else _lhs_values
-    x0 = trace.x[0]
-    th = float(cert.theta[k])
-    z = cert.z[k]
-    mu = float(cert.mu[k])
-    y = getattr(trace, spec.query)[k + spec.offset]
-    g = trace.g[k + spec.offset]
-    f_y = p.value(y)
-    gnorm2 = float(g @ g)
-    w = x0 - y - z / mu
-
-    lhs_step = float(lhs_vals[k + 1]) - (1.0 - th) * float(lhs_vals[k])
-    curvature = th / (2.0 * (1.0 - th) * mu) * gnorm2
-    rhs_step = th * (float(g @ w) + f_y - curvature)
-    margin = rhs_step - lhs_step
-    tolerance = tol.bound(
-        float(lhs_vals[k + 1]),
-        (1.0 - th) * float(lhs_vals[k]),
-        th * float(g @ w),
-        th * f_y,
-        th * curvature,
-    )
-
-    residuals: dict[str, float] = {}
-    id_tols: dict[str, float] = {}
-    norm = np.linalg.norm
-    if not spec.momentum:
-        residuals["query_point"] = float(norm(w))
-        id_tols["query_point"] = tol.bound(float(norm(x0)), float(norm(y)), float(norm(z)) / mu)
-    else:
-        x_k = trace.x[k]
-        residuals["extrapolation"] = float(
-            norm(y - ((1.0 - th) * x_k + th * (x0 - z / mu)))
-        )
-        id_tols["extrapolation"] = tol.bound(
-            float(norm(y)), float(norm(x_k)), float(norm(x0)), float(norm(z)) / mu
-        )
-        residuals["step_balance"] = float(norm((1.0 - th) * (y - x_k) - th * w))
-        id_tols["step_balance"] = tol.bound(
-            float(norm(y - x_k)), float(norm(x0)), float(norm(y)), float(norm(z)) / mu
-        )
-        L = p.lipschitz_grad
-        residuals["theta_mu_ratio"] = abs(th * th / ((1.0 - th) * mu) - 1.0 / L)
-        id_tols["theta_mu_ratio"] = tol.bound(1.0 / L)
-
-    ok = margin >= -tolerance and all(
-        residuals[name] <= id_tols[name] for name in residuals
-    )
-    return InductionRecord(
-        k=k,
-        margin=margin,
-        tolerance=tolerance,
-        identity_residuals=residuals,
-        identity_tols=id_tols,
-        verdict="PASS" if ok else "FAIL",
-    )
+    return _induction(trace, cert, p, tol, k, k + 1)[0]
 
 
 def verify_induction_all(
@@ -447,12 +484,9 @@ def verify_induction_all(
     cert: DualCertificate,
     p: ProblemInstance,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[InductionRecord]:
-    lhs_vals = lhs_series(trace, p)
-    return [
-        verify_induction_step(trace, cert, p, k, tol, _lhs_values=lhs_vals)
-        for k in range(cert.start_index, trace.horizon)
-    ]
+) -> InductionChecks:
+    """Check every step k -> k+1, k = start..K-1."""
+    return _induction(trace, cert, p, tol, cert.start_index, trace.horizon)
 
 
 def mu_closed_form_residuals(
@@ -506,7 +540,7 @@ def theorem_bound(
     if dist is None:
         return None
     spec.require(p, k)
-    return float(spec.bound(p, dist, k, schedule))
+    return float(spec.bound(p, dist, np.asarray(k), schedule))
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,13 +549,13 @@ class VerificationResult:
 
     certificate: DualCertificate
     chain: BoundChain
-    inductions: list[InductionRecord]
+    inductions: InductionChecks
     mu_residuals: np.ndarray
     test_points: tuple[np.ndarray, ...]
 
     @property
     def all_pass(self) -> bool:
-        return self.chain.all_pass and all(r.verdict == "PASS" for r in self.inductions)
+        return self.chain.all_pass and self.inductions.all_pass
 
 
 def default_test_points(p: ProblemInstance, x0) -> list[np.ndarray]:

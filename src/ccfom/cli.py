@@ -46,8 +46,10 @@ from .reporting import (
     RUN_COLUMNS,
     RunRows,
     Series,
+    Table,
     build_rows,
     fmt,
+    fmt_column,
     read_csv,
     render_convergence_svg,
     write_csv,
@@ -160,12 +162,14 @@ _CHECKED_COLUMNS = [
 ]
 
 
-def _close(stored: float, recomputed: float, tol: Tolerances) -> bool:
-    if math.isnan(stored) and math.isnan(recomputed):
-        return True
-    if math.isinf(stored) or math.isinf(recomputed):
-        return stored == recomputed
-    return abs(stored - recomputed) <= tol.bound(recomputed)
+def _close(stored: np.ndarray, recomputed: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Per entry: both NaN, equal infinities, or within the tolerance of ``recomputed``."""
+    with np.errstate(invalid="ignore"):
+        near = np.abs(stored - recomputed) <= tol.bound(recomputed)
+    infinite = np.isinf(stored) | np.isinf(recomputed)
+    return (np.isnan(stored) & np.isnan(recomputed)) | np.where(
+        infinite, stored == recomputed, near
+    )
 
 
 def cmd_verify(args) -> int:
@@ -189,56 +193,75 @@ def cmd_verify(args) -> int:
             eps_rel=float(meta["eps_rel"]),
             eps_abs=float(meta["eps_abs"]),
         )
-        stored_ks = [int(r["k"]) for r in rows]
-        stored = [{c: float(r[c]) for c in _CHECKED_COLUMNS} for r in rows]
+        stored_ks = np.array([int(r["k"]) for r in rows], dtype=np.int64)
+        stored = {c: np.array([float(r[c]) for r in rows]) for c in _CHECKED_COLUMNS}
     except ValueError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
     tol = _tolerances(args, spec.eps_rel, spec.eps_abs)
     outcome = execute_cell(spec, tol)
-    recomputed = outcome.rows.rows
+    table = outcome.rows.rows
+    recomputed = table.columns
+    n = min(len(rows), len(table))
     failures: list[str] = []
-    lines: list[str] = []
 
-    if len(rows) != len(recomputed):
-        failures.append(
-            f"row count mismatch: stored {len(rows)}, recomputed {len(recomputed)}"
-        )
+    if len(rows) != len(table):
+        failures.append(f"row count mismatch: stored {len(rows)}, recomputed {len(table)}")
     # LHS_k from the stored f(x_k) column alone, row i holding k = start + i
     start = method_spec(spec.method).start
     f_stored = np.full(spec.iterations + 1, math.nan)
-    for i, values in enumerate(stored[: len(recomputed)]):
-        f_stored[start + i] = values["f_xk"]
+    f_stored[start : start + n] = stored["f_xk"][:n]
     lhs_from_stored = lhs_series(outcome.trace, outcome.problem, f_values=f_stored)
 
-    for row, values, k, rec in zip(rows, stored, stored_ks, recomputed):
-        if k != rec["k"]:
-            failures.append(f"k={k}: index mismatch with recomputed row {rec['k']}")
+    ks = stored_ks[:n]
+    same_k = ks == recomputed["k"][:n]
+    mismatch = {
+        c: same_k & ~_close(stored[c][:n], recomputed[c][:n].astype(float), tol)
+        for c in _CHECKED_COLUMNS
+    }
+    stored_verdicts = np.array([r["verdict"] for r in rows[:n]])
+    verdict_mismatch = same_k & (stored_verdicts != recomputed["verdict"][:n])
+    # chain check (a) on the stored numbers themselves
+    checked = np.flatnonzero(same_k & (np.array([r["vacuous_flag"] for r in rows[:n]]) != "1"))
+    lhs_k = lhs_from_stored[ks[checked]]
+    resid = lhs_k - stored["cert_k"][checked]
+    t = tol.bound(lhs_k, stored["cert_k"][checked])
+    cert_fail = resid > t
+    lines = [
+        f"k={k}: stored chain certificate: residual={r} tol={b} {'FAIL' if bad else 'pass'}"
+        for k, r, b, bad in zip(ks[checked].tolist(), fmt_column(resid), fmt_column(t),
+                                cert_fail.tolist())
+    ]
+
+    cert_failures = {
+        int(checked[j]): f"k={ks[checked[j]]}: chain certificate on stored values: "
+                         f"residual {fmt(resid[j])} exceeds tol {fmt(t[j])}"
+        for j in np.flatnonzero(cert_fail).tolist()
+    }
+
+    # failure messages in row order, for the rows that have any
+    bad_rows = ~same_k | verdict_mismatch
+    for c in _CHECKED_COLUMNS:
+        bad_rows |= mismatch[c]
+    bad_rows[list(cert_failures)] = True
+    for i in np.flatnonzero(bad_rows).tolist():
+        k, row = int(ks[i]), rows[i]
+        if not same_k[i]:
+            failures.append(f"k={k}: index mismatch with recomputed row {recomputed['k'][i]}")
             continue
-        for col in _CHECKED_COLUMNS:
-            rec_v = float(rec[col])
-            if not _close(values[col], rec_v, tol):
+        for c in _CHECKED_COLUMNS:
+            if mismatch[c][i]:
+                rec_v = float(recomputed[c][i])
                 failures.append(
-                    f"k={k}: column {col} mismatch: stored {row[col]} vs recomputed "
+                    f"k={k}: column {c} mismatch: stored {row[c]} vs recomputed "
                     f"{fmt(rec_v)} (tolerance {fmt(tol.bound(rec_v))})"
                 )
-        if row["verdict"] != rec["verdict"]:
+        if verdict_mismatch[i]:
             failures.append(
-                f"k={k}: verdict mismatch: stored {row['verdict']} vs recomputed {rec['verdict']}"
+                f"k={k}: verdict mismatch: stored {row['verdict']} vs recomputed "
+                f"{recomputed['verdict'][i]}"
             )
-        # chain check (a) on the stored numbers themselves
-        if row["vacuous_flag"] != "1":
-            lhs_k = float(lhs_from_stored[k])
-            resid = lhs_k - values["cert_k"]
-            t = tol.bound(lhs_k, values["cert_k"])
-            state = "FAIL" if resid > t else "pass"
-            lines.append(
-                f"k={k}: stored chain certificate: residual={fmt(resid)} tol={fmt(t)} {state}"
-            )
-            if resid > t:
-                failures.append(
-                    f"k={k}: chain certificate on stored values: residual {fmt(resid)} "
-                    f"exceeds tol {fmt(t)}"
-                )
+        if i in cert_failures:
+            failures.append(cert_failures[i])
 
     report_path = Path(str(args.csv) + ".verify.txt")
     header = [f"verify: {args.csv}", f"tolerances: eps_rel={tol.eps_rel:g} eps_abs={tol.eps_abs:g}"]
@@ -261,7 +284,7 @@ def cmd_sweep(args) -> int:
     cells = cfg.cells()
     tol = _tolerances(args, cfg.eps_rel, cfg.eps_abs)
     stem = Path(cfg.csv_path)
-    agg_rows: list[dict] = []
+    tables: list[Table] = []
     report_lines: list[str] = []
     series: list[Series] = []
     worst = EXIT_PASS
@@ -277,11 +300,13 @@ def cmd_sweep(args) -> int:
             continue
         cell_path = _out_path(args.out, f"{stem.stem}.cell{i:03d}{stem.suffix}")
         write_csv(cell_path, outcome.meta, RUN_COLUMNS, outcome.rows.rows)
-        for row in outcome.rows.rows:
-            agg_rows.append(
-                {"problem": spec.problem_id, "method": spec.method,
-                 "iterations": spec.iterations, **row}
-            )
+        n = len(outcome.rows.rows)
+        tables.append(Table({
+            "problem": np.full(n, spec.problem_id),
+            "method": np.full(n, spec.method),
+            "iterations": np.full(n, spec.iterations),
+            **outcome.rows.rows.columns,
+        }))
         worst = max(worst, outcome.exit_code)
         report_lines.append(
             f"cell {i} ({label}): {'PASS' if outcome.exit_code == 0 else 'FAIL'} "
@@ -295,7 +320,8 @@ def cmd_sweep(args) -> int:
         "eps_rel": fmt(tol.eps_rel),
         "eps_abs": fmt(tol.eps_abs),
     }
-    write_csv(agg_path, meta, ["problem", "method", "iterations"] + RUN_COLUMNS, agg_rows)
+    agg_columns = ["problem", "method", "iterations"] + RUN_COLUMNS
+    write_csv(agg_path, meta, agg_columns, Table.concat(tables, agg_columns))
     write_report(_out_path(args.out, cfg.report_path), [f"sweep: {len(cells)} cells"], report_lines)
     if cfg.svg_path:
         render_convergence_svg(_out_path(args.out, cfg.svg_path), series)
@@ -308,37 +334,32 @@ def cmd_sweep(args) -> int:
 # conjecture probe
 
 
-def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) -> list[dict]:
-    rows = []
-    for i, k in enumerate(result.ks):
-        vac = bool(result.vacuous[i])
-        margin = float(result.margins[i])
-        if vac:
-            verdict = "VACUOUS"
-        elif margin < -float(result.tolerances[i]):
-            verdict = "CONJ-VIOLATION"
-        else:
-            verdict = "CONJ-OK"
-        row = {
-            "k": int(k),
-            "f_xk": float(result.f_values[i]),
-            "lhs_k": float(result.f_values[i]),
-            "cert_k": float(result.conjectured[i]),
-            "vacuous_flag": int(vac),
-            "mu_k": float(cert.mu[k]),
-            "theta_k": float(trace.theta[k]),
-            "theorem_bound_k": math.nan,
-            "residual_chain_max": -margin,
-            "residual_induction": math.nan,
-            "verdict": verdict,
-            "psi": cp.psi.label,
-            "psi_xk": float(cp.psi.value(trace.x[k])),
-            "conj_margin_k": margin,
-        }
-        if instance is not None:
-            row = {"instance": instance, **row}
-        rows.append(row)
-    return rows
+def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) -> Table:
+    ks = result.ks
+    n = ks.size
+    margins = result.margins
+    verdicts = np.where(
+        result.vacuous, "VACUOUS",
+        np.where(margins < -result.tolerances, "CONJ-VIOLATION", "CONJ-OK"),
+    )
+    columns = {} if instance is None else {"instance": np.full(n, instance)}
+    columns.update({
+        "k": ks,
+        "f_xk": result.f_values,
+        "lhs_k": result.f_values,
+        "cert_k": result.conjectured,
+        "vacuous_flag": result.vacuous.astype(np.int64),
+        "mu_k": cert.mu[ks],
+        "theta_k": trace.theta[ks],
+        "theorem_bound_k": np.full(n, math.nan),
+        "residual_chain_max": -margins,
+        "residual_induction": np.full(n, math.nan),
+        "verdict": verdicts,
+        "psi": np.full(n, cp.psi.label),
+        "psi_xk": np.array([cp.psi.value(x) for x in trace.x[ks]], dtype=float),
+        "conj_margin_k": margins,
+    })
+    return Table(columns)
 
 
 def cmd_conjecture(args) -> int:
@@ -357,9 +378,12 @@ def cmd_conjecture(args) -> int:
         instances = cfg.instances or 100
         dim = cfg.dim or 5
         summary, probes = lasso_suite(instances, dim, K, cfg.seed, tol)
-        rows: list[dict] = []
-        for i, (cp, trace, cert, result) in enumerate(probes):
-            rows.extend(_conjecture_rows(cp, trace, cert, result, instance=i))
+        columns = ["instance"] + CONJECTURE_COLUMNS
+        rows = Table.concat(
+            [_conjecture_rows(cp, trace, cert, result, instance=i)
+             for i, (cp, trace, cert, result) in enumerate(probes)],
+            columns,
+        )
         lines += list(summary.violation_reports) + [
             f"vacuous records: {summary.vacuous_records}",
             f"min margin: {fmt(summary.min_margin)}",
@@ -374,7 +398,6 @@ def cmd_conjecture(args) -> int:
             "psi": "l1 (per-instance lambda)",
             "note": Z_RECURSION_NOTE,
         }
-        columns = ["instance"] + CONJECTURE_COLUMNS
     else:
         if not cfg.problems or cfg.psi is None:
             raise ConfigError("conjecture needs problem and psi (or suite = lasso)")

@@ -299,7 +299,8 @@ class MethodSpec:
     # LHS_k(trace, p, f) and the closed form mu_k(trace, L), for k = 0..K, NaN below start
     lhs: Callable[[MethodTrace, ProblemInstance, np.ndarray], np.ndarray]
     mu: Callable[[MethodTrace, Optional[float]], np.ndarray]
-    bound: Callable[[ProblemInstance, float, int, object], float]  # (p, dist, k, schedule)
+    # (p, dist, k, schedule) -> the theorem's bound at k; k an int or an array of them
+    bound: Callable[[ProblemInstance, float, object, object], object]
     run: Optional[Callable[..., MethodTrace]]  # (p, x0, schedule, K); None: no plain run
 
     def require(self, p: ProblemInstance, K: int) -> None:
@@ -332,18 +333,20 @@ def _subgradient_lhs(trace, p, f):
 
 
 def _subgradient_bound(p, dist, k, schedule):
-    # (dist^2 + G^2 sum_{i<=k} t_i^2) / (2 sum_{i<=k} t_i)
+    # (dist^2 + G^2 sum_{i<=k} t_i^2) / (2 sum_{i<=k} t_i), from running sums
     if schedule is None:
         raise ValueError("subgradient bound needs the step schedule")
+    k = np.asarray(k)
+    last = int(k.max())
     if isinstance(schedule, StepSchedule):
-        steps = schedule.resolve(k, p.lipschitz_grad)
+        steps = schedule.resolve(last, p.lipschitz_grad)
     else:
         steps = np.asarray(schedule, dtype=float)
-    if steps.size < k + 1:
-        raise ValueError(f"schedule provides {steps.size} steps, need {k + 1}")
-    ts = steps[: k + 1]
+    if steps.size < last + 1:
+        raise ValueError(f"schedule provides {steps.size} steps, need {last + 1}")
+    ts = steps[: last + 1]
     G = p.lipschitz_f
-    return (dist * dist + G * G * (ts @ ts)) / (2.0 * ts.sum())
+    return (dist * dist + G * G * np.cumsum(ts * ts)[k]) / (2.0 * np.cumsum(ts)[k])
 
 
 def _trace_theta(trace):

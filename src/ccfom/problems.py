@@ -27,6 +27,7 @@ from .errors import ConfigError, OracleError
 __all__ = [
     "ProblemInstance",
     "as_point",
+    "row_dot",
     "fenchel_gap",
     "make_quadratic",
     "make_scaled_norm",
@@ -71,13 +72,35 @@ def as_point(values, dim: Optional[int] = None, name: str = "point") -> np.ndarr
     return x
 
 
+def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """<A[i], B[i]> for every row i (B may be a single row, broadcast).
+
+    Summed column by column in a fixed order, so the value for a row does
+    not depend on the other rows of the batch: one row alone gives the same
+    bits as that row inside any batch.
+    """
+    out = A[:, 0] * B[:, 0]
+    for j in range(1, A.shape[1]):
+        out += A[:, j] * B[:, j]
+    return out
+
+
+def _one_row(batch: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
+    """The single-point oracle of a row-wise batch oracle."""
+    return lambda z: float(batch(np.asarray(z, dtype=float)[None])[0])
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A convex objective together with its analytic side information.
 
     ``value``/``subgradient``/``conjugate`` are the three oracles; the
-    conjugate may return +inf outside its domain but never -inf.  At least
-    one of ``lipschitz_f`` (G, bound on subgradient norms) and
+    conjugate may return +inf outside its domain but never -inf.  The
+    optional ``value_batch``/``conjugate_batch`` evaluate ``value``/
+    ``conjugate`` on every row of an (N, dim) array at once.
+    ``conjugate_batch`` must give each row exactly the value ``conjugate``
+    gives it alone, so that per-k and whole-run certificates agree bitwise.
+    At least one of ``lipschitz_f`` (G, bound on subgradient norms) and
     ``lipschitz_grad`` (L, gradient Lipschitz constant) must be present.
 
     ``project_to_solution`` maps a point to the designated reference point
@@ -91,6 +114,7 @@ class ProblemInstance:
     subgradient: Callable[[np.ndarray], np.ndarray]
     conjugate: Callable[[np.ndarray], float]
     value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    conjugate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     lipschitz_f: Optional[float] = None
     lipschitz_grad: Optional[float] = None
     optimal_value: Optional[float] = None
@@ -140,8 +164,9 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     """f(x) = (1/2)<x, A x> + <b, x> with A symmetric positive definite.
 
     The conjugate f*(z) = (1/2)<z - b, A^{-1}(z - b)> is evaluated through a
-    Cholesky factorization computed once here.  Matrices with condition
-    number above ``MAX_QUAD_CONDITION`` are rejected.
+    Cholesky factorization computed once here, one solve per batch of rows.
+    Matrices with condition number above ``MAX_QUAD_CONDITION`` are
+    rejected.
     """
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -171,9 +196,9 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     def grad(x):
         return A @ x + b
 
-    def conjugate(z):
-        d = z - b
-        return float(0.5 * (d @ scipy.linalg.cho_solve(factor, d)))
+    def conjugate_batch(Z):
+        D = Z - b
+        return 0.5 * row_dot(D, scipy.linalg.cho_solve(factor, D.T).T)
 
     def value_batch(X):
         # columnwise accumulation: fast on both C- and F-ordered batches
@@ -190,8 +215,9 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
         dim=n,
         value=value,
         subgradient=grad,
-        conjugate=conjugate,
+        conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
+        conjugate_batch=conjugate_batch,
         lipschitz_grad=float(eigs[-1]),
         optimal_value=value(minimizer),
         project_to_solution=lambda x: minimizer,
@@ -226,10 +252,9 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
             return np.zeros(dim)
         return (G / nx) * x
 
-    def conjugate(z):
-        if float(np.linalg.norm(z)) <= G * (1.0 + _BALL_SLACK):
-            return 0.0
-        return math.inf
+    def conjugate_batch(Z):
+        inside = np.sqrt(row_dot(Z, Z)) <= G * (1.0 + _BALL_SLACK)
+        return np.where(inside, 0.0, math.inf)
 
     def value_batch(X):
         acc = X[:, 0] ** 2
@@ -242,8 +267,9 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
         dim=dim,
         value=value,
         subgradient=subgradient,
-        conjugate=conjugate,
+        conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
+        conjugate_batch=conjugate_batch,
         lipschitz_f=G,
         optimal_value=0.0,
         project_to_solution=lambda x: zero,
@@ -279,12 +305,16 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
         e = np.exp(x - np.max(x))
         return e / e.sum()
 
-    def conjugate(z):
-        if abs(float(np.sum(z)) - 1.0) > _SIMPLEX_TOL or np.any(z < -_SIMPLEX_TOL):
-            return math.inf
-        zc = np.clip(z, 0.0, None)
-        pos = zc[zc > 0.0]
-        return float(np.sum(pos * np.log(pos)))
+    def conjugate_batch(Z):
+        zc = np.clip(Z, 0.0, None)
+        terms = zc * np.log(np.where(zc > 0.0, zc, 1.0))  # 0 log 0 = 0
+        total = Z[:, 0].copy()
+        entropy = terms[:, 0].copy()
+        for j in range(1, dim):
+            total += Z[:, j]
+            entropy += terms[:, j]
+        off = (np.abs(total - 1.0) > _SIMPLEX_TOL) | np.any(Z < -_SIMPLEX_TOL, axis=1)
+        return np.where(off, math.inf, entropy)
 
     def value_batch(X):
         m = np.array(X[:, 0])
@@ -303,8 +333,9 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
         dim=dim,
         value=value,
         subgradient=grad,
-        conjugate=conjugate,
+        conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
+        conjugate_batch=conjugate_batch,
         lipschitz_grad=1.0,
         optimal_value=None,
         project_to_solution=project,

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .certificates import DualCertificate, build_certificate, _quad_min_tail
+from .certificates import DualCertificate, build_certificate, _conjugates, _quad_min_terms
 from .methods import MethodTrace, _run_momentum
 from .problems import ProblemInstance, as_point, make_quadratic
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -138,7 +138,8 @@ def make_zero() -> Regularizer:
         return x
 
     def inner_min(z, mu, x0):
-        return _quad_min_tail(z, mu, x0), x0 - z / mu
+        zx0, half = _quad_min_terms(z[None], mu, x0)
+        return float(zx0[0] - half[0]), x0 - z / mu
 
     return Regularizer(kind="zero", label="zero", value=value, prox=prox, inner_min=inner_min)
 
@@ -210,6 +211,13 @@ def run_proximal_accelerated(cp: CompositeProblem, x0, K: int) -> MethodTrace:
     return _run_momentum(cp.phi, x0, K, "prox_accelerated", cp.label, prox=cp.psi.prox)
 
 
+def _conjectured(cert: DualCertificate, cp: CompositeProblem, x0: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """The conjectured bound at each k of ``ks``: one phi* batch, psi's inner minimum per k."""
+    phistar = _conjugates(cp.phi, cert.z[ks])
+    inner = np.array([cp.psi.inner_min(cert.z[k], float(cert.mu[k]), x0)[0] for k in ks.tolist()])
+    return np.where(np.isinf(phistar), -math.inf, -phistar + inner)
+
+
 def conjectured_certificate(
     cert: DualCertificate, cp: CompositeProblem, x0, k: int
 ) -> float:
@@ -217,13 +225,7 @@ def conjectured_certificate(
     if not cert.start_index <= k <= cert.horizon:
         raise ValueError(f"k={k} outside certificate range [{cert.start_index}, {cert.horizon}]")
     x0 = as_point(x0, cp.dim, "x0")
-    z = cert.z[k]
-    mu = float(cert.mu[k])
-    phistar = cp.phi.conjugate(z)
-    if math.isinf(phistar):
-        return -math.inf
-    inner, _ = cp.psi.inner_min(z, mu, x0)
-    return -phistar + inner
+    return float(_conjectured(cert, cp, x0, np.array([k]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,14 +261,13 @@ def probe_instance(
     start = cert.start_index
     ks = np.arange(start, K + 1)
     f_vals = np.array([cp.value(trace.x[k]) for k in ks])
-    conied = np.array([conjectured_certificate(cert, cp, x0, int(k)) for k in ks])
+    conied = _conjectured(cert, cp, x0, ks)
     vac = np.isneginf(conied)
     margins = conied - f_vals
-    tols = np.array([tol.bound(float(f), float(c)) for f, c in zip(f_vals, conied)])
+    tols = tol.bound(f_vals, conied)
     violations = tuple(
-        (int(k), float(m), float(t))
-        for k, m, t, v in zip(ks, margins, tols, vac)
-        if not v and m < -t
+        (int(ks[i]), float(margins[i]), float(tols[i]))
+        for i in np.flatnonzero(~vac & (margins < -tols))
     )
     result = ProbeResult(
         composite_label=cp.label,

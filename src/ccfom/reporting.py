@@ -15,11 +15,12 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from typing import Optional
 
 import numpy as np
 
-from .certificates import VerificationResult, theorem_bound, reference_value
+from .certificates import VerificationResult, reference_value
 from .errors import ConfigError
 from .methods import MethodTrace, method_spec
 from .problems import ProblemInstance
@@ -30,6 +31,8 @@ __all__ = [
     "RUN_COLUMNS",
     "CONJECTURE_COLUMNS",
     "fmt",
+    "fmt_column",
+    "Table",
     "build_rows",
     "write_csv",
     "read_csv",
@@ -70,15 +73,70 @@ def fmt(v) -> str:
     return f"{x:.17g}"
 
 
+def fmt_column(values) -> list[str]:
+    """``[fmt(v) for v in values]``, a whole numeric array at a time.
+
+    ``"{:.17g}"`` spells NaN of either sign as ``nan`` and the infinities as
+    ``inf``/``-inf``, so the float path is byte-equal to :func:`fmt`.
+    """
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        if kind == "f":
+            return list(map("{:.17g}".format, values.tolist()))
+        if kind in "iub":
+            return list(map(str, values.astype(np.int64).tolist()))
+        if kind == "U":
+            return values.tolist()
+    return [fmt(v) for v in values]
+
+
+class Table(Sequence):
+    """CSV rows stored as one array (or list) per column.
+
+    Indexing and iteration give a row as a ``{column: value}`` dict;
+    :func:`write_csv` formats the table a column at a time.
+    """
+
+    def __init__(self, columns: dict[str, Sequence]):
+        self.columns = columns
+        self._len = len(next(iter(columns.values()))) if columns else 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> dict:
+        if not -self._len <= i < self._len:
+            raise IndexError(i)
+        return {name: col[i] for name, col in self.columns.items()}
+
+    @classmethod
+    def concat(cls, tables: Sequence["Table"], columns: Sequence[str]) -> "Table":
+        """The rows of ``tables`` one after another, restricted to ``columns``."""
+        return cls({c: np.concatenate([np.asarray(t.columns[c]) for t in tables]) if tables else []
+                    for c in columns})
+
+
 @dataclass
 class RunRows:
     """Assembled per-k CSV rows plus the report lines that accompany them."""
 
-    rows: list[dict]
+    rows: Table
     report_lines: list[str]
     has_failure: bool
     gap_series: Optional[np.ndarray]
     bound_series: Optional[np.ndarray]
+
+
+def _state(fail: np.ndarray) -> list[str]:
+    return np.where(fail, "FAIL", "pass").tolist()
+
+
+def _sparse_lines(n: int, flags: np.ndarray, lines: list[str]) -> list[str]:
+    """A column of report lines: ``lines`` at the flagged records, "" elsewhere."""
+    out = [""] * n
+    for i, line in zip(np.flatnonzero(flags).tolist(), lines):
+        out[i] = line
+    return out
 
 
 def build_rows(
@@ -91,22 +149,28 @@ def build_rows(
 
     Adds the closed-form suboptimality-bound check (skipped, never faked,
     when the reference distance is unavailable) and, for methods whose
-    descent is monotone, the monotone-descent check.
+    descent is monotone, the monotone-descent check.  Every check and
+    every column is computed for all k at once; the report lists, per k,
+    the failed bound/descent checks, the four chain links, the vacuous
+    flag, the induction step with its identities (k < K) and mu's closed
+    form.
     """
     spec = method_spec(trace.method)
     chain = ver.chain
-    cert = ver.certificate
+    ind = ver.inductions
     x0 = trace.x[0]
     K = trace.horizon
-    start = cert.start_index
+    start = ver.certificate.start_index
+    ks = chain.ks
+    n = ks.size
     f_ref = reference_value(p, x0)
     dist = p.distance_to_solution(x0)
 
     bounds = np.full(K + 1, math.nan)
     if dist is not None:
-        for k in range(start, K + 1):
-            b = theorem_bound(p, x0, trace.method, k, schedule=trace.t)
-            bounds[k] = math.nan if b is None else b
+        spec.require(p, K)
+        bounds[start:] = spec.bound(p, dist, ks, trace.t)
+    bound_k = bounds[start:]
 
     f_all = np.empty(K + 1)
     f_all[start:] = chain.f_values
@@ -116,116 +180,107 @@ def build_rows(
     if f_ref is not None:
         gaps = (np.minimum.accumulate(f_all) if spec.running_min_gap else f_all) - f_ref
 
-    induction_by_k = {rec.k: rec for rec in ver.inductions}
-    lines: list[str] = []
-    rows: list[dict] = []
-    any_fail = False
+    # the induction records cover k = start..K-1, the first len(ind) rows
+    m = len(ind)
+    residual_induction = np.full(n, math.nan)
+    residual_induction[:m] = -ind.margin
+    failed = np.array(chain.verdicts) == "FAIL"
+    failed[:m] |= ~ind.passed
 
-    lines.append(f"reference point: {p.solution_provenance}")
+    bound_fail = np.zeros(n, dtype=bool)
+    if gaps is not None:
+        excess = gaps[start:] - bound_k
+        btol = tol.bound(gaps[start:], bound_k)
+        bound_fail = ~np.isnan(bound_k) & (excess > btol)
+    descent = np.full(n, math.nan)
+    descent[ks >= 1] = f_all[ks[ks >= 1]] - f_all[ks[ks >= 1] - 1]
+    descent_fail = spec.monotone & (descent > tol.eps_abs)
+    mu_res = ver.mu_residuals[start:]
+    mu_fail = mu_res > tol.eps_rel
+    failed |= bound_fail | descent_fail | mu_fail
+    verdicts = np.where(failed, "FAIL", np.array(chain.verdicts))
+
+    theta = trace.theta if spec.momentum else ver.certificate.theta
+    rows = Table({
+        "k": ks,
+        "f_xk": f_all[start:],
+        "lhs_k": chain.lhs_values,
+        "cert_k": chain.certificate_values,
+        "vacuous_flag": chain.vacuous.astype(np.int64),
+        "mu_k": chain.mu,
+        "theta_k": theta[start:],
+        "theorem_bound_k": bound_k,
+        "residual_chain_max": chain.residual_max,
+        "residual_induction": residual_induction,
+        "verdict": verdicts,
+    })
+
+    pre = [f"k={k}: " for k in ks.tolist()]
+    columns = []
+    if gaps is not None:
+        i = np.flatnonzero(bound_fail)
+        columns.append(_sparse_lines(n, bound_fail, [
+            f"{pre[j]}FAIL suboptimality bound: gap - bound = {e} > tol {t}"
+            for j, e, t in zip(i.tolist(), fmt_column(excess[i]), fmt_column(btol[i]))
+        ]))
+    i = np.flatnonzero(descent_fail)
+    columns.append(_sparse_lines(n, descent_fail, [
+        f"{pre[j]}FAIL monotone descent: f(x_k) - f(x_k-1) = {d} > tol {fmt(tol.eps_abs)}"
+        for j, d in zip(i.tolist(), fmt_column(descent[i]))
+    ]))
+    for name in ("certificate", "quad_min", "fenchel", "end_to_end"):
+        mg, t = chain.margins[name], chain.margin_tols[name]
+        states = np.where(np.isnan(mg), "skipped (vacuous)", np.where(mg < -t, "FAIL", "pass"))
+        columns.append([
+            f"{a}chain {name}: residual={r} tol={b} {c}"
+            for a, r, b, c in zip(pre, fmt_column(-mg), fmt_column(t), states.tolist())
+        ])
+    columns.append(_sparse_lines(n, chain.vacuous, [
+        f"{pre[j]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
+        for j in np.flatnonzero(chain.vacuous).tolist()
+    ]))
+    pad = [""] * (n - m)
+    columns.append([
+        f"{a}induction step: residual={r} tol={b} {c}"
+        for a, r, b, c in zip(pre, fmt_column(-ind.margin), fmt_column(ind.tolerance),
+                              _state(ind.margin < -ind.tolerance))
+    ] + pad)
+    for name, r in ind.identity_residuals.items():
+        it = ind.identity_tols[name]
+        columns.append([
+            f"{a}identity {name}: residual={x} tol={b} {c}"
+            for a, x, b, c in zip(pre, fmt_column(r), fmt_column(it), _state(r > it))
+        ] + pad)
+    eps = fmt(tol.eps_rel)
+    columns.append([
+        f"{a}mu closed form: residual={r} tol={eps} {c}"
+        for a, r, c in zip(pre, fmt_column(mu_res), _state(mu_fail))
+    ])
+
+    lines = [f"reference point: {p.solution_provenance}"]
     if f_ref is not None:
         lines.append(f"reference value: {fmt(f_ref)}  distance from x0: {fmt(dist)}")
     else:
         lines.append("reference value unavailable; closed-form bound checks skipped")
-
-    for i, k in enumerate(chain.ks):
-        verdict = chain.verdicts[i]
-        rec = induction_by_k.get(int(k))
-        residual_induction = math.nan if rec is None else -rec.margin
-        if rec is not None and rec.verdict == "FAIL":
-            verdict = "FAIL"
-
-        bound_k = bounds[k]
-        if gaps is not None and not math.isnan(bound_k):
-            gap = gaps[k]
-            btol = tol.bound(gap, bound_k)
-            if gap - bound_k > btol:
-                verdict = "FAIL"
-                lines.append(
-                    f"k={k}: FAIL suboptimality bound: gap - bound = {fmt(gap - bound_k)} "
-                    f"> tol {fmt(btol)}"
-                )
-
-        if spec.monotone and k >= 1:
-            descent = f_all[k] - f_all[k - 1]
-            if descent > tol.eps_abs:
-                verdict = "FAIL"
-                lines.append(
-                    f"k={k}: FAIL monotone descent: f(x_k) - f(x_k-1) = {fmt(descent)} "
-                    f"> tol {fmt(tol.eps_abs)}"
-                )
-
-        if verdict == "FAIL":
-            any_fail = True
-
-        theta_k = trace.theta[k] if spec.momentum else cert.theta[k]
-        rows.append(
-            {
-                "k": int(k),
-                "f_xk": f_all[k],
-                "lhs_k": chain.lhs_values[i],
-                "cert_k": chain.certificate_values[i],
-                "vacuous_flag": int(chain.vacuous[i]),
-                "mu_k": chain.mu[i],
-                "theta_k": theta_k,
-                "theorem_bound_k": bound_k,
-                "residual_chain_max": chain.residual_max[i],
-                "residual_induction": residual_induction,
-                "verdict": verdict,
-            }
-        )
-
-        for name in ("certificate", "quad_min", "fenchel", "end_to_end"):
-            m = chain.margins[name][i]
-            t = chain.margin_tols[name][i]
-            state = "skipped (vacuous)" if math.isnan(m) else (
-                "FAIL" if m < -t else "pass"
-            )
-            lines.append(
-                f"k={k}: chain {name}: residual={fmt(-m if not math.isnan(m) else m)} "
-                f"tol={fmt(t)} {state}"
-            )
-        if chain.vacuous[i]:
-            lines.append(
-                f"k={k}: VACUOUS record: dual vector left dom(f*), certificate is -inf"
-            )
-        if rec is not None:
-            lines.append(
-                f"k={k}: induction step: residual={fmt(-rec.margin)} tol={fmt(rec.tolerance)} "
-                f"{'FAIL' if rec.margin < -rec.tolerance else 'pass'}"
-            )
-            for name, r in rec.identity_residuals.items():
-                it = rec.identity_tols[name]
-                lines.append(
-                    f"k={k}: identity {name}: residual={fmt(r)} tol={fmt(it)} "
-                    f"{'FAIL' if r > it else 'pass'}"
-                )
-        mu_res = ver.mu_residuals[k]
-        lines.append(
-            f"k={k}: mu closed form: residual={fmt(mu_res)} tol={fmt(tol.eps_rel)} "
-            f"{'FAIL' if mu_res > tol.eps_rel else 'pass'}"
-        )
-        if mu_res > tol.eps_rel:
-            any_fail = True
-            rows[-1]["verdict"] = "FAIL"
+    lines += [line for group in zip(*columns) for line in group if line]
 
     return RunRows(
         rows=rows,
         report_lines=lines,
-        has_failure=any_fail,
+        has_failure=bool(failed.any()),
         gap_series=gaps,
         bound_series=bounds if dist is not None else None,
     )
 
 
-def write_csv(path, meta: dict[str, str], columns: Sequence[str], rows: list[dict]):
+def write_csv(path, meta: dict[str, str], columns: Sequence[str], rows: Table):
     buf = io.StringIO()
     buf.write(CSV_VERSION_LINE + "\n")
     for key, val in meta.items():
         buf.write(f"# {key} = {val}\n")
     writer = csv.writer(buf, lineterminator="\n")  # quotes fields with commas
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([fmt(row[c]) for c in columns])
+    writer.writerows(zip(*(fmt_column(rows.columns[c]) for c in columns)))
     Path(path).write_text(buf.getvalue())
 
 

@@ -10,8 +10,9 @@ magnitude along a run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -23,16 +24,20 @@ class Tolerances:
         if self.eps_rel <= 0 or self.eps_abs <= 0:
             raise ValueError("tolerances must be positive")
 
-    def bound(self, *magnitudes: float) -> float:
+    def bound(self, *magnitudes):
         """Tolerance for a check whose terms have the given magnitudes.
 
-        Non-finite magnitudes (from vacuous records) are skipped.
+        Each magnitude is a scalar or an array (arrays broadcast: one
+        tolerance per record); the result is a float when every magnitude is
+        a scalar.  Non-finite magnitudes (from vacuous records) are skipped.
+        The magnitudes are summed in argument order.
         """
         scale = 1.0
         for m in magnitudes:
-            if math.isfinite(m):
-                scale += abs(m)
-        return max(self.eps_abs, self.eps_rel * scale)
+            a = np.abs(m)
+            scale = scale + np.where(np.isfinite(a), a, 0.0)
+        out = np.maximum(self.eps_abs, self.eps_rel * scale)
+        return float(out) if out.ndim == 0 else out
 
 
 DEFAULT_TOLERANCES = Tolerances()

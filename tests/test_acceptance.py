@@ -148,6 +148,9 @@ def test_criterion_4_certificate_chain_matrix():
         tr = run_by_method(p, method, x0, K)
         ver = verify_run(tr, p)
         assert ver.chain.all_pass, (pid, method, ver.chain.failures()[:3])
+        live = ~ver.chain.vacuous
+        for name, margins in ver.chain.margins.items():
+            assert np.all(np.isfinite(margins[live])), (pid, method, name, "margin never checked")
         assert all(r.verdict == "PASS" for r in ver.inductions), (pid, method)
         assert float(np.nanmax(ver.mu_residuals)) <= EPS_REL, (pid, method)
         if method == "subgradient":

@@ -1,13 +1,19 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ccfom
+from ccfom import methods
 from ccfom.certificates import (
+    CHAIN_CHECKS,
+    VerificationResult,
     build_certificate,
     certificate_value,
     certificate_value_raw,
+    default_test_points,
     lhs,
     lhs_series,
     mu_closed_form_residuals,
@@ -17,13 +23,28 @@ from ccfom.certificates import (
     verify_induction_step,
     verify_run,
 )
-from ccfom.methods import StepSchedule
+from ccfom.methods import StepSchedule, method_spec
+from ccfom.reporting import build_rows
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS
+
+TOL = ccfom.DEFAULT_TOLERANCES
 
 
 def subgradient_trace(pid, x0, K):
     p = ccfom.from_id(pid)
     return p, ccfom.run_subgradient(p, x0, StepSchedule.horizon_sqrt(K), K)
+
+
+def run_method(p, method, x0, K):
+    return method_spec(method).run(p, x0, StepSchedule.horizon_sqrt(K), K)
+
+
+def hacked(cert, **faults):
+    """A copy of ``cert`` with ``array[k] = f(array[k])`` for each name=(k, f)."""
+    arrays = dict(z=np.array(cert.z), mu=np.array(cert.mu), theta=np.array(cert.theta))
+    for name, (k, f) in faults.items():
+        arrays[name][k] = f(arrays[name][k])
+    return ccfom.DualCertificate(method=cert.method, start_index=cert.start_index, **arrays)
 
 
 class TestBuildCertificate:
@@ -182,6 +203,19 @@ class TestVerifyChain:
         assert not chain.all_pass
         assert any("dom(f*)" in name for _, name, _, _ in chain.failures())
 
+    def test_failing_test_point_is_not_hidden_by_a_looser_one(self, abs_value):
+        # |x| from x0 = 5 stays on the ray x > 0, so z_k = 1 and Fenchel-Young is
+        # an equality at every test point q > 0, with tolerance growing in q
+        tr = ccfom.run_subgradient(abs_value, [5.0], StepSchedule.horizon_sqrt(10), 10)
+        cert = build_certificate(tr, abs_value)
+        assert np.all(cert.z == 1.0)
+        far, near = np.array([100.0]), np.array([1.0])
+        low = {100.0: 1e-7, 1.0: 6e-9}  # -0.5 x tol(far) passes, -2 x tol(near) fails
+        faulty = dataclasses.replace(abs_value, value=lambda x: abs(float(x[0])) - low.get(float(x[0]), 0.0))
+        chain = verify_chain(tr, cert, faulty, [far, near])
+        assert chain.verdicts == ("FAIL",) * 11
+        assert np.allclose(chain.margins["fenchel"], -6e-9, rtol=1e-6, atol=0)
+
     def test_detects_corrupted_certificate(self, scalar_quad):
         tr = ccfom.run_gradient(scalar_quad, [2.0], 10)
         cert = build_certificate(tr, scalar_quad)
@@ -274,3 +308,309 @@ class TestVerifyRunMatrix:
         ver = verify_run(tr, p)
         assert ver.all_pass, ver.chain.failures()
         assert not np.any(ver.chain.vacuous)
+
+
+# ---------------------------------------------------------------------------
+# the same checks computed one k at a time with scalar arithmetic
+
+
+def _ref_tol(tol, *terms):
+    return max(tol.eps_abs, tol.eps_rel * (1.0 + sum(abs(t) for t in terms if math.isfinite(t))))
+
+
+def reference_chain(trace, cert, p, pts, tol=TOL):
+    """{k: (margins, tolerances, verdict)} of the chain, k by k."""
+    spec = method_spec(trace.method)
+    x0 = trace.x[0]
+    lhs_vals = lhs_series(trace, p)
+    f_pts = [p.value(q) for q in pts]
+    out = {}
+    for k in range(cert.start_index, trace.horizon + 1):
+        z, mu, L_k = cert.z[k], float(cert.mu[k]), float(lhs_vals[k])
+        fstar = p.conjugate(z)
+        vacuous = math.isinf(fstar)
+        zx0, half = float(z @ x0), float(z @ z) / (2.0 * mu)
+        margins, tols = {}, {}
+        if not vacuous:
+            margins["certificate"] = (-fstar + (zx0 - half)) - L_k
+            tols["certificate"] = _ref_tol(tol, L_k, fstar, zx0, half)
+        for q, f_q in zip(pts, f_pts):
+            zq = float(z @ q)
+            quad = 0.5 * mu * float((q - x0) @ (q - x0))
+            at_q = {
+                "quad_min": (zq + quad - (zx0 - half), _ref_tol(tol, zq, quad, zx0, half)),
+                "end_to_end": (f_q + quad - L_k, _ref_tol(tol, f_q, quad, L_k)),
+            }
+            if not vacuous:
+                at_q["fenchel"] = (f_q - (-fstar + zq), _ref_tol(tol, f_q, fstar, zq))
+            for name, (m, t) in at_q.items():
+                if name not in margins or m + t < margins[name] + tols[name]:
+                    margins[name], tols[name] = m, t
+        failed = any(margins[name] < -tols[name] for name in margins)
+        escaped = (vacuous and spec.g_ball and p.lipschitz_f is not None
+                   and float(np.linalg.norm(z)) > p.lipschitz_f * (1.0 + tol.eps_rel))
+        verdict = "FAIL" if failed or escaped else ("VACUOUS" if vacuous else "PASS")
+        out[k] = (margins, tols, verdict)
+    return out
+
+
+def reference_induction(trace, cert, p, tol=TOL):
+    """{k: (margin, tolerance, identity residuals, identity tolerances, verdict)}, k by k."""
+    spec = method_spec(trace.method)
+    x0 = trace.x[0]
+    lhs_vals = lhs_series(trace, p)
+    norm = np.linalg.norm
+    out = {}
+    for k in range(cert.start_index, trace.horizon):
+        th, z, mu = float(cert.theta[k]), cert.z[k], float(cert.mu[k])
+        y = getattr(trace, spec.query)[k + spec.offset]
+        g = trace.g[k + spec.offset]
+        f_y = p.value(y)
+        w = x0 - y - z / mu
+        gw = float(g @ w)
+        curvature = th / (2.0 * (1.0 - th) * mu) * float(g @ g)
+        prev = (1.0 - th) * float(lhs_vals[k])
+        margin = th * (gw + f_y - curvature) - (float(lhs_vals[k + 1]) - prev)
+        tolerance = _ref_tol(tol, float(lhs_vals[k + 1]), prev, th * gw, th * f_y, th * curvature)
+        res, rtol = {}, {}
+        if not spec.momentum:
+            res["query_point"] = norm(w)
+            rtol["query_point"] = _ref_tol(tol, norm(x0), norm(y), norm(z) / mu)
+        else:
+            x = trace.x[k]
+            res["extrapolation"] = norm(y - ((1.0 - th) * x + th * (x0 - z / mu)))
+            rtol["extrapolation"] = _ref_tol(tol, norm(y), norm(x), norm(x0), norm(z) / mu)
+            res["step_balance"] = norm((1.0 - th) * (y - x) - th * w)
+            rtol["step_balance"] = _ref_tol(tol, norm(y - x), norm(x0), norm(y), norm(z) / mu)
+            res["theta_mu_ratio"] = abs(th * th / ((1.0 - th) * mu) - 1.0 / p.lipschitz_grad)
+            rtol["theta_mu_ratio"] = _ref_tol(tol, 1.0 / p.lipschitz_grad)
+        ok = margin >= -tolerance and all(res[n] <= rtol[n] for n in res)
+        out[k] = (margin, tolerance, res, rtol, "PASS" if ok else "FAIL")
+    return out
+
+
+def _lse_vacuous():
+    p = ccfom.from_id("lse:dim=2")
+    tr = ccfom.run_gradient(p, [3.0, -3.0], 6)
+    return p, tr, hacked(build_certificate(tr, p), z=(2, lambda z: np.array([5.0, 5.0])))
+
+
+def _norm_escape():
+    p = ccfom.from_id("norm:G=2:dim=3")
+    tr = ccfom.run_subgradient(p, [1.0, 1.0, 1.0], StepSchedule.horizon_sqrt(30), 30)
+    return p, tr, hacked(build_certificate(tr, p), z=(11, lambda z: np.array([7.0, 0.0, 0.0])))
+
+
+def _plain_cell(pid, method, x0, K):
+    def build():
+        p = ccfom.from_id(pid)
+        return p, run_method(p, method, x0, K), None
+
+    return build
+
+
+REFERENCE_CELLS = {
+    f"{pid}/{method}": _plain_cell(pid, method, x0, K)
+    for pid, method, x0, K in [
+        ("quad:diag=1,100", "gradient", [1.0, 1.0], 60),
+        ("quad:diag=1,100", "accelerated", [1.0, 1.0], 60),
+        ("lse:dim=2", "gradient", [3.0, -3.0], 60),
+        ("lse:dim=2", "accelerated", [3.0, -3.0], 60),
+        ("norm:G=2:dim=3", "subgradient", [1.0, 1.0, 1.0], 60),
+        ("maxaff:dim=2:pieces=5:seed=1", "subgradient", [0.5, -1.0], 40),
+    ]
+}
+REFERENCE_CELLS["lse vacuous record"] = _lse_vacuous
+REFERENCE_CELLS["norm G-ball escape"] = _norm_escape
+
+
+class TestAgainstScalarReference:
+    """The array verifier agrees with a k-by-k scalar computation of every check."""
+
+    @pytest.mark.parametrize("cell", list(REFERENCE_CELLS))
+    def test_chain_and_induction_match(self, cell):
+        p, tr, cert = REFERENCE_CELLS[cell]()
+        cert = build_certificate(tr, p) if cert is None else cert
+        pts = default_test_points(p, tr.x[0])
+        chain = verify_chain(tr, cert, p, pts)
+        ref = reference_chain(tr, cert, p, pts)
+        assert list(ref) == chain.ks.tolist()
+        for i, k in enumerate(chain.ks.tolist()):
+            margins, tols, verdict = ref[k]
+            assert chain.verdicts[i] == verdict, (cell, k)
+            for name in CHAIN_CHECKS:
+                m, t = chain.margins[name][i], chain.margin_tols[name][i]
+                if name not in margins:
+                    assert math.isnan(m) and math.isnan(t), (cell, k, name)
+                    continue
+                assert math.isfinite(m), (cell, k, name)
+                assert abs(m - margins[name]) <= 1e-3 * tols[name], (cell, k, name)
+                assert abs(t - tols[name]) <= 1e-3 * tols[name], (cell, k, name)
+
+        ind = verify_induction_all(tr, cert, p)
+        ref_ind = reference_induction(tr, cert, p)
+        assert list(ref_ind) == ind.ks.tolist()
+        for rec in ind:
+            margin, tolerance, res, rtol, verdict = ref_ind[rec.k]
+            assert rec.verdict == verdict, (cell, rec.k)
+            assert abs(rec.margin - margin) <= 1e-3 * tolerance, (cell, rec.k)
+            assert abs(rec.tolerance - tolerance) <= 1e-3 * tolerance, (cell, rec.k)
+            assert rec.identity_residuals.keys() == res.keys()
+            for name in res:
+                assert abs(rec.identity_residuals[name] - res[name]) <= 1e-3 * rtol[name]
+                assert abs(rec.identity_tols[name] - rtol[name]) <= 1e-3 * rtol[name]
+            assert verify_induction_step(tr, cert, p, rec.k) == rec
+
+    @pytest.mark.parametrize("pid,method,x0", [
+        ("quad:diag=1,100", "accelerated", [1.0, -0.5]),
+        ("norm:G=2:dim=3", "subgradient", [1.0, 0.5, -0.25]),
+    ])
+    def test_per_k_views_are_bitwise_equal(self, pid, method, x0):
+        p = ccfom.from_id(pid)
+        tr = run_method(p, method, x0, 40)
+        ver = verify_run(tr, p)
+        ks = ver.chain.ks.tolist()
+        for i, k in enumerate(ks):
+            assert certificate_value(ver.certificate, p, tr.x[0], k) == ver.chain.certificate_values[i]
+        rows = build_rows(tr, p, ver, TOL).rows
+        bounds = [theorem_bound(p, tr.x[0], method, k, schedule=tr.t) for k in ks]
+        assert rows.columns["theorem_bound_k"].tolist() == bounds
+
+
+# ---------------------------------------------------------------------------
+# falsifiability: each named check fires on its own fault, at the faulted k
+
+_REPORTED_FAILURE = re.compile(
+    r"^k=(\d+): (?:FAIL (suboptimality bound|monotone descent): .*"
+    r"|chain (\w+): .* FAIL|(induction step): .* FAIL|identity (\w+): .* FAIL"
+    r"|(mu closed form): .* FAIL)$"
+)
+
+
+def fired(trace, p, cert=None):
+    """{(k, check)} of every check the report lists as failed."""
+    cert = build_certificate(trace, p) if cert is None else cert
+    chain = verify_chain(trace, cert, p, default_test_points(p, trace.x[0]), TOL)
+    ver = VerificationResult(
+        certificate=cert, chain=chain, inductions=verify_induction_all(trace, cert, p, TOL),
+        mu_residuals=mu_closed_form_residuals(trace, cert, p), test_points=chain.test_points,
+    )
+    rows = build_rows(trace, p, ver, TOL)
+    out = set()
+    for line in rows.report_lines:
+        m = _REPORTED_FAILURE.match(line)
+        if m:
+            out.add((int(m.group(1)), next(g for g in m.groups()[1:] if g)))
+    assert rows.has_failure == bool(out)
+    return out
+
+
+def _rows_equal(X, row):
+    return np.all(X == row, axis=1)
+
+
+def _wrong_conjugate(method):
+    # f*(z_k) reported below its value by more than the Fenchel slack at k
+    p = ccfom.from_id("quad:diag=1,100")
+    tr = run_method(p, method, [1.0, 1.0], 60)
+    cert = build_certificate(tr, p)
+    chain = verify_chain(tr, cert, p, default_test_points(p, tr.x[0]))
+    k = 30
+    drop = chain.margins["fenchel"][k - chain.start_index] + 1.0
+    base, z_k = p.conjugate_batch, cert.z[k]
+    bad = dataclasses.replace(p, conjugate_batch=lambda Z: base(Z) - drop * _rows_equal(Z, z_k))
+    return tr, p, bad, cert, {(k, "fenchel")}
+
+
+def _negative_mu(method):
+    # mu_K of the wrong sign: the quadratic relaxation (and mu's closed form) break
+    p = ccfom.from_id("quad:diag=1,100") if method != "subgradient" else ccfom.from_id("norm:G=2:dim=3")
+    tr = run_method(p, method, [1.0] * p.dim, 60)
+    cert = hacked(build_certificate(tr, p), mu=(60, lambda v: -v))
+    return tr, p, p, cert, {(60, "quad_min"), (60, "end_to_end"), (60, "mu closed form")}
+
+
+def _raised_f_value():
+    # f(x_k) raised past the certificate but not past f(x) + (mu_k/2)||x - x0||^2;
+    # LHS_k = f(x_k) also enters the induction step k-1 -> k
+    p = ccfom.from_id("quad:diag=1,100")
+    tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
+    k = 30
+    chain = verify_chain(tr, build_certificate(tr, p), p, default_test_points(p, tr.x[0]))
+    i = k - chain.start_index
+    cert_margin, e2e_margin = chain.margins["certificate"][i], chain.margins["end_to_end"][i]
+    assert e2e_margin - cert_margin > 1e6 * chain.margin_tols["end_to_end"][i]
+    base, x_k = p.value_batch, tr.x[k]
+    raise_by = 0.5 * (cert_margin + e2e_margin)
+    bad = dataclasses.replace(p, value_batch=lambda X: base(X) + raise_by * _rows_equal(X, x_k))
+    return tr, p, bad, None, {(k, "certificate"), (k - 1, "induction step")}
+
+
+def _scaled_theta():
+    p = ccfom.from_id("quad:diag=1,100")
+    tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
+    cert = hacked(build_certificate(tr, p), theta=(30, lambda th: 1.5 * th))
+    return tr, p, p, cert, {(30, name) for name in (
+        "induction step", "extrapolation", "step_balance", "theta_mu_ratio")}
+
+
+def _moved_dual_vector():
+    # z_k off the gradient method's query-point identity x0 - x_k - z_k/mu_k = 0
+    p = ccfom.from_id("quad:diag=1,100")
+    tr = ccfom.run_gradient(p, [1.0, 1.0], 60)
+    cert = hacked(build_certificate(tr, p), z=(30, lambda z: z + 1e-6))
+    return tr, p, p, cert, {(30, "query_point")}
+
+
+def _scaled_last_mu():
+    p = ccfom.from_id("quad:diag=1,100")
+    tr = ccfom.run_gradient(p, [1.0, 1.0], 60)
+    cert = hacked(build_certificate(tr, p), mu=(60, lambda v: v * (1.0 + 1e-6)))
+    return tr, p, p, cert, {(60, "mu closed form")}
+
+
+def _raised_f_after_convergence():
+    # gradient descent on quad:diag=1,10 has converged by k=250, so only the
+    # monotone-descent check can see a 1e-8 rise in f(x_250)
+    p = ccfom.from_id("quad:diag=1,10")
+    tr = ccfom.run_gradient(p, [1.0, 1.0], 300)
+    base, x_k = p.value_batch, tr.x[250]
+    bad = dataclasses.replace(p, value_batch=lambda X: base(X) + 1e-8 * _rows_equal(X, x_k))
+    return tr, p, bad, None, {(250, "monotone descent")}
+
+
+FAULTS = {
+    "wrong conjugate, gradient": lambda: _wrong_conjugate("gradient"),
+    "wrong conjugate, accelerated": lambda: _wrong_conjugate("accelerated"),
+    "negative mu, gradient": lambda: _negative_mu("gradient"),
+    "negative mu, subgradient": lambda: _negative_mu("subgradient"),
+    "raised f(x_k)": _raised_f_value,
+    "scaled theta_k": _scaled_theta,
+    "moved z_k": _moved_dual_vector,
+    "scaled mu_K": _scaled_last_mu,
+    "f(x_k) rises after convergence": _raised_f_after_convergence,
+}
+
+
+class TestFalsifiability:
+    """Each fault leaves the run's own checks clean and makes exactly the
+    listed (k, check) pairs fail in the report."""
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_fault_fires_exactly_its_checks(self, fault):
+        trace, p, faulty_p, cert, expected = FAULTS[fault]()
+        assert fired(trace, p) == set()
+        assert fired(trace, faulty_p, cert) == expected
+
+    def test_understated_theorem_bound(self, monkeypatch):
+        p = ccfom.from_id("quad:diag=1,100")
+        tr = ccfom.run_gradient(p, [1.0, 1.0], 60)
+        assert fired(tr, p) == set()
+        spec = method_spec("gradient")
+        true_bound = spec.bound
+
+        def bound(p_, dist, k, schedule):
+            return np.where(np.asarray(k) == 30, 0.0, true_bound(p_, dist, k, schedule))
+
+        monkeypatch.setitem(methods._METHODS, "gradient", dataclasses.replace(spec, bound=bound))
+        assert fired(tr, p) == {(30, "suboptimality bound")}

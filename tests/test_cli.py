@@ -108,6 +108,8 @@ class TestRun:
         for out in ("a", "b"):
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
         assert (tmp_path / "a/run.csv").read_bytes() == (tmp_path / "b/run.csv").read_bytes()
+        report = (tmp_path / "a/run.report.txt").read_bytes()
+        assert report == (tmp_path / "b/run.report.txt").read_bytes()
 
     def test_svg_output_parses(self, tmp_path):
         cfg = run_cfg(tmp_path, problem="quad:diag=1,100", method="accelerated",

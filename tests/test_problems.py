@@ -217,6 +217,36 @@ class TestCatalogInvariants:
             assert p.value(x) >= p.optimal_value - 1e-9 * (1 + abs(p.optimal_value))
 
 
+@pytest.mark.parametrize("pid", [
+    "quad:diag=1,10:b=1,0", "quad:diag=1,100", "lasso", "norm:G=2:dim=3", "lse:dim=3",
+])
+def test_conjugate_batch_equals_per_row_conjugate(pid, rng):
+    p = ccfom.lasso_instance(5, 3)[0].phi if pid == "lasso" else ccfom.from_id(pid)
+    n = p.dim
+    if pid.startswith("norm"):
+        dirs = rng.standard_normal((60, n))
+        radii = np.concatenate([rng.uniform(0, 4, 57), [2.0, 2.0 * (1 + 1e-13), 2.0 * (1 + 1e-11)]])
+        Z = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii[:, None]
+        outside = np.linalg.norm(Z, axis=1) > 2.0 * (1 + 1e-12)
+    elif pid.startswith("lse"):
+        Z = rng.dirichlet(np.ones(n), size=60)
+        Z[:5, 0] = 0.0  # boundary rows: 0 log 0 = 0
+        Z[:5] /= Z[:5].sum(axis=1, keepdims=True)
+        Z[40:50] *= 1.1  # off the simplex: sum 1.1
+        Z[50:] = rng.permutation([-0.05, 0.5, 0.55])  # sums to 1, one coordinate negative
+        outside = np.zeros(60, dtype=bool)
+        outside[40:] = True
+    else:
+        Z = sample_points(rng, n, n=60, scale=50.0)
+        outside = np.zeros(60, dtype=bool)
+    batch = p.conjugate_batch(Z)
+    rows = np.array([p.conjugate(z) for z in Z])
+    assert np.array_equal(batch, rows)  # bitwise, +inf rows included
+    assert np.array_equal(np.isinf(batch), outside)
+    for lo, hi in ((0, 1), (7, 8), (3, 29), (29, 60)):
+        assert np.array_equal(p.conjugate_batch(Z[lo:hi]), batch[lo:hi])
+
+
 class TestCatalogIds:
     def test_round_trip_id(self):
         for pid, _ in ALL_CELLS:

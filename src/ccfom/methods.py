@@ -174,10 +174,14 @@ def _check_budget(K: int, dim: int):
 
 
 def _query(p: ProblemInstance, x: np.ndarray, k: int) -> np.ndarray:
-    """Value/subgradient oracle call with a finite-output check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = p.value(x)
-        g = np.asarray(p.subgradient(x), dtype=float)
+    """Value/subgradient oracle call with a finite-output check.
+
+    The method loops call it under one ``np.errstate`` that silences
+    overflow and invalid operations: an oracle that overflows returns inf
+    or NaN quietly, and the check turns that into an OracleError at k.
+    """
+    value = p.value(x)
+    g = np.asarray(p.subgradient(x), dtype=float)
     if not math.isfinite(value):
         raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
     if not np.all(np.isfinite(g)):
@@ -192,10 +196,11 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
-    for k in range(K + 1):
-        g[k] = _query(p, x[k], k)
-        if k < K:
-            x[k + 1] = x[k] - t[k] * g[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K + 1):
+            g[k] = _query(p, x[k], k)
+            if k < K:
+                x[k + 1] = x[k] - t[k] * g[k]
     return MethodTrace(method=method, problem_id=p.problem_id, x=x, g=g, t=t)
 
 
@@ -218,14 +223,15 @@ def _run_momentum(
     x[0] = x0
     y[0] = x0
     theta[0] = 1.0
-    for k in range(K + 1):
-        g[k] = _query(p, y[k], k)
-        if k < K:
-            step = y[k] - t[k] * g[k]
-            x[k + 1] = step if prox is None else prox(step, t[k])
-            theta[k + 1] = theta_next(theta[k])
-            coef = theta[k + 1] * (1.0 - theta[k]) / theta[k]
-            y[k + 1] = x[k + 1] + coef * (x[k + 1] - x[k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K + 1):
+            g[k] = _query(p, y[k], k)
+            if k < K:
+                step = y[k] - t[k] * g[k]
+                x[k + 1] = step if prox is None else prox(step, t[k])
+                theta[k + 1] = theta_next(theta[k])
+                coef = theta[k + 1] * (1.0 - theta[k]) / theta[k]
+                y[k + 1] = x[k + 1] + coef * (x[k + 1] - x[k])
     return MethodTrace(method=method, problem_id=problem_id, x=x, g=g, t=t, y=y, theta=theta)
 
 

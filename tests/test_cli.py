@@ -82,9 +82,13 @@ class TestRun:
                       x0="1.0e200", iterations=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
-    # 0: the optimum LP while the problem is built; 1: the first conjugate LP
-    @pytest.mark.parametrize("good_calls", [0, 1])
-    def test_failed_lp_exits_4(self, tmp_path, monkeypatch, capsys, good_calls):
+    # 0: the optimum LP while the problem is built; 1: the first conjugate LP,
+    # on a rank-deficient instance (two pieces in 3-D), whose conjugate stays an LP
+    @pytest.mark.parametrize("good_calls,problem,x0", [
+        pytest.param(0, "maxaff:dim=2:pieces=5:seed=1", "0.5,-1.0", id="0"),
+        pytest.param(1, "maxaff:dim=3:pieces=2:seed=0", "0.5,-1.0,0.25", id="1"),
+    ])
+    def test_failed_lp_exits_4(self, tmp_path, monkeypatch, capsys, good_calls, problem, x0):
         import scipy.optimize
 
         real = scipy.optimize.linprog
@@ -97,8 +101,7 @@ class TestRun:
             return scipy.optimize.OptimizeResult(status=4, success=False, message="forced")
 
         monkeypatch.setattr(scipy.optimize, "linprog", flaky)
-        cfg = run_cfg(tmp_path, problem="maxaff:dim=2:pieces=5:seed=1", method="subgradient",
-                      x0="0.5,-1.0", iterations=5)
+        cfg = run_cfg(tmp_path, problem=problem, method="subgradient", x0=x0, iterations=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
         assert "LP failed: forced" in capsys.readouterr().err
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,37 @@ from ccfom.errors import ConfigError
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, sample_points
 
 ALL_CELLS = SMOOTH_CELLS + NONSMOOTH_CELLS
+MAXAFF_IDS = [
+    "maxaff:abs=1", "maxaff:dim=2:pieces=5:seed=1", "maxaff:dim=3:pieces=6:seed=0",
+    "maxaff:dim=5:pieces=8:seed=2", "maxaff:dim=10:pieces=13:seed=3",
+]
+
+
+def maxaff_with_pieces(pid):
+    """The catalog instance ``pid`` with the slopes A and offsets b it was built from."""
+    seen = {}
+    real = ccfom.problems.make_max_affine
+
+    def spy(A, b, problem_id=None):
+        seen["A"], seen["b"] = np.array(A, dtype=float), np.array(b, dtype=float)
+        return real(A, b, problem_id)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ccfom.problems, "make_max_affine", spy)
+        p = ccfom.from_id(pid)
+    return p, seen["A"], seen["b"]
+
+
+def maxaff_rows(rng, A):
+    """Rows lam @ A inside the hull of the slopes, the slopes themselves, the
+    midpoints of every pair of slopes, and ten rows far outside the hull;
+    returned with the mask of the outside rows."""
+    m, n = A.shape
+    i, j = np.triu_indices(m, 1)
+    far = rng.standard_normal((10, n))
+    far *= 100.0 * np.max(np.linalg.norm(A, axis=1)) / np.linalg.norm(far, axis=1, keepdims=True)
+    Z = np.vstack([rng.dirichlet(np.ones(m), size=30) @ A, A, 0.5 * (A[i] + A[j]), far])
+    return Z, np.arange(len(Z)) >= len(Z) - 10
 
 
 def test_as_point_validation():
@@ -174,6 +207,20 @@ class TestMaxAffine:
             for y in sample_points(rng, 3, n=5):
                 assert p.value(y) >= p.value(x) + float(g @ (y - x)) - 1e-9
 
+    def test_lp_conjugate_kept_where_enumeration_does_not_apply(self, monkeypatch):
+        assert ccfom.from_id("maxaff:dim=3:pieces=6:seed=0").conjugate_batch is not None
+        flat = ccfom.from_id("maxaff:dim=3:pieces=2:seed=0")  # two slopes span a line in 3-D
+        assert flat.conjugate_batch is None
+        assert math.isfinite(flat.conjugate(np.zeros(3)))  # the midpoint of +a and -a
+        assert flat.conjugate(np.array([0.0, 0.0, 1e3])) == math.inf
+        # a basis of three nearly collinear slopes has condition number ~1e9
+        thin = [[0.0, 0.0], [1.0, 0.0], [2.0, 1e-9], [0.0, 1.0], [-1.0, -1.0]]
+        assert ccfom.make_max_affine(thin, np.zeros(5)).conjugate_batch is None
+        thin[2][1] = 0.0  # exactly collinear: that set is no basis, the others are exact
+        assert ccfom.make_max_affine(thin, np.zeros(5)).conjugate_batch is not None
+        monkeypatch.setattr(ccfom.problems, "_MAX_CONJUGATE_BASES", 14)  # dim=3:pieces=6 has 15
+        assert ccfom.from_id("maxaff:dim=3:pieces=6:seed=0").conjugate_batch is None
+
     def test_conjugate_affine_combinations(self):
         # z = sum lam_i a_i with lam in the simplex gives f*(z) <= -sum lam_i b_i
         p = ccfom.from_id("maxaff:dim=2:pieces=5:seed=1")
@@ -219,11 +266,17 @@ class TestCatalogInvariants:
 
 @pytest.mark.parametrize("pid", [
     "quad:diag=1,10:b=1,0", "quad:diag=1,100", "lasso", "norm:G=2:dim=3", "lse:dim=3",
+    "maxaff:abs=1", "maxaff:dim=2:pieces=5:seed=1", "maxaff:dim=3:pieces=6:seed=0",
 ])
 def test_conjugate_batch_equals_per_row_conjugate(pid, rng):
-    p = ccfom.lasso_instance(5, 3)[0].phi if pid == "lasso" else ccfom.from_id(pid)
+    if pid.startswith("maxaff"):
+        p, A, _ = maxaff_with_pieces(pid)
+    else:
+        p = ccfom.lasso_instance(5, 3)[0].phi if pid == "lasso" else ccfom.from_id(pid)
     n = p.dim
-    if pid.startswith("norm"):
+    if pid.startswith("maxaff"):
+        Z, outside = maxaff_rows(rng, A)
+    elif pid.startswith("norm"):
         dirs = rng.standard_normal((60, n))
         radii = np.concatenate([rng.uniform(0, 4, 57), [2.0, 2.0 * (1 + 1e-13), 2.0 * (1 + 1e-11)]])
         Z = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * radii[:, None]
@@ -243,8 +296,55 @@ def test_conjugate_batch_equals_per_row_conjugate(pid, rng):
     rows = np.array([p.conjugate(z) for z in Z])
     assert np.array_equal(batch, rows)  # bitwise, +inf rows included
     assert np.array_equal(np.isinf(batch), outside)
-    for lo, hi in ((0, 1), (7, 8), (3, 29), (29, 60)):
+    for lo, hi in ((0, 1), (7, 8), (3, 29), (29, len(Z))):
         assert np.array_equal(p.conjugate_batch(Z[lo:hi]), batch[lo:hi])
+
+
+def hull_signed_distance(A, Z):
+    """Per row of Z, the largest signed distance to a facet of conv{rows of A}:
+    minus the distance to the boundary inside the hull, and at most the
+    distance to the hull outside it."""
+    if A.shape[1] == 1:
+        return np.maximum(A.min() - Z[:, 0], Z[:, 0] - A.max())
+    facets = scipy.spatial.ConvexHull(A).equations  # unit normal, offset: <= 0 inside
+    return np.max(Z @ facets[:, :-1].T + facets[:, -1], axis=1)
+
+
+@pytest.mark.parametrize("pid", MAXAFF_IDS)
+def test_maxaff_conjugate_matches_lp_reference(pid, rng):
+    # The reference is the HiGHS LP that the basis enumeration replaced.
+    p, A, b = maxaff_with_pieces(pid)
+    m, n = A.shape
+    Z, _ = maxaff_rows(rng, A)
+    Z = np.vstack([Z, rng.uniform(-1.0, 1.0, (40, n)) * p.lipschitz_f])
+    a_eq = np.vstack([A.T, np.ones((1, m))])
+    got = p.conjugate_batch(Z)
+    for z, value, dist in zip(Z, got, hull_signed_distance(A, Z)):
+        res = scipy.optimize.linprog(-b, A_eq=a_eq, b_eq=np.append(z, 1.0), bounds=(0, None),
+                                     method="highs")
+        assert res.status in (0, 2)  # solved, or infeasible: z outside the hull
+        if abs(dist) > 1e-6:
+            assert math.isinf(value) == (res.status == 2) == (dist > 0)
+        if math.isfinite(value) and res.status == 0:
+            # HiGHS stops at its default primal/dual feasibility tolerance of
+            # 1e-7, so its optimum is only that accurate
+            assert abs(value - res.fun) <= 1e-7 * (1.0 + abs(res.fun))
+
+
+@pytest.mark.parametrize("pid", MAXAFF_IDS)
+def test_maxaff_conjugate_exact_inequalities(pid, rng):
+    p, A, b = maxaff_with_pieces(pid)
+    m, n = A.shape
+    lam = rng.dirichlet(np.ones(m), size=100)
+    lam[:m] = np.eye(m)  # the slopes themselves: weights on the boundary of the simplex
+    Z = lam @ A
+    fstar = p.conjugate_batch(Z)
+    # lam is feasible for the LP that defines f*(lam @ A): f* <= -<b, lam>
+    assert np.all(fstar <= -(lam @ b) + 1e-12 * (1.0 + np.abs(lam) @ np.abs(b)))
+    # Fenchel-Young: f*(z) >= <z, x> - f(x) at every x
+    for x in sample_points(rng, n, n=30):
+        zx, fx = Z @ x, p.value(x)
+        assert np.all(fstar >= zx - fx - 1e-12 * (1.0 + np.abs(zx) + abs(fx) + np.abs(fstar)))
 
 
 class TestCatalogIds:

@@ -37,14 +37,16 @@ it is the single most error-prone detail here.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .methods import MethodTrace, method_spec
-from .problems import ProblemInstance, as_point, row_dot
+from .problems import ProblemInstance, as_point, row_dot, row_values
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -116,14 +118,27 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
     mu = np.full(K + 1, math.nan)
     theta = np.full(K + 1, math.nan)
     theta[start:K] = spec.theta(trace)
-    g = trace.g[spec.offset:]
-    z[start] = trace.g[0]
-    mu[start] = spec.mu(trace, p.lipschitz_grad)[start]
-    for k in range(start, K):
-        th = theta[k]
-        z[k + 1] = (1.0 - th) * z[k] + th * g[k]
-        mu[k + 1] = (1.0 - th) * mu[k]
+    # One column at a time in Python floats: the same IEEE operations in the
+    # same order as z[k+1] = (1 - theta_k) z[k] + theta_k g_k on whole rows,
+    # so the bits are the same.
+    ths = theta[start:K].tolist()
+    keeps = [1.0 - th for th in ths]
+    g = trace.g[spec.offset + start : spec.offset + K]
+    for j in range(trace.dim):
+        z[start:, j] = _dual_average(float(trace.g[0, j]), keeps, ths, g[:, j].tolist())
+    mu0 = float(spec.mu(trace, p.lipschitz_grad)[start])
+    mu[start:] = list(itertools.accumulate(keeps, operator.mul, initial=mu0))
     return DualCertificate(method=trace.method, start_index=start, z=z, mu=mu, theta=theta)
+
+
+def _dual_average(first: float, keeps: list[float], ths: list[float], gs: list[float]) -> list[float]:
+    """v_0 = first, v_{i+1} = keeps[i] v_i + ths[i] gs[i]."""
+    out = [first]
+    v = first
+    for c, th, gi in zip(keeps, ths, gs):
+        v = c * v + th * gi
+        out.append(v)
+    return out
 
 
 def _quad_min_terms(Z: np.ndarray, mu, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,13 +147,6 @@ def _quad_min_terms(Z: np.ndarray, mu, x0: np.ndarray) -> tuple[np.ndarray, np.n
     Their difference is the exact minimum of <z,u> + (mu/2)||u-x0||^2.
     """
     return row_dot(Z, x0[None]), row_dot(Z, Z) / (2.0 * mu)
-
-
-def _values(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    """f at every row of X: one ``value_batch`` call, else one ``value`` call per row."""
-    if p.value_batch is not None:
-        return np.asarray(p.value_batch(X), dtype=float)
-    return np.array([p.value(row) for row in X], dtype=float)
 
 
 def _conjugates(p: ProblemInstance, Z: np.ndarray) -> np.ndarray:
@@ -188,7 +196,7 @@ def lhs_series(trace: MethodTrace, p: ProblemInstance, f_values: Optional[np.nda
     """
     spec = method_spec(trace.method)
     spec.require(p, trace.horizon)
-    return spec.lhs(trace, p, _values(p, trace.x) if f_values is None else f_values)
+    return spec.lhs(trace, p, row_values(p, trace.x) if f_values is None else f_values)
 
 
 def lhs(trace: MethodTrace, p: ProblemInstance, k: int) -> float:
@@ -273,7 +281,7 @@ def verify_chain(
     if not pts:
         raise ValueError("need at least one test point")
     x0 = trace.x[0]
-    f_vals = _values(p, trace.x)
+    f_vals = row_values(p, trace.x)
     lhs_vals = lhs_series(trace, p, f_vals)
 
     start = cert.start_index
@@ -413,7 +421,7 @@ def _induction(
 ) -> InductionChecks:
     """The induction checks of the steps k -> k+1 for k = lo..hi-1."""
     spec = method_spec(trace.method)
-    f_x = _values(p, trace.x)
+    f_x = row_values(p, trace.x)
     lhs_vals = lhs_series(trace, p, f_x)
     x0 = trace.x[0]
     th = cert.theta[lo:hi]
@@ -422,7 +430,7 @@ def _induction(
     # f over the whole query sequence, then sliced: a single step reads the
     # same bits as the run (value_batch rows may depend on the batch)
     queries = getattr(trace, spec.query)
-    f_y = (f_x if queries is trace.x else _values(p, queries))[lo + spec.offset : hi + spec.offset]
+    f_y = (f_x if queries is trace.x else row_values(p, queries))[lo + spec.offset : hi + spec.offset]
     Y = queries[lo + spec.offset : hi + spec.offset]
     g = trace.g[lo + spec.offset : hi + spec.offset]
     z_mu = Z / mu[:, None]

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, OracleError
-from .problems import ProblemInstance, as_point
+from .problems import ProblemInstance, as_point, row_values
 
 __all__ = [
     "MethodSpec",
@@ -173,34 +173,58 @@ def _check_budget(K: int, dim: int):
         )
 
 
-def _query(p: ProblemInstance, x: np.ndarray, k: int) -> np.ndarray:
-    """Value/subgradient oracle call with a finite-output check.
-
-    The method loops call it under one ``np.errstate`` that silences
-    overflow and invalid operations: an oracle that overflows returns inf
-    or NaN quietly, and the check turns that into an OracleError at k.
-    """
-    value = p.value(x)
-    g = np.asarray(p.subgradient(x), dtype=float)
-    if not math.isfinite(value):
+def _check_values(p: ProblemInstance, points: np.ndarray) -> None:
+    """OracleError at the first of ``points`` where f is not finite."""
+    bad = np.flatnonzero(~np.isfinite(row_values(p, points)))
+    if bad.size:
+        k = int(bad[0])
         raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
-    if not np.all(np.isfinite(g)):
-        raise OracleError(f"subgradient is not finite at iteration {k}", iteration=k)
-    return g
+
+
+def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, step: Callable[[int], None]):
+    """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``step(k)`` (k < K).
+
+    ``step(k)`` fills q[k+1].  The loop calls only ``subgradient``: f is
+    checked once, on all query points at the end, in one ``row_values``
+    call.  The check runs under one ``np.errstate`` that silences overflow
+    and invalid operations, so an oracle that overflows returns inf or NaN
+    quietly and the check turns that into an OracleError at the first such
+    k.  When the loop stops early, the values at the points it had queried
+    are checked first, so the error is the one that a value check at every
+    step would have raised: the first non-finite f(q[j]), j <= k, for a
+    non-finite subgradient at k; the first j < k before an exception the
+    subgradient oracle raised at k.
+    """
+    K = q.shape[0] - 1
+    queried = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k in range(K + 1):
+                g[k] = p.subgradient(q[k])
+                queried = k + 1
+                if not np.isfinite(g[k]).all():
+                    raise OracleError(f"subgradient is not finite at iteration {k}", iteration=k)
+                if k < K:
+                    step(k)
+        except Exception:
+            _check_values(p, q[:queried])
+            raise
+        _check_values(p, q)
 
 
 def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method: str) -> MethodTrace:
     x0 = as_point(x0, p.dim, "x0")
     _check_budget(K, p.dim)
     t = schedule.resolve(K, p.lipschitz_grad)
+    steps = t.tolist()
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K + 1):
-            g[k] = _query(p, x[k], k)
-            if k < K:
-                x[k + 1] = x[k] - t[k] * g[k]
+
+    def step(k):
+        x[k + 1] = x[k] - steps[k] * g[k]
+
+    _oracle_loop(p, x, g, step)
     return MethodTrace(method=method, problem_id=p.problem_id, x=x, g=g, t=t)
 
 
@@ -216,22 +240,24 @@ def _run_momentum(
     x0 = as_point(x0, p.dim, "x0")
     _check_budget(K, p.dim)
     t = np.full(K + 1, 1.0 / p.lipschitz_grad)
+    steps = t.tolist()
     x = np.empty((K + 1, p.dim))
     y = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
-    theta = np.empty(K + 1)
+    thetas = [1.0]
     x[0] = x0
     y[0] = x0
-    theta[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K + 1):
-            g[k] = _query(p, y[k], k)
-            if k < K:
-                step = y[k] - t[k] * g[k]
-                x[k + 1] = step if prox is None else prox(step, t[k])
-                theta[k + 1] = theta_next(theta[k])
-                coef = theta[k + 1] * (1.0 - theta[k]) / theta[k]
-                y[k + 1] = x[k + 1] + coef * (x[k + 1] - x[k])
+
+    def step(k):
+        v = y[k] - steps[k] * g[k]
+        x[k + 1] = v if prox is None else prox(v, steps[k])
+        th = thetas[k]
+        thetas.append(theta_next(th))
+        coef = thetas[k + 1] * (1.0 - th) / th
+        y[k + 1] = x[k + 1] + coef * (x[k + 1] - x[k])
+
+    _oracle_loop(p, y, g, step)
+    theta = np.array(thetas)
     return MethodTrace(method=method, problem_id=problem_id, x=x, g=g, t=t, y=y, theta=theta)
 
 

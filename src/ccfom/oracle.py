@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, as_point
+from .problems import ProblemInstance, as_point, row_values
 
 __all__ = ["GridSpec", "GridMax", "conjugate_by_grid", "min_by_grid", "lipschitz_estimate"]
 
@@ -85,12 +85,6 @@ def _check_supported(p: ProblemInstance, grid: GridSpec):
         )
 
 
-def _batch_values(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    if p.value_batch is not None:
-        return np.asarray(p.value_batch(X), dtype=float)
-    return np.array([p.value(row) for row in X])
-
-
 def _scan_max(p: ProblemInstance, grid: GridSpec, z: np.ndarray | None):
     """Max over grid points of <z, x> - f(x) (or of -f(x) when z is None).
 
@@ -113,7 +107,7 @@ def _scan_max(p: ProblemInstance, grid: GridSpec, z: np.ndarray | None):
         X = np.empty((mesh[0].size, grid.dim), order="F")
         for j, m in enumerate(mesh):
             X[:, j] = m.ravel()
-        scores = -_batch_values(p, X)
+        scores = -row_values(p, X)
         if z is not None:
             scores += X @ z
         i = int(np.argmax(scores))  # first occurrence on ties

@@ -29,6 +29,7 @@ __all__ = [
     "ProblemInstance",
     "as_point",
     "row_dot",
+    "row_values",
     "fenchel_gap",
     "make_quadratic",
     "make_scaled_norm",
@@ -163,6 +164,13 @@ class ProblemInstance:
         if not self.is_differentiable:
             raise ValueError(f"{self.problem_id} is not differentiable")
         return self.subgradient(x)
+
+
+def row_values(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    """f at every row of X: one ``value_batch`` call, else one ``value`` call per row."""
+    if p.value_batch is not None:
+        return np.asarray(p.value_batch(X), dtype=float)
+    return np.array([p.value(row) for row in X], dtype=float)
 
 
 def fenchel_gap(p: ProblemInstance, z, x) -> float:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Optional
 
 import numpy as np
@@ -118,13 +119,22 @@ class Table(Sequence):
 
 @dataclass
 class RunRows:
-    """Assembled per-k CSV rows plus the report lines that accompany them."""
+    """Assembled per-k CSV rows plus the report lines that accompany them.
+
+    The report text is formatted the first time ``report_lines`` is read,
+    from check arrays that :func:`build_rows` computed once; a caller that
+    writes no report formats none.
+    """
 
     rows: Table
-    report_lines: list[str]
     has_failure: bool
     gap_series: Optional[np.ndarray]
     bound_series: Optional[np.ndarray]
+    _format_report: Callable[[], list[str]] = field(repr=False)
+
+    @cached_property
+    def report_lines(self) -> list[str]:
+        return self._format_report()
 
 
 def _state(fail: np.ndarray) -> list[str]:
@@ -153,7 +163,7 @@ def build_rows(
     every column is computed for all k at once; the report lists, per k,
     the failed bound/descent checks, the four chain links, the vacuous
     flag, the induction step with its identities (k < K) and mu's closed
-    form.
+    form.  Its text is formatted when ``report_lines`` is first read.
     """
     spec = method_spec(trace.method)
     chain = ver.chain
@@ -215,61 +225,63 @@ def build_rows(
         "verdict": verdicts,
     })
 
-    pre = [f"k={k}: " for k in ks.tolist()]
-    columns = []
-    if gaps is not None:
-        i = np.flatnonzero(bound_fail)
-        columns.append(_sparse_lines(n, bound_fail, [
-            f"{pre[j]}FAIL suboptimality bound: gap - bound = {e} > tol {t}"
-            for j, e, t in zip(i.tolist(), fmt_column(excess[i]), fmt_column(btol[i]))
+    def format_report() -> list[str]:
+        pre = [f"k={k}: " for k in ks.tolist()]
+        columns = []
+        if gaps is not None:
+            i = np.flatnonzero(bound_fail)
+            columns.append(_sparse_lines(n, bound_fail, [
+                f"{pre[j]}FAIL suboptimality bound: gap - bound = {e} > tol {t}"
+                for j, e, t in zip(i.tolist(), fmt_column(excess[i]), fmt_column(btol[i]))
+            ]))
+        i = np.flatnonzero(descent_fail)
+        columns.append(_sparse_lines(n, descent_fail, [
+            f"{pre[j]}FAIL monotone descent: f(x_k) - f(x_k-1) = {d} > tol {fmt(tol.eps_abs)}"
+            for j, d in zip(i.tolist(), fmt_column(descent[i]))
         ]))
-    i = np.flatnonzero(descent_fail)
-    columns.append(_sparse_lines(n, descent_fail, [
-        f"{pre[j]}FAIL monotone descent: f(x_k) - f(x_k-1) = {d} > tol {fmt(tol.eps_abs)}"
-        for j, d in zip(i.tolist(), fmt_column(descent[i]))
-    ]))
-    for name in ("certificate", "quad_min", "fenchel", "end_to_end"):
-        mg, t = chain.margins[name], chain.margin_tols[name]
-        states = np.where(np.isnan(mg), "skipped (vacuous)", np.where(mg < -t, "FAIL", "pass"))
+        for name in ("certificate", "quad_min", "fenchel", "end_to_end"):
+            mg, t = chain.margins[name], chain.margin_tols[name]
+            states = np.where(np.isnan(mg), "skipped (vacuous)", np.where(mg < -t, "FAIL", "pass"))
+            columns.append([
+                f"{a}chain {name}: residual={r} tol={b} {c}"
+                for a, r, b, c in zip(pre, fmt_column(-mg), fmt_column(t), states.tolist())
+            ])
+        columns.append(_sparse_lines(n, chain.vacuous, [
+            f"{pre[j]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
+            for j in np.flatnonzero(chain.vacuous).tolist()
+        ]))
+        pad = [""] * (n - m)
         columns.append([
-            f"{a}chain {name}: residual={r} tol={b} {c}"
-            for a, r, b, c in zip(pre, fmt_column(-mg), fmt_column(t), states.tolist())
-        ])
-    columns.append(_sparse_lines(n, chain.vacuous, [
-        f"{pre[j]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
-        for j in np.flatnonzero(chain.vacuous).tolist()
-    ]))
-    pad = [""] * (n - m)
-    columns.append([
-        f"{a}induction step: residual={r} tol={b} {c}"
-        for a, r, b, c in zip(pre, fmt_column(-ind.margin), fmt_column(ind.tolerance),
-                              _state(ind.margin < -ind.tolerance))
-    ] + pad)
-    for name, r in ind.identity_residuals.items():
-        it = ind.identity_tols[name]
-        columns.append([
-            f"{a}identity {name}: residual={x} tol={b} {c}"
-            for a, x, b, c in zip(pre, fmt_column(r), fmt_column(it), _state(r > it))
+            f"{a}induction step: residual={r} tol={b} {c}"
+            for a, r, b, c in zip(pre, fmt_column(-ind.margin), fmt_column(ind.tolerance),
+                                  _state(ind.margin < -ind.tolerance))
         ] + pad)
-    eps = fmt(tol.eps_rel)
-    columns.append([
-        f"{a}mu closed form: residual={r} tol={eps} {c}"
-        for a, r, c in zip(pre, fmt_column(mu_res), _state(mu_fail))
-    ])
+        for name, r in ind.identity_residuals.items():
+            it = ind.identity_tols[name]
+            columns.append([
+                f"{a}identity {name}: residual={x} tol={b} {c}"
+                for a, x, b, c in zip(pre, fmt_column(r), fmt_column(it), _state(r > it))
+            ] + pad)
+        eps = fmt(tol.eps_rel)
+        columns.append([
+            f"{a}mu closed form: residual={r} tol={eps} {c}"
+            for a, r, c in zip(pre, fmt_column(mu_res), _state(mu_fail))
+        ])
 
-    lines = [f"reference point: {p.solution_provenance}"]
-    if f_ref is not None:
-        lines.append(f"reference value: {fmt(f_ref)}  distance from x0: {fmt(dist)}")
-    else:
-        lines.append("reference value unavailable; closed-form bound checks skipped")
-    lines += [line for group in zip(*columns) for line in group if line]
+        lines = [f"reference point: {p.solution_provenance}"]
+        if f_ref is not None:
+            lines.append(f"reference value: {fmt(f_ref)}  distance from x0: {fmt(dist)}")
+        else:
+            lines.append("reference value unavailable; closed-form bound checks skipped")
+        lines += [line for group in zip(*columns) for line in group if line]
+        return lines
 
     return RunRows(
         rows=rows,
-        report_lines=lines,
         has_failure=bool(failed.any()),
         gap_series=gaps,
         bound_series=bounds if dist is not None else None,
+        _format_report=format_report,
     )
 
 

@@ -90,6 +90,27 @@ class TestBuildCertificate:
         res = mu_closed_form_residuals(tr, build_certificate(tr, p), p)
         assert np.nanmax(res) <= 1e-9
 
+    @pytest.mark.parametrize("method,pid,x0", [
+        ("subgradient", "norm:G=2:dim=3", [1.0, 0.5, -0.25]),
+        ("subgradient", "maxaff:dim=2:pieces=5:seed=1", [0.5, -1.0]),
+        ("gradient", "quad:diag=1,100", [1.0, -0.5]),
+        ("accelerated", "lse:dim=2", [3.0, -3.0]),
+        ("prox_accelerated", "quad:diag=1,10", [1.0, 1.0]),
+    ])
+    @pytest.mark.parametrize("K", ["start", 2, 300])
+    def test_recursion_matches_row_reference_bitwise(self, method, pid, x0, K):
+        p = ccfom.from_id(pid)
+        K = method_spec(method).start if K == "start" else K
+        if method == "prox_accelerated":
+            tr = ccfom.run_proximal_accelerated(
+                ccfom.CompositeProblem(phi=p, psi=ccfom.make_l1(0.3)), x0, K)
+        else:
+            tr = run_method(p, method, x0, K)
+        cert = build_certificate(tr, p)
+        z, mu = _row_recursion(tr, p)
+        assert z.tobytes() == cert.z.tobytes()
+        assert mu.tobytes() == cert.mu.tobytes()
+
     def test_gradient_needs_positive_horizon(self, scalar_quad):
         tr = ccfom.run_gradient(scalar_quad, [2.0], 1)
         short = ccfom.MethodTrace(
@@ -98,6 +119,24 @@ class TestBuildCertificate:
         )
         with pytest.raises(ValueError):
             build_certificate(short, scalar_quad)
+
+
+def _row_recursion(trace, p):
+    """z_k and mu_k by the recursion on whole rows, one k at a time (the reference)."""
+    spec = method_spec(trace.method)
+    K, start = trace.horizon, spec.start
+    z = np.full((K + 1, trace.dim), math.nan)
+    mu = np.full(K + 1, math.nan)
+    theta = np.full(K + 1, math.nan)
+    theta[start:K] = spec.theta(trace)
+    g = trace.g[spec.offset:]
+    z[start] = trace.g[0]
+    mu[start] = spec.mu(trace, p.lipschitz_grad)[start]
+    for k in range(start, K):
+        th = theta[k]
+        z[k + 1] = (1.0 - th) * z[k] + th * g[k]
+        mu[k + 1] = (1.0 - th) * mu[k]
+    return z, mu
 
 
 class TestCertificateValue:
@@ -614,3 +653,29 @@ class TestFalsifiability:
 
         monkeypatch.setitem(methods._METHODS, "gradient", dataclasses.replace(spec, bound=bound))
         assert fired(tr, p) == {(30, "suboptimality bound")}
+
+
+# ---------------------------------------------------------------------------
+# the report text is formatted when it is first read
+
+
+def test_report_text_is_formatted_on_first_read(monkeypatch):
+    import ccfom.reporting as reporting
+
+    p = ccfom.from_id("quad:diag=1,100")
+    tr = ccfom.run_gradient(p, [1.0, 1.0], 40)
+    ver = verify_run(tr, p)
+    calls = []
+    for name in ("fmt", "fmt_column"):
+        real = getattr(reporting, name)
+        monkeypatch.setattr(reporting, name,
+                            lambda v, real=real, name=name: calls.append(name) or real(v))
+    rows = build_rows(tr, p, ver, TOL)
+    assert calls == []
+    lines = rows.report_lines
+    assert calls and len(lines) > 40
+    n = len(calls)
+    assert rows.report_lines is lines
+    assert len(calls) == n
+    monkeypatch.undo()
+    assert build_rows(tr, p, ver, TOL).report_lines == lines

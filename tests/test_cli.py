@@ -194,6 +194,55 @@ class TestVerify:
             assert main(["verify", str(out / f"{method}.csv")]) == 0
 
 
+    # one corruption per column that ``verify`` cross-checks, at a single k
+    _CORRUPT = {
+        "f_xk": lambda v: repr(float(v) + 1e3),
+        "lhs_k": lambda v: repr(float(v) - 1e3),
+        "cert_k": lambda v: repr(float(v) - 1e3),
+        "vacuous_flag": lambda v: "1",
+        "mu_k": lambda v: repr(float(v) - 1e3),
+        "theta_k": lambda v: repr(float(v) - 1e3),
+        "theorem_bound_k": lambda v: repr(float(v) - 1e3),
+        "residual_chain_max": lambda v: repr(float(v) - 1e3),
+        "residual_induction": lambda v: repr(float(v) - 1e3),
+        "verdict": lambda v: "FAIL",
+    }
+
+    @pytest.mark.parametrize("column", list(_CORRUPT))
+    @pytest.mark.parametrize("run", [
+        dict(),
+        dict(problem="quad:diag=1,10", method="accelerated", x0="ones", iterations=20),
+    ], ids=["subgradient", "accelerated"])
+    def test_fault_matrix_names_exactly_the_corrupted_column(self, tmp_path, capsys, column, run):
+        from ccfom.cli import _CHECKED_COLUMNS
+
+        assert set(self._CORRUPT) == set(_CHECKED_COLUMNS) | {"verdict"}
+        csv = self.make_run(tmp_path, **run)
+        lines = csv.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("k,"))
+        i = header + 6
+        k = int(lines[i].split(",")[0])
+        parts = lines[i].split(",")
+        j = RUN_COLUMNS.index(column)
+        parts[j] = self._CORRUPT[column](parts[j])
+        lines[i] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 2
+        failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+        named = [f for f in failures if "mismatch" in f]
+        if column == "verdict":
+            assert named == [f"FAIL k={k}: verdict mismatch: stored FAIL vs recomputed PASS"]
+        else:
+            assert len(named) == 1 and named[0].startswith(f"FAIL k={k}: column {column} mismatch: ")
+        stored_check = [f for f in failures if "chain certificate on stored values" in f]
+        if column in ("f_xk", "cert_k"):
+            assert f"FAIL k={k}: chain certificate on stored values" in "\n".join(stored_check)
+        else:
+            assert stored_check == []
+
+
 class TestSweep:
     def test_two_methods_aggregate_and_svg(self, tmp_path):
         cfg = write_cfg(
@@ -262,6 +311,30 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         _, _, rows = read_csv(tmp_path / "mix.csv")
         assert {r["problem"] for r in rows} == {"quad:diag=1"}
+
+
+    def test_sweep_and_verify_read_no_report_text(self, tmp_path, monkeypatch):
+        from ccfom.reporting import RunRows
+
+        def unread(self):
+            raise AssertionError("report text was read")
+
+        monkeypatch.setattr(RunRows, "report_lines", property(unread))
+        cfg = write_cfg(
+            tmp_path / "sweep.cfg",
+            problem="quad:diag=1,100; norm:G=2:dim=2",
+            method="gradient; accelerated; subgradient",
+            x0="ones",
+            iterations=30,
+            csv="sweep.csv",
+            report="sweep.report.txt",
+        )
+        # norm has no L and quad no G: three of the six cells exit 3
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        cells = sorted(tmp_path.glob("sweep.cell*.csv"))
+        assert len(cells) == 3
+        for cell in cells:
+            assert main(["verify", str(cell)]) == 0
 
 
 class TestConjecture:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -194,3 +196,133 @@ class TestRunAccelerated:
         tr = ccfom.run_accelerated(p, [1.0, 1.0], 200)
         gap = p.value(tr.x[200]) - p.optimal_value
         assert gap <= ccfom.theorem_bound(p, [1.0, 1.0], "accelerated", 200) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# oracle calls of the method loops
+
+
+# run(p, x0, K) for every method loop: descent, momentum, momentum + prox
+_RUNS = {
+    "subgradient": lambda p, x0, K: ccfom.run_subgradient(p, x0, StepSchedule.constant(1.0), K),
+    "gradient": lambda p, x0, K: ccfom.run_gradient(p, x0, K),
+    "accelerated": lambda p, x0, K: ccfom.run_accelerated(p, x0, K),
+    "prox_accelerated": lambda p, x0, K: ccfom.run_proximal_accelerated(
+        ccfom.CompositeProblem(phi=p, psi=ccfom.make_l1(0.1)), x0, K),
+}
+
+
+def _counted(p, calls, batch=True):
+    """``p`` with every oracle call counted in ``calls``; no value_batch unless ``batch``."""
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    return dataclasses.replace(
+        p,
+        value=counting("value", p.value),
+        subgradient=counting("subgradient", p.subgradient),
+        value_batch=counting("value_batch", p.value_batch) if batch else None,
+    )
+
+
+@pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize("batch", [True, False], ids=["value_batch", "no_batch"])
+def test_one_subgradient_call_per_step(run, batch):
+    K = 25
+    calls = Counter()
+    p = _counted(ccfom.from_id("quad:diag=1,10"), calls, batch)
+    run(p, [1.0, -2.0], K)
+    # f is checked once, on all K+1 query points
+    expected = {"subgradient": K + 1, "value_batch": 1} if batch else {"subgradient": K + 1, "value": K + 1}
+    assert calls == expected
+
+
+def _per_step_error(bad_value, bad_grad, raises, K):
+    """What a loop that checked f(q_k) and then g_k at every step raised, as (kind, k).
+
+    kind is "objective value" or "subgradient" for an OracleError at k,
+    "raised" when the subgradient oracle's own exception at k propagated,
+    None when the run completed.
+    """
+    for k in range(K + 1):
+        if k in raises:
+            return ("raised", k)
+        if k in bad_value:
+            return ("objective value", k)
+        if k in bad_grad:
+            return ("subgradient", k)
+    return None
+
+
+# (non-finite f at, non-finite g at, subgradient oracle raises at)
+_FAULTS = [
+    ((), (), ()),
+    ((), (3,), ()),
+    ((2,), (3,), ()),
+    ((3,), (3,), ()),
+    ((4,), (3,), ()),
+    ((0, 5), (3,), ()),
+    ((5, 2), (), ()),
+    ((8,), (), ()),
+    ((1,), (), (3,)),
+    ((3,), (), (3,)),
+    ((5,), (), (3,)),
+    ((), (), (0,)),
+    ((), (0,), ()),
+]
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def _faulty(p, points, bad_value, bad_grad, raises, batch):
+    """``p`` with faults at the query points ``points[k]`` of the k listed."""
+    index = {q.tobytes(): k for k, q in enumerate(points)}
+
+    def value(x):
+        return math.inf if index[np.asarray(x, dtype=float).tobytes()] in bad_value else p.value(x)
+
+    def value_batch(X):
+        out = np.array(p.value_batch(X))
+        out[[index[row.tobytes()] in bad_value for row in X]] = math.nan
+        return out
+
+    def subgradient(x):
+        k = index[np.asarray(x, dtype=float).tobytes()]
+        if k in raises:
+            raise _Boom(f"oracle raised at {k}")
+        g = np.array(p.subgradient(x))
+        return g * math.nan if k in bad_grad else g
+
+    return dataclasses.replace(p, value=value, subgradient=subgradient,
+                               value_batch=value_batch if batch else None)
+
+
+@pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize("batch", [True, False], ids=["value_batch", "no_batch"])
+@pytest.mark.parametrize("faults", _FAULTS, ids=[str(f) for f in _FAULTS])
+def test_oracle_error_is_that_of_a_per_step_check(run, batch, faults):
+    K = 8
+    p = ccfom.from_id("quad:diag=1,10")
+    x0 = [1.0, -2.0]
+    clean = run(p, x0, K)
+    points = clean.x if clean.y is None else clean.y
+    assert len({q.tobytes() for q in points}) == K + 1
+    bad = _faulty(p, points, *faults, batch)
+    expected = _per_step_error(*faults, K)
+    if expected is None:
+        trace = run(bad, x0, K)
+        assert np.array_equal(trace.x, clean.x) and np.array_equal(trace.g, clean.g)
+    elif expected[0] == "raised":
+        with pytest.raises(_Boom, match=f"oracle raised at {expected[1]}"):
+            run(bad, x0, K)
+    else:
+        kind, k = expected
+        with pytest.raises(OracleError) as err:
+            run(bad, x0, K)
+        assert str(err.value) == f"{kind} is not finite at iteration {k}"
+        assert err.value.iteration == k

@@ -70,6 +70,20 @@ __all__ = [
 ]
 
 CHAIN_CHECKS = ("certificate", "quad_min", "fenchel", "end_to_end")
+# the checks that read f*(z_k): skipped (NaN margin) on vacuous records
+_CONJUGATE_CHECKS = ("certificate", "fenchel")
+
+
+def _chain_check_failed(name: str, margins: np.ndarray, tols: np.ndarray, vacuous: np.ndarray):
+    """Where chain check ``name`` fails: its margin is below -tol or is NaN.
+
+    A NaN margin means the check could not be evaluated (an overflow, say),
+    which is a failure unless the check was skipped on a vacuous record.
+    """
+    failed = ~(margins >= -tols)
+    if name in _CONJUGATE_CHECKS:
+        failed &= ~vacuous
+    return failed
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,27 +132,22 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
     mu = np.full(K + 1, math.nan)
     theta = np.full(K + 1, math.nan)
     theta[start:K] = spec.theta(trace)
-    # One column at a time in Python floats: the same IEEE operations in the
-    # same order as z[k+1] = (1 - theta_k) z[k] + theta_k g_k on whole rows,
-    # so the bits are the same.
-    ths = theta[start:K].tolist()
-    keeps = [1.0 - th for th in ths]
-    g = trace.g[spec.offset + start : spec.offset + K]
-    for j in range(trace.dim):
-        z[start:, j] = _dual_average(float(trace.g[0, j]), keeps, ths, g[:, j].tolist())
+    # The recursion a row at a time, with theta_k g_k for all k in one product
+    # and the coefficients as Python floats: the same IEEE operations in the
+    # same order as z[k+1] = (1 - theta_k) z[k] + theta_k g_k, so the same bits.
+    th = theta[start:K]
+    keeps = (1.0 - th).tolist()
+    steps = th[:, None] * trace.g[spec.offset + start : spec.offset + K]
+    zs = z[start:]
+    zs[0] = trace.g[0]
+    prev = zs[0]
+    for c, s, nxt in zip(keeps, steps, zs[1:]):
+        np.multiply(prev, c, out=nxt)
+        np.add(nxt, s, out=nxt)
+        prev = nxt
     mu0 = float(spec.mu(trace, p.lipschitz_grad)[start])
     mu[start:] = list(itertools.accumulate(keeps, operator.mul, initial=mu0))
     return DualCertificate(method=trace.method, start_index=start, z=z, mu=mu, theta=theta)
-
-
-def _dual_average(first: float, keeps: list[float], ths: list[float], gs: list[float]) -> list[float]:
-    """v_0 = first, v_{i+1} = keeps[i] v_i + ths[i] gs[i]."""
-    out = [first]
-    v = first
-    for c, th, gi in zip(keeps, ths, gs):
-        v = c * v + th * gi
-        out.append(v)
-    return out
 
 
 def _quad_min_terms(Z: np.ndarray, mu, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +235,8 @@ class BoundChain:
     outside dom f*) carry verdict VACUOUS instead of a pass/fail on the
     conjugate-dependent checks (their margins are NaN), except in the
     subgradient case where ||z_k|| > G(1+eps) is a hard failure (the
-    construction provably keeps z_k in the G-ball).
+    construction provably keeps z_k in the G-ball).  Any other NaN margin
+    is a failure: that check could not be evaluated.
     """
 
     method: str
@@ -249,15 +259,22 @@ class BoundChain:
     def all_pass(self) -> bool:
         return "FAIL" not in self.verdicts
 
+    def check_failed(self, name: str) -> np.ndarray:
+        """Per record, whether chain check ``name`` failed (see :func:`_chain_check_failed`)."""
+        return _chain_check_failed(name, self.margins[name], self.margin_tols[name], self.vacuous)
+
     def failures(self) -> list[tuple[int, str, float, float]]:
-        """(k, check name, residual LHS-RHS, tolerance) for every violation."""
+        """(k, check name, residual LHS-RHS, tolerance) for every violation.
+
+        A check that could not be evaluated has residual NaN.
+        """
         out = []
+        failed = {name: self.check_failed(name) for name in CHAIN_CHECKS}
         for i in np.flatnonzero(np.array(self.verdicts) == "FAIL"):
             k = int(self.ks[i])
             for name in CHAIN_CHECKS:
-                m = float(self.margins[name][i])
-                t = float(self.margin_tols[name][i])
-                if math.isfinite(m) and m < -t:
+                if failed[name][i]:
+                    m, t = float(self.margins[name][i]), float(self.margin_tols[name][i])
                     out.append((k, name, -m, t))
             if self.vacuous[i]:
                 out.append((k, "dual vector left dom(f*)", math.inf, 0.0))
@@ -311,14 +328,14 @@ def verify_chain(
                 closer = m + t < margins[name] + tols[name]  # nearer to m < -t
                 margins[name] = np.where(closer, m, margins[name])
                 tols[name] = np.where(closer, t, tols[name])
-    for name in ("certificate", "fenchel"):
+    for name in _CONJUGATE_CHECKS:
         margins[name] = np.where(vac, math.nan, margins[name])
         tols[name] = np.where(vac, math.nan, tols[name])
     relaxed[vac] = math.nan
 
     failed = np.zeros(ks.size, dtype=bool)
     for name in CHAIN_CHECKS:
-        failed |= margins[name] < -tols[name]
+        failed |= _chain_check_failed(name, margins[name], tols[name], vac)
     residual_max = np.fmax.reduce([-margins[name] for name in CHAIN_CHECKS])
 
     G = p.lipschitz_f

@@ -229,11 +229,13 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
         return 0.5 * row_dot(D, scipy.linalg.cho_solve(factor, D.T).T)
 
     def value_batch(X):
-        # columnwise accumulation: fast on both C- and F-ordered batches
+        # columnwise accumulation: fast on both C- and F-ordered batches;
+        # halved after the sum, as in ``value``, so the two overflow alike
         quads = (A @ X.T) * X.T
-        out = 0.5 * quads[0]
+        out = quads[0]
         for j in range(1, n):
-            out += 0.5 * quads[j]
+            out += quads[j]
+        out = 0.5 * out
         if np.any(b):
             out += X @ b
         return out

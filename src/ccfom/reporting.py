@@ -241,7 +241,8 @@ def build_rows(
         ]))
         for name in ("certificate", "quad_min", "fenchel", "end_to_end"):
             mg, t = chain.margins[name], chain.margin_tols[name]
-            states = np.where(np.isnan(mg), "skipped (vacuous)", np.where(mg < -t, "FAIL", "pass"))
+            states = np.where(chain.check_failed(name), "FAIL",
+                              np.where(np.isnan(mg), "skipped (vacuous)", "pass"))
             columns.append([
                 f"{a}chain {name}: residual={r} tol={b} {c}"
                 for a, r, b, c in zip(pre, fmt_column(-mg), fmt_column(t), states.tolist())

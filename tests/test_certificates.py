@@ -96,6 +96,7 @@ class TestBuildCertificate:
         ("gradient", "quad:diag=1,100", [1.0, -0.5]),
         ("accelerated", "lse:dim=2", [3.0, -3.0]),
         ("prox_accelerated", "quad:diag=1,10", [1.0, 1.0]),
+        ("accelerated", "quad:diag=" + ",".join(map(str, range(1, 41))), [1.0] * 40),
     ])
     @pytest.mark.parametrize("K", ["start", 2, 300])
     def test_recursion_matches_row_reference_bitwise(self, method, pid, x0, K):
@@ -254,6 +255,37 @@ class TestVerifyChain:
         chain = verify_chain(tr, cert, faulty, [far, near])
         assert chain.verdicts == ("FAIL",) * 11
         assert np.allclose(chain.margins["fenchel"], -6e-9, rtol=1e-6, atol=0)
+
+    def test_nan_margin_fails_a_record_that_is_not_vacuous(self):
+        p = ccfom.from_id("quad:diag=1,100")
+        tr = ccfom.run_gradient(p, [1.0, 1.0], 10)
+        cert = build_certificate(tr, p)
+
+        def conjugate_batch(Z):
+            out = p.conjugate_batch(Z)
+            out[3] = math.nan  # k = 4: f* could not be evaluated
+            return out
+
+        chain = verify_chain(tr, cert, dataclasses.replace(p, conjugate_batch=conjugate_batch),
+                             [np.zeros(2)])
+        assert not chain.vacuous[3]
+        assert chain.verdicts[3] == "FAIL"
+        assert chain.verdicts[:3] + chain.verdicts[4:] == ("PASS",) * 9
+        named = {(k, name) for k, name, _, _ in chain.failures()}
+        assert named == {(4, "certificate"), (4, "fenchel")}
+
+    def test_overflowing_chain_is_not_passed(self):
+        # a batch oracle that calls f finite where ||z_k||^2 overflows: the run
+        # completes, and the NaN margins of the chain must fail, not pass
+        p = ccfom.from_id("quad:diag=1,1")
+        finite = dataclasses.replace(p, value_batch=lambda X: np.zeros(len(X)))
+        tr = ccfom.run_gradient(finite, [1.2e154, 1.2e154], 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ver = verify_run(tr, finite)
+            lines = build_rows(tr, finite, ver, TOL).report_lines
+        assert not ver.chain.all_pass
+        assert ver.chain.verdicts[0] == "FAIL"
+        assert any(line.startswith("k=1: chain quad_min:") and line.endswith(" FAIL") for line in lines)
 
     def test_detects_corrupted_certificate(self, scalar_quad):
         tr = ccfom.run_gradient(scalar_quad, [2.0], 10)

@@ -82,6 +82,13 @@ class TestRun:
                       x0="1.0e200", iterations=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
+    def test_objective_overflow_at_the_halving_edge_exits_4(self, tmp_path, capsys):
+        # ||x0||^2 = 2.88e308 overflows, although its half would not
+        cfg = run_cfg(tmp_path, problem="quad:diag=1,1", method="gradient",
+                      x0="1.2e154,1.2e154", iterations=20)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        assert "objective value is not finite at iteration 0" in capsys.readouterr().err
+
     # 0: the optimum LP while the problem is built; 1: the first conjugate LP,
     # on a rank-deficient instance (two pieces in 3-D), whose conjugate stays an LP
     @pytest.mark.parametrize("good_calls,problem,x0", [

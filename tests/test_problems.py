@@ -256,6 +256,18 @@ class TestCatalogInvariants:
         direct = np.array([p.value(row) for row in X])
         assert np.allclose(batch, direct, rtol=1e-12, atol=1e-12)
 
+    def test_batch_and_scalar_oracle_overflow_alike(self, pid, x0, rng):
+        # the method loops check f with the batch oracle, the rest of the
+        # verifier reads both, so they must agree on where f overflows
+        p = ccfom.from_id(pid)
+        scales = 10.0 ** np.linspace(150.0, 160.0, 201)
+        X = np.concatenate([rng.normal(size=(5, p.dim)) * s for s in scales])
+        X = np.concatenate([X, np.full((1, p.dim), 1.2e154)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = np.isfinite(p.value_batch(X))
+            direct = np.array([math.isfinite(p.value(row)) for row in X])
+        assert np.array_equal(batch, direct)
+
     def test_optimal_value_is_a_lower_bound(self, pid, x0, rng):
         p = ccfom.from_id(pid)
         if p.optimal_value is None:

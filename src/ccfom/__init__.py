@@ -9,11 +9,9 @@ by iteration.
 """
 
 from .certificates import (
-    BoundChain,
+    Check,
+    CheckTable,
     DualCertificate,
-    InductionChecks,
-    InductionRecord,
-    VerificationResult,
     build_certificate,
     certificate_value,
     lhs,
@@ -21,9 +19,7 @@ from .certificates import (
     mu_closed_form_residuals,
     reference_value,
     theorem_bound,
-    verify_chain,
-    verify_induction_all,
-    verify_induction_step,
+    verify_certificate,
     verify_run,
 )
 from .errors import CcfomError, ConfigError, OracleError

@@ -1,4 +1,4 @@
-"""Dual certificate sequences and per-iteration verification of the bounds.
+"""Dual certificate sequences and the table of per-iteration checks on a run.
 
 For each method a pair of sequences (z_k, mu_k) is built from the trace by
 the running-average recursion
@@ -23,12 +23,35 @@ The certificate value at k,
 upper-bounds the method's averaged-objective quantity LHS_k, and chaining it
 through the quadratic-minimum relaxation and the conjugate inequality yields
 the f(x) + (mu_k/2)||x - x_0||^2 bound that the convergence rates follow
-from.  ``verify_chain`` checks every link of that chain numerically, and
-``verify_induction_all`` checks the per-step inequality and the structural
-identities that make the per-method constructions work.  Each check is one
-array expression over all iterations k at once; the per-k entry points
-(``certificate_value``, ``verify_induction_step``, ``theorem_bound``) run
-the same expressions on a single k.
+from.
+
+``verify_run`` returns one :class:`CheckTable` over the records
+k = start..K.  Each named check in it is three arrays: the margin RHS - LHS,
+its tolerance, and where the check applies.  A check fails where it applies
+and its margin is not >= -tolerance, so a margin that could not be
+evaluated (NaN) fails; :attr:`Check.failed` is the only place that rule is
+written, and every verdict, residual column and report state is read from
+it.  The checks, in report order:
+
+    suboptimality bound   gap_k <= the closed-form bound of the theorem;
+                          does not apply when the distance from x0 to the
+                          reference set (or the reference value) is unknown
+    monotone descent      f(x_k) <= f(x_{k-1}), for the gradient method
+    certificate, quad_min, fenchel, end_to_end
+                          the four links of the chain (:func:`verify_chain`);
+                          the two that read f*(z_k) do not apply on a
+                          vacuous record, where z_k left dom(f*)
+    g_ball                ||z_k|| <= G(1+eps) on a vacuous record of the
+                          subgradient method, whose z_k averages subgradients
+    induction step        the per-step inequality k -> k+1; no step leaves K
+    query_point, or extrapolation, step_balance and theta_mu_ratio
+                          the identities of the step (margin = -residual)
+    mu closed form        mu_k equals its closed form (margin = -deviation)
+
+A record's verdict is FAIL where any check fails, else VACUOUS on a vacuous
+record, else PASS.  Each check is one array expression over all records;
+the per-k entry points (``certificate_value``, ``theorem_bound``) run the
+same expressions on a single k.
 
 Index bookkeeping: ``start_index`` is 0 for the subgradient certificate and
 1 for the gradient/accelerated ones, and is part of the data model because
@@ -40,8 +63,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,40 +74,25 @@ from .problems import ProblemInstance, as_point, row_dot, row_values
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
+    "CHAIN_CHECKS",
     "DualCertificate",
-    "BoundChain",
-    "InductionRecord",
-    "InductionChecks",
-    "VerificationResult",
+    "Check",
+    "CheckTable",
     "build_certificate",
     "certificate_value",
     "certificate_value_raw",
     "lhs",
     "lhs_series",
     "verify_chain",
-    "verify_induction_step",
     "verify_induction_all",
     "theorem_bound",
     "reference_value",
     "mu_closed_form_residuals",
+    "verify_certificate",
     "verify_run",
 ]
 
 CHAIN_CHECKS = ("certificate", "quad_min", "fenchel", "end_to_end")
-# the checks that read f*(z_k): skipped (NaN margin) on vacuous records
-_CONJUGATE_CHECKS = ("certificate", "fenchel")
-
-
-def _chain_check_failed(name: str, margins: np.ndarray, tols: np.ndarray, vacuous: np.ndarray):
-    """Where chain check ``name`` fails: its margin is below -tol or is NaN.
-
-    A NaN margin means the check could not be evaluated (an overflow, say),
-    which is a failure unless the check was skipped on a vacuous record.
-    """
-    failed = ~(margins >= -tols)
-    if name in _CONJUGATE_CHECKS:
-        failed &= ~vacuous
-    return failed
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +197,7 @@ def certificate_value(cert: DualCertificate, p: ProblemInstance, x0, k: int) -> 
 
     A return of -inf means the record is vacuous: z_k left dom(f*), the
     bound holds trivially and certifies nothing.  Bitwise equal to
-    ``verify_chain(...).certificate_values`` at k.
+    ``verify_run(...).values["cert_k"]`` at k.
     """
     if not cert.start_index <= k <= cert.horizon:
         raise ValueError(f"k={k} outside certificate range [{cert.start_index}, {cert.horizon}]")
@@ -216,81 +225,96 @@ def lhs(trace: MethodTrace, p: ProblemInstance, k: int) -> float:
     return float(lhs_series(trace, p)[k])
 
 
-@dataclass(frozen=True, eq=False)
-class BoundChain:
-    """Per-iteration records of the certificate inequality chain.
+class Check(NamedTuple):
+    """One named inequality over the records: margin = RHS - LHS, its tolerance, where it applies.
 
-    For each k the four checked inequalities are stored as margins
-    (margin = RHS - LHS, so PASS means margin >= -tolerance):
-
-      certificate   LHS_k <= certificate_k
-      quad_min      <z_k,x0> - ||z_k||^2/(2 mu_k) <= <z_k,x> + (mu_k/2)||x-x0||^2
-      fenchel       -f*(z_k) + <z_k,x> <= f(x)
-      end_to_end    LHS_k <= f(x) + (mu_k/2)||x-x0||^2
-
-    The point-dependent checks store, per k, the margin and tolerance of
-    the test point where margin + tolerance is smallest (the first such
-    point on ties).  ``residual_max[k]`` is the largest violation
-    max(LHS - RHS) over the checks evaluated at k.  Vacuous records (z_k
-    outside dom f*) carry verdict VACUOUS instead of a pass/fail on the
-    conjugate-dependent checks (their margins are NaN), except in the
-    subgradient case where ||z_k|| > G(1+eps) is a hard failure (the
-    construction provably keeps z_k in the G-ball).  Any other NaN margin
-    is a failure: that check could not be evaluated.
+    The margin is NaN where the check could not be evaluated, and also
+    where it was skipped (it does not apply there).
     """
 
-    method: str
-    problem_id: str
-    start_index: int
+    margin: np.ndarray
+    tol: np.ndarray
+    applicable: np.ndarray
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Where the check fails: it applies and its margin is not >= -tol (NaN fails)."""
+        return self.applicable & ~(self.margin >= -self.tol)
+
+
+@dataclass(frozen=True, eq=False)
+class CheckTable:
+    """Named checks over the records k = ks[0]..ks[-1] of one run, and the values they read.
+
+    ``checks`` maps each check name to its :class:`Check`, in report order.
+    ``values`` holds per-record quantities: ``f_xk``, ``lhs_k``, ``cert_k``
+    (the certificate value, -inf on a vacuous record), ``theorem_bound_k``
+    and the suboptimality ``gap`` (NaN where unknown).  ``reference`` is f
+    at the reference point and ``distance`` the distance from x0 to it,
+    None when unavailable.
+    """
+
     ks: np.ndarray
-    f_values: np.ndarray
-    lhs_values: np.ndarray
-    certificate_values: np.ndarray
     vacuous: np.ndarray
-    mu: np.ndarray
-    margins: dict[str, np.ndarray]
-    margin_tols: dict[str, np.ndarray]
-    relaxed_bounds: np.ndarray
-    residual_max: np.ndarray
-    verdicts: tuple[str, ...]
-    test_points: tuple[np.ndarray, ...]
+    checks: dict[str, Check]
+    values: dict[str, np.ndarray]
+    certificate: DualCertificate
+    reference: Optional[float] = None
+    distance: Optional[float] = None
+
+    @cached_property
+    def record_failed(self) -> np.ndarray:
+        """Per record, whether any check failed there."""
+        out = np.zeros(self.ks.size, dtype=bool)
+        for check in self.checks.values():
+            out |= check.failed
+        return out
+
+    @property
+    def verdicts(self) -> np.ndarray:
+        """FAIL where any check failed, else VACUOUS on a vacuous record, else PASS."""
+        return np.where(self.record_failed, "FAIL", np.where(self.vacuous, "VACUOUS", "PASS"))
 
     @property
     def all_pass(self) -> bool:
-        return "FAIL" not in self.verdicts
+        return not self.record_failed.any()
 
-    def check_failed(self, name: str) -> np.ndarray:
-        """Per record, whether chain check ``name`` failed (see :func:`_chain_check_failed`)."""
-        return _chain_check_failed(name, self.margins[name], self.margin_tols[name], self.vacuous)
+    def failures(self) -> list[tuple[int, str]]:
+        """(k, check name) of every failed check, k by k, in table order."""
+        failed = {name: check.failed for name, check in self.checks.items()}
+        return [(int(self.ks[i]), name)
+                for i in np.flatnonzero(self.record_failed).tolist()
+                for name in self.checks if failed[name][i]]
 
-    def failures(self) -> list[tuple[int, str, float, float]]:
-        """(k, check name, residual LHS-RHS, tolerance) for every violation.
-
-        A check that could not be evaluated has residual NaN.
-        """
-        out = []
-        failed = {name: self.check_failed(name) for name in CHAIN_CHECKS}
-        for i in np.flatnonzero(np.array(self.verdicts) == "FAIL"):
-            k = int(self.ks[i])
-            for name in CHAIN_CHECKS:
-                if failed[name][i]:
-                    m, t = float(self.margins[name][i]), float(self.margin_tols[name][i])
-                    out.append((k, name, -m, t))
-            if self.vacuous[i]:
-                out.append((k, "dual vector left dom(f*)", math.inf, 0.0))
-        return out
+    def residual(self, *names: str) -> np.ndarray:
+        """Per record, the largest LHS - RHS of the named checks (NaN where none has a margin)."""
+        return np.fmax.reduce([-self.checks[name].margin for name in names])
 
 
 def verify_chain(
     trace: MethodTrace,
     cert: DualCertificate,
     p: ProblemInstance,
+    lhs_values: np.ndarray,
     test_points: Sequence,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> BoundChain:
-    """Check the full inequality chain at every iteration k >= start_index.
+) -> CheckTable:
+    """The four links of the certificate chain and the G-ball check, k = start..K.
 
-    Every check is one expression over the records k = start..K.
+    ``lhs_values`` is LHS_k for k = 0..K (:func:`lhs_series`).  The links,
+    as margins RHS - LHS:
+
+      certificate   LHS_k <= certificate_k
+      quad_min      <z_k,x0> - ||z_k||^2/(2 mu_k) <= <z_k,x> + (mu_k/2)||x-x0||^2
+      fenchel       -f*(z_k) + <z_k,x> <= f(x)
+      end_to_end    LHS_k <= f(x) + (mu_k/2)||x-x0||^2
+
+    The point-dependent links keep, per k, the margin and tolerance of the
+    test point where margin + tolerance is smallest (the first such point
+    on ties).  On a vacuous record (z_k outside dom f*) the links that read
+    f*(z_k) do not apply and their margins are NaN; for the subgradient
+    method there ``g_ball`` fails if ||z_k|| > G(1+eps), since the
+    construction provably keeps z_k in the G-ball.
     """
     if cert.horizon != trace.horizon or cert.method != trace.method:
         raise ValueError("certificate does not match trace")
@@ -298,24 +322,19 @@ def verify_chain(
     if not pts:
         raise ValueError("need at least one test point")
     x0 = trace.x[0]
-    f_vals = row_values(p, trace.x)
-    lhs_vals = lhs_series(trace, p, f_vals)
-
     start = cert.start_index
     ks = np.arange(start, trace.horizon + 1)
-    Z, mu, lhs_k = cert.z[start:], cert.mu[start:], lhs_vals[start:]
+    Z, mu, lhs_k = cert.z[start:], cert.mu[start:], lhs_values[start:]
     fstar, zx0, half, cert_vals = _certificate_terms(p, Z, mu, x0)
     vac = np.isinf(fstar)
     tail = zx0 - half
 
     margins = {"certificate": cert_vals - lhs_k}
     tols = {"certificate": tol.bound(lhs_k, fstar, zx0, half)}
-    relaxed = np.empty((ks.size, len(pts)))
     for j, q in enumerate(pts):
         f_q = p.value(q)
         zq = row_dot(Z, q[None])
         quad = 0.5 * mu * float(np.sum((q - x0) ** 2))
-        relaxed[:, j] = -fstar + zq + quad
         at_q = {
             "quad_min": ((zq + quad) - tail, tol.bound(zq, quad, zx0, half)),
             "fenchel": (f_q - (-fstar + zq), tol.bound(f_q, fstar, zq)),
@@ -328,190 +347,106 @@ def verify_chain(
                 closer = m + t < margins[name] + tols[name]  # nearer to m < -t
                 margins[name] = np.where(closer, m, margins[name])
                 tols[name] = np.where(closer, t, tols[name])
-    for name in _CONJUGATE_CHECKS:
+    # the links that read f*(z_k) do not apply on a vacuous record
+    for name in ("certificate", "fenchel"):
         margins[name] = np.where(vac, math.nan, margins[name])
         tols[name] = np.where(vac, math.nan, tols[name])
-    relaxed[vac] = math.nan
-
-    failed = np.zeros(ks.size, dtype=bool)
-    for name in CHAIN_CHECKS:
-        failed |= _chain_check_failed(name, margins[name], tols[name], vac)
-    residual_max = np.fmax.reduce([-margins[name] for name in CHAIN_CHECKS])
+    every = np.ones(ks.size, dtype=bool)
+    applies = {"certificate": ~vac, "quad_min": every, "fenchel": ~vac, "end_to_end": every}
+    checks = {name: Check(margins[name], tols[name], applies[name]) for name in CHAIN_CHECKS}
 
     G = p.lipschitz_f
-    if method_spec(trace.method).g_ball and G is not None:
-        failed |= vac & (np.sqrt(row_dot(Z, Z)) > G * (1.0 + tol.eps_rel))
-    verdicts = np.where(failed, "FAIL", np.where(vac, "VACUOUS", "PASS"))
+    escape = np.full(ks.size, math.nan) if G is None else G * (1.0 + tol.eps_rel) - _row_norms(Z)
+    in_ball = method_spec(trace.method).g_ball and G is not None
+    checks["g_ball"] = Check(escape, np.zeros(ks.size), vac & in_ball)
 
-    return BoundChain(
-        method=trace.method,
-        problem_id=trace.problem_id,
-        start_index=start,
+    return CheckTable(
         ks=ks,
-        f_values=f_vals[start:],
-        lhs_values=lhs_k,
-        certificate_values=cert_vals,
         vacuous=vac,
-        mu=np.array(mu),
-        margins={name: margins[name] for name in CHAIN_CHECKS},
-        margin_tols={name: tols[name] for name in CHAIN_CHECKS},
-        relaxed_bounds=relaxed,
-        residual_max=residual_max,
-        verdicts=tuple(verdicts.tolist()),
-        test_points=pts,
+        checks=checks,
+        values={"lhs_k": lhs_k, "cert_k": cert_vals},
+        certificate=cert,
     )
-
-
-@dataclass(frozen=True)
-class InductionRecord:
-    """Residuals of the per-step inequality and the structural identities at k.
-
-    ``margin`` is RHS - LHS of
-
-        LHS_{k+1} - (1-theta_k) LHS_k
-            <= theta_k ( <g_k, x0 - y_k - z_k/mu_k> + f(y_k)
-                         - theta_k ||g_k||^2 / (2 (1-theta_k) mu_k) )
-
-    and must be >= -tolerance.  ``identity_residuals`` holds, per method:
-    the norm of x0 - y_k - z_k/mu_k (subgradient/gradient), or the momentum
-    identities (accelerated): 'extrapolation' for
-    y_k = (1-theta_k) x_k + theta_k (x0 - z_k/mu_k), 'step_balance' for
-    (1-theta_k)(y_k - x_k) = theta_k (x0 - y_k - z_k/mu_k), and
-    'theta_mu_ratio' for theta_k^2/((1-theta_k) mu_k) = 1/L.
-    """
-
-    k: int
-    margin: float
-    tolerance: float
-    identity_residuals: dict[str, float]
-    identity_tols: dict[str, float]
-    verdict: str
-
-
-@dataclass(frozen=True, eq=False)
-class InductionChecks:
-    """The induction checks of a range of steps k -> k+1, one array per quantity.
-
-    Entry i belongs to step ``ks[i]``; indexing and iteration give the
-    per-step :class:`InductionRecord` views.
-    """
-
-    ks: np.ndarray
-    margin: np.ndarray
-    tolerance: np.ndarray
-    identity_residuals: dict[str, np.ndarray]
-    identity_tols: dict[str, np.ndarray]
-    passed: np.ndarray
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(np.all(self.passed))
-
-    def __len__(self) -> int:
-        return int(self.ks.size)
-
-    def __getitem__(self, i: int) -> InductionRecord:
-        return InductionRecord(
-            k=int(self.ks[i]),
-            margin=float(self.margin[i]),
-            tolerance=float(self.tolerance[i]),
-            identity_residuals={n: float(r[i]) for n, r in self.identity_residuals.items()},
-            identity_tols={n: float(t[i]) for n, t in self.identity_tols.items()},
-            verdict="PASS" if self.passed[i] else "FAIL",
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(A, A))
 
 
-def _induction(
-    trace: MethodTrace,
-    cert: DualCertificate,
-    p: ProblemInstance,
-    tol: Tolerances,
-    lo: int,
-    hi: int,
-) -> InductionChecks:
-    """The induction checks of the steps k -> k+1 for k = lo..hi-1."""
-    spec = method_spec(trace.method)
-    f_x = row_values(p, trace.x)
-    lhs_vals = lhs_series(trace, p, f_x)
-    x0 = trace.x[0]
-    th = cert.theta[lo:hi]
-    Z = cert.z[lo:hi]
-    mu = cert.mu[lo:hi]
-    # f over the whole query sequence, then sliced: a single step reads the
-    # same bits as the run (value_batch rows may depend on the batch)
-    queries = getattr(trace, spec.query)
-    f_y = (f_x if queries is trace.x else row_values(p, queries))[lo + spec.offset : hi + spec.offset]
-    Y = queries[lo + spec.offset : hi + spec.offset]
-    g = trace.g[lo + spec.offset : hi + spec.offset]
-    z_mu = Z / mu[:, None]
-    W = x0 - Y - z_mu
-    gw = row_dot(g, W)
-
-    lhs_next = lhs_vals[lo + 1 : hi + 1]
-    lhs_prev = (1.0 - th) * lhs_vals[lo:hi]
-    curvature = th / (2.0 * (1.0 - th) * mu) * row_dot(g, g)
-    margin = th * (gw + f_y - curvature) - (lhs_next - lhs_prev)
-    tolerance = tol.bound(lhs_next, lhs_prev, th * gw, th * f_y, th * curvature)
-
-    residuals: dict[str, np.ndarray] = {}
-    id_tols: dict[str, np.ndarray] = {}
-    x0_norm = float(np.linalg.norm(x0))
-    z_norm = _row_norms(Z) / mu
-    if not spec.momentum:
-        residuals["query_point"] = _row_norms(W)
-        id_tols["query_point"] = tol.bound(x0_norm, _row_norms(Y), z_norm)
-    else:
-        X = trace.x[lo:hi]
-        a, b = (1.0 - th)[:, None], th[:, None]
-        residuals["extrapolation"] = _row_norms(Y - (a * X + b * (x0 - z_mu)))
-        id_tols["extrapolation"] = tol.bound(_row_norms(Y), _row_norms(X), x0_norm, z_norm)
-        residuals["step_balance"] = _row_norms(a * (Y - X) - b * W)
-        id_tols["step_balance"] = tol.bound(_row_norms(Y - X), x0_norm, _row_norms(Y), z_norm)
-        L = p.lipschitz_grad
-        residuals["theta_mu_ratio"] = np.abs(th * th / ((1.0 - th) * mu) - 1.0 / L)
-        id_tols["theta_mu_ratio"] = np.full(th.shape, tol.bound(1.0 / L))
-
-    passed = margin >= -tolerance
-    for name in residuals:
-        passed &= residuals[name] <= id_tols[name]
-    return InductionChecks(
-        ks=np.arange(lo, hi),
-        margin=margin,
-        tolerance=tolerance,
-        identity_residuals=residuals,
-        identity_tols=id_tols,
-        passed=passed,
-    )
-
-
-def verify_induction_step(
-    trace: MethodTrace,
-    cert: DualCertificate,
-    p: ProblemInstance,
-    k: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> InductionRecord:
-    """Check the step k -> k+1 of the certificate induction."""
-    if not cert.start_index <= k <= trace.horizon - 1:
-        raise ValueError(f"k={k} outside [{cert.start_index}, {trace.horizon - 1}]")
-    return _induction(trace, cert, p, tol, k, k + 1)[0]
-
-
 def verify_induction_all(
     trace: MethodTrace,
     cert: DualCertificate,
     p: ProblemInstance,
+    lhs_values: np.ndarray,
+    f_queries: np.ndarray,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> InductionChecks:
-    """Check every step k -> k+1, k = start..K-1."""
-    return _induction(trace, cert, p, tol, cert.start_index, trace.horizon)
+) -> dict[str, Check]:
+    """The induction step k -> k+1 and its identities over the records k = start..K.
+
+    ``lhs_values`` is LHS_k and ``f_queries`` is f at the method's query
+    points, both for k = 0..K.  The induction margin is RHS - LHS of
+
+        LHS_{k+1} - (1-theta_k) LHS_k
+            <= theta_k ( <g_k, x0 - y_k - z_k/mu_k> + f(y_k)
+                         - theta_k ||g_k||^2 / (2 (1-theta_k) mu_k) )
+
+    and each identity's margin is minus its residual: the norm of
+    x0 - y_k - z_k/mu_k (``query_point``, subgradient/gradient), or the
+    momentum identities (accelerated): ``extrapolation`` for
+    y_k = (1-theta_k) x_k + theta_k (x0 - z_k/mu_k), ``step_balance`` for
+    (1-theta_k)(y_k - x_k) = theta_k (x0 - y_k - z_k/mu_k), and
+    ``theta_mu_ratio`` for theta_k^2/((1-theta_k) mu_k) = 1/L.  No step
+    leaves k = K, so there the checks do not apply and their margins are NaN.
+    """
+    spec = method_spec(trace.method)
+    lo, hi = cert.start_index, trace.horizon
+    x0 = trace.x[0]
+    th = cert.theta[lo:hi]
+    Z = cert.z[lo:hi]
+    mu = cert.mu[lo:hi]
+    at_query = slice(lo + spec.offset, hi + spec.offset)
+    f_y = f_queries[at_query]
+    Y = getattr(trace, spec.query)[at_query]
+    g = trace.g[at_query]
+    z_mu = Z / mu[:, None]
+    W = x0 - Y - z_mu
+    gw = row_dot(g, W)
+
+    lhs_next = lhs_values[lo + 1 : hi + 1]
+    lhs_prev = (1.0 - th) * lhs_values[lo:hi]
+    curvature = th / (2.0 * (1.0 - th) * mu) * row_dot(g, g)
+    steps = {
+        "induction step": (
+            th * (gw + f_y - curvature) - (lhs_next - lhs_prev),
+            tol.bound(lhs_next, lhs_prev, th * gw, th * f_y, th * curvature),
+        )
+    }
+    x0_norm = float(np.linalg.norm(x0))
+    z_norm = _row_norms(Z) / mu
+    if not spec.momentum:
+        steps["query_point"] = (-_row_norms(W), tol.bound(x0_norm, _row_norms(Y), z_norm))
+    else:
+        X = trace.x[lo:hi]
+        a, b = (1.0 - th)[:, None], th[:, None]
+        steps["extrapolation"] = (
+            -_row_norms(Y - (a * X + b * (x0 - z_mu))),
+            tol.bound(_row_norms(Y), _row_norms(X), x0_norm, z_norm),
+        )
+        steps["step_balance"] = (
+            -_row_norms(a * (Y - X) - b * W),
+            tol.bound(_row_norms(Y - X), x0_norm, _row_norms(Y), z_norm),
+        )
+        L = p.lipschitz_grad
+        steps["theta_mu_ratio"] = (
+            -np.abs(th * th / ((1.0 - th) * mu) - 1.0 / L),
+            np.full(th.shape, tol.bound(1.0 / L)),
+        )
+
+    applicable = np.arange(lo, hi + 1) < hi
+    return {
+        name: Check(np.append(m, math.nan), np.append(t, math.nan), applicable)
+        for name, (m, t) in steps.items()
+    }
 
 
 def mu_closed_form_residuals(
@@ -568,21 +503,6 @@ def theorem_bound(
     return float(spec.bound(p, dist, np.asarray(k), schedule))
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationResult:
-    """Everything ``verify_run`` computed for one trace."""
-
-    certificate: DualCertificate
-    chain: BoundChain
-    inductions: InductionChecks
-    mu_residuals: np.ndarray
-    test_points: tuple[np.ndarray, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return self.chain.all_pass and self.inductions.all_pass
-
-
 def default_test_points(p: ProblemInstance, x0) -> list[np.ndarray]:
     """Reference point (when available) plus the start point itself."""
     x0 = as_point(x0, p.dim, "x0")
@@ -593,21 +513,65 @@ def default_test_points(p: ProblemInstance, x0) -> list[np.ndarray]:
     return pts
 
 
+def verify_certificate(
+    trace: MethodTrace,
+    cert: DualCertificate,
+    p: ProblemInstance,
+    test_points: Optional[Sequence] = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> CheckTable:
+    """Every check on ``trace`` and its certificate ``cert``, one table over k = start..K.
+
+    f is evaluated over the iterates once (and once over the query points
+    when they are not the iterates); every check reads those values.
+    """
+    spec = method_spec(trace.method)
+    x0 = trace.x[0]
+    pts = default_test_points(p, x0) if test_points is None else test_points
+    f_x = row_values(p, trace.x)
+    lhs_vals = lhs_series(trace, p, f_x)
+    chain = verify_chain(trace, cert, p, lhs_vals, pts, tol)
+    f_queries = f_x if spec.query == "x" else row_values(p, getattr(trace, spec.query))
+    steps = verify_induction_all(trace, cert, p, lhs_vals, f_queries, tol)
+    mu_residuals = mu_closed_form_residuals(trace, cert, p)
+
+    start, ks = cert.start_index, chain.ks
+    n = ks.size
+    f_k = f_x[start:]
+    reference, distance = reference_value(p, x0), p.distance_to_solution(x0)
+    bound = np.full(n, math.nan) if distance is None else spec.bound(p, distance, ks, trace.t)
+    gap = np.full(n, math.nan)
+    if reference is not None:
+        gap = (np.minimum.accumulate(f_x)[start:] if spec.running_min_gap else f_k) - reference
+    checks = {
+        "suboptimality bound": Check(
+            bound - gap, tol.bound(gap, bound),
+            np.full(n, reference is not None and distance is not None),
+        ),
+        "monotone descent": Check(  # margin f(x_{k-1}) - f(x_k)
+            -np.diff(f_x, prepend=math.nan)[start:], np.full(n, tol.eps_abs),
+            spec.monotone & (ks >= 1),
+        ),
+        **chain.checks,
+        **steps,
+        "mu closed form": Check(
+            -mu_residuals[start:], np.full(n, tol.eps_rel), np.ones(n, dtype=bool)
+        ),
+    }
+    return replace(
+        chain,
+        checks=checks,
+        values={"f_xk": f_k, **chain.values, "theorem_bound_k": bound, "gap": gap},
+        reference=reference,
+        distance=distance,
+    )
+
+
 def verify_run(
     trace: MethodTrace,
     p: ProblemInstance,
     test_points: Optional[Sequence] = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> VerificationResult:
+) -> CheckTable:
     """Build the certificate for a trace and run every check on it."""
-    cert = build_certificate(trace, p)
-    pts = default_test_points(p, trace.x[0]) if test_points is None else list(test_points)
-    chain = verify_chain(trace, cert, p, pts, tol)
-    inductions = verify_induction_all(trace, cert, p, tol)
-    return VerificationResult(
-        certificate=cert,
-        chain=chain,
-        inductions=inductions,
-        mu_residuals=mu_closed_form_residuals(trace, cert, p),
-        test_points=chain.test_points,
-    )
+    return verify_certificate(trace, build_certificate(trace, p), p, test_points, tol)

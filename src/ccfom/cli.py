@@ -7,7 +7,8 @@ Subcommands
     conjecture  proximal probe of the conjectured composite certificate
 
 Exit codes are the machine contract: 0 all checks pass, 2 verification
-failure, 3 config/schema error, 4 oracle failure.
+failure, 3 config/schema error (a trace over the budget included), 4 oracle
+failure.
 
 Problem identifiers (``family:key=val:...``):
     quad:diag=1,10[:b=0.5,0]   diagonal quadratic (entries of A, optional b)
@@ -29,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import lhs_series, verify_run
+from .certificates import Check, lhs_series, verify_run
 from .config import ExperimentConfig, RunSpec, resolve_schedule, resolve_x0
 from .errors import ConfigError, OracleError
-from .methods import MethodTrace, method_spec
+from .methods import MethodTrace, check_trace_budget, method_spec
 from .problems import ProblemInstance, from_id
 from .proxprobe import (
     CompositeProblem,
@@ -86,8 +87,7 @@ def execute_cell(spec: RunSpec, tol: Tolerances) -> CellOutcome:
     schedule_name = spec.schedule_spec or method.default_schedule
     schedule = resolve_schedule(schedule_name, spec.method, spec.iterations, p.lipschitz_grad)
     trace = method.run(p, x0, schedule, spec.iterations)
-    ver = verify_run(trace, p, tol=tol)
-    rows = build_rows(trace, p, ver, tol)
+    rows = build_rows(trace, p, verify_run(trace, p, tol=tol))
     meta = {
         "problem": spec.problem_id,
         "method": spec.method,
@@ -120,7 +120,7 @@ def _out_path(out_dir: Optional[str], rel: str) -> Path:
 def _series_for(outcome: CellOutcome, label: str) -> list[Series]:
     out = []
     rows = outcome.rows
-    ks = np.arange(outcome.trace.horizon + 1)
+    ks = rows.rows.columns["k"]
     if rows.gap_series is not None:
         out.append(Series(label=label, ks=ks, values=rows.gap_series))
         if rows.bound_series is not None:
@@ -220,22 +220,23 @@ def cmd_verify(args) -> int:
     }
     stored_verdicts = np.array([r["verdict"] for r in rows[:n]])
     verdict_mismatch = same_k & (stored_verdicts != recomputed["verdict"][:n])
-    # chain check (a) on the stored numbers themselves
-    checked = np.flatnonzero(same_k & (np.array([r["vacuous_flag"] for r in rows[:n]]) != "1"))
-    lhs_k = lhs_from_stored[ks[checked]]
-    resid = lhs_k - stored["cert_k"][checked]
-    t = tol.bound(lhs_k, stored["cert_k"][checked])
-    cert_fail = resid > t
+    # the certificate link on the stored numbers themselves, row i holding k = start + i
+    lhs_k = lhs_from_stored[start : start + n]
+    cert_k = stored["cert_k"][:n]
+    stored_vacuous = np.array([r["vacuous_flag"] for r in rows[:n]]) == "1"
+    residual = lhs_k - cert_k
+    link = Check(-residual, tol.bound(lhs_k, cert_k), same_k & ~stored_vacuous)
+    cert_fail = link.failed
+    checked = np.flatnonzero(link.applicable)
+    resid, t = fmt_column(residual[checked]), fmt_column(link.tol[checked])
     lines = [
         f"k={k}: stored chain certificate: residual={r} tol={b} {'FAIL' if bad else 'pass'}"
-        for k, r, b, bad in zip(ks[checked].tolist(), fmt_column(resid), fmt_column(t),
-                                cert_fail.tolist())
+        for k, r, b, bad in zip(ks[checked].tolist(), resid, t, cert_fail[checked].tolist())
     ]
-
     cert_failures = {
-        int(checked[j]): f"k={ks[checked[j]]}: chain certificate on stored values: "
-                         f"residual {fmt(resid[j])} exceeds tol {fmt(t[j])}"
-        for j in np.flatnonzero(cert_fail).tolist()
+        int(i): f"k={ks[i]}: chain certificate on stored values: "
+                f"residual {r} exceeds tol {b}"
+        for i, r, b, bad in zip(checked.tolist(), resid, t, cert_fail[checked].tolist()) if bad
     }
 
     # failure messages in row order, for the rows that have any
@@ -339,8 +340,7 @@ def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) ->
     n = ks.size
     margins = result.margins
     verdicts = np.where(
-        result.vacuous, "VACUOUS",
-        np.where(margins < -result.tolerances, "CONJ-VIOLATION", "CONJ-OK"),
+        result.vacuous, "VACUOUS", np.where(result.violated, "CONJ-VIOLATION", "CONJ-OK")
     )
     columns = {} if instance is None else {"instance": np.full(n, instance)}
     columns.update({
@@ -362,6 +362,13 @@ def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) ->
     return Table(columns)
 
 
+def _within_trace_budget(K: int, dim: int):
+    try:
+        check_trace_budget(K, dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_conjecture(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     tol = _tolerances(args, cfg.eps_rel, cfg.eps_abs)
@@ -377,6 +384,7 @@ def cmd_conjecture(args) -> int:
             raise ConfigError(f"unknown suite {cfg.suite!r}")
         instances = cfg.instances or 100
         dim = cfg.dim or 5
+        _within_trace_budget(K, dim)
         summary, probes = lasso_suite(instances, dim, K, cfg.seed, tol)
         columns = ["instance"] + CONJECTURE_COLUMNS
         rows = Table.concat(
@@ -406,11 +414,12 @@ def cmd_conjecture(args) -> int:
             cp = CompositeProblem(phi=phi, psi=psi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        _within_trace_budget(K, cp.dim)
         x0 = resolve_x0(cfg.x0_spec, cp.dim)
         trace, cert, result = probe_instance(cp, x0, K, tol)
         rows = _conjecture_rows(cp, trace, cert, result)
-        for k, m, t, vac in zip(result.ks, result.margins, result.tolerances, result.vacuous):
-            state = "VACUOUS" if vac else ("VIOLATION" if m < -t else "ok")
+        states = np.where(result.vacuous, "VACUOUS", np.where(result.violated, "VIOLATION", "ok"))
+        for k, m, t, state in zip(result.ks, result.margins, result.tolerances, states.tolist()):
             lines.append(f"k={k}: margin={fmt(m)} tol={fmt(t)} {state}")
         lines.append(
             f"CONJECTURE probe: 1 instance, {result.iterations_checked} iterations checked, "

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .methods import StepSchedule, method_spec
+from .methods import StepSchedule, check_trace_budget, method_spec
 from .problems import ProblemInstance, as_point, from_id
 
 __all__ = ["ExperimentConfig", "RunSpec", "parse_config_text", "resolve_x0", "resolve_schedule"]
@@ -146,6 +146,7 @@ class RunSpec:
         p = from_id(self.problem_id)
         try:
             spec.require(p, self.iterations)
+            check_trace_budget(self.iterations, p.dim)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return p

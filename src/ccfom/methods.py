@@ -29,6 +29,7 @@ from .problems import ProblemInstance, as_point, row_values
 __all__ = [
     "MethodSpec",
     "method_spec",
+    "check_trace_budget",
     "StepSchedule",
     "MethodTrace",
     "theta_next",
@@ -166,7 +167,8 @@ class MethodTrace:
         return self.x.shape[1]
 
 
-def _check_budget(K: int, dim: int):
+def check_trace_budget(K: int, dim: int):
+    """ValueError if a run of horizon K in ``dim`` dimensions would store too many scalars."""
     if (K + 1) * dim > MAX_TRACE_SCALARS:
         raise ValueError(
             f"trace of {(K + 1) * dim} scalars exceeds the {MAX_TRACE_SCALARS:.0e} budget"
@@ -214,7 +216,7 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, step: Callabl
 
 def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method: str) -> MethodTrace:
     x0 = as_point(x0, p.dim, "x0")
-    _check_budget(K, p.dim)
+    check_trace_budget(K, p.dim)
     t = schedule.resolve(K, p.lipschitz_grad)
     steps = t.tolist()
     x = np.empty((K + 1, p.dim))
@@ -238,7 +240,7 @@ def _run_momentum(
 ) -> MethodTrace:
     """The momentum loop; ``prox(v, t)``, when given, maps each gradient step."""
     x0 = as_point(x0, p.dim, "x0")
-    _check_budget(K, p.dim)
+    check_trace_budget(K, p.dim)
     t = np.full(K + 1, 1.0 / p.lipschitz_grad)
     steps = t.tolist()
     x = np.empty((K + 1, p.dim))

@@ -25,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .certificates import DualCertificate, build_certificate, _conjugates, _quad_min_terms
-from .methods import MethodTrace, _run_momentum
+from .certificates import Check, DualCertificate, build_certificate, _conjugates, _quad_min_terms
+from .methods import MethodTrace, _run_momentum, method_spec
 from .problems import ProblemInstance, as_point, make_quadratic
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -182,8 +182,7 @@ class CompositeProblem:
     psi: Regularizer
 
     def __post_init__(self):
-        if self.phi.lipschitz_grad is None or not self.phi.is_differentiable:
-            raise ValueError("the smooth part must be differentiable with L present")
+        method_spec("prox_accelerated").require(self.phi, 1)
         if self.psi.dim not in (None, self.phi.dim):
             raise ValueError(
                 f"psi {self.psi.label} has dimension {self.psi.dim}, "
@@ -233,7 +232,8 @@ class ProbeResult:
     """Margins of the conjectured bound along one run.
 
     margin_k = conjectured certificate_k - f(x_k); the conjecture predicts
-    margin_k >= 0, so entries below -tolerance are counted as violations.
+    margin_k >= 0.  ``violated`` marks the non-vacuous records where that
+    check fails (margin below -tolerance, or NaN); they are the violations.
     """
 
     composite_label: str
@@ -244,6 +244,7 @@ class ProbeResult:
     margins: np.ndarray
     tolerances: np.ndarray
     vacuous: np.ndarray
+    violated: np.ndarray
     violations: tuple[tuple[int, float, float], ...]
 
     @property
@@ -265,9 +266,9 @@ def probe_instance(
     vac = np.isneginf(conied)
     margins = conied - f_vals
     tols = tol.bound(f_vals, conied)
+    violated = Check(margins, tols, ~vac).failed
     violations = tuple(
-        (int(ks[i]), float(margins[i]), float(tols[i]))
-        for i in np.flatnonzero(~vac & (margins < -tols))
+        (int(ks[i]), float(margins[i]), float(tols[i])) for i in np.flatnonzero(violated)
     )
     result = ProbeResult(
         composite_label=cp.label,
@@ -278,6 +279,7 @@ def probe_instance(
         margins=margins,
         tolerances=tols,
         vacuous=vac,
+        violated=violated,
         violations=violations,
     )
     return trace, cert, result

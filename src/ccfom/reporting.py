@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import VerificationResult, reference_value
+from .certificates import CHAIN_CHECKS, CheckTable
 from .errors import ConfigError
 from .methods import MethodTrace, method_spec
 from .problems import ProblemInstance
@@ -121,9 +121,10 @@ class Table(Sequence):
 class RunRows:
     """Assembled per-k CSV rows plus the report lines that accompany them.
 
+    ``gap_series`` and ``bound_series`` run over the records k = start..K
+    (None when the reference value, resp. the distance, is unavailable).
     The report text is formatted the first time ``report_lines`` is read,
-    from check arrays that :func:`build_rows` computed once; a caller that
-    writes no report formats none.
+    from the check table; a caller that writes no report formats none.
     """
 
     rows: Table
@@ -137,10 +138,6 @@ class RunRows:
         return self._format_report()
 
 
-def _state(fail: np.ndarray) -> list[str]:
-    return np.where(fail, "FAIL", "pass").tolist()
-
-
 def _sparse_lines(n: int, flags: np.ndarray, lines: list[str]) -> list[str]:
     """A column of report lines: ``lines`` at the flagged records, "" elsewhere."""
     out = [""] * n
@@ -149,129 +146,95 @@ def _sparse_lines(n: int, flags: np.ndarray, lines: list[str]) -> list[str]:
     return out
 
 
+# The checks printed only where they fail, with the quantity their residual is.
+_FAIL_LINES = {
+    "suboptimality bound": "gap - bound",
+    "monotone descent": "f(x_k) - f(x_k-1)",
+    "g_ball": "||z_k|| - G(1+eps)",
+}
+
+
+def _title(name: str) -> str:
+    """The title of a check's line on every record it covers."""
+    if name in CHAIN_CHECKS:
+        return f"chain {name}"
+    if name in ("induction step", "mu closed form"):
+        return name
+    return f"identity {name}"
+
+
 def build_rows(
     trace: MethodTrace,
     p: ProblemInstance,
-    ver: VerificationResult,
-    tol: Tolerances,
+    ver: CheckTable,
+    tol: Optional[Tolerances] = None,
 ) -> RunRows:
-    """Turn a verified run into CSV rows and itemized report lines.
+    """Lay out a verified run as CSV rows and itemized report lines.
 
-    Adds the closed-form suboptimality-bound check (skipped, never faked,
-    when the reference distance is unavailable) and, for methods whose
-    descent is monotone, the monotone-descent check.  Every check and
-    every column is computed for all k at once; the report lists, per k,
-    the failed bound/descent checks, the four chain links, the vacuous
-    flag, the induction step with its identities (k < K) and mu's closed
-    form.  Its text is formatted when ``report_lines`` is first read.
+    Every column, verdict and report state is read from the check table
+    ``ver``; ``tol`` is not read (the table holds every tolerance) and is
+    accepted so that four-argument calls keep working.  The report lists,
+    per k, each check in table order: the bound, descent and G-ball checks
+    only where they fail, the chain links on every record (a link that does
+    not apply is "skipped (vacuous)"), and the other checks wherever they
+    apply; a vacuous record's note comes before its G-ball line.  The text
+    is formatted when ``report_lines`` is first read.
     """
-    spec = method_spec(trace.method)
-    chain = ver.chain
-    ind = ver.inductions
-    x0 = trace.x[0]
-    K = trace.horizon
-    start = ver.certificate.start_index
-    ks = chain.ks
+    cert = ver.certificate
+    start = cert.start_index
+    ks = ver.ks
     n = ks.size
-    f_ref = reference_value(p, x0)
-    dist = p.distance_to_solution(x0)
-
-    bounds = np.full(K + 1, math.nan)
-    if dist is not None:
-        spec.require(p, K)
-        bounds[start:] = spec.bound(p, dist, ks, trace.t)
-    bound_k = bounds[start:]
-
-    f_all = np.empty(K + 1)
-    f_all[start:] = chain.f_values
-    if start > 0:
-        f_all[0] = p.value(trace.x[0])
-    gaps = None
-    if f_ref is not None:
-        gaps = (np.minimum.accumulate(f_all) if spec.running_min_gap else f_all) - f_ref
-
-    # the induction records cover k = start..K-1, the first len(ind) rows
-    m = len(ind)
-    residual_induction = np.full(n, math.nan)
-    residual_induction[:m] = -ind.margin
-    failed = np.array(chain.verdicts) == "FAIL"
-    failed[:m] |= ~ind.passed
-
-    bound_fail = np.zeros(n, dtype=bool)
-    if gaps is not None:
-        excess = gaps[start:] - bound_k
-        btol = tol.bound(gaps[start:], bound_k)
-        bound_fail = ~np.isnan(bound_k) & (excess > btol)
-    descent = np.full(n, math.nan)
-    descent[ks >= 1] = f_all[ks[ks >= 1]] - f_all[ks[ks >= 1] - 1]
-    descent_fail = spec.monotone & (descent > tol.eps_abs)
-    mu_res = ver.mu_residuals[start:]
-    mu_fail = mu_res > tol.eps_rel
-    failed |= bound_fail | descent_fail | mu_fail
-    verdicts = np.where(failed, "FAIL", np.array(chain.verdicts))
-
-    theta = trace.theta if spec.momentum else ver.certificate.theta
+    theta = trace.theta if method_spec(trace.method).momentum else cert.theta
     rows = Table({
         "k": ks,
-        "f_xk": f_all[start:],
-        "lhs_k": chain.lhs_values,
-        "cert_k": chain.certificate_values,
-        "vacuous_flag": chain.vacuous.astype(np.int64),
-        "mu_k": chain.mu,
+        "f_xk": ver.values["f_xk"],
+        "lhs_k": ver.values["lhs_k"],
+        "cert_k": ver.values["cert_k"],
+        "vacuous_flag": ver.vacuous.astype(np.int64),
+        "mu_k": cert.mu[start:],
         "theta_k": theta[start:],
-        "theorem_bound_k": bound_k,
-        "residual_chain_max": chain.residual_max,
-        "residual_induction": residual_induction,
-        "verdict": verdicts,
+        "theorem_bound_k": ver.values["theorem_bound_k"],
+        "residual_chain_max": ver.residual(*CHAIN_CHECKS),
+        "residual_induction": ver.residual("induction step"),
+        "verdict": ver.verdicts,
     })
 
     def format_report() -> list[str]:
         pre = [f"k={k}: " for k in ks.tolist()]
         columns = []
-        if gaps is not None:
-            i = np.flatnonzero(bound_fail)
-            columns.append(_sparse_lines(n, bound_fail, [
-                f"{pre[j]}FAIL suboptimality bound: gap - bound = {e} > tol {t}"
-                for j, e, t in zip(i.tolist(), fmt_column(excess[i]), fmt_column(btol[i]))
-            ]))
-        i = np.flatnonzero(descent_fail)
-        columns.append(_sparse_lines(n, descent_fail, [
-            f"{pre[j]}FAIL monotone descent: f(x_k) - f(x_k-1) = {d} > tol {fmt(tol.eps_abs)}"
-            for j, d in zip(i.tolist(), fmt_column(descent[i]))
-        ]))
-        for name in ("certificate", "quad_min", "fenchel", "end_to_end"):
-            mg, t = chain.margins[name], chain.margin_tols[name]
-            states = np.where(chain.check_failed(name), "FAIL",
-                              np.where(np.isnan(mg), "skipped (vacuous)", "pass"))
-            columns.append([
-                f"{a}chain {name}: residual={r} tol={b} {c}"
-                for a, r, b, c in zip(pre, fmt_column(-mg), fmt_column(t), states.tolist())
-            ])
-        columns.append(_sparse_lines(n, chain.vacuous, [
-            f"{pre[j]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
-            for j in np.flatnonzero(chain.vacuous).tolist()
-        ]))
-        pad = [""] * (n - m)
-        columns.append([
-            f"{a}induction step: residual={r} tol={b} {c}"
-            for a, r, b, c in zip(pre, fmt_column(-ind.margin), fmt_column(ind.tolerance),
-                                  _state(ind.margin < -ind.tolerance))
-        ] + pad)
-        for name, r in ind.identity_residuals.items():
-            it = ind.identity_tols[name]
-            columns.append([
-                f"{a}identity {name}: residual={x} tol={b} {c}"
-                for a, x, b, c in zip(pre, fmt_column(r), fmt_column(it), _state(r > it))
-            ] + pad)
-        eps = fmt(tol.eps_rel)
-        columns.append([
-            f"{a}mu closed form: residual={r} tol={eps} {c}"
-            for a, r, c in zip(pre, fmt_column(mu_res), _state(mu_fail))
-        ])
+        for name, check in ver.checks.items():
+            if name == "g_ball":  # the vacuous-record note, between the links and g_ball
+                columns.append(_sparse_lines(n, ver.vacuous, [
+                    f"{pre[j]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
+                    for j in np.flatnonzero(ver.vacuous).tolist()
+                ]))
+            failed = check.failed
+            if name in _FAIL_LINES:
+                i = np.flatnonzero(failed)
+                columns.append(_sparse_lines(n, failed, [
+                    f"{pre[j]}FAIL {name}: {_FAIL_LINES[name]} = {r} > tol {t}"
+                    for j, r, t in zip(i.tolist(), fmt_column(-check.margin[i]),
+                                       fmt_column(check.tol[i]))
+                ]))
+                continue
+            title = _title(name)
+            states = np.where(failed, "FAIL",
+                              np.where(check.applicable, "pass", "skipped (vacuous)"))
+            column = [
+                f"{a}{title}: residual={r} tol={t} {c}"
+                for a, r, t, c in zip(pre, fmt_column(-check.margin), fmt_column(check.tol),
+                                      states.tolist())
+            ]
+            if name not in CHAIN_CHECKS:  # listed only where they apply
+                for j in np.flatnonzero(~check.applicable).tolist():
+                    column[j] = ""
+            columns.append(column)
 
         lines = [f"reference point: {p.solution_provenance}"]
-        if f_ref is not None:
-            lines.append(f"reference value: {fmt(f_ref)}  distance from x0: {fmt(dist)}")
+        if ver.reference is not None:
+            lines.append(
+                f"reference value: {fmt(ver.reference)}  distance from x0: {fmt(ver.distance)}"
+            )
         else:
             lines.append("reference value unavailable; closed-form bound checks skipped")
         lines += [line for group in zip(*columns) for line in group if line]
@@ -279,9 +242,9 @@ def build_rows(
 
     return RunRows(
         rows=rows,
-        has_failure=bool(failed.any()),
-        gap_series=gaps,
-        bound_series=bounds if dist is not None else None,
+        has_failure=not ver.all_pass,
+        gap_series=ver.values["gap"] if ver.reference is not None else None,
+        bound_series=ver.values["theorem_bound_k"] if ver.distance is not None else None,
         _format_report=format_report,
     )
 

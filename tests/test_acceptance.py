@@ -12,6 +12,7 @@ import pytest
 
 import ccfom
 from ccfom.certificates import (
+    CHAIN_CHECKS,
     build_certificate,
     mu_closed_form_residuals,
     reference_value,
@@ -147,17 +148,19 @@ def test_criterion_4_certificate_chain_matrix():
         p = ccfom.from_id(pid)
         tr = run_by_method(p, method, x0, K)
         ver = verify_run(tr, p)
-        assert ver.chain.all_pass, (pid, method, ver.chain.failures()[:3])
-        live = ~ver.chain.vacuous
-        for name, margins in ver.chain.margins.items():
+        assert ver.all_pass, (pid, method, ver.failures()[:3])
+        live = ~ver.vacuous
+        for name in CHAIN_CHECKS:
+            margins = ver.checks[name].margin
             assert np.all(np.isfinite(margins[live])), (pid, method, name, "margin never checked")
-        assert all(r.verdict == "PASS" for r in ver.inductions), (pid, method)
-        assert float(np.nanmax(ver.mu_residuals)) <= EPS_REL, (pid, method)
+        steps = ver.checks["induction step"].applicable
+        assert not ver.checks["induction step"].failed.any(), (pid, method)
+        assert float(np.nanmax(ver.residual("mu closed form"))) <= EPS_REL, (pid, method)
         if method == "subgradient":
-            assert not np.any(ver.chain.vacuous), (pid, "vacuous record in subgradient run")
+            assert not np.any(ver.vacuous), (pid, "vacuous record in subgradient run")
             norms = np.linalg.norm(ver.certificate.z, axis=1)
             assert np.all(norms <= p.lipschitz_f * (1 + EPS_REL))
-        checked += len(ver.chain.ks) + len(ver.inductions)
+        checked += len(ver.ks) + int(steps.sum())
     announce(4, True, f"certificate chain, induction step, and identities hold "
                       f"({len(ACCEPTANCE_MATRIX)} cells, {checked} records)")
 

@@ -9,7 +9,6 @@ import ccfom
 from ccfom import methods
 from ccfom.certificates import (
     CHAIN_CHECKS,
-    VerificationResult,
     build_certificate,
     certificate_value,
     certificate_value_raw,
@@ -18,9 +17,8 @@ from ccfom.certificates import (
     lhs_series,
     mu_closed_form_residuals,
     theorem_bound,
+    verify_certificate,
     verify_chain,
-    verify_induction_all,
-    verify_induction_step,
     verify_run,
 )
 from ccfom.methods import StepSchedule, method_spec
@@ -186,19 +184,24 @@ class TestLhs:
             lhs(tr, scalar_quad, 0)
 
 
+def chain_of(trace, cert, p, test_points):
+    """The chain checks alone (the step identities would see a moved z_k too)."""
+    return verify_chain(trace, cert, p, lhs_series(trace, p), test_points)
+
+
 class TestVerifyChain:
     def test_equality_instance_passes_tightly(self, abs_value):
         p, tr = abs_value, ccfom.run_subgradient(abs_value, [1.0], StepSchedule.horizon_sqrt(0), 0)
         cert = build_certificate(tr, p)
-        chain = verify_chain(tr, cert, p, [np.zeros(1), np.ones(1)])
-        assert chain.verdicts == ("PASS",)
-        assert abs(chain.margins["certificate"][0]) <= 1e-15
+        chain = chain_of(tr, cert, p, [np.zeros(1), np.ones(1)])
+        assert chain.verdicts.tolist() == ["PASS"]
+        assert abs(chain.checks["certificate"].margin[0]) <= 1e-15
 
     def test_gradient_chain_all_pass(self, scalar_quad):
         tr = ccfom.run_gradient(scalar_quad, [2.0], 100)
         ver = verify_run(tr, scalar_quad)
-        assert ver.chain.all_pass
-        assert float(np.nanmax(ver.chain.residual_max)) <= 1e-12
+        assert ver.all_pass
+        assert float(np.nanmax(ver.residual(*CHAIN_CHECKS))) <= 1e-12
 
     def test_monotone_chain_at_minimizer(self):
         # LHS_k <= cert_k <= fbar + (mu_k/2) dist^2 when the minimizer is a test point
@@ -207,12 +210,13 @@ class TestVerifyChain:
         tr = ccfom.run_accelerated(p, x0, 120)
         cert = build_certificate(tr, p)
         xbar = p.project_to_solution(x0)
-        chain = verify_chain(tr, cert, p, [xbar])
+        chain = chain_of(tr, cert, p, [xbar])
         dist2 = float(np.sum((x0 - xbar) ** 2))
+        lhs_k, cert_k = chain.values["lhs_k"], chain.values["cert_k"]
         for i, k in enumerate(chain.ks):
-            cap = p.optimal_value + 0.5 * chain.mu[i] * dist2
-            assert chain.lhs_values[i] <= chain.certificate_values[i] + 1e-9
-            assert chain.certificate_values[i] <= cap + 1e-9 * (1 + abs(cap))
+            cap = p.optimal_value + 0.5 * cert.mu[k] * dist2
+            assert lhs_k[i] <= cert_k[i] + 1e-9
+            assert cert_k[i] <= cap + 1e-9 * (1 + abs(cap))
 
     def test_vacuous_record_is_flagged_not_failed(self):
         p = ccfom.from_id("lse:dim=2")
@@ -224,10 +228,10 @@ class TestVerifyChain:
             method=cert.method, start_index=1, z=bad_z,
             mu=np.array(cert.mu), theta=np.array(cert.theta),
         )
-        chain = verify_chain(tr, hacked, p, [np.zeros(2)])
+        chain = chain_of(tr, hacked, p, [np.zeros(2)])
         assert chain.verdicts[1] == "VACUOUS"
         assert chain.vacuous[1]
-        assert not math.isfinite(chain.certificate_values[1])
+        assert not math.isfinite(chain.values["cert_k"][1])
 
     def test_subgradient_escape_is_hard_failure(self, abs_value):
         p, tr = abs_value, ccfom.run_subgradient(abs_value, [1.0], StepSchedule.horizon_sqrt(2), 2)
@@ -238,10 +242,10 @@ class TestVerifyChain:
             method="subgradient", start_index=0, z=bad_z,
             mu=np.array(cert.mu), theta=np.array(cert.theta),
         )
-        chain = verify_chain(tr, hacked, p, [np.zeros(1)])
+        chain = chain_of(tr, hacked, p, [np.zeros(1)])
         assert chain.verdicts[1] == "FAIL"
         assert not chain.all_pass
-        assert any("dom(f*)" in name for _, name, _, _ in chain.failures())
+        assert chain.failures() == [(1, "g_ball")]
 
     def test_failing_test_point_is_not_hidden_by_a_looser_one(self, abs_value):
         # |x| from x0 = 5 stays on the ray x > 0, so z_k = 1 and Fenchel-Young is
@@ -252,9 +256,9 @@ class TestVerifyChain:
         far, near = np.array([100.0]), np.array([1.0])
         low = {100.0: 1e-7, 1.0: 6e-9}  # -0.5 x tol(far) passes, -2 x tol(near) fails
         faulty = dataclasses.replace(abs_value, value=lambda x: abs(float(x[0])) - low.get(float(x[0]), 0.0))
-        chain = verify_chain(tr, cert, faulty, [far, near])
-        assert chain.verdicts == ("FAIL",) * 11
-        assert np.allclose(chain.margins["fenchel"], -6e-9, rtol=1e-6, atol=0)
+        chain = chain_of(tr, cert, faulty, [far, near])
+        assert chain.verdicts.tolist() == ["FAIL"] * 11
+        assert np.allclose(chain.checks["fenchel"].margin, -6e-9, rtol=1e-6, atol=0)
 
     def test_nan_margin_fails_a_record_that_is_not_vacuous(self):
         p = ccfom.from_id("quad:diag=1,100")
@@ -266,13 +270,12 @@ class TestVerifyChain:
             out[3] = math.nan  # k = 4: f* could not be evaluated
             return out
 
-        chain = verify_chain(tr, cert, dataclasses.replace(p, conjugate_batch=conjugate_batch),
-                             [np.zeros(2)])
+        chain = chain_of(tr, cert, dataclasses.replace(p, conjugate_batch=conjugate_batch),
+                         [np.zeros(2)])
         assert not chain.vacuous[3]
         assert chain.verdicts[3] == "FAIL"
-        assert chain.verdicts[:3] + chain.verdicts[4:] == ("PASS",) * 9
-        named = {(k, name) for k, name, _, _ in chain.failures()}
-        assert named == {(4, "certificate"), (4, "fenchel")}
+        assert np.delete(chain.verdicts, 3).tolist() == ["PASS"] * 9
+        assert chain.failures() == [(4, "certificate"), (4, "fenchel")]
 
     def test_overflowing_chain_is_not_passed(self):
         # a batch oracle that calls f finite where ||z_k||^2 overflows: the run
@@ -283,8 +286,8 @@ class TestVerifyChain:
         with np.errstate(over="ignore", invalid="ignore"):
             ver = verify_run(tr, finite)
             lines = build_rows(tr, finite, ver, TOL).report_lines
-        assert not ver.chain.all_pass
-        assert ver.chain.verdicts[0] == "FAIL"
+        assert not ver.all_pass
+        assert ver.verdicts[0] == "FAIL"
         assert any(line.startswith("k=1: chain quad_min:") and line.endswith(" FAIL") for line in lines)
 
     def test_detects_corrupted_certificate(self, scalar_quad):
@@ -296,8 +299,11 @@ class TestVerifyChain:
             method="gradient", start_index=1, z=np.array(cert.z),
             mu=bad_mu, theta=np.array(cert.theta),
         )
-        chain = verify_chain(tr, hacked, scalar_quad, [np.zeros(1)])
+        chain = chain_of(tr, hacked, scalar_quad, [np.zeros(1)])
         assert chain.verdicts[4] == "FAIL"
+
+
+STEP_CHECKS = ("induction step", "query_point", "extrapolation", "step_balance", "theta_mu_ratio")
 
 
 class TestInduction:
@@ -309,30 +315,33 @@ class TestInduction:
         for k in range(1, 40):
             expect = (p.lipschitz_grad / k) * (x0 - tr.x[k])
             assert np.allclose(cert.z[k], expect, atol=1e-12)
-        recs = verify_induction_all(tr, cert, p)
-        assert all(r.verdict == "PASS" for r in recs)
-        assert all(r.identity_residuals["query_point"] <= r.identity_tols["query_point"] for r in recs)
+        ver = verify_certificate(tr, cert, p)
+        assert not ver.checks["induction step"].failed.any()
+        assert not ver.checks["query_point"].failed.any()
+        assert ver.checks["query_point"].applicable[:-1].all()
 
     def test_accelerated_identities(self):
         p = ccfom.from_id("quad:diag=1,100")
         tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
-        cert = build_certificate(tr, p)
-        recs = verify_induction_all(tr, cert, p)
-        assert all(r.verdict == "PASS" for r in recs)
-        for r in recs:
-            assert set(r.identity_residuals) == {"extrapolation", "step_balance", "theta_mu_ratio"}
+        ver = verify_run(tr, p)
+        steps = {name for name in ver.checks if name in STEP_CHECKS}
+        assert steps == {"induction step", "extrapolation", "step_balance", "theta_mu_ratio"}
+        assert not any(ver.checks[name].failed.any() for name in steps)
 
     def test_margin_nonnegative_for_subgradient(self):
         p, tr = subgradient_trace("norm:G=2:dim=3", [1.0, 1.0, 1.0], 30)
-        cert = build_certificate(tr, p)
-        for rec in verify_induction_all(tr, cert, p):
-            assert rec.margin >= -rec.tolerance
+        step = verify_run(tr, p).checks["induction step"]
+        assert np.all(step.margin[:-1] >= -step.tol[:-1])
 
     def test_range_check(self, scalar_quad):
+        # no step leaves k = K: the step checks do not apply there
         tr = ccfom.run_gradient(scalar_quad, [2.0], 5)
-        cert = build_certificate(tr, scalar_quad)
-        with pytest.raises(ValueError):
-            verify_induction_step(tr, cert, scalar_quad, 5)
+        ver = verify_run(tr, scalar_quad)
+        for name in ("induction step", "query_point"):
+            check = ver.checks[name]
+            assert check.applicable.tolist() == [True] * 4 + [False]
+            assert math.isnan(check.margin[-1])
+        assert math.isnan(build_rows(tr, scalar_quad, ver).rows.columns["residual_induction"][-1])
 
 
 class TestTheoremBound:
@@ -370,15 +379,15 @@ class TestVerifyRunMatrix:
         p = ccfom.from_id(pid)
         tr = run(p, x0, 80)
         ver = verify_run(tr, p)
-        assert ver.all_pass, ver.chain.failures()
-        assert np.nanmax(ver.mu_residuals) <= 1e-9
+        assert ver.all_pass, ver.failures()
+        assert np.nanmax(ver.residual("mu closed form")) <= 1e-9
 
     @pytest.mark.parametrize("pid,x0", NONSMOOTH_CELLS)
     def test_nonsmooth_cells(self, pid, x0):
         p, tr = subgradient_trace(pid, x0, 80)
         ver = verify_run(tr, p)
-        assert ver.all_pass, ver.chain.failures()
-        assert not np.any(ver.chain.vacuous)
+        assert ver.all_pass, ver.failures()
+        assert not np.any(ver.vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -503,34 +512,41 @@ class TestAgainstScalarReference:
         p, tr, cert = REFERENCE_CELLS[cell]()
         cert = build_certificate(tr, p) if cert is None else cert
         pts = default_test_points(p, tr.x[0])
-        chain = verify_chain(tr, cert, p, pts)
+        table = verify_certificate(tr, cert, p, pts)
         ref = reference_chain(tr, cert, p, pts)
-        assert list(ref) == chain.ks.tolist()
-        for i, k in enumerate(chain.ks.tolist()):
+        assert list(ref) == table.ks.tolist()
+        chain_failed = np.any(
+            [table.checks[name].failed for name in CHAIN_CHECKS + ("g_ball",)], axis=0)
+        for i, k in enumerate(table.ks.tolist()):
             margins, tols, verdict = ref[k]
-            assert chain.verdicts[i] == verdict, (cell, k)
+            state = "FAIL" if chain_failed[i] else ("VACUOUS" if table.vacuous[i] else "PASS")
+            assert state == verdict, (cell, k)
             for name in CHAIN_CHECKS:
-                m, t = chain.margins[name][i], chain.margin_tols[name][i]
+                m, t = table.checks[name].margin[i], table.checks[name].tol[i]
                 if name not in margins:
                     assert math.isnan(m) and math.isnan(t), (cell, k, name)
+                    assert not table.checks[name].applicable[i], (cell, k, name)
                     continue
                 assert math.isfinite(m), (cell, k, name)
                 assert abs(m - margins[name]) <= 1e-3 * tols[name], (cell, k, name)
                 assert abs(t - tols[name]) <= 1e-3 * tols[name], (cell, k, name)
 
-        ind = verify_induction_all(tr, cert, p)
         ref_ind = reference_induction(tr, cert, p)
-        assert list(ref_ind) == ind.ks.tolist()
-        for rec in ind:
-            margin, tolerance, res, rtol, verdict = ref_ind[rec.k]
-            assert rec.verdict == verdict, (cell, rec.k)
-            assert abs(rec.margin - margin) <= 1e-3 * tolerance, (cell, rec.k)
-            assert abs(rec.tolerance - tolerance) <= 1e-3 * tolerance, (cell, rec.k)
-            assert rec.identity_residuals.keys() == res.keys()
+        assert list(ref_ind) == table.ks[:-1].tolist()
+        assert not table.checks["induction step"].applicable[-1]
+        for i, k in enumerate(table.ks[:-1].tolist()):
+            margin, tolerance, res, rtol, verdict = ref_ind[k]
+            steps = [name for name in STEP_CHECKS if name in table.checks]
+            state = "FAIL" if any(table.checks[name].failed[i] for name in steps) else "PASS"
+            assert state == verdict, (cell, k)
+            step = table.checks["induction step"]
+            assert abs(step.margin[i] - margin) <= 1e-3 * tolerance, (cell, k)
+            assert abs(step.tol[i] - tolerance) <= 1e-3 * tolerance, (cell, k)
+            assert set(steps) == {"induction step", *res}
             for name in res:
-                assert abs(rec.identity_residuals[name] - res[name]) <= 1e-3 * rtol[name]
-                assert abs(rec.identity_tols[name] - rtol[name]) <= 1e-3 * rtol[name]
-            assert verify_induction_step(tr, cert, p, rec.k) == rec
+                identity = table.checks[name]
+                assert abs(-identity.margin[i] - res[name]) <= 1e-3 * rtol[name]
+                assert abs(identity.tol[i] - rtol[name]) <= 1e-3 * rtol[name]
 
     @pytest.mark.parametrize("pid,method,x0", [
         ("quad:diag=1,100", "accelerated", [1.0, -0.5]),
@@ -540,10 +556,10 @@ class TestAgainstScalarReference:
         p = ccfom.from_id(pid)
         tr = run_method(p, method, x0, 40)
         ver = verify_run(tr, p)
-        ks = ver.chain.ks.tolist()
+        ks = ver.ks.tolist()
         for i, k in enumerate(ks):
-            assert certificate_value(ver.certificate, p, tr.x[0], k) == ver.chain.certificate_values[i]
-        rows = build_rows(tr, p, ver, TOL).rows
+            assert certificate_value(ver.certificate, p, tr.x[0], k) == ver.values["cert_k"][i]
+        rows = build_rows(tr, p, ver).rows
         bounds = [theorem_bound(p, tr.x[0], method, k, schedule=tr.t) for k in ks]
         assert rows.columns["theorem_bound_k"].tolist() == bounds
 
@@ -552,28 +568,29 @@ class TestAgainstScalarReference:
 # falsifiability: each named check fires on its own fault, at the faulted k
 
 _REPORTED_FAILURE = re.compile(
-    r"^k=(\d+): (?:FAIL (suboptimality bound|monotone descent): .*"
+    r"^k=(\d+): (?:FAIL (suboptimality bound|monotone descent|g_ball): .*"
     r"|chain (\w+): .* FAIL|(induction step): .* FAIL|identity (\w+): .* FAIL"
     r"|(mu closed form): .* FAIL)$"
 )
 
 
 def fired(trace, p, cert=None):
-    """{(k, check)} of every check the report lists as failed."""
+    """{(k, check)} of every failed check of the table; the report lists the same."""
     cert = build_certificate(trace, p) if cert is None else cert
-    chain = verify_chain(trace, cert, p, default_test_points(p, trace.x[0]), TOL)
-    ver = VerificationResult(
-        certificate=cert, chain=chain, inductions=verify_induction_all(trace, cert, p, TOL),
-        mu_residuals=mu_closed_form_residuals(trace, cert, p), test_points=chain.test_points,
-    )
-    rows = build_rows(trace, p, ver, TOL)
-    out = set()
+    table = verify_certificate(trace, cert, p, tol=TOL)
+    failures = set(table.failures())
+    rows = build_rows(trace, p, table)
+    reported = set()
     for line in rows.report_lines:
         m = _REPORTED_FAILURE.match(line)
         if m:
-            out.add((int(m.group(1)), next(g for g in m.groups()[1:] if g)))
-    assert rows.has_failure == bool(out)
-    return out
+            reported.add((int(m.group(1)), next(g for g in m.groups()[1:] if g)))
+    assert reported == failures
+    assert rows.has_failure == bool(failures)
+    failed_ks = {k for k, _ in failures}
+    assert [k for k, v in zip(table.ks.tolist(), rows.rows.columns["verdict"]) if v == "FAIL"] \
+        == sorted(failed_ks)
+    return failures
 
 
 def _rows_equal(X, row):
@@ -585,9 +602,9 @@ def _wrong_conjugate(method):
     p = ccfom.from_id("quad:diag=1,100")
     tr = run_method(p, method, [1.0, 1.0], 60)
     cert = build_certificate(tr, p)
-    chain = verify_chain(tr, cert, p, default_test_points(p, tr.x[0]))
+    table = verify_certificate(tr, cert, p)
     k = 30
-    drop = chain.margins["fenchel"][k - chain.start_index] + 1.0
+    drop = table.checks["fenchel"].margin[k - cert.start_index] + 1.0
     base, z_k = p.conjugate_batch, cert.z[k]
     bad = dataclasses.replace(p, conjugate_batch=lambda Z: base(Z) - drop * _rows_equal(Z, z_k))
     return tr, p, bad, cert, {(k, "fenchel")}
@@ -607,10 +624,11 @@ def _raised_f_value():
     p = ccfom.from_id("quad:diag=1,100")
     tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
     k = 30
-    chain = verify_chain(tr, build_certificate(tr, p), p, default_test_points(p, tr.x[0]))
-    i = k - chain.start_index
-    cert_margin, e2e_margin = chain.margins["certificate"][i], chain.margins["end_to_end"][i]
-    assert e2e_margin - cert_margin > 1e6 * chain.margin_tols["end_to_end"][i]
+    table = verify_run(tr, p)
+    i = k - table.certificate.start_index
+    certificate, end_to_end = table.checks["certificate"], table.checks["end_to_end"]
+    cert_margin, e2e_margin = certificate.margin[i], end_to_end.margin[i]
+    assert e2e_margin - cert_margin > 1e6 * end_to_end.tol[i]
     base, x_k = p.value_batch, tr.x[k]
     raise_by = 0.5 * (cert_margin + e2e_margin)
     bad = dataclasses.replace(p, value_batch=lambda X: base(X) + raise_by * _rows_equal(X, x_k))
@@ -623,6 +641,22 @@ def _scaled_theta():
     cert = hacked(build_certificate(tr, p), theta=(30, lambda th: 1.5 * th))
     return tr, p, p, cert, {(30, name) for name in (
         "induction step", "extrapolation", "step_balance", "theta_mu_ratio")}
+
+
+def _nan_theta():
+    # a theta_k that is NaN makes every margin of the step k -> k+1 NaN: each fails
+    p = ccfom.from_id("quad:diag=1,100")
+    tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
+    cert = hacked(build_certificate(tr, p), theta=(30, lambda th: math.nan))
+    return tr, p, p, cert, {(30, name) for name in (
+        "induction step", "extrapolation", "step_balance", "theta_mu_ratio")}
+
+
+def _escaped_g_ball():
+    # z_k far outside the G-ball: a vacuous record that the subgradient
+    # construction cannot produce; z_k also leaves the query-point identity
+    p, tr, cert = _norm_escape()
+    return tr, p, p, cert, {(11, "g_ball"), (11, "query_point"), (11, "induction step")}
 
 
 def _moved_dual_vector():
@@ -657,6 +691,8 @@ FAULTS = {
     "negative mu, subgradient": lambda: _negative_mu("subgradient"),
     "raised f(x_k)": _raised_f_value,
     "scaled theta_k": _scaled_theta,
+    "NaN theta_k": _nan_theta,
+    "z_k out of the G-ball": _escaped_g_ball,
     "moved z_k": _moved_dual_vector,
     "scaled mu_K": _scaled_last_mu,
     "f(x_k) rises after convergence": _raised_f_after_convergence,
@@ -685,6 +721,24 @@ class TestFalsifiability:
 
         monkeypatch.setitem(methods._METHODS, "gradient", dataclasses.replace(spec, bound=bound))
         assert fired(tr, p) == {(30, "suboptimality bound")}
+
+    def test_nan_mu_closed_form(self, monkeypatch):
+        # a closed form that cannot be evaluated at k fails there, in the
+        # verdict and in the report alike
+        p = ccfom.from_id("quad:diag=1,100")
+        tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
+        cert = build_certificate(tr, p)
+        assert fired(tr, p, cert) == set()
+        spec = method_spec("accelerated")
+        true_mu = spec.mu
+
+        def mu(trace, L):
+            out = np.array(true_mu(trace, L))
+            out[30] = math.nan
+            return out
+
+        monkeypatch.setitem(methods._METHODS, "accelerated", dataclasses.replace(spec, mu=mu))
+        assert fired(tr, p, cert) == {(30, "mu closed form")}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ def write_cfg(path: Path, **kv) -> Path:
     return path
 
 
+# (10^6 + 1) x 100 stored scalars: over the 10^8 trace budget
+QUAD_100 = "quad:diag=" + ",".join(["1"] * 100)
+OVER_BUDGET = 1_000_000
+
+
 def run_cfg(tmp_path, name="run", **kv) -> Path:
     kv.setdefault("csv", f"{name}.csv")
     kv.setdefault("report", f"{name}.report.txt")
@@ -71,6 +76,12 @@ class TestRun:
     def test_invalid_configs_exit_3(self, tmp_path, kv):
         cfg = run_cfg(tmp_path, **kv)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    def test_trace_over_budget_exits_3(self, tmp_path, capsys):
+        cfg = run_cfg(tmp_path, problem=QUAD_100, method="gradient", iterations=OVER_BUDGET)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "exceeds the 1e+08 budget" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_negative_tolerance_flag_exits_3(self, tmp_path):
         cfg = run_cfg(tmp_path, problem="quad:diag=1", method="gradient", x0="1.0", iterations=5)
@@ -319,6 +330,17 @@ class TestSweep:
         _, _, rows = read_csv(tmp_path / "mix.csv")
         assert {r["problem"] for r in rows} == {"quad:diag=1"}
 
+    def test_cell_over_trace_budget_exits_3_and_others_run(self, tmp_path):
+        cfg = write_cfg(tmp_path / "big.cfg", problem=QUAD_100, method="gradient",
+                        iterations=f"5; {OVER_BUDGET}", csv="big.csv", report="big.txt")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        report = (tmp_path / "big.txt").read_text().splitlines()
+        assert report[1].startswith("cell 0 (gradient quad:diag=1,")
+        assert ": PASS (5 rows;" in report[1]
+        assert report[2].startswith("cell 1 (")
+        assert ": ERROR exit 3: trace of 100000100 scalars" in report[2]
+        _, _, rows = read_csv(tmp_path / "big.csv")
+        assert {r["iterations"] for r in rows} == {"5"}
 
     def test_sweep_and_verify_read_no_report_text(self, tmp_path, monkeypatch):
         from ccfom.reporting import RunRows
@@ -414,3 +436,13 @@ class TestConjecture:
     def test_invalid_configs_exit_3(self, tmp_path, kv):
         cfg = write_cfg(tmp_path / "bad.cfg", csv="bad.csv", report="bad.txt", **kv)
         assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("kv", [
+        dict(problem=QUAD_100, psi="zero", method="prox_accelerated"),
+        dict(suite="lasso", instances=1, dim=100),
+    ], ids=["single", "suite"])
+    def test_trace_over_budget_exits_3(self, tmp_path, capsys, kv):
+        cfg = write_cfg(tmp_path / "big.cfg", csv="big.csv", report="big.txt",
+                        iterations=OVER_BUDGET, **kv)
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "exceeds the 1e+08 budget" in capsys.readouterr().err

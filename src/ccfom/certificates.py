@@ -70,7 +70,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .methods import MethodTrace, method_spec
-from .problems import ProblemInstance, as_point, row_dot, row_values
+from .problems import ProblemInstance, as_point, row_dot
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -167,20 +167,13 @@ def _quad_min_terms(Z: np.ndarray, mu, x0: np.ndarray) -> tuple[np.ndarray, np.n
     return row_dot(Z, x0[None]), row_dot(Z, Z) / (2.0 * mu)
 
 
-def _conjugates(p: ProblemInstance, Z: np.ndarray) -> np.ndarray:
-    """f* at every row of Z: one ``conjugate_batch`` call, else one ``conjugate`` call per row."""
-    if p.conjugate_batch is not None:
-        return np.asarray(p.conjugate_batch(Z), dtype=float)
-    return np.array([p.conjugate(z) for z in Z], dtype=float)
-
-
 def _certificate_terms(p: ProblemInstance, Z: np.ndarray, mu, x0: np.ndarray):
     """(f*(z), <z, x0>, ||z||^2/(2 mu), certificate value) for every row z of Z.
 
     The certificate value is -f*(z) + <z, x0> - ||z||^2/(2 mu), and -inf
     where z is outside dom(f*).
     """
-    fstar = _conjugates(p, Z)
+    fstar = p.conjugate_batch(Z)
     zx0, half = _quad_min_terms(Z, mu, x0)
     value = np.where(np.isinf(fstar), -math.inf, -fstar + (zx0 - half))
     return fstar, zx0, half, value
@@ -214,7 +207,7 @@ def lhs_series(trace: MethodTrace, p: ProblemInstance, f_values: Optional[np.nda
     """
     spec = method_spec(trace.method)
     spec.require(p, trace.horizon)
-    return spec.lhs(trace, p, row_values(p, trace.x) if f_values is None else f_values)
+    return spec.lhs(trace, p, p.value_batch(trace.x) if f_values is None else f_values)
 
 
 def lhs(trace: MethodTrace, p: ProblemInstance, k: int) -> float:
@@ -528,10 +521,10 @@ def verify_certificate(
     spec = method_spec(trace.method)
     x0 = trace.x[0]
     pts = default_test_points(p, x0) if test_points is None else test_points
-    f_x = row_values(p, trace.x)
+    f_x = p.value_batch(trace.x)
     lhs_vals = lhs_series(trace, p, f_x)
     chain = verify_chain(trace, cert, p, lhs_vals, pts, tol)
-    f_queries = f_x if spec.query == "x" else row_values(p, getattr(trace, spec.query))
+    f_queries = f_x if spec.query == "x" else p.value_batch(getattr(trace, spec.query))
     steps = verify_induction_all(trace, cert, p, lhs_vals, f_queries, tol)
     mu_residuals = mu_closed_form_residuals(trace, cert, p)
 

@@ -382,8 +382,11 @@ def cmd_conjecture(args) -> int:
     if cfg.suite is not None:
         if cfg.suite != "lasso":
             raise ConfigError(f"unknown suite {cfg.suite!r}")
-        instances = cfg.instances or 100
-        dim = cfg.dim or 5
+        instances = 100 if cfg.instances is None else cfg.instances
+        dim = 5 if cfg.dim is None else cfg.dim
+        for key, val in (("instances", instances), ("dim", dim)):
+            if val < 1:
+                raise ConfigError(f"{key} must be >= 1, got {val}")
         _within_trace_budget(K, dim)
         summary, probes = lasso_suite(instances, dim, K, cfg.seed, tol)
         columns = ["instance"] + CONJECTURE_COLUMNS

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, OracleError
-from .problems import ProblemInstance, as_point, row_values
+from .problems import ProblemInstance, as_point
 
 __all__ = [
     "MethodSpec",
@@ -177,7 +177,7 @@ def check_trace_budget(K: int, dim: int):
 
 def _check_values(p: ProblemInstance, points: np.ndarray) -> None:
     """OracleError at the first of ``points`` where f is not finite."""
-    bad = np.flatnonzero(~np.isfinite(row_values(p, points)))
+    bad = np.flatnonzero(~np.isfinite(p.value_batch(points)))
     if bad.size:
         k = int(bad[0])
         raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
@@ -187,7 +187,7 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, step: Callabl
     """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``step(k)`` (k < K).
 
     ``step(k)`` fills q[k+1].  The loop calls only ``subgradient``: f is
-    checked once, on all query points at the end, in one ``row_values``
+    checked once, on all query points at the end, in one ``value_batch``
     call.  The check runs under one ``np.errstate`` that silences overflow
     and invalid operations, so an oracle that overflows returns inf or NaN
     quietly and the check turns that into an OracleError at the first such

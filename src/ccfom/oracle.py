@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, as_point, row_values
+from .problems import ProblemInstance, as_point
 
 __all__ = ["GridSpec", "GridMax", "conjugate_by_grid", "min_by_grid", "lipschitz_estimate"]
 
 MAX_GRID_POINTS = 10**8
-# Without a batch value oracle the scan falls back to a per-point Python
-# loop, which is only affordable for small grids.
-MAX_LOOP_POINTS = 2 * 10**5
 _BLOCK_POINTS = 1 << 20
 
 
@@ -79,10 +76,6 @@ def _check_supported(p: ProblemInstance, grid: GridSpec):
         raise ValueError("grid oracles support dimension <= 3 only")
     if grid.dim != p.dim:
         raise ValueError(f"grid dimension {grid.dim} != problem dimension {p.dim}")
-    if p.value_batch is None and grid.points_per_axis ** grid.dim > MAX_LOOP_POINTS:
-        raise ValueError(
-            "instance has no batch value oracle; grid too large for the per-point fallback"
-        )
 
 
 def _scan_max(p: ProblemInstance, grid: GridSpec, z: np.ndarray | None):
@@ -107,7 +100,7 @@ def _scan_max(p: ProblemInstance, grid: GridSpec, z: np.ndarray | None):
         X = np.empty((mesh[0].size, grid.dim), order="F")
         for j, m in enumerate(mesh):
             X[:, j] = m.ravel()
-        scores = -row_values(p, X)
+        scores = -p.value_batch(X)
         if z is not None:
             scores += X @ z
         i = int(np.argmax(scores))  # first occurrence on ties

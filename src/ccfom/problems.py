@@ -29,7 +29,6 @@ __all__ = [
     "ProblemInstance",
     "as_point",
     "row_dot",
-    "row_values",
     "fenchel_gap",
     "make_quadratic",
     "make_scaled_norm",
@@ -54,7 +53,7 @@ _MAX_ACTIVE_PIECES = 12
 
 # Basis enumeration guards for the max-of-affine conjugate: an instance with
 # more bases than this, or with an invertible basis whose condition number
-# exceeds _MAX_BASIS_COND, evaluates its conjugate by one HiGHS LP per point.
+# exceeds _MAX_BASIS_COND, evaluates its conjugate by one HiGHS LP per row.
 # Weights are computed to about cond * eps, which stays a fifth of
 # _WEIGHT_SLACK at 1e6; over 400 seeded catalog instances (dim 2 and 3) the
 # largest condition number is 2.0e4.
@@ -107,7 +106,7 @@ def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _one_row(batch: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
-    """The single-point oracle of a row-wise batch oracle."""
+    """The single-point oracle of a row-wise batch oracle: the batch on one row."""
     return lambda z: float(batch(np.asarray(z, dtype=float)[None])[0])
 
 
@@ -115,14 +114,14 @@ def _one_row(batch: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray]
 class ProblemInstance:
     """A convex objective together with its analytic side information.
 
-    ``value``/``subgradient``/``conjugate`` are the three oracles; the
-    conjugate may return +inf outside its domain but never -inf.  The
-    optional ``value_batch``/``conjugate_batch`` evaluate ``value``/
-    ``conjugate`` on every row of an (N, dim) array at once.
-    ``conjugate_batch`` must give each row exactly the value ``conjugate``
-    gives it alone, so that per-k and whole-run certificates agree bitwise.
-    At least one of ``lipschitz_f`` (G, bound on subgradient norms) and
-    ``lipschitz_grad`` (L, gradient Lipschitz constant) must be present.
+    f and f* are written once, as row batches: ``value_batch`` and
+    ``conjugate_batch`` evaluate them on every row of an (N, dim) array, and
+    ``conjugate_batch`` may return +inf outside dom(f*) but never -inf.  The
+    single-point ``value`` and ``conjugate`` are those batches on one row
+    (``_one_row``), so the two forms cannot disagree.  ``subgradient`` is
+    single-point only: the method loops are sequential.  At least one of
+    ``lipschitz_f`` (G, bound on subgradient norms) and ``lipschitz_grad``
+    (L, gradient Lipschitz constant) must be present.
 
     ``project_to_solution`` maps a point to the designated reference point
     used by bound checks: the nearest minimizer when one exists, otherwise a
@@ -134,8 +133,8 @@ class ProblemInstance:
     value: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
     conjugate: Callable[[np.ndarray], float]
-    value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    conjugate_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    value_batch: Callable[[np.ndarray], np.ndarray]
+    conjugate_batch: Callable[[np.ndarray], np.ndarray]
     lipschitz_f: Optional[float] = None
     lipschitz_grad: Optional[float] = None
     optimal_value: Optional[float] = None
@@ -164,13 +163,6 @@ class ProblemInstance:
         if not self.is_differentiable:
             raise ValueError(f"{self.problem_id} is not differentiable")
         return self.subgradient(x)
-
-
-def row_values(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
-    """f at every row of X: one ``value_batch`` call, else one ``value`` call per row."""
-    if p.value_batch is not None:
-        return np.asarray(p.value_batch(X), dtype=float)
-    return np.array([p.value(row) for row in X], dtype=float)
 
 
 def fenchel_gap(p: ProblemInstance, z, x) -> float:
@@ -215,11 +207,9 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
             f"condition number {eigs[-1] / eigs[0]:.3e} exceeds {MAX_QUAD_CONDITION:.0e}"
         )
     factor = scipy.linalg.cho_factor(A)
-    minimizer = scipy.linalg.cho_solve(factor, -b)
+    # 0 - b, not -b: with b = 0 the minimizer is +0, not -0, so f there is +0
+    minimizer = scipy.linalg.cho_solve(factor, 0.0 - b)
     minimizer.flags.writeable = False
-
-    def value(x):
-        return float(0.5 * (x @ A @ x) + b @ x)
 
     def grad(x):
         return A @ x + b
@@ -229,8 +219,7 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
         return 0.5 * row_dot(D, scipy.linalg.cho_solve(factor, D.T).T)
 
     def value_batch(X):
-        # columnwise accumulation: fast on both C- and F-ordered batches;
-        # halved after the sum, as in ``value``, so the two overflow alike
+        # columnwise accumulation: fast on both C- and F-ordered batches
         quads = (A @ X.T) * X.T
         out = quads[0]
         for j in range(1, n):
@@ -240,6 +229,7 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
             out += X @ b
         return out
 
+    value = _one_row(value_batch)
     return ProblemInstance(
         problem_id=problem_id or f"quad:custom:dim={n}",
         dim=n,
@@ -273,9 +263,6 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
     zero = np.zeros(dim)
     zero.flags.writeable = False
 
-    def value(x):
-        return G * float(np.linalg.norm(x))
-
     def subgradient(x):
         nx = float(np.linalg.norm(x))
         if nx == 0.0:
@@ -295,7 +282,7 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
     return ProblemInstance(
         problem_id=problem_id or f"norm:G={G:g}:dim={dim}",
         dim=dim,
-        value=value,
+        value=_one_row(value_batch),
         subgradient=subgradient,
         conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
@@ -327,10 +314,6 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
     if dim < 1:
         raise ValueError("dim must be >= 1")
 
-    def value(x):
-        m = float(np.max(x))
-        return m + math.log(float(np.sum(np.exp(x - m))))
-
     def grad(x):
         e = np.exp(x - np.max(x))
         return e / e.sum()
@@ -361,7 +344,7 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
     return ProblemInstance(
         problem_id=problem_id or f"lse:dim={dim}",
         dim=dim,
-        value=value,
+        value=_one_row(value_batch),
         subgradient=grad,
         conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
@@ -461,8 +444,8 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     rows at once, one basis at a time, summed column by column so a row's
     bits do not depend on the batch).  Where enumeration does not apply (M
     of rank below n+1, a basis with condition number above
-    ``_MAX_BASIS_COND``, or more than ``_MAX_CONJUGATE_BASES`` bases) the
-    conjugate is one HiGHS LP per point and there is no batch form.  The
+    ``_MAX_BASIS_COND``, or more than ``_MAX_CONJUGATE_BASES`` bases)
+    ``conjugate_batch`` solves one HiGHS LP per row.  The
     optimal value and one minimizer (an LP vertex; the optimal set may be
     larger) are computed at construction when the objective is bounded
     below.
@@ -477,9 +460,6 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     G = float(np.max(np.linalg.norm(A, axis=1)))
     if G <= 0.0:
         raise ValueError("all pieces are constant; objective has no slope")
-
-    def value(x):
-        return float(np.max(A @ x + b))
 
     def value_batch(X):
         pieces = A @ X.T  # (m, N): rows contiguous for the max pass
@@ -499,18 +479,21 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
 
     bases = _conjugate_bases(A, b)
     if bases is None:
-        conjugate_batch = None
+        a_eq = np.vstack([A.T, np.ones((1, m))])
 
-        def conjugate(z):
-            # min -<b, lam>  s.t.  A^T lam = z, 1^T lam = 1, lam >= 0
-            a_eq = np.vstack([A.T, np.ones((1, m))])
-            b_eq = np.concatenate([z, [1.0]])
-            res = scipy.optimize.linprog(-b, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-            if res.status == 2:  # infeasible: z outside conv{a_i}
-                return math.inf
-            if not res.success:
-                raise OracleError(f"conjugate LP failed: {res.message}")
-            return float(res.fun)
+        def conjugate_batch(Z):
+            # per row: min -<b, lam>  s.t.  A^T lam = z, 1^T lam = 1, lam >= 0
+            out = np.empty(Z.shape[0])
+            for i, z in enumerate(Z):
+                res = scipy.optimize.linprog(-b, A_eq=a_eq, b_eq=np.append(z, 1.0),
+                                             bounds=(0, None), method="highs")
+                if res.status == 2:  # infeasible: z outside conv{a_i}
+                    out[i] = math.inf
+                elif res.success:
+                    out[i] = res.fun
+                else:
+                    raise OracleError(f"conjugate LP failed: {res.message}")
+            return out
     else:
 
         def conjugate_batch(Z):
@@ -523,8 +506,6 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
                 feasible = np.min(lam, axis=1) >= -_WEIGHT_SLACK
                 np.minimum(best, np.where(feasible, row_dot(lam, neg_b[None]), math.inf), out=best)
             return best
-
-        conjugate = _one_row(conjugate_batch)
 
     # min_x max_i <a_i, x> + b_i as an LP in (x, t)
     c = np.zeros(n + 1)
@@ -549,9 +530,9 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     return ProblemInstance(
         problem_id=problem_id or f"maxaff:custom:dim={n}:pieces={m}",
         dim=n,
-        value=value,
+        value=_one_row(value_batch),
         subgradient=subgradient,
-        conjugate=conjugate,
+        conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
         conjugate_batch=conjugate_batch,
         lipschitz_f=G,
@@ -581,18 +562,24 @@ def random_max_affine(dim: int, pieces: int, seed: int, problem_id: Optional[str
 # catalog identifiers
 
 
-def _parse_params(parts: list[str], pid: str) -> dict[str, str]:
+def _parse_params(parts: list[str], pid: str, kind: str = "problem id") -> dict[str, str]:
+    """The ``key=val`` parts of an identifier as a dict; ConfigError on a malformed or repeated key."""
     params = {}
     for part in parts:
-        if "=" not in part:
-            raise ConfigError(f"bad parameter {part!r} in problem id {pid!r}")
         key, _, val = part.partition("=")
         if not key or not val:
-            raise ConfigError(f"bad parameter {part!r} in problem id {pid!r}")
+            raise ConfigError(f"bad parameter {part!r} in {kind} {pid!r}")
         if key in params:
-            raise ConfigError(f"duplicate parameter {key!r} in problem id {pid!r}")
+            raise ConfigError(f"duplicate parameter {key!r} in {kind} {pid!r}")
         params[key] = val
     return params
+
+
+def _check_keys(params: dict[str, str], allowed: set[str], pid: str, kind: str = "problem id"):
+    """ConfigError when ``params`` has a key outside ``allowed``."""
+    extra = set(params) - allowed
+    if extra:
+        raise ConfigError(f"unknown parameters {sorted(extra)} in {kind} {pid!r}")
 
 
 def _floats(val: str, pid: str) -> list[float]:
@@ -618,9 +605,7 @@ def from_id(pid: str) -> ProblemInstance:
     params = _parse_params(parts, pid)
 
     def take(allowed):
-        extra = set(params) - set(allowed)
-        if extra:
-            raise ConfigError(f"unknown parameters {sorted(extra)} in problem id {pid!r}")
+        _check_keys(params, allowed, pid)
 
     try:
         if family == "quad":

@@ -25,9 +25,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .certificates import Check, DualCertificate, build_certificate, _conjugates, _quad_min_terms
+from .certificates import Check, DualCertificate, build_certificate, _quad_min_terms
+from .errors import ConfigError
 from .methods import MethodTrace, _run_momentum, method_spec
-from .problems import ProblemInstance, as_point, make_quadratic
+from .problems import ProblemInstance, _check_keys, _floats, _parse_params, as_point, make_quadratic
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -144,34 +145,33 @@ def make_zero() -> Regularizer:
     return Regularizer(kind="zero", label="zero", value=value, prox=prox, inner_min=inner_min)
 
 
-def regularizer_from_id(rid: str) -> Regularizer:
-    """Parse ``zero``, ``l1:lam=L``, or ``box:lo=...:hi=...``."""
-    from .errors import ConfigError
+# psi family -> its parameters, all required
+_PSI_PARAMS = {"zero": set(), "l1": {"lam"}, "box": {"lo", "hi"}}
 
+
+def regularizer_from_id(rid: str) -> Regularizer:
+    """Parse ``zero``, ``l1:lam=L``, or ``box:lo=...:hi=...``.
+
+    Parameters follow the problem-id grammar: a repeated or unknown key is
+    a ConfigError.
+    """
     rid = rid.strip()
     family, *parts = rid.split(":")
-    params = {}
-    for part in parts:
-        key, _, val = part.partition("=")
-        if not key or not val:
-            raise ConfigError(f"bad parameter {part!r} in psi id {rid!r}")
-        params[key] = val
+    if family not in _PSI_PARAMS:
+        raise ConfigError(f"unknown psi family {family!r}")
+    params = _parse_params(parts, rid, "psi id")
+    _check_keys(params, _PSI_PARAMS[family], rid, "psi id")
+    missing = _PSI_PARAMS[family] - set(params)
+    if missing:
+        raise ConfigError(f"psi id {rid!r} is missing parameters {sorted(missing)}")
     try:
         if family == "zero":
-            if params:
-                raise ConfigError(f"psi zero takes no parameters, got {rid!r}")
             return make_zero()
         if family == "l1":
             return make_l1(float(params["lam"]))
-        if family == "box":
-            lo = [float(v) for v in params["lo"].split(",")]
-            hi = [float(v) for v in params["hi"].split(",")]
-            return make_box(lo, hi)
-    except KeyError as exc:
-        raise ConfigError(f"psi id {rid!r} is missing parameter {exc}") from exc
+        return make_box(_floats(params["lo"], rid), _floats(params["hi"], rid))
     except ValueError as exc:
         raise ConfigError(f"cannot build psi {rid!r}: {exc}") from exc
-    raise ConfigError(f"unknown psi family {family!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +212,7 @@ def run_proximal_accelerated(cp: CompositeProblem, x0, K: int) -> MethodTrace:
 
 def _conjectured(cert: DualCertificate, cp: CompositeProblem, x0: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """The conjectured bound at each k of ``ks``: one phi* batch, psi's inner minimum per k."""
-    phistar = _conjugates(cp.phi, cert.z[ks])
+    phistar = cp.phi.conjugate_batch(cert.z[ks])
     inner = np.array([cp.psi.inner_min(cert.z[k], float(cert.mu[k]), x0)[0] for k in ks.tolist()])
     return np.where(np.isinf(phistar), -math.inf, -phistar + inner)
 
@@ -261,7 +261,8 @@ def probe_instance(
     x0 = trace.x[0]
     start = cert.start_index
     ks = np.arange(start, K + 1)
-    f_vals = np.array([cp.value(trace.x[k]) for k in ks])
+    xs = trace.x[ks]
+    f_vals = cp.phi.value_batch(xs) + np.array([cp.psi.value(x) for x in xs])
     conied = _conjectured(cert, cp, x0, ks)
     vac = np.isneginf(conied)
     margins = conied - f_vals

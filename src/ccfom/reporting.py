@@ -232,9 +232,10 @@ def build_rows(
 
         lines = [f"reference point: {p.solution_provenance}"]
         if ver.reference is not None:
-            lines.append(
-                f"reference value: {fmt(ver.reference)}  distance from x0: {fmt(ver.distance)}"
-            )
+            line = f"reference value: {fmt(ver.reference)}"
+            if ver.distance is not None:
+                line += f"  distance from x0: {fmt(ver.distance)}"
+            lines.append(line)
         else:
             lines.append("reference value unavailable; closed-form bound checks skipped")
         lines += [line for group in zip(*columns) for line in group if line]

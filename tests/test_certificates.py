@@ -362,6 +362,8 @@ class TestTheoremBound:
             value=lambda x: float(x @ x),
             subgradient=lambda x: 2 * x,
             conjugate=lambda z: float(z @ z) / 4,
+            value_batch=lambda X: np.sum(X * X, axis=1),
+            conjugate_batch=lambda Z: np.sum(Z * Z, axis=1) / 4,
             lipschitz_grad=2.0,
             is_differentiable=True,
         )
@@ -743,6 +745,20 @@ class TestFalsifiability:
 
 # ---------------------------------------------------------------------------
 # the report text is formatted when it is first read
+
+
+def test_report_header_with_reference_value_but_no_distance():
+    # a reference value is known, the distance from x0 to it is not
+    p = ccfom.from_id("quad:diag=1,10")
+    tr = ccfom.run_accelerated(p, [1.0, 1.0], 20)
+    known = build_rows(tr, p, verify_run(tr, p), TOL).report_lines
+    assert known[1] == "reference value: 0  distance from x0: 1.4142135623730951"
+    nodist = dataclasses.replace(p, project_to_solution=None)
+    ver = verify_run(tr, nodist)
+    assert ver.reference == 0.0 and ver.distance is None
+    lines = build_rows(tr, nodist, ver, TOL).report_lines
+    assert lines[1] == "reference value: 0"
+    assert len(lines) == len(known)
 
 
 def test_report_text_is_formatted_on_first_read(monkeypatch):

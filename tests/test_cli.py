@@ -431,6 +431,12 @@ class TestConjecture:
             dict(suite="lasso", iterations=5, seed=-1),
             dict(problem="quad:diag=1", psi="box:lo=0,0:hi=1,1", method="prox_accelerated",
                  x0="1.0", iterations=5),
+            *(dict(problem="quad:diag=1", psi=psi, method="prox_accelerated", x0="1.0",
+                   iterations=5)
+              for psi in ("l1:lam=1:lam=2", "l1:lam=0.5:foo=1", "box:lo=0:hi=1:extra=5")),
+            # an explicit 0 is rejected, not replaced by the default
+            dict(suite="lasso", iterations=5, instances=0),
+            dict(suite="lasso", iterations=5, dim=0),
         ],
     )
     def test_invalid_configs_exit_3(self, tmp_path, kv):

@@ -113,6 +113,8 @@ class TestRunSubgradient:
             value=lambda x: float(x[0]),
             subgradient=bad_grad,
             conjugate=lambda z: 0.0,
+            value_batch=lambda X: X[:, 0].copy(),
+            conjugate_batch=lambda Z: np.zeros(len(Z)),
             lipschitz_f=1.0,
         )
         with pytest.raises(OracleError) as err:
@@ -212,8 +214,8 @@ _RUNS = {
 }
 
 
-def _counted(p, calls, batch=True):
-    """``p`` with every oracle call counted in ``calls``; no value_batch unless ``batch``."""
+def _counted(p, calls):
+    """``p`` with every oracle call counted in ``calls``."""
     def counting(name, fn):
         def wrapped(*args):
             calls[name] += 1
@@ -224,20 +226,18 @@ def _counted(p, calls, batch=True):
         p,
         value=counting("value", p.value),
         subgradient=counting("subgradient", p.subgradient),
-        value_batch=counting("value_batch", p.value_batch) if batch else None,
+        value_batch=counting("value_batch", p.value_batch),
     )
 
 
 @pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
-@pytest.mark.parametrize("batch", [True, False], ids=["value_batch", "no_batch"])
-def test_one_subgradient_call_per_step(run, batch):
+def test_one_subgradient_call_per_step(run):
     K = 25
     calls = Counter()
-    p = _counted(ccfom.from_id("quad:diag=1,10"), calls, batch)
+    p = _counted(ccfom.from_id("quad:diag=1,10"), calls)
     run(p, [1.0, -2.0], K)
     # f is checked once, on all K+1 query points
-    expected = {"subgradient": K + 1, "value_batch": 1} if batch else {"subgradient": K + 1, "value": K + 1}
-    assert calls == expected
+    assert calls == {"subgradient": K + 1, "value_batch": 1}
 
 
 def _per_step_error(bad_value, bad_grad, raises, K):
@@ -279,12 +279,9 @@ class _Boom(RuntimeError):
     pass
 
 
-def _faulty(p, points, bad_value, bad_grad, raises, batch):
+def _faulty(p, points, bad_value, bad_grad, raises):
     """``p`` with faults at the query points ``points[k]`` of the k listed."""
     index = {q.tobytes(): k for k, q in enumerate(points)}
-
-    def value(x):
-        return math.inf if index[np.asarray(x, dtype=float).tobytes()] in bad_value else p.value(x)
 
     def value_batch(X):
         out = np.array(p.value_batch(X))
@@ -298,21 +295,19 @@ def _faulty(p, points, bad_value, bad_grad, raises, batch):
         g = np.array(p.subgradient(x))
         return g * math.nan if k in bad_grad else g
 
-    return dataclasses.replace(p, value=value, subgradient=subgradient,
-                               value_batch=value_batch if batch else None)
+    return dataclasses.replace(p, subgradient=subgradient, value_batch=value_batch)
 
 
 @pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
-@pytest.mark.parametrize("batch", [True, False], ids=["value_batch", "no_batch"])
 @pytest.mark.parametrize("faults", _FAULTS, ids=[str(f) for f in _FAULTS])
-def test_oracle_error_is_that_of_a_per_step_check(run, batch, faults):
+def test_oracle_error_is_that_of_a_per_step_check(run, faults):
     K = 8
     p = ccfom.from_id("quad:diag=1,10")
     x0 = [1.0, -2.0]
     clean = run(p, x0, K)
     points = clean.x if clean.y is None else clean.y
     assert len({q.tobytes() for q in points}) == K + 1
-    bad = _faulty(p, points, *faults, batch)
+    bad = _faulty(p, points, *faults)
     expected = _per_step_error(*faults, K)
     if expected is None:
         trace = run(bad, x0, K)

@@ -109,21 +109,8 @@ class TestMinByGrid:
             subgradient=lambda x: np.zeros(1),
             conjugate=lambda z: math.inf,
             value_batch=lambda X: np.zeros(len(X)),
+            conjugate_batch=lambda Z: np.full(len(Z), math.inf),
             lipschitz_f=1.0,
         )
         val, pt = min_by_grid(flat, grid1d(101))
         assert val == 0.0 and pt[0] == -4.0
-
-    def test_loop_fallback_guard(self):
-        no_batch = ccfom.ProblemInstance(
-            problem_id="slow",
-            dim=2,
-            value=lambda x: float(x @ x),
-            subgradient=lambda x: 2 * x,
-            conjugate=lambda z: float(z @ z) / 4,
-            lipschitz_grad=2.0,
-        )
-        with pytest.raises(ValueError):
-            min_by_grid(no_batch, GridSpec.cube(-1, 1, 2, 999))
-        val, _ = min_by_grid(no_batch, GridSpec.cube(-1, 1, 2, 21))
-        assert val == pytest.approx(0.0, abs=1e-12)

@@ -208,18 +208,30 @@ class TestMaxAffine:
                 assert p.value(y) >= p.value(x) + float(g @ (y - x)) - 1e-9
 
     def test_lp_conjugate_kept_where_enumeration_does_not_apply(self, monkeypatch):
-        assert ccfom.from_id("maxaff:dim=3:pieces=6:seed=0").conjugate_batch is not None
+        solves = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **kw: solves.append(1) or linprog(*a, **kw))
+
+        def lp_solves(p, Z):
+            """f* on the rows of Z and the number of LPs that took."""
+            before = len(solves)
+            values = p.conjugate_batch(np.asarray(Z, dtype=float))
+            return values, len(solves) - before
+
+        assert lp_solves(ccfom.from_id("maxaff:dim=3:pieces=6:seed=0"), np.zeros((3, 3)))[1] == 0
         flat = ccfom.from_id("maxaff:dim=3:pieces=2:seed=0")  # two slopes span a line in 3-D
-        assert flat.conjugate_batch is None
-        assert math.isfinite(flat.conjugate(np.zeros(3)))  # the midpoint of +a and -a
-        assert flat.conjugate(np.array([0.0, 0.0, 1e3])) == math.inf
+        values, n = lp_solves(flat, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e3]])
+        assert n == 2  # one LP per row
+        assert math.isfinite(values[0])  # the midpoint of +a and -a
+        assert values[1] == math.inf
         # a basis of three nearly collinear slopes has condition number ~1e9
         thin = [[0.0, 0.0], [1.0, 0.0], [2.0, 1e-9], [0.0, 1.0], [-1.0, -1.0]]
-        assert ccfom.make_max_affine(thin, np.zeros(5)).conjugate_batch is None
+        assert lp_solves(ccfom.make_max_affine(thin, np.zeros(5)), np.zeros((3, 2)))[1] == 3
         thin[2][1] = 0.0  # exactly collinear: that set is no basis, the others are exact
-        assert ccfom.make_max_affine(thin, np.zeros(5)).conjugate_batch is not None
+        assert lp_solves(ccfom.make_max_affine(thin, np.zeros(5)), np.zeros((3, 2)))[1] == 0
         monkeypatch.setattr(ccfom.problems, "_MAX_CONJUGATE_BASES", 14)  # dim=3:pieces=6 has 15
-        assert ccfom.from_id("maxaff:dim=3:pieces=6:seed=0").conjugate_batch is None
+        assert lp_solves(ccfom.from_id("maxaff:dim=3:pieces=6:seed=0"), np.zeros((3, 3)))[1] == 3
 
     def test_conjugate_affine_combinations(self):
         # z = sum lam_i a_i with lam in the simplex gives f*(z) <= -sum lam_i b_i
@@ -257,8 +269,9 @@ class TestCatalogInvariants:
         assert np.allclose(batch, direct, rtol=1e-12, atol=1e-12)
 
     def test_batch_and_scalar_oracle_overflow_alike(self, pid, x0, rng):
-        # the method loops check f with the batch oracle, the rest of the
-        # verifier reads both, so they must agree on where f overflows
+        # the method loops check f on all query points in one batch, the
+        # verifier at single test points: a row must overflow in a batch
+        # exactly where it does alone
         p = ccfom.from_id(pid)
         scales = 10.0 ** np.linspace(150.0, 160.0, 201)
         X = np.concatenate([rng.normal(size=(5, p.dim)) * s for s in scales])
@@ -274,6 +287,26 @@ class TestCatalogInvariants:
             pytest.skip("no finite optimal value")
         for x in sample_points(rng, p.dim):
             assert p.value(x) >= p.optimal_value - 1e-9 * (1 + abs(p.optimal_value))
+
+
+@pytest.mark.parametrize("pid", [
+    "quad:diag=1,10:b=1,0", "quad:diag=1,100", "lasso", "norm:G=2:dim=3", "lse:dim=3",
+    "maxaff:abs=1", "maxaff:dim=2:pieces=5:seed=1", "maxaff:dim=3:pieces=6:seed=0",
+    "maxaff:dim=3:pieces=2:seed=0",
+])
+def test_single_point_oracles_are_the_batch_on_one_row(pid, rng):
+    # f and f* are written once, as row batches; value and conjugate are
+    # those batches on one row, bit for bit ("maxaff:dim=3:pieces=2:seed=0"
+    # takes the LP path, "lasso" is the smooth part of a lasso composite)
+    p = ccfom.lasso_instance(5, 3)[0].phi if pid == "lasso" else ccfom.from_id(pid)
+    X = sample_points(rng, p.dim, n=20)
+    # subgradients lie in dom f*; the sample points themselves need not
+    Z = np.vstack([[p.subgradient(x) for x in X], X])
+    for one, batch, rows in ((p.value, p.value_batch, X), (p.conjugate, p.conjugate_batch, Z)):
+        single = np.array([one(r) for r in rows])
+        on_one_row = np.concatenate([batch(r[None]) for r in rows])
+        assert single.tobytes() == on_one_row.tobytes()
+    assert np.isfinite(p.conjugate_batch(Z[:20])).all()
 
 
 @pytest.mark.parametrize("pid", [
@@ -391,4 +424,6 @@ class TestCatalogIds:
                 value=lambda x: 0.0,
                 subgradient=lambda x: np.zeros(1),
                 conjugate=lambda z: 0.0,
+                value_batch=lambda X: np.zeros(len(X)),
+                conjugate_batch=lambda Z: np.zeros(len(Z)),
             )

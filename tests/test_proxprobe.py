@@ -71,7 +71,7 @@ class TestRegularizers:
         assert regularizer_from_id("zero").kind == "zero"
         assert regularizer_from_id("l1:lam=0.5").label == "l1:lam=0.5"
         assert regularizer_from_id("box:lo=0:hi=1,2").kind == "box"
-        for bad in ("l1", "l1:lam=-1", "box:lo=1:hi=0", "huber:delta=1"):
+        for bad in ("l1", "l1:lam=-1", "box:lo=1:hi=0", "huber:delta=1", "zero:lam=1", "box:lo=0"):
             with pytest.raises(ConfigError):
                 regularizer_from_id(bad)
 
@@ -186,8 +186,9 @@ class TestLassoSuite:
             dim=1,
             value=phi_honest.value,
             subgradient=phi_honest.subgradient,
-            conjugate=lambda z: phi_honest.conjugate(z) + 5.0,  # depresses the certificate
+            conjugate=lambda z: phi_honest.conjugate(z) + 5.0,
             value_batch=phi_honest.value_batch,
+            conjugate_batch=lambda Z: phi_honest.conjugate_batch(Z) + 5.0,  # depresses the certificate
             lipschitz_grad=1.0,
             is_differentiable=True,
         )

@@ -231,10 +231,11 @@ def _counted(p, calls):
 
 
 @pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
-def test_one_subgradient_call_per_step(run):
+@pytest.mark.parametrize("pid", ["quad:diag=1,10", "lse:dim=2"])
+def test_one_subgradient_call_per_step(run, pid):
     K = 25
     calls = Counter()
-    p = _counted(ccfom.from_id("quad:diag=1,10"), calls)
+    p = _counted(ccfom.from_id(pid), calls)
     run(p, [1.0, -2.0], K)
     # f is checked once, on all K+1 query points
     assert calls == {"subgradient": K + 1, "value_batch": 1}
@@ -279,13 +280,16 @@ class _Boom(RuntimeError):
     pass
 
 
-def _faulty(p, points, bad_value, bad_grad, raises):
-    """``p`` with faults at the query points ``points[k]`` of the k listed."""
+def _faulty(p, points, bad_value, bad_grad, raises, nonfinite=math.nan):
+    """``p`` with faults at the query points ``points[k]`` of the k listed.
+
+    f is ``nonfinite`` at the faulty points; a faulty subgradient is NaN.
+    """
     index = {q.tobytes(): k for k, q in enumerate(points)}
 
     def value_batch(X):
         out = np.array(p.value_batch(X))
-        out[[index[row.tobytes()] in bad_value for row in X]] = math.nan
+        out[[index[row.tobytes()] in bad_value for row in X]] = nonfinite
         return out
 
     def subgradient(x):
@@ -299,15 +303,16 @@ def _faulty(p, points, bad_value, bad_grad, raises):
 
 
 @pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize("nonfinite", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("faults", _FAULTS, ids=[str(f) for f in _FAULTS])
-def test_oracle_error_is_that_of_a_per_step_check(run, faults):
+def test_oracle_error_is_that_of_a_per_step_check(run, nonfinite, faults):
     K = 8
     p = ccfom.from_id("quad:diag=1,10")
     x0 = [1.0, -2.0]
     clean = run(p, x0, K)
     points = clean.x if clean.y is None else clean.y
     assert len({q.tobytes() for q in points}) == K + 1
-    bad = _faulty(p, points, *faults)
+    bad = _faulty(p, points, *faults, nonfinite)
     expected = _per_step_error(*faults, K)
     if expected is None:
         trace = run(bad, x0, K)

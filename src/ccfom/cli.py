@@ -7,8 +7,8 @@ Subcommands
     conjecture  proximal probe of the conjectured composite certificate
 
 Exit codes are the machine contract: 0 all checks pass, 2 verification
-failure, 3 config/schema error (a trace over the budget included), 4 oracle
-failure.
+failure, 3 config/schema/usage error (a trace over the budget included), 4
+oracle failure.
 
 Problem identifiers (``family:key=val:...``):
     quad:diag=1,10[:b=0.5,0]   diagonal quadratic (entries of A, optional b)
@@ -24,24 +24,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .certificates import Check, lhs_series, verify_run
-from .config import ExperimentConfig, RunSpec, resolve_schedule, resolve_x0
+from .config import SUITE, ExperimentConfig, RunSpec, cell_metadata, resolve_schedule, resolve_x0
 from .errors import ConfigError, OracleError
-from .methods import MethodTrace, check_trace_budget, method_spec
-from .problems import ProblemInstance, from_id
-from .proxprobe import (
-    CompositeProblem,
-    Z_RECURSION_NOTE,
-    lasso_suite,
-    probe_instance,
-    regularizer_from_id,
-)
+from .methods import MethodTrace, method_spec
+from .problems import ProblemInstance
+from .proxprobe import CompositeProblem, Z_RECURSION_NOTE, lasso_suite, probe_instance
 from .reporting import (
     CONJECTURE_COLUMNS,
     RUN_COLUMNS,
@@ -66,7 +60,6 @@ EXIT_ORACLE = 4
 
 @dataclass
 class CellOutcome:
-    spec: RunSpec
     problem: ProblemInstance
     trace: MethodTrace
     rows: RunRows
@@ -88,27 +81,14 @@ def execute_cell(spec: RunSpec, tol: Tolerances) -> CellOutcome:
     schedule = resolve_schedule(schedule_name, spec.method, spec.iterations, p.lipschitz_grad)
     trace = method.run(p, x0, schedule, spec.iterations)
     rows = build_rows(trace, p, verify_run(trace, p, tol=tol))
-    meta = {
-        "problem": spec.problem_id,
-        "method": spec.method,
-        "x0": ",".join(fmt(c) for c in x0),
-        "iterations": str(spec.iterations),
-        "schedule": schedule_name,
-        "eps_rel": fmt(tol.eps_rel),
-        "eps_abs": fmt(tol.eps_abs),
-    }
-    return CellOutcome(spec=spec, problem=p, trace=trace, rows=rows, meta=meta)
+    resolved = replace(spec, x0_spec=",".join(fmt(c) for c in x0), schedule_spec=schedule_name)
+    return CellOutcome(problem=p, trace=trace, rows=rows, meta=cell_metadata(resolved, tol))
 
 
-def _tolerances(args, eps_rel: float, eps_abs: float) -> Tolerances:
-    """The --eps-rel/--eps-abs flags, falling back to the given values."""
-    try:
-        return Tolerances(
-            eps_rel=args.eps_rel if args.eps_rel is not None else eps_rel,
-            eps_abs=args.eps_abs if args.eps_abs is not None else eps_abs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _flags(args) -> dict[str, str]:
+    """The --eps-rel/--eps-abs values given, as config keys."""
+    given = {"eps_rel": args.eps_rel, "eps_abs": args.eps_abs}
+    return {key: val for key, val in given.items() if val is not None}
 
 
 def _out_path(out_dir: Optional[str], rel: str) -> Path:
@@ -129,22 +109,21 @@ def _series_for(outcome: CellOutcome, label: str) -> list[Series]:
 
 
 def cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    spec = cfg.single_cell()
-    tol = _tolerances(args, cfg.eps_rel, cfg.eps_abs)
+    cfg = ExperimentConfig.from_file(args.config, "run", _flags(args))
+    spec, tol = cfg.single_cell(), cfg.tolerances()
     outcome = execute_cell(spec, tol)
-    csv_path = _out_path(args.out, cfg.csv_path)
+    csv_path = _out_path(args.out, cfg["csv"])
     write_csv(csv_path, outcome.meta, RUN_COLUMNS, outcome.rows.rows)
-    report_path = _out_path(args.out, cfg.report_path)
+    report_path = _out_path(args.out, cfg["report"])
     header = [
         f"run: problem={spec.problem_id} method={spec.method} "
         f"x0={outcome.meta['x0']} K={spec.iterations} schedule={outcome.meta['schedule']}",
         f"tolerances: eps_rel={tol.eps_rel:g} eps_abs={tol.eps_abs:g}",
     ]
     write_report(report_path, header, outcome.rows.report_lines)
-    if cfg.svg_path:
+    if cfg["svg"]:
         render_convergence_svg(
-            _out_path(args.out, cfg.svg_path),
+            _out_path(args.out, cfg["svg"]),
             _series_for(outcome, f"{spec.method} {spec.problem_id}"),
         )
     status = "PASS" if outcome.exit_code == EXIT_PASS else "FAIL"
@@ -178,26 +157,13 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"{args.csv}: unexpected columns {columns}")
     if not rows:
         raise ConfigError(f"{args.csv}: no data rows (empty trace)")
-    if "psi" in meta:
-        raise ConfigError("conjecture CSVs are probe output, not verifiable traces")
-    for key in ("problem", "method", "x0", "iterations", "schedule", "eps_rel", "eps_abs"):
-        if key not in meta:
-            raise ConfigError(f"{args.csv}: missing metadata key {key!r}")
+    cfg = ExperimentConfig.from_values(meta, "verify", _flags(args))
+    spec, tol = cfg.single_cell(), cfg.tolerances()
     try:
-        spec = RunSpec(
-            problem_id=meta["problem"],
-            method=meta["method"],
-            x0_spec=meta["x0"],
-            iterations=int(meta["iterations"]),
-            schedule_spec=meta["schedule"],
-            eps_rel=float(meta["eps_rel"]),
-            eps_abs=float(meta["eps_abs"]),
-        )
         stored_ks = np.array([int(r["k"]) for r in rows], dtype=np.int64)
         stored = {c: np.array([float(r[c]) for r in rows]) for c in _CHECKED_COLUMNS}
     except ValueError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
-    tol = _tolerances(args, spec.eps_rel, spec.eps_abs)
     outcome = execute_cell(spec, tol)
     table = outcome.rows.rows
     recomputed = table.columns
@@ -281,15 +247,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    cells = cfg.cells()
-    tol = _tolerances(args, cfg.eps_rel, cfg.eps_abs)
-    stem = Path(cfg.csv_path)
+    cfg = ExperimentConfig.from_file(args.config, "sweep", _flags(args))
+    cells, tol = cfg.cells(), cfg.tolerances()
+    stem = Path(cfg["csv"])
     tables: list[Table] = []
     report_lines: list[str] = []
     series: list[Series] = []
     worst = EXIT_PASS
-    multi_k = len(cfg.iterations) > 1
+    multi_k = len(cfg["iterations"]) > 1
     for i, spec in enumerate(cells):
         label = f"{spec.method} {spec.problem_id}" + (f" K={spec.iterations}" if multi_k else "")
         try:
@@ -315,7 +280,7 @@ def cmd_sweep(args) -> int:
         )
         series.extend(_series_for(outcome, label))
 
-    agg_path = _out_path(args.out, cfg.csv_path)
+    agg_path = _out_path(args.out, cfg["csv"])
     meta = {
         "sweep": f"{len(cells)} cells",
         "eps_rel": fmt(tol.eps_rel),
@@ -323,9 +288,9 @@ def cmd_sweep(args) -> int:
     }
     agg_columns = ["problem", "method", "iterations"] + RUN_COLUMNS
     write_csv(agg_path, meta, agg_columns, Table.concat(tables, agg_columns))
-    write_report(_out_path(args.out, cfg.report_path), [f"sweep: {len(cells)} cells"], report_lines)
-    if cfg.svg_path:
-        render_convergence_svg(_out_path(args.out, cfg.svg_path), series)
+    write_report(_out_path(args.out, cfg["report"]), [f"sweep: {len(cells)} cells"], report_lines)
+    if cfg["svg"]:
+        render_convergence_svg(_out_path(args.out, cfg["svg"]), series)
     for line in report_lines:
         print(line)
     return worst
@@ -356,39 +321,18 @@ def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) ->
         "residual_induction": np.full(n, math.nan),
         "verdict": verdicts,
         "psi": np.full(n, cp.psi.label),
-        "psi_xk": np.array([cp.psi.value(x) for x in trace.x[ks]], dtype=float),
+        "psi_xk": result.psi_values,
         "conj_margin_k": margins,
     })
     return Table(columns)
 
 
-def _within_trace_budget(K: int, dim: int):
-    try:
-        check_trace_budget(K, dim)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_conjecture(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    tol = _tolerances(args, cfg.eps_rel, cfg.eps_abs)
-    if cfg.methods and any(m != "prox_accelerated" for m in cfg.methods):
-        raise ConfigError("conjecture runs use method = prox_accelerated")
-    K = cfg.iterations[0] if cfg.iterations else None
-    if K is None or K < 1:
-        raise ConfigError("conjecture needs iterations >= 1")
-
+    cfg = ExperimentConfig.from_file(args.config, "conjecture", _flags(args))
+    tol, K = cfg.tolerances(), cfg["iterations"]
     lines = [Z_RECURSION_NOTE]
-    if cfg.suite is not None:
-        if cfg.suite != "lasso":
-            raise ConfigError(f"unknown suite {cfg.suite!r}")
-        instances = 100 if cfg.instances is None else cfg.instances
-        dim = 5 if cfg.dim is None else cfg.dim
-        for key, val in (("instances", instances), ("dim", dim)):
-            if val < 1:
-                raise ConfigError(f"{key} must be >= 1, got {val}")
-        _within_trace_budget(K, dim)
-        summary, probes = lasso_suite(instances, dim, K, cfg.seed, tol)
+    if cfg.mode == SUITE:
+        summary, probes = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
         columns = ["instance"] + CONJECTURE_COLUMNS
         rows = Table.concat(
             [_conjecture_rows(cp, trace, cert, result, instance=i)
@@ -402,23 +346,21 @@ def cmd_conjecture(args) -> int:
         ]
         meta = {
             "suite": "lasso",
-            "instances": str(instances),
-            "dim": str(dim),
+            "instances": str(cfg["instances"]),
+            "dim": str(cfg["dim"]),
             "iterations": str(K),
-            "seed": str(cfg.seed),
+            "seed": str(cfg["seed"]),
             "psi": "l1 (per-instance lambda)",
             "note": Z_RECURSION_NOTE,
         }
     else:
-        if not cfg.problems or cfg.psi is None:
-            raise ConfigError("conjecture needs problem and psi (or suite = lasso)")
-        phi, psi = from_id(cfg.problems[0]), regularizer_from_id(cfg.psi)
+        spec = cfg.single_cell()
+        phi = spec.build_problem()
         try:
-            cp = CompositeProblem(phi=phi, psi=psi)
+            cp = CompositeProblem(phi=phi, psi=cfg["psi"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _within_trace_budget(K, cp.dim)
-        x0 = resolve_x0(cfg.x0_spec, cp.dim)
+        x0 = resolve_x0(spec.x0_spec, cp.dim)
         trace, cert, result = probe_instance(cp, x0, K, tol)
         rows = _conjecture_rows(cp, trace, cert, result)
         states = np.where(result.vacuous, "VACUOUS", np.where(result.violated, "VIOLATION", "ok"))
@@ -429,7 +371,7 @@ def cmd_conjecture(args) -> int:
             f"{len(result.violations)} violations found"
         )
         meta = {
-            "problem": cfg.problems[0],
+            "problem": spec.problem_id,
             "psi": cp.psi.label,
             "method": "prox_accelerated",
             "x0": ",".join(fmt(c) for c in x0),
@@ -440,8 +382,8 @@ def cmd_conjecture(args) -> int:
         }
         columns = CONJECTURE_COLUMNS
 
-    write_csv(_out_path(args.out, cfg.csv_path), meta, columns, rows)
-    write_report(_out_path(args.out, cfg.report_path), [lines[0]], lines[1:])
+    write_csv(_out_path(args.out, cfg["csv"]), meta, columns, rows)
+    write_report(_out_path(args.out, cfg["report"]), [lines[0]], lines[1:])
     print(lines[-1])  # the summary line
     return EXIT_PASS
 
@@ -449,39 +391,36 @@ def cmd_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 like config errors; argparse's 2 means a failed verification here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccfom",
         description="First-order methods with per-iteration convergence certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", default=None, help="output directory (default: cwd)")
-        sp.add_argument("--eps-rel", type=float, default=None, dest="eps_rel")
-        sp.add_argument("--eps-abs", type=float, default=None, dest="eps_abs")
-
-    sp = sub.add_parser("run", help="run one experiment and verify it inline")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_run)
-
-    sp = sub.add_parser("verify", help="recompute all checks for a stored trace CSV")
-    sp.add_argument("csv")
-    sp.add_argument("--eps-rel", type=float, default=None, dest="eps_rel")
-    sp.add_argument("--eps-abs", type=float, default=None, dest="eps_abs")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("sweep", help="run a grid of cells and aggregate")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("conjecture", help="probe the composite-certificate conjecture")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_conjecture)
-
+    for name, func, text in (
+        ("run", cmd_run, "run one experiment and verify it inline"),
+        ("verify", cmd_verify, "recompute all checks for a stored trace CSV"),
+        ("sweep", cmd_sweep, "run a grid of cells and aggregate"),
+        ("conjecture", cmd_conjecture, "probe the composite-certificate conjecture"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        if name == "verify":
+            sp.add_argument("csv")
+        else:
+            sp.add_argument("--config", required=True)
+            sp.add_argument("--out", default=None, help="output directory (default: cwd)")
+        # strings: validated as the config keys they override
+        sp.add_argument("--eps-rel", default=None, dest="eps_rel")
+        sp.add_argument("--eps-abs", default=None, dest="eps_abs")
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -1,32 +1,56 @@
-"""Experiment configuration: flat key/value text files, one experiment each.
+"""Experiment inputs: one key table for config files, CSV metadata and flags.
 
-Format: ``key = value`` lines, ``#`` comments, no sections or includes.
-Sweep fields (``problem``, ``method``, ``iterations``) accept ``;``-separated
-lists; everything else is scalar.  Problem identifiers use the catalog
-grammar (see :mod:`ccfom.cli`), so commas inside values are fine.
+Text format: ``key = value`` lines, ``#`` comments, no sections or includes;
+a repeated key is an error.  A config file and the ``# key = value``
+metadata block of a v1 CSV are both read by :func:`parse_config_text`; the
+``--eps-rel``/``--eps-abs`` flags are merged in as key values; and the
+result is validated against :data:`KEYS`, which gives each key its parser,
+its default and how each command reads it.  A key the command does not
+read is a ConfigError, and only ``sweep`` takes ``;``-separated lists.
+Problem identifiers use the catalog grammar (see :mod:`ccfom.cli`), so
+commas inside values are fine.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .methods import StepSchedule, check_trace_budget, method_spec
 from .problems import ProblemInstance, as_point, from_id
+from .proxprobe import regularizer_from_id
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
-__all__ = ["ExperimentConfig", "RunSpec", "parse_config_text", "resolve_x0", "resolve_schedule"]
+__all__ = [
+    "KEYS",
+    "ExperimentConfig",
+    "RunSpec",
+    "cell_metadata",
+    "fmt",
+    "parse_config_text",
+    "resolve_x0",
+    "resolve_schedule",
+]
 
-_KNOWN_KEYS = {
-    "problem", "method", "x0", "iterations", "schedule",
-    "eps_rel", "eps_abs", "csv", "report", "svg", "seed",
-    "psi", "instances", "suite", "dim",
-}
-_LIST_KEYS = ("problem", "method", "iterations")
+
+def fmt(v) -> str:
+    """The text of a value in config files, CSV metadata and CSV cells (floats to 17 digits)."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    x = float(v)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.17g}"
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -39,36 +63,85 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
+        key, val = key.strip(), val.strip()
         if not key or not val:
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         out[key] = val
     return out
 
 
-def _positive_float(val: str, key: str) -> float:
-    try:
-        x = float(val)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {val!r}") from None
-    if not (x > 0 and math.isfinite(x)):
-        raise ConfigError(f"{key} must be positive and finite, got {val!r}")
-    return x
+def _number(kind: type, ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    def parse(text: str):
+        try:
+            if ok(x := kind(text)):
+                return x
+        except ValueError:
+            pass
+        raise ConfigError(f"expected {rule}, got {text!r}")
+
+    return parse
 
 
-def _int_value(val: str, key: str) -> int:
+def _method(text: str) -> str:
+    return method_spec(text).name
+
+
+def _suite(text: str) -> str:
+    if text != "lasso":
+        raise ConfigError(f"unknown suite {text!r}")
+    return text
+
+
+class Key(NamedTuple):
+    """An input key: its parser (ConfigError on bad text), the value it takes when
+    optional and absent, and how each mode of MODES reads it, one letter per
+    mode: R required, L a required ';' list, o optional, - not read."""
+
+    parse: Callable[[str], Any]
+    default: Any
+    reads: str
+
+
+SUITE = "conjecture (suite mode)"
+MODES = ("run", "sweep", "verify", "conjecture", SUITE)
+
+_COUNT = _number(int, lambda n: n >= 0, "an integer >= 0")
+_POSITIVE = _number(int, lambda n: n >= 1, "an integer >= 1")
+_TOLERANCE = _number(float, lambda x: 0 < x < math.inf, "a positive finite number")
+
+# ``conjecture`` is in suite mode when ``suite`` is set.  A run CSV's metadata
+# block lists the keys ``verify`` reads, in table order.
+KEYS = {
+    #                 parser               default                      run sweep verify conj suite
+    "problem":    Key(str,                 None,                       "R   L     R      R    -"),
+    "method":     Key(_method,             "prox_accelerated",         "R   L     R      R    o"),
+    "x0":         Key(str,                 "zeros",                    "o   o     R      o    -"),
+    "iterations": Key(_COUNT,              None,                       "R   L     R      R    R"),
+    "schedule":   Key(str,                 None,                       "o   o     R      -    -"),
+    "eps_rel":    Key(_TOLERANCE,          DEFAULT_TOLERANCES.eps_rel, "o   o     R      o    o"),
+    "eps_abs":    Key(_TOLERANCE,          DEFAULT_TOLERANCES.eps_abs, "o   o     R      o    o"),
+    "csv":        Key(str,                 "run.csv",                  "o   o     -      o    o"),
+    "report":     Key(str,                 "run.report.txt",           "o   o     -      o    o"),
+    "svg":        Key(str,                 None,                       "o   o     -      -    -"),
+    "psi":        Key(regularizer_from_id, None,                       "-   -     -      R    -"),
+    "suite":      Key(_suite,              None,                       "-   -     -      -    R"),
+    "instances":  Key(_POSITIVE,           100,                        "-   -     -      -    o"),
+    "dim":        Key(_POSITIVE,           5,                          "-   -     -      -    o"),
+    "seed":       Key(_COUNT,              0,                          "-   -     -      -    o"),
+}
+
+
+def _use(key: str, mode: str) -> str:
+    return KEYS[key].reads.split()[MODES.index(mode)] if key in KEYS else "-"
+
+
+def _parse(key: str, text: str):
     try:
-        x = int(val)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {val!r}") from None
-    if x < 0:
-        raise ConfigError(f"{key} must be >= 0, got {val!r}")
-    return x
+        return KEYS[key].parse(text.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def resolve_x0(spec: str, dim: int) -> np.ndarray:
@@ -127,121 +200,115 @@ def resolve_schedule(
     return schedule
 
 
+def _admit(check: Callable, *args) -> None:
+    """Run a ValueError-raising admissibility check; its failure is a ConfigError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class RunSpec:
-    """One fully-determined experiment cell."""
+    """One fully-determined experiment cell (schedule None: the method's default)."""
 
     problem_id: str
     method: str
     x0_spec: str
     iterations: int
     schedule_spec: Optional[str]
-    eps_rel: float
-    eps_abs: float
-    seed: int = 0
-    psi: Optional[str] = None
 
     def build_problem(self) -> ProblemInstance:
-        spec = method_spec(self.method)
         p = from_id(self.problem_id)
-        try:
-            spec.require(p, self.iterations)
-            check_trace_budget(self.iterations, p.dim)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _admit(method_spec(self.method).require, p, self.iterations)
+        _admit(check_trace_budget, self.iterations, p.dim)
         return p
+
+
+def cell_metadata(spec: RunSpec, tol: Tolerances) -> dict[str, str]:
+    """The metadata block of a run CSV: the single-cell config ``verify`` reads back.
+
+    ``spec`` carries the resolved x0 coordinates and schedule name.
+    """
+    values = dict(problem=spec.problem_id, method=spec.method, x0=spec.x0_spec,
+                  iterations=spec.iterations, schedule=spec.schedule_spec,
+                  eps_rel=tol.eps_rel, eps_abs=tol.eps_abs)
+    return {key: fmt(values[key]) for key in KEYS if _use(key, "verify") != "-"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed configuration; list-valued fields expand into sweep cells."""
+    """The validated inputs of one command: every key its mode reads, defaults filled in.
 
-    problems: tuple[str, ...]
-    methods: tuple[str, ...]
-    iterations: tuple[int, ...]
-    x0_spec: str = "zeros"
-    schedule_spec: Optional[str] = None
-    eps_rel: float = 1e-9
-    eps_abs: float = 1e-9
-    csv_path: str = "run.csv"
-    report_path: str = "run.report.txt"
-    svg_path: Optional[str] = None
-    seed: int = 0
-    psi: Optional[str] = None
-    instances: Optional[int] = None
-    suite: Optional[str] = None
-    dim: Optional[int] = None
+    Values are parsed; a ``sweep`` list is a tuple.  Read them as ``cfg[key]``.
+    """
+
+    mode: str
+    values: dict[str, Any]
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        raw = parse_config_text(text)
-        if "iterations" not in raw:
-            raise ConfigError("missing required key 'iterations'")
-        if "suite" not in raw:
-            for key in ("problem", "method"):
-                if key not in raw:
+    def from_values(
+        cls, raw: dict[str, str], command: str, flags: Optional[dict[str, str]] = None
+    ) -> "ExperimentConfig":
+        """Validate ``raw`` key texts, with ``flags`` merged over them, for ``command``."""
+        raw = {**raw, **(flags or {})}
+        mode = SUITE if command == "conjecture" and "suite" in raw else command
+        for key in raw:
+            if _use(key, mode) == "-":
+                raise ConfigError(f"key {key!r} is not read by {mode}")
+        values: dict[str, Any] = {}
+        for key, entry in KEYS.items():
+            use, text = _use(key, mode), raw.get(key)
+            if use == "-":
+                continue
+            if text is None:
+                if use != "o":
                     raise ConfigError(f"missing required key {key!r}")
-        problems = tuple(v.strip() for v in raw.get("problem", "").split(";") if v.strip())
-        methods = tuple(v.strip() for v in raw.get("method", "").split(";") if v.strip())
-        for m in methods:
-            method_spec(m)
-        iterations = tuple(
-            _int_value(v.strip(), "iterations")
-            for v in raw.get("iterations", "").split(";")
-            if v.strip()
-        )
-        return cls(
-            problems=problems,
-            methods=methods,
-            iterations=iterations,
-            x0_spec=raw.get("x0", "zeros"),
-            schedule_spec=raw.get("schedule"),
-            eps_rel=_positive_float(raw["eps_rel"], "eps_rel") if "eps_rel" in raw else 1e-9,
-            eps_abs=_positive_float(raw["eps_abs"], "eps_abs") if "eps_abs" in raw else 1e-9,
-            csv_path=raw.get("csv", "run.csv"),
-            report_path=raw.get("report", "run.report.txt"),
-            svg_path=raw.get("svg"),
-            seed=_int_value(raw["seed"], "seed") if "seed" in raw else 0,
-            psi=raw.get("psi"),
-            instances=_int_value(raw["instances"], "instances") if "instances" in raw else None,
-            suite=raw.get("suite"),
-            dim=_int_value(raw["dim"], "dim") if "dim" in raw else None,
-        )
+                values[key] = entry.default
+            elif use == "L":
+                values[key] = tuple(_parse(key, v) for v in text.split(";") if v.strip())
+                if not values[key]:
+                    raise ConfigError(f"{key}: empty list")
+            elif ";" in text:
+                raise ConfigError(f"{key}: a ';' list is accepted only by sweep, got {text!r}")
+            else:
+                values[key] = _parse(key, text)
+        if mode in ("conjecture", SUITE):
+            if values["method"] != "prox_accelerated":
+                raise ConfigError("conjecture runs use method = prox_accelerated")
+            if values["iterations"] < 1:
+                raise ConfigError("conjecture needs iterations >= 1")
+        if mode == SUITE:
+            _admit(check_trace_budget, values["iterations"], values["dim"])
+        return cls(mode, values)
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(
+        cls, path, command: str, flags: Optional[dict[str, str]] = None
+    ) -> "ExperimentConfig":
         path = Path(path)
         try:
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_text(text)
+        return cls.from_values(parse_config_text(text), command, flags)
+
+    def tolerances(self) -> Tolerances:
+        return Tolerances(eps_rel=self["eps_rel"], eps_abs=self["eps_abs"])
 
     def cells(self) -> list[RunSpec]:
-        """Cartesian product of the list-valued fields, in config order."""
-        if not (self.problems and self.methods and self.iterations):
-            raise ConfigError("config needs problem, method, and iterations")
-        out = []
-        for pid in self.problems:
-            for method in self.methods:
-                for K in self.iterations:
-                    out.append(
-                        RunSpec(
-                            problem_id=pid,
-                            method=method,
-                            x0_spec=self.x0_spec,
-                            iterations=K,
-                            schedule_spec=self.schedule_spec,
-                            eps_rel=self.eps_rel,
-                            eps_abs=self.eps_abs,
-                            seed=self.seed,
-                            psi=self.psi,
-                        )
-                    )
-        return out
+        """The cells of the problem x method x iterations lists, in config order."""
+        v = self.values
+        swept = ("problem", "method", "iterations")
+        grid = [v[k] if self.mode == "sweep" else (v[k],) for k in swept]
+        return [
+            RunSpec(pid, method, v["x0"], K, v.get("schedule"))
+            for pid, method, K in itertools.product(*grid)
+        ]
 
     def single_cell(self) -> RunSpec:
-        cells = self.cells()
-        if len(cells) != 1:
-            raise ConfigError("this command needs a single-cell config (no ';' lists)")
-        return cells[0]
+        """The one cell of a command that takes no lists."""
+        return self.cells()[0]

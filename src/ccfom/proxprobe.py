@@ -197,9 +197,6 @@ class CompositeProblem:
     def label(self) -> str:
         return f"{self.phi.problem_id}+{self.psi.label}"
 
-    def value(self, x) -> float:
-        return self.phi.value(x) + self.psi.value(x)
-
 
 def run_proximal_accelerated(cp: CompositeProblem, x0, K: int) -> MethodTrace:
     """Accelerated method with the proximal step, t_k = 1/L of the smooth part.
@@ -231,15 +228,16 @@ def conjectured_certificate(
 class ProbeResult:
     """Margins of the conjectured bound along one run.
 
-    margin_k = conjectured certificate_k - f(x_k); the conjecture predicts
+    margin_k = conjectured certificate_k - f(x_k), where f(x_k) = phi(x_k) +
+    psi(x_k) and ``psi_values`` holds the psi term; the conjecture predicts
     margin_k >= 0.  ``violated`` marks the non-vacuous records where that
     check fails (margin below -tolerance, or NaN); they are the violations.
     """
 
     composite_label: str
-    x0: np.ndarray
     ks: np.ndarray
     f_values: np.ndarray
+    psi_values: np.ndarray
     conjectured: np.ndarray
     margins: np.ndarray
     tolerances: np.ndarray
@@ -262,7 +260,8 @@ def probe_instance(
     start = cert.start_index
     ks = np.arange(start, K + 1)
     xs = trace.x[ks]
-    f_vals = cp.phi.value_batch(xs) + np.array([cp.psi.value(x) for x in xs])
+    psi_vals = np.array([cp.psi.value(x) for x in xs], dtype=float)
+    f_vals = cp.phi.value_batch(xs) + psi_vals
     conied = _conjectured(cert, cp, x0, ks)
     vac = np.isneginf(conied)
     margins = conied - f_vals
@@ -273,9 +272,9 @@ def probe_instance(
     )
     result = ProbeResult(
         composite_label=cp.label,
-        x0=np.array(x0),
         ks=ks,
         f_values=f_vals,
+        psi_values=psi_vals,
         conjectured=conied,
         margins=margins,
         tolerances=tols,
@@ -316,7 +315,6 @@ class ProbeSummary:
     vacuous_records: int
     min_margin: float
     violation_reports: tuple[str, ...]
-    note: str = Z_RECURSION_NOTE
 
     def summary_line(self) -> str:
         return (

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CHAIN_CHECKS, CheckTable
+from .config import fmt, parse_config_text
 from .errors import ConfigError
 from .methods import MethodTrace, method_spec
 from .problems import ProblemInstance
@@ -59,19 +60,6 @@ RUN_COLUMNS = [
 ]
 
 CONJECTURE_COLUMNS = RUN_COLUMNS + ["psi", "psi_xk", "conj_margin_k"]
-
-
-def fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    x = float(v)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
 
 
 def fmt_column(values) -> list[str]:
@@ -270,14 +258,13 @@ def read_csv(path) -> tuple[dict[str, str], list[str], list[dict[str, str]]]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_VERSION_LINE:
         raise ConfigError(f"{path} is not a ccfom-csv v1 file")
-    meta: dict[str, str] = {}
     i = 1
     while i < len(lines) and lines[i].startswith("#"):
-        body = lines[i][1:].strip()
-        if "=" in body:
-            key, _, val = body.partition("=")
-            meta[key.strip()] = val.strip()
         i += 1
+    try:
+        meta = parse_config_text("\n".join(line[1:] for line in lines[1:i]))
+    except ConfigError as exc:
+        raise ConfigError(f"{path} metadata {exc}") from None
     if i >= len(lines) or not lines[i].strip():
         raise ConfigError(f"{path} has no header row")
     reader = csv.reader(lines[i:])

@@ -10,6 +10,7 @@ magnitude along a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ class Tolerances:
     eps_abs: float = 1e-9
 
     def __post_init__(self):
-        if self.eps_rel <= 0 or self.eps_abs <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.eps_rel < math.inf and 0 < self.eps_abs < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
     def bound(self, *magnitudes):
         """Tolerance for a check whose terms have the given magnitudes.

@@ -452,3 +452,143 @@ class TestConjecture:
                         iterations=OVER_BUDGET, **kv)
         assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert "exceeds the 1e+08 budget" in capsys.readouterr().err
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+RUN_KV = dict(problem="quad:diag=1", method="gradient", x0="1.0", iterations=5)
+CONJ_KV = dict(problem="quad:diag=1", psi="l1:lam=1", method="prox_accelerated", x0="3.0",
+               iterations=5)
+SUITE_KV = dict(suite="lasso", instances=2, dim=2, iterations=5)
+UNREAD = dict(psi="zero", suite="lasso", instances=3, dim=2, seed=1)
+
+
+class TestInputSchema:
+    """Config files, CSV metadata and --eps-* flags go through one key table."""
+
+    @pytest.mark.parametrize("command,base,key,val,mode", [
+        pytest.param(command, base, k, v, mode, id=f"{mode}-{k}".replace(" (suite mode)", "-suite"))
+        for command, base, mode, unread in [
+            ("run", RUN_KV, "run", UNREAD),
+            ("sweep", RUN_KV, "sweep", UNREAD),
+            ("conjecture", CONJ_KV, "conjecture",
+             dict(schedule="inverse_L", svg="c.svg", seed=1, instances=3, dim=2)),
+            ("conjecture", SUITE_KV, "conjecture (suite mode)",
+             dict(problem="quad:diag=1", psi="zero", x0="ones", schedule="inverse_L", svg="s.svg")),
+        ]
+        for k, v in unread.items()
+    ])
+    def test_key_the_command_does_not_read_exits_3(self, tmp_path, capsys, command, base, key,
+                                                   val, mode):
+        cfg = run_cfg(tmp_path, **base, **{key: val})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert f"key {key!r} is not read by {mode}" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("key,val", [
+        ("csv", "run.csv"), ("seed", "1"), ("psi", "zero"), ("svg", "run.svg"),
+    ])
+    def test_metadata_key_verify_does_not_read_exits_3(self, tmp_path, capsys, key, val):
+        assert main(["run", "--config", str(run_cfg(tmp_path, **RUN_KV)), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        lines.insert(2, f"# {key} = {val}")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(bad)]) == 3
+        assert f"key {key!r} is not read by verify" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kv", [
+        dict(CONJ_KV, problem="quad:diag=1; quad:diag=2"),
+        dict(CONJ_KV, psi="l1:lam=1; zero"),
+        dict(SUITE_KV, iterations="5; 6"),
+    ], ids=["problem", "psi", "suite-iterations"])
+    def test_list_given_to_conjecture_exits_3(self, tmp_path, capsys, kv):
+        cfg = run_cfg(tmp_path, **kv)
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "a ';' list is accepted only by sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kv", [
+        dict(eps_rel=math.nan), dict(eps_abs=math.inf), dict(eps_rel=0.0), dict(eps_abs=-1e-9),
+    ], ids=["nan", "inf", "zero", "negative"])
+    def test_tolerances_reject_non_finite_and_non_positive(self, kv):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ccfom.Tolerances(**kv)
+
+    @pytest.mark.parametrize("flag,val", [("--eps-rel", "nan"), ("--eps-abs", "inf")])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_non_finite_tolerance_flag_exits_3(self, tmp_path, capsys, command, flag, val):
+        cfg = run_cfg(tmp_path, **RUN_KV)
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path)]
+        if command == "verify":
+            assert main(argv) == 0
+            argv = ["verify", str(tmp_path / "run.csv")]
+        assert main(argv + [flag, val]) == 3
+        assert "expected a positive finite number" in capsys.readouterr().err
+
+    def test_infinite_tolerance_in_metadata_exits_3(self, tmp_path):
+        # the run of acceptance criterion 9, with every f_xk and cert_k forged
+        cfg = run_cfg(tmp_path, problem="norm:G=1:dim=1", method="subgradient", x0="1.37",
+                      iterations=12)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("k,"))
+        forged = [line.replace("# eps_abs = 1.0000000000000001e-09", "# eps_abs = inf")
+                  for line in lines[: header + 1]]
+        assert "# eps_abs = inf" in forged
+        for line in lines[header + 1:]:
+            parts = line.split(",")
+            parts[1], parts[3] = "12345", "-99"  # f_xk, cert_k
+            forged.append(",".join(parts))
+        bad = tmp_path / "forged.csv"
+        bad.write_text("\n".join(forged) + "\n")
+        assert main(["verify", str(bad)]) == 3
+
+    def test_duplicate_metadata_key_exits_3(self, tmp_path, capsys):
+        assert main(["run", "--config", str(run_cfg(tmp_path, **RUN_KV)), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        eps_abs = next(line for line in lines if line.startswith("# eps_abs"))
+        lines.insert(2, eps_abs)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(bad)]) == 3
+        assert "duplicate key 'eps_abs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["run", "--config", "CFG", "--eps-rel", "abc"],
+        ["frobnicate"],
+        [],
+        ["verify"],
+    ], ids=["run-without-config", "eps-not-a-number", "unknown-subcommand", "no-subcommand",
+            "verify-without-csv"])
+    def test_usage_errors_exit_3(self, tmp_path, argv):
+        cfg = str(run_cfg(tmp_path, **RUN_KV))
+        assert exit_code([cfg if a == "CFG" else a for a in argv]) == 3
+
+    def test_help_exits_0(self, capsys):
+        assert exit_code(["--help"]) == 0
+        assert exit_code(["run", "--help"]) == 0
+        assert "--eps-rel" in capsys.readouterr().out
+
+    def test_metadata_round_trip_is_byte_identical(self, tmp_path):
+        from test_acceptance import ACCEPTANCE_MATRIX
+
+        from ccfom.config import ExperimentConfig, cell_metadata
+
+        for i, (pid, method, x0, K) in enumerate(ACCEPTANCE_MATRIX):
+            cfg = run_cfg(tmp_path, name=f"c{i}", problem=pid, method=method,
+                          x0=",".join(map(str, x0)), iterations=K)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            lines = (tmp_path / f"c{i}.csv").read_text().splitlines()
+            header = next(j for j, line in enumerate(lines) if line.startswith("k,"))
+            block = "".join(line + "\n" for line in lines[1:header])
+            meta = read_csv(tmp_path / f"c{i}.csv")[0]
+            parsed = ExperimentConfig.from_values(meta, "verify")
+            back = cell_metadata(parsed.single_cell(), parsed.tolerances())
+            assert "".join(f"# {k} = {v}\n" for k, v in back.items()) == block, (pid, method)

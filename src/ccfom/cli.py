@@ -43,6 +43,7 @@ from .reporting import (
     Series,
     Table,
     build_rows,
+    check_summary,
     fmt,
     fmt_column,
     read_csv,
@@ -192,17 +193,13 @@ def cmd_verify(args) -> int:
     stored_vacuous = np.array([r["vacuous_flag"] for r in rows[:n]]) == "1"
     residual = lhs_k - cert_k
     link = Check(-residual, tol.bound(lhs_k, cert_k), same_k & ~stored_vacuous)
-    cert_fail = link.failed
-    checked = np.flatnonzero(link.applicable)
-    resid, t = fmt_column(residual[checked]), fmt_column(link.tol[checked])
-    lines = [
-        f"k={k}: stored chain certificate: residual={r} tol={b} {'FAIL' if bad else 'pass'}"
-        for k, r, b, bad in zip(ks[checked].tolist(), resid, t, cert_fail[checked].tolist())
-    ]
+    summary, _ = check_summary("stored chain certificate", ks, link)
+    cert_fail = np.flatnonzero(link.failed)
     cert_failures = {
         int(i): f"k={ks[i]}: chain certificate on stored values: "
                 f"residual {r} exceeds tol {b}"
-        for i, r, b, bad in zip(checked.tolist(), resid, t, cert_fail[checked].tolist()) if bad
+        for i, r, b in zip(cert_fail.tolist(), fmt_column(residual[cert_fail]),
+                           fmt_column(link.tol[cert_fail]))
     }
 
     # failure messages in row order, for the rows that have any
@@ -232,7 +229,7 @@ def cmd_verify(args) -> int:
 
     report_path = Path(str(args.csv) + ".verify.txt")
     header = [f"verify: {args.csv}", f"tolerances: eps_rel={tol.eps_rel:g} eps_abs={tol.eps_abs:g}"]
-    write_report(report_path, header, lines + ["FAIL " + f for f in failures])
+    write_report(report_path, header, [summary] + ["FAIL " + f for f in failures])
     if failures:
         for f in failures:
             print(f"FAIL {f}")

@@ -462,7 +462,12 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
         raise ValueError("all pieces are constant; objective has no slope")
 
     def value_batch(X):
-        pieces = A @ X.T  # (m, N): rows contiguous for the max pass
+        # (m, N), summed column by column as in row_dot: a matrix product
+        # takes another BLAS kernel for one row than for many, and with it
+        # other last bits
+        pieces = A[:, :1] * X[:, 0]
+        for j in range(1, n):
+            pieces += A[:, j : j + 1] * X[:, j]
         pieces += b[:, None]
         out = pieces[0]
         for i in range(1, m):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import CHAIN_CHECKS, CheckTable
+from .certificates import CHAIN_CHECKS, Check, CheckTable
 from .config import fmt, parse_config_text
 from .errors import ConfigError
 from .methods import MethodTrace, method_spec
@@ -35,6 +35,7 @@ __all__ = [
     "fmt",
     "fmt_column",
     "Table",
+    "check_summary",
     "build_rows",
     "write_csv",
     "read_csv",
@@ -143,12 +144,35 @@ _FAIL_LINES = {
 
 
 def _title(name: str) -> str:
-    """The title of a check's line on every record it covers."""
+    """The title of a check in the summary and on the records it covers."""
     if name in CHAIN_CHECKS:
         return f"chain {name}"
-    if name in ("induction step", "mu closed form"):
+    if name in _FAIL_LINES or name in ("induction step", "mu closed form"):
         return name
     return f"identity {name}"
+
+
+def check_summary(title: str, ks: np.ndarray, check: Check) -> tuple[str, Optional[int]]:
+    """The summary line of one check over the records ``ks``, and the index of its worst record.
+
+    The line gives the number of records the check applies to, how many
+    fail and the first failing k, and the largest residual/tol
+    (-margin/tol) over the applicable records with its k.  A NaN ratio (a
+    NaN margin, which fails) ranks as the worst; ties go to the smallest k.
+    A check that applies nowhere gets "not applicable" and no worst record.
+    """
+    at = np.flatnonzero(check.applicable)
+    if not at.size:
+        return f"{title}: not applicable", None
+    margin, tol = check.margin[at], check.tol[at]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where((margin == 0) & (tol == 0), 0.0, -margin / tol)
+    i = int(np.argmax(ratio))  # the first NaN if there is one, else the first maximum
+    failed = np.flatnonzero(check.failed)
+    first = f" (first at k={ks[failed[0]]})" if failed.size else ""
+    line = (f"{title}: {at.size} applicable, {failed.size} failing{first}, "
+            f"worst residual/tol {fmt(ratio[i])} at k={ks[at[i]]}")
+    return line, int(at[i])
 
 
 def build_rows(
@@ -157,21 +181,23 @@ def build_rows(
     ver: CheckTable,
     tol: Optional[Tolerances] = None,
 ) -> RunRows:
-    """Lay out a verified run as CSV rows and itemized report lines.
+    """Lay out a verified run as CSV rows and a summary-first report.
 
     Every column, verdict and report state is read from the check table
     ``ver``; ``tol`` is not read (the table holds every tolerance) and is
-    accepted so that four-argument calls keep working.  The report lists,
-    per k, each check in table order: the bound, descent and G-ball checks
-    only where they fail, the chain links on every record (a link that does
-    not apply is "skipped (vacuous)"), and the other checks wherever they
-    apply; a vacuous record's note comes before its G-ball line.  The text
-    is formatted when ``report_lines`` is first read.
+    accepted so that four-argument calls keep working.  After the header
+    the report gives the record counts and one :func:`check_summary` line
+    per check, in table order, then itemises, in k order, only the records
+    that fail, are vacuous, or are some check's worst.  An itemised record
+    lists each check in table order: the bound, descent and G-ball checks
+    only where they fail, the chain links always (a link that does not
+    apply is "skipped (vacuous)"), and the other checks where they apply;
+    a vacuous record's note comes before its G-ball line.  The text is
+    formatted when ``report_lines`` is first read.
     """
     cert = ver.certificate
     start = cert.start_index
     ks = ver.ks
-    n = ks.size
     theta = trace.theta if method_spec(trace.method).momentum else cert.theta
     rows = Table({
         "k": ks,
@@ -188,13 +214,24 @@ def build_rows(
     })
 
     def format_report() -> list[str]:
-        pre = [f"k={k}: " for k in ks.tolist()]
-        columns = []
+        itemised = ver.record_failed | ver.vacuous
+        summary = []
         for name, check in ver.checks.items():
+            line, worst = check_summary(_title(name), ks, check)
+            summary.append(line)
+            if worst is not None:
+                itemised[worst] = True
+        at = np.flatnonzero(itemised)
+        n = at.size
+        vacuous = ver.vacuous[at]
+        pre = [f"k={k}: " for k in ks[at].tolist()]
+        columns = []
+        for name, full in ver.checks.items():
+            check = Check(*(a[at] for a in full))
             if name == "g_ball":  # the vacuous-record note, between the links and g_ball
-                columns.append(_sparse_lines(n, ver.vacuous, [
+                columns.append(_sparse_lines(n, vacuous, [
                     f"{pre[j]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
-                    for j in np.flatnonzero(ver.vacuous).tolist()
+                    for j in np.flatnonzero(vacuous).tolist()
                 ]))
             failed = check.failed
             if name in _FAIL_LINES:
@@ -226,6 +263,12 @@ def build_rows(
             lines.append(line)
         else:
             lines.append("reference value unavailable; closed-form bound checks skipped")
+        lines.append(
+            f"records k={ks[0]}..{ks[-1]}: {ks.size} checked, "
+            f"{int(ver.record_failed.sum())} FAIL, {int(ver.vacuous.sum())} VACUOUS, "
+            f"{n} itemised below (failing, vacuous or a check's worst)"
+        )
+        lines += summary
         lines += [line for group in zip(*columns) for line in group if line]
         return lines
 

@@ -9,6 +9,7 @@ import ccfom
 from ccfom import methods
 from ccfom.certificates import (
     CHAIN_CHECKS,
+    Check,
     build_certificate,
     certificate_value,
     certificate_value_raw,
@@ -22,7 +23,7 @@ from ccfom.certificates import (
     verify_run,
 )
 from ccfom.methods import StepSchedule, method_spec
-from ccfom.reporting import build_rows
+from ccfom.reporting import build_rows, check_summary
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS
 
 TOL = ccfom.DEFAULT_TOLERANCES
@@ -744,6 +745,138 @@ class TestFalsifiability:
 
 
 # ---------------------------------------------------------------------------
+# the summary-first report
+
+_SUMMARY = re.compile(
+    r"^(.+): (\d+) applicable, (\d+) failing(?: \(first at k=(\d+)\))?, "
+    r"worst residual/tol (\S+) at k=(\d+)$"
+)
+
+
+def _ratio(m: float, t: float) -> float:
+    """residual/tol = -m/t, with 0/0 read as 0."""
+    if m == 0 and t == 0:
+        return 0.0
+    if t == 0:
+        return math.nan if math.isnan(m) else math.copysign(math.inf, -m)
+    return -m / t
+
+
+def summary_by_loop(ks, check):
+    """(applicable, failing, first failing k, worst ratio, its k), record by record.
+
+    None where the check applies nowhere; a NaN ratio is worse than any
+    number, and of equal ratios the first k is the worst.
+    """
+    applicable = [i for i in range(len(ks)) if check.applicable[i]]
+    if not applicable:
+        return None
+    failing = [i for i in applicable if not check.margin[i] >= -check.tol[i]]
+    worst_i, worst = None, None
+    for i in applicable:
+        r = _ratio(float(check.margin[i]), float(check.tol[i]))
+        if worst_i is None or (not math.isnan(worst) and (math.isnan(r) or r > worst)):
+            worst_i, worst = i, r
+    first = int(ks[failing[0]]) if failing else None
+    return len(applicable), len(failing), first, worst, int(ks[worst_i])
+
+
+def _passing_cell():
+    p = ccfom.from_id("norm:G=2:dim=3")
+    tr = ccfom.run_subgradient(p, [1.0, 1.0, 1.0], StepSchedule.horizon_sqrt(60), 60)
+    return tr, p, p, None, set()
+
+
+def _vacuous_record():
+    p, tr, cert = _lse_vacuous()
+    return tr, p, p, cert, None
+
+
+SUMMARY_CELLS = {"passing": _passing_cell, "lse vacuous record": _vacuous_record, **FAULTS}
+
+
+class TestSummary:
+    @pytest.mark.parametrize("cell", list(SUMMARY_CELLS))
+    def test_summary_matches_a_reduction_over_the_table(self, cell):
+        trace, _, p, cert, expected = SUMMARY_CELLS[cell]()
+        cert = build_certificate(trace, p) if cert is None else cert
+        table = verify_certificate(trace, cert, p, tol=TOL)
+        lines = build_rows(trace, p, table).report_lines
+        ks = table.ks
+        worst_ks = set()
+        for name, line in zip(table.checks, lines[3 : 3 + len(table.checks)]):
+            ref = summary_by_loop(ks, table.checks[name])
+            if ref is None:
+                assert line.endswith(f"{name}: not applicable"), line
+                continue
+            m = _SUMMARY.match(line)
+            assert m and m.group(1).endswith(name), line
+            applicable, failing, first, worst, worst_k = ref
+            assert (int(m.group(2)), int(m.group(3))) == (applicable, failing), line
+            assert (None if m.group(4) is None else int(m.group(4))) == first, line
+            got = float(m.group(5))
+            assert got == worst or (math.isnan(got) and math.isnan(worst)), line
+            assert int(m.group(6)) == worst_k, line
+            worst_ks.add(worst_k)
+
+        failed_ks = {k for k, _ in table.failures()}
+        if expected is not None:
+            assert failed_ks == {k for k, _ in expected}
+        vacuous_ks = set(ks[table.vacuous].tolist())
+        itemised = {int(m.group(1)) for line in lines if (m := re.match(r"^k=(\d+): ", line))}
+        assert itemised == failed_ks | vacuous_ks | worst_ks
+        assert lines[2] == (
+            f"records k={ks[0]}..{ks[-1]}: {ks.size} checked, {len(failed_ks)} FAIL, "
+            f"{len(vacuous_ks)} VACUOUS, {len(itemised)} itemised below "
+            "(failing, vacuous or a check's worst)"
+        )
+        if cell == "lse vacuous record":
+            assert 2 in vacuous_ks
+            assert "k=2: VACUOUS record: dual vector left dom(f*), certificate is -inf" in lines
+
+    def test_nan_margin_is_the_worst_and_ties_go_to_the_first_k(self):
+        ks = np.arange(3, 9)
+        applies = np.array([True, True, True, True, True, False])
+        tol = np.ones(6)
+        # ratios 5 (failing), 5, nan, 0/0 = 0 at a zero tolerance; k=8 does not apply
+        check = Check(np.array([-5.0, -5.0, math.nan, 0.0, 1.0, -9.0]),
+                      np.array([1.0, 1.0, 1.0, 0.0, 1.0, 1.0]), applies)
+        line, worst = check_summary("x", ks, check)
+        assert line == "x: 5 applicable, 3 failing (first at k=3), worst residual/tol nan at k=5"
+        assert worst == 2
+        finite = Check(np.where(np.isnan(check.margin), 0.5, check.margin), tol, applies)
+        line, worst = check_summary("x", ks, finite)
+        assert line == "x: 5 applicable, 2 failing (first at k=3), worst residual/tol 5 at k=3"
+        assert worst == 0
+        nowhere = Check(check.margin, tol, np.zeros(6, dtype=bool))
+        assert check_summary("x", ks, nowhere) == ("x: not applicable", None)
+
+    def test_nan_conjugate_is_reported_as_the_worst(self):
+        # f* that could not be evaluated at k = 4 makes the certificate and
+        # Fenchel margins NaN there: the summary names k = 4 as their worst
+        p = ccfom.from_id("quad:diag=1,100")
+        tr = ccfom.run_gradient(p, [1.0, 1.0], 10)
+
+        def conjugate_batch(Z):
+            out = p.conjugate_batch(Z)
+            out[3] = math.nan
+            return out
+
+        bad = dataclasses.replace(p, conjugate_batch=conjugate_batch)
+        lines = build_rows(tr, bad, verify_run(tr, bad)).report_lines
+        for name in ("certificate", "fenchel"):
+            assert f"chain {name}: 10 applicable, 1 failing (first at k=4), " \
+                   "worst residual/tol nan at k=4" in lines
+
+    def test_long_run_report_is_small(self):
+        p = ccfom.from_id("quad:diag=1,100")
+        tr = ccfom.run_accelerated(p, [1.0, 1.0], 10_000)
+        lines = build_rows(tr, p, verify_run(tr, p)).report_lines
+        assert lines[2].startswith("records k=1..10000: 10000 checked, 0 FAIL, 0 VACUOUS, ")
+        assert len("\n".join(lines).encode()) < 64 * 1024
+
+
+# ---------------------------------------------------------------------------
 # the report text is formatted when it is first read
 
 
@@ -758,7 +891,11 @@ def test_report_header_with_reference_value_but_no_distance():
     assert ver.reference == 0.0 and ver.distance is None
     lines = build_rows(tr, nodist, ver, TOL).report_lines
     assert lines[1] == "reference value: 0"
-    assert len(lines) == len(known)
+    # the same summary shape: the record counts, then one line per check
+    assert [line.split(":")[0] for line in lines[2 : 3 + len(ver.checks)]] \
+        == [line.split(":")[0] for line in known[2 : 3 + len(ver.checks)]]
+    assert known[3].startswith("suboptimality bound: 20 applicable, 0 failing, ")
+    assert lines[3] == "suboptimality bound: not applicable"
 
 
 def test_report_text_is_formatted_on_first_read(monkeypatch):
@@ -775,7 +912,7 @@ def test_report_text_is_formatted_on_first_read(monkeypatch):
     rows = build_rows(tr, p, ver, TOL)
     assert calls == []
     lines = rows.report_lines
-    assert calls and len(lines) > 40
+    assert calls and len(lines) > 3 + len(ver.checks)  # header, summary, itemised records
     n = len(calls)
     assert rows.report_lines is lines
     assert len(calls) == n

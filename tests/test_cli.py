@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,9 @@ class TestVerify:
     def test_idempotent_on_fresh_output(self, tmp_path):
         csv = self.make_run(tmp_path)
         assert main(["verify", str(csv)]) == 0
+        report = (tmp_path / "run.csv.verify.txt").read_text().splitlines()
+        assert len(report) == 3
+        assert report[2].startswith("stored chain certificate: 13 applicable, 0 failing, worst ")
 
     def test_corrupted_f_value_fails_at_that_k(self, tmp_path, capsys):
         csv = self.make_run(tmp_path)
@@ -259,6 +263,11 @@ class TestVerify:
             assert f"FAIL k={k}: chain certificate on stored values" in "\n".join(stored_check)
         else:
             assert stored_check == []
+        # the report: its header, the stored-certificate summary, then the FAIL lines of stdout
+        report = (tmp_path / "bad.csv.verify.txt").read_text().splitlines()
+        failing = len(stored_check)
+        assert re.match(rf"stored chain certificate: \d+ applicable, {failing} failing", report[2])
+        assert report[3:] == failures
 
 
 class TestSweep:

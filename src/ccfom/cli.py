@@ -324,6 +324,35 @@ def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) ->
     return Table(columns)
 
 
+def _conjecture_report(result) -> list[str]:
+    """The probe's report body, summary first, as the run report is.
+
+    A record count line and one :func:`check_summary` line over the margins,
+    then, in k order, only the records that violate the conjecture, are
+    vacuous, or have the worst residual/tol.
+    """
+    ks = result.ks
+    summary, worst = check_summary(
+        "conjecture margin", ks, Check(result.margins, result.tolerances, ~result.vacuous)
+    )
+    itemised = result.violated | result.vacuous
+    if worst is not None:
+        itemised[worst] = True
+    at = np.flatnonzero(itemised)
+    states = np.where(result.vacuous[at], "VACUOUS",
+                      np.where(result.violated[at], "VIOLATION", "ok"))
+    return [
+        f"records k={ks[0]}..{ks[-1]}: {ks.size} checked, {int(result.violated.sum())} "
+        f"VIOLATION, {int(result.vacuous.sum())} VACUOUS, {at.size} itemised below "
+        f"(violating, vacuous or the worst)",
+        summary,
+    ] + [
+        f"k={k}: margin={m} tol={t} {state}"
+        for k, m, t, state in zip(ks[at].tolist(), fmt_column(result.margins[at]),
+                                  fmt_column(result.tolerances[at]), states.tolist())
+    ]
+
+
 def cmd_conjecture(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, "conjecture", _flags(args))
     tol, K = cfg.tolerances(), cfg["iterations"]
@@ -360,9 +389,7 @@ def cmd_conjecture(args) -> int:
         x0 = resolve_x0(spec.x0_spec, cp.dim)
         trace, cert, result = probe_instance(cp, x0, K, tol)
         rows = _conjecture_rows(cp, trace, cert, result)
-        states = np.where(result.vacuous, "VACUOUS", np.where(result.violated, "VIOLATION", "ok"))
-        for k, m, t, state in zip(result.ks, result.margins, result.tolerances, states.tolist()):
-            lines.append(f"k={k}: margin={fmt(m)} tol={fmt(t)} {state}")
+        lines += _conjecture_report(result)
         lines.append(
             f"CONJECTURE probe: 1 instance, {result.iterations_checked} iterations checked, "
             f"{len(result.violations)} violations found"

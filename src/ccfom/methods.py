@@ -175,43 +175,51 @@ def check_trace_budget(K: int, dim: int):
         )
 
 
-def _check_values(p: ProblemInstance, points: np.ndarray) -> None:
-    """OracleError at the first of ``points`` where f is not finite."""
-    bad = np.flatnonzero(~np.isfinite(p.value_batch(points)))
-    if bad.size:
-        k = int(bad[0])
+def _check_steps(p: ProblemInstance, q: np.ndarray, g: np.ndarray, n: int) -> None:
+    """The OracleError of a per-step check over the first ``n`` steps, if any.
+
+    A per-step check tests f(q[k]), then g[k], at each k in turn, so it
+    stops at the first non-finite g, or at a non-finite f at or before it.
+    """
+    bad_g = np.flatnonzero(~np.isfinite(g[:n]).all(axis=1))
+    last = int(bad_g[0]) if bad_g.size else n - 1
+    bad_f = np.flatnonzero(~np.isfinite(p.value_batch(q[: last + 1])))
+    if bad_f.size:
+        k = int(bad_f[0])
         raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
+    if bad_g.size:
+        raise OracleError(f"subgradient is not finite at iteration {last}", iteration=last)
 
 
 def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, step: Callable[[int], None]):
     """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``step(k)`` (k < K).
 
-    ``step(k)`` fills q[k+1].  The loop calls only ``subgradient``: f is
-    checked once, on all query points at the end, in one ``value_batch``
-    call.  The check runs under one ``np.errstate`` that silences overflow
-    and invalid operations, so an oracle that overflows returns inf or NaN
-    quietly and the check turns that into an OracleError at the first such
-    k.  When the loop stops early, the values at the points it had queried
-    are checked first, so the error is the one that a value check at every
-    step would have raised: the first non-finite f(q[j]), j <= k, for a
-    non-finite subgradient at k; the first j < k before an exception the
-    subgradient oracle raised at k.
+    ``step(k)`` fills q[k+1].  The loop calls only ``subgradient``: f and g
+    are checked once, at the end, f in one ``value_batch`` call.  The loop
+    and the checks run under one ``np.errstate`` that silences overflow and
+    invalid operations, so an oracle that overflows returns inf or NaN
+    quietly and the checks turn that into an OracleError.  A non-finite g
+    does not stop the loop, and when an exception from the oracle or from
+    ``step`` stops it, the steps it completed are checked before the
+    exception propagates.  Either way the error is the one that a check of
+    f(q[k]) and then g[k] at every step would have raised: the first
+    non-finite f(q[j]), j <= k, for the first non-finite g at k, else a
+    non-finite f, else the exception; what the loop did after that k is
+    never reported.
     """
     K = q.shape[0] - 1
     queried = 0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for k in range(K + 1):
-                g[k] = p.subgradient(q[k])
+            for k, qk in enumerate(q):
+                g[k] = p.subgradient(qk)
                 queried = k + 1
-                if not np.isfinite(g[k]).all():
-                    raise OracleError(f"subgradient is not finite at iteration {k}", iteration=k)
                 if k < K:
                     step(k)
         except Exception:
-            _check_values(p, q[:queried])
+            _check_steps(p, q, g, queried)
             raise
-        _check_values(p, q)
+        _check_steps(p, q, g, K + 1)
 
 
 def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method: str) -> MethodTrace:
@@ -222,9 +230,13 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
+    xs, gs = list(x), list(g)  # row views
+    tg = np.empty(p.dim)
 
     def step(k):
-        x[k + 1] = x[k] - steps[k] * g[k]
+        # x[k+1] = x[k] - t[k] * g[k]
+        np.multiply(gs[k], steps[k], out=tg)
+        np.subtract(xs[k], tg, out=xs[k + 1])
 
     _oracle_loop(p, x, g, step)
     return MethodTrace(method=method, problem_id=p.problem_id, x=x, g=g, t=t)
@@ -249,14 +261,24 @@ def _run_momentum(
     thetas = [1.0]
     x[0] = x0
     y[0] = x0
+    xs, ys, gs = list(x), list(y), list(g)  # row views
+    tmp = np.empty(p.dim)
 
     def step(k):
-        v = y[k] - steps[k] * g[k]
-        x[k + 1] = v if prox is None else prox(v, steps[k])
+        # x[k+1] = prox(y[k] - t[k] * g[k], t[k]), without prox when it is None
+        # y[k+1] = x[k+1] + (theta[k+1] * (1 - theta[k]) / theta[k]) * (x[k+1] - x[k])
+        np.multiply(gs[k], steps[k], out=tmp)
+        if prox is None:
+            np.subtract(ys[k], tmp, out=xs[k + 1])
+        else:
+            np.subtract(ys[k], tmp, out=tmp)
+            xs[k + 1][...] = prox(tmp, steps[k])
         th = thetas[k]
-        thetas.append(theta_next(th))
-        coef = thetas[k + 1] * (1.0 - th) / th
-        y[k + 1] = x[k + 1] + coef * (x[k + 1] - x[k])
+        th_next = theta_next(th)
+        thetas.append(th_next)
+        np.subtract(xs[k + 1], xs[k], out=tmp)
+        np.multiply(tmp, th_next * (1.0 - th) / th, out=tmp)
+        np.add(xs[k + 1], tmp, out=ys[k + 1])
 
     _oracle_loop(p, y, g, step)
     theta = np.array(thetas)

@@ -11,7 +11,6 @@ the file bit-stable across repeated runs and lossless to re-parse.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -84,7 +83,7 @@ class Table(Sequence):
     """CSV rows stored as one array (or list) per column.
 
     Indexing and iteration give a row as a ``{column: value}`` dict;
-    :func:`write_csv` formats the table a column at a time.
+    :func:`write_csv` formats it a chunk of rows at a time.
     """
 
     def __init__(self, columns: dict[str, Sequence]):
@@ -281,15 +280,60 @@ def build_rows(
     )
 
 
+# Data rows are formatted and written this many at a time.
+_CSV_CHUNK_ROWS = 4096
+
+# The conversion of a numeric column's cells, by dtype kind: floats to 17
+# significant digits, spelt as fmt spells them ("%.17g" writes NaN of either
+# sign as nan, the infinities as inf and -inf), integers and booleans as
+# integers.  Any other column is text.
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
+
+
+def _numeric(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in _CELL_FORMATS
+
+
+def _quote(text: str) -> str:
+    """A text cell as the csv module writes it: quoted, its quotes doubled, when it
+    holds a comma, a quote or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column) -> list:
+    """The values that fill a column's slot of the row template."""
+    if _numeric(column):
+        return column.tolist()
+    if isinstance(column, np.ndarray) and column.dtype.kind == "U":
+        texts = column.tolist()
+    else:
+        texts = [fmt(v) for v in column]
+    quoted = {text: _quote(text) for text in set(texts)}
+    return list(map(quoted.__getitem__, texts))
+
+
 def write_csv(path, meta: dict[str, str], columns: Sequence[str], rows: Table):
-    buf = io.StringIO()
-    buf.write(CSV_VERSION_LINE + "\n")
-    for key, val in meta.items():
-        buf.write(f"# {key} = {val}\n")
-    writer = csv.writer(buf, lineterminator="\n")  # quotes fields with commas
-    writer.writerow(columns)
-    writer.writerows(zip(*(fmt_column(rows.columns[c]) for c in columns)))
-    Path(path).write_text(buf.getvalue())
+    """Write ``rows`` as a schema-v1 CSV: version line, metadata, header, data rows.
+
+    Every data row comes from one ``%`` template, with a numeric column's
+    conversion from ``_CELL_FORMATS`` and text cells quoted as by
+    ``csv.writer``; rows are formatted and written ``_CSV_CHUNK_ROWS`` at a
+    time, so the file's text never exists whole in memory.
+    """
+    data = [rows.columns[c] for c in columns]
+    template = ",".join(
+        _CELL_FORMATS[col.dtype.kind] if _numeric(col) else "%s" for col in data
+    ) + "\n"
+    with open(path, "w") as out:
+        out.write(CSV_VERSION_LINE + "\n")
+        for key, val in meta.items():
+            out.write(f"# {key} = {val}\n")
+        out.write(",".join(map(_quote, columns)) + "\n")
+        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = [_cells(col[lo : lo + _CSV_CHUNK_ROWS]) for col in data]
+            out.write("".join(map(template.__mod__, zip(*chunk))))
 
 
 def read_csv(path) -> tuple[dict[str, str], list[str], list[dict[str, str]]]:

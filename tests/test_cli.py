@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import ccfom
-from ccfom.cli import main
+from ccfom.certificates import Check
+from ccfom.cli import _conjecture_report, main
+from ccfom.proxprobe import Z_RECURSION_NOTE, ProbeResult
 from ccfom.reporting import CSV_VERSION_LINE, RUN_COLUMNS, read_csv
 
 
@@ -395,6 +397,47 @@ class TestConjecture:
         assert "CONJECTURE" in meta["note"]
         report = (tmp_path / "c.txt").read_text()
         assert "z-recursion" in report
+
+    def test_report_is_summary_first(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", problem="quad:diag=1,10", psi="l1:lam=0.5",
+                        method="prox_accelerated", x0="1.0,-1.0", iterations=400,
+                        csv="c.csv", report="c.txt")
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "CONJECTURE probe: 1 instance, 400 iterations checked, 0 violations found"
+        lines = (tmp_path / "c.txt").read_text().splitlines()
+        assert lines[0] == Z_RECURSION_NOTE
+        assert lines[1] == ("records k=1..400: 400 checked, 0 VIOLATION, 0 VACUOUS, "
+                            "1 itemised below (violating, vacuous or the worst)")
+        worst = re.fullmatch(r"conjecture margin: 400 applicable, 0 failing, "
+                             r"worst residual/tol \S+ at k=(\d+)", lines[2])
+        assert worst
+        # the one itemised record is the worst, with the CSV's margin
+        _, _, rows = read_csv(tmp_path / "c.csv")
+        row = rows[int(worst[1]) - 1]
+        assert re.fullmatch(rf"k={worst[1]}: margin={re.escape(row['conj_margin_k'])} tol=\S+ ok",
+                            lines[3])
+        assert lines[4:] == [last]
+
+    def test_report_itemises_violating_vacuous_and_worst_records(self):
+        ks = np.arange(1, 9)
+        margins = np.array([0.5, -3.0, 0.2, -math.inf, 0.1, -2.0, 0.4, 0.3])
+        tols = np.ones(8)
+        vacuous = np.isneginf(margins)
+        result = ProbeResult(
+            composite_label="test", ks=ks, f_values=np.zeros(8), psi_values=np.zeros(8),
+            conjectured=margins, margins=margins, tolerances=tols, vacuous=vacuous,
+            violated=Check(margins, tols, ~vacuous).failed, violations=(),
+        )
+        assert _conjecture_report(result) == [
+            "records k=1..8: 8 checked, 2 VIOLATION, 1 VACUOUS, "
+            "3 itemised below (violating, vacuous or the worst)",
+            "conjecture margin: 7 applicable, 2 failing (first at k=2), "
+            "worst residual/tol 3 at k=2",
+            "k=2: margin=-3 tol=1 VIOLATION",
+            "k=4: margin=-inf tol=1 VACUOUS",
+            "k=6: margin=-2 tol=1 VIOLATION",
+        ]
 
     def test_zero_psi_matches_plain_run_certificates(self, tmp_path):
         kv = dict(problem="quad:diag=1,10", x0="ones", iterations=30)

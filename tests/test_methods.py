@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -201,6 +202,111 @@ class TestRunAccelerated:
 
 
 # ---------------------------------------------------------------------------
+# the runs against plain per-k loops
+
+
+def _plain_descent(p, x0, t):
+    """x[k+1] = x[k] - t[k]*g[k], one row at a time."""
+    K = t.size - 1
+    x = np.empty((K + 1, p.dim))
+    g = np.empty((K + 1, p.dim))
+    x[0] = x0
+    for k in range(K + 1):
+        g[k] = p.subgradient(x[k])
+        if k < K:
+            x[k + 1] = x[k] - t[k] * g[k]
+    return {"x": x, "g": g, "t": t}
+
+
+def _plain_momentum(p, x0, K, prox=None):
+    """The momentum step and extrapolation, one row at a time."""
+    t = np.full(K + 1, 1.0 / p.lipschitz_grad)
+    x = np.empty((K + 1, p.dim))
+    y = np.empty((K + 1, p.dim))
+    g = np.empty((K + 1, p.dim))
+    theta = np.empty(K + 1)
+    x[0] = y[0] = x0
+    theta[0] = 1.0
+    for k in range(K + 1):
+        g[k] = p.subgradient(y[k])
+        if k < K:
+            v = y[k] - t[k] * g[k]
+            x[k + 1] = v if prox is None else prox(v, t[k])
+            theta[k + 1] = theta_next(theta[k])
+            coef = theta[k + 1] * (1 - theta[k]) / theta[k]
+            y[k + 1] = x[k + 1] + coef * (x[k + 1] - x[k])
+    return {"x": x, "g": g, "t": t, "y": y, "theta": theta}
+
+
+def _quad(dim):
+    return ccfom.from_id("quad:diag=" + ",".join(f"{v:g}" for v in np.linspace(1, 100, dim)))
+
+
+def _box(dim):
+    return ccfom.make_box(np.full(dim, -0.5), np.full(dim, 0.75))
+
+
+# (run, plain reference) on a problem of dimension dim: (p, x0, K) -> trace
+_PLAIN = {
+    "subgradient norm": (
+        lambda dim: ccfom.from_id(f"norm:G=2:dim={dim}"),
+        lambda p, x0, K: ccfom.run_subgradient(p, x0, StepSchedule.horizon_sqrt(K), K),
+        lambda p, x0, K: _plain_descent(p, x0, StepSchedule.horizon_sqrt(K).resolve(K)),
+    ),
+    "gradient quad": (
+        _quad,
+        lambda p, x0, K: ccfom.run_gradient(p, x0, K),
+        lambda p, x0, K: _plain_descent(p, x0, np.full(K + 1, 1.0 / p.lipschitz_grad)),
+    ),
+    "gradient lse": (
+        lambda dim: ccfom.from_id(f"lse:dim={dim}"),
+        lambda p, x0, K: ccfom.run_gradient(p, x0, K),
+        lambda p, x0, K: _plain_descent(p, x0, np.full(K + 1, 1.0 / p.lipschitz_grad)),
+    ),
+    "accelerated quad": (
+        _quad,
+        lambda p, x0, K: ccfom.run_accelerated(p, x0, K),
+        lambda p, x0, K: _plain_momentum(p, x0, K),
+    ),
+    "accelerated lse": (
+        lambda dim: ccfom.from_id(f"lse:dim={dim}"),
+        lambda p, x0, K: ccfom.run_accelerated(p, x0, K),
+        lambda p, x0, K: _plain_momentum(p, x0, K),
+    ),
+    "prox_accelerated l1": (
+        _quad,
+        lambda p, x0, K: ccfom.run_proximal_accelerated(
+            ccfom.CompositeProblem(phi=p, psi=ccfom.make_l1(0.3)), x0, K),
+        lambda p, x0, K: _plain_momentum(p, x0, K, ccfom.make_l1(0.3).prox),
+    ),
+    "prox_accelerated box": (
+        _quad,
+        lambda p, x0, K: ccfom.run_proximal_accelerated(
+            ccfom.CompositeProblem(phi=p, psi=_box(p.dim)), x0, K),
+        lambda p, x0, K: _plain_momentum(p, x0, K, _box(p.dim).prox),
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 40])
+@pytest.mark.parametrize("case", list(_PLAIN))
+def test_trace_is_bitwise_that_of_the_plain_loop(case, dim, rng):
+    build, run, plain = _PLAIN[case]
+    p = build(dim)
+    x0 = rng.uniform(-2.0, 2.0, dim)
+    K = 200
+    trace = run(p, x0, K)
+    expected = plain(p, x0, K)
+    for name in ("x", "g", "t", "y", "theta"):
+        got = getattr(trace, name)
+        if name not in expected:
+            assert got is None
+            continue
+        assert got.shape == expected[name].shape
+        assert got.tobytes() == expected[name].tobytes(), name  # bits, -0.0 and NaN included
+
+
+# ---------------------------------------------------------------------------
 # oracle calls of the method loops
 
 
@@ -273,6 +379,15 @@ _FAULTS = [
     ((5,), (), (3,)),
     ((), (), (0,)),
     ((), (0,), ()),
+    # the loop runs on past a non-finite g; what fails after it does not count
+    ((), (3,), (5,)),
+    ((6,), (3,), ()),
+    ((2,), (3,), (5,)),
+    ((6,), (3,), (5,)),
+    ((), (3, 5), ()),
+    ((), (3,), (4,)),
+    ((), (8,), ()),
+    ((8,), (8,), ()),
 ]
 
 
@@ -281,11 +396,15 @@ class _Boom(RuntimeError):
 
 
 def _faulty(p, points, bad_value, bad_grad, raises, nonfinite=math.nan):
-    """``p`` with faults at the query points ``points[k]`` of the k listed.
+    """``p`` with faults at the k listed.
 
-    f is ``nonfinite`` at the faulty points; a faulty subgradient is NaN.
+    f is ``nonfinite`` at the query points ``points[k]`` of the k in
+    ``bad_value``.  The k-th subgradient call, at the query point of step k
+    (which after a non-finite g is no longer ``points[k]``), raises for the
+    k in ``raises`` and is NaN for the k in ``bad_grad``.
     """
     index = {q.tobytes(): k for k, q in enumerate(points)}
+    queries = itertools.count()
 
     def value_batch(X):
         out = np.array(p.value_batch(X))
@@ -293,7 +412,7 @@ def _faulty(p, points, bad_value, bad_grad, raises, nonfinite=math.nan):
         return out
 
     def subgradient(x):
-        k = index[np.asarray(x, dtype=float).tobytes()]
+        k = next(queries)
         if k in raises:
             raise _Boom(f"oracle raised at {k}")
         g = np.array(p.subgradient(x))

@@ -42,6 +42,12 @@ __all__ = [
 # Full-history traces are kept in memory; desk scale only.
 MAX_TRACE_SCALARS = 10**8
 
+# Rows per block of the end-of-run finiteness check: its temporaries stay
+# near 4096 * dim * 32 bytes (1 MB at dim 8) at any horizon, and a block
+# costs one value_batch call, a few microseconds against the milliseconds
+# the loop takes to fill it.
+_CHECK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -180,22 +186,27 @@ def _check_steps(p: ProblemInstance, q: np.ndarray, g: np.ndarray, n: int) -> No
 
     A per-step check tests f(q[k]), then g[k], at each k in turn, so it
     stops at the first non-finite g, or at a non-finite f at or before it.
+    The steps are checked in blocks of ``_CHECK_ROWS``, so the temporaries
+    of ``value_batch`` do not grow with the run.
     """
-    bad_g = np.flatnonzero(~np.isfinite(g[:n]).all(axis=1))
-    last = int(bad_g[0]) if bad_g.size else n - 1
-    bad_f = np.flatnonzero(~np.isfinite(p.value_batch(q[: last + 1])))
-    if bad_f.size:
-        k = int(bad_f[0])
-        raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
-    if bad_g.size:
-        raise OracleError(f"subgradient is not finite at iteration {last}", iteration=last)
+    for lo in range(0, n, _CHECK_ROWS):
+        hi = min(n, lo + _CHECK_ROWS)
+        bad_g = np.flatnonzero(~np.isfinite(g[lo:hi]).all(axis=1))
+        last = lo + int(bad_g[0]) if bad_g.size else hi - 1
+        bad_f = np.flatnonzero(~np.isfinite(p.value_batch(q[lo : last + 1])))
+        if bad_f.size:
+            k = lo + int(bad_f[0])
+            raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
+        if bad_g.size:
+            raise OracleError(f"subgradient is not finite at iteration {last}", iteration=last)
 
 
 def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, step: Callable[[int], None]):
     """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``step(k)`` (k < K).
 
-    ``step(k)`` fills q[k+1].  The loop calls only ``subgradient``: f and g
-    are checked once, at the end, f in one ``value_batch`` call.  The loop
+    ``step(k)`` fills q[k+1]; it is called for k = 0, 1, ... in turn.  The
+    loop calls only ``subgradient``: f and g are checked once, at the end,
+    f in one ``value_batch`` call per ``_CHECK_ROWS`` steps.  The loop
     and the checks run under one ``np.errstate`` that silences overflow and
     invalid operations, so an oracle that overflows returns inf or NaN
     quietly and the checks turn that into an OracleError.  A non-finite g
@@ -226,17 +237,18 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
     x0 = as_point(x0, p.dim, "x0")
     check_trace_budget(K, p.dim)
     t = schedule.resolve(K, p.lipschitz_grad)
-    steps = t.tolist()
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
-    xs, gs = list(x), list(g)  # row views
+    # each step's row views, made when the step takes them: no view outlives its step
+    rows = zip(x, x[1:], g, t)
     tg = np.empty(p.dim)
 
     def step(k):
         # x[k+1] = x[k] - t[k] * g[k]
-        np.multiply(gs[k], steps[k], out=tg)
-        np.subtract(xs[k], tg, out=xs[k + 1])
+        xk, x_next, gk, tk = next(rows)
+        np.multiply(gk, tk, out=tg)
+        np.subtract(xk, tg, out=x_next)
 
     _oracle_loop(p, x, g, step)
     return MethodTrace(method=method, problem_id=p.problem_id, x=x, g=g, t=t)
@@ -253,35 +265,38 @@ def _run_momentum(
     """The momentum loop; ``prox(v, t)``, when given, maps each gradient step."""
     x0 = as_point(x0, p.dim, "x0")
     check_trace_budget(K, p.dim)
-    t = np.full(K + 1, 1.0 / p.lipschitz_grad)
-    steps = t.tolist()
+    tk = 1.0 / p.lipschitz_grad
+    t = np.full(K + 1, tk)
     x = np.empty((K + 1, p.dim))
     y = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
-    thetas = [1.0]
+    theta = np.empty(K + 1)
     x[0] = x0
     y[0] = x0
-    xs, ys, gs = list(x), list(y), list(g)  # row views
+    theta[0] = th = 1.0
+    # each step's row views, made when the step takes them: no view outlives its step
+    rows = zip(x, x[1:], y, y[1:], g)
     tmp = np.empty(p.dim)
 
     def step(k):
         # x[k+1] = prox(y[k] - t[k] * g[k], t[k]), without prox when it is None
         # y[k+1] = x[k+1] + (theta[k+1] * (1 - theta[k]) / theta[k]) * (x[k+1] - x[k])
-        np.multiply(gs[k], steps[k], out=tmp)
+        nonlocal th
+        xk, x_next, yk, y_next, gk = next(rows)
+        np.multiply(gk, tk, out=tmp)
         if prox is None:
-            np.subtract(ys[k], tmp, out=xs[k + 1])
+            np.subtract(yk, tmp, out=x_next)
         else:
-            np.subtract(ys[k], tmp, out=tmp)
-            xs[k + 1][...] = prox(tmp, steps[k])
-        th = thetas[k]
+            np.subtract(yk, tmp, out=tmp)
+            x_next[...] = prox(tmp, tk)
         th_next = theta_next(th)
-        thetas.append(th_next)
-        np.subtract(xs[k + 1], xs[k], out=tmp)
+        theta[k + 1] = th_next
+        np.subtract(x_next, xk, out=tmp)
         np.multiply(tmp, th_next * (1.0 - th) / th, out=tmp)
-        np.add(xs[k + 1], tmp, out=ys[k + 1])
+        np.add(x_next, tmp, out=y_next)
+        th = th_next
 
     _oracle_loop(p, y, g, step)
-    theta = np.array(thetas)
     return MethodTrace(method=method, problem_id=problem_id, x=x, g=g, t=t, y=y, theta=theta)
 
 

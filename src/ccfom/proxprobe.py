@@ -10,6 +10,10 @@ and the conjectured replacement for the certificate value is
 
     -phi*(z_k) + min_u { psi(u) + <z_k, u> + (mu_k/2) ||u - x0||^2 }.
 
+The minimum has a closed form for every k at once, so a probe evaluates
+phi*, the inner minimum and psi(x_k) as one row batch each over all its
+records (see :class:`Regularizer`); only the proximal steps run per k.
+
 IMPORTANT: this is a conjecture, not a theorem.  No construction of the
 dual sequences is known for the composite case; the probe reuses the
 accelerated recipe verbatim with g_k = grad phi(y_k) feeding the
@@ -28,7 +32,9 @@ import numpy as np
 from .certificates import Check, DualCertificate, build_certificate, _quad_min_terms
 from .errors import ConfigError
 from .methods import MethodTrace, _run_momentum, method_spec
-from .problems import ProblemInstance, _check_keys, _floats, _parse_params, as_point, make_quadratic
+from .problems import (
+    ProblemInstance, _check_keys, _floats, _parse_params, as_point, make_quadratic, row_dot,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -57,21 +63,48 @@ Z_RECURSION_NOTE = (
 class Regularizer:
     """A simple nonsmooth term psi with closed-form proximal machinery.
 
-    ``inner_min(z, mu, x0)`` returns (value, argmin) of
-    min_u psi(u) + <z, u> + (mu/2)||u - x0||^2, the quantity the conjectured
-    certificate needs.  ``dim`` is None when psi applies in any dimension.
+    psi is written once, as row batches.  ``value_batch(X)`` is psi on every
+    row of an (N, dim) array (+inf where a row lies outside dom psi), and
+    ``inner_min_batch(Z, mu, x0)``, with ``mu`` an (N,) array, returns the
+    (values, argmins) of
+
+        min_u psi(u) + <z, u> + (mu/2)||u - x0||^2
+
+    for every row z of Z, the quantity the conjectured certificate needs.
+    The inner products <z, u> are summed in ``row_dot``'s column order and
+    the other row sums by ``sum(axis=1)`` on C-ordered rows, so one row
+    alone gives the same bits as that row inside any batch.  The
+    single-point ``value`` and ``inner_min`` are those batches on one row,
+    so the two forms cannot disagree.  ``prox(x, t)`` is single-point only:
+    the proximal loop is sequential.  ``dim`` is None when psi applies in
+    any dimension.
     """
 
     kind: str
     label: str
-    value: Callable[[np.ndarray], float]
+    value_batch: Callable[[np.ndarray], np.ndarray]
+    inner_min_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     prox: Callable[[np.ndarray, float], np.ndarray]
-    inner_min: Callable[[np.ndarray, float, np.ndarray], tuple[float, np.ndarray]]
     dim: Optional[int] = None
 
+    def value(self, x) -> float:
+        return float(self.value_batch(np.asarray(x, dtype=float)[None])[0])
 
-def soft_threshold(v: np.ndarray, amount: float) -> np.ndarray:
+    def inner_min(self, z, mu: float, x0) -> tuple[float, np.ndarray]:
+        vals, U = self.inner_min_batch(
+            np.asarray(z, dtype=float)[None], np.array([mu], dtype=float), np.asarray(x0, dtype=float)
+        )
+        return float(vals[0]), U[0]
+
+
+def soft_threshold(v: np.ndarray, amount) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - amount, 0.0)
+
+
+def _inner_objective(psi_U, Z: np.ndarray, mu: np.ndarray, U: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """psi(u) + <z, u> + (mu/2)||u - x0||^2 for every row, given psi(u) per row."""
+    D = U - x0
+    return psi_U + row_dot(Z, U) + 0.5 * mu * (D * D).sum(axis=1)
 
 
 def make_l1(lam: float) -> Regularizer:
@@ -80,18 +113,21 @@ def make_l1(lam: float) -> Regularizer:
         raise ValueError("lam must be positive and finite")
     lam = float(lam)
 
-    def value(x):
-        return lam * float(np.sum(np.abs(x)))
+    def value_batch(X):
+        return lam * np.abs(X).sum(axis=1)
 
     def prox(x, t):
         return soft_threshold(x, lam * t)
 
-    def inner_min(z, mu, x0):
-        u = soft_threshold(x0 - z / mu, lam / mu)
-        val = value(u) + float(z @ u) + 0.5 * mu * float(np.sum((u - x0) ** 2))
-        return val, u
+    def inner_min_batch(Z, mu, x0):
+        m = mu[:, None]
+        U = soft_threshold(x0 - Z / m, lam / m)
+        return _inner_objective(value_batch(U), Z, mu, U, x0), U
 
-    return Regularizer(kind="l1", label=f"l1:lam={lam:g}", value=value, prox=prox, inner_min=inner_min)
+    return Regularizer(
+        kind="l1", label=f"l1:lam={lam:g}", value_batch=value_batch,
+        inner_min_batch=inner_min_batch, prox=prox,
+    )
 
 
 def make_box(lo, hi) -> Regularizer:
@@ -105,22 +141,21 @@ def make_box(lo, hi) -> Regularizer:
     if not np.all(lo < hi):
         raise ValueError("lo must be componentwise below hi")
 
-    def value(x):
-        if np.all(x >= lo) and np.all(x <= hi):
-            return 0.0
-        return math.inf
+    def value_batch(X):
+        inside = np.all((X >= lo) & (X <= hi), axis=1)
+        return np.where(inside, 0.0, math.inf)
 
     def prox(x, t):
         return np.clip(x, lo, hi)
 
-    def inner_min(z, mu, x0):
-        u = np.clip(x0 - z / mu, lo, hi)
-        val = float(z @ u) + 0.5 * mu * float(np.sum((u - x0) ** 2))
-        return val, u
+    def inner_min_batch(Z, mu, x0):
+        U = np.clip(x0 - Z / mu[:, None], lo, hi)
+        return _inner_objective(0.0, Z, mu, U, x0), U
 
     label = f"box:lo={','.join(f'{v:g}' for v in lo)}:hi={','.join(f'{v:g}' for v in hi)}"
     return Regularizer(
-        kind="box", label=label, value=value, prox=prox, inner_min=inner_min, dim=lo.size
+        kind="box", label=label, value_batch=value_batch,
+        inner_min_batch=inner_min_batch, prox=prox, dim=lo.size,
     )
 
 
@@ -132,17 +167,20 @@ def make_zero() -> Regularizer:
     bitwise.
     """
 
-    def value(x):
-        return 0.0
+    def value_batch(X):
+        return np.zeros(X.shape[0])
 
     def prox(x, t):
         return x
 
-    def inner_min(z, mu, x0):
-        zx0, half = _quad_min_terms(z[None], mu, x0)
-        return float(zx0[0] - half[0]), x0 - z / mu
+    def inner_min_batch(Z, mu, x0):
+        zx0, half = _quad_min_terms(Z, mu, x0)
+        return zx0 - half, x0 - Z / mu[:, None]
 
-    return Regularizer(kind="zero", label="zero", value=value, prox=prox, inner_min=inner_min)
+    return Regularizer(
+        kind="zero", label="zero", value_batch=value_batch,
+        inner_min_batch=inner_min_batch, prox=prox,
+    )
 
 
 # psi family -> its parameters, all required
@@ -208,9 +246,10 @@ def run_proximal_accelerated(cp: CompositeProblem, x0, K: int) -> MethodTrace:
 
 
 def _conjectured(cert: DualCertificate, cp: CompositeProblem, x0: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """The conjectured bound at each k of ``ks``: one phi* batch, psi's inner minimum per k."""
-    phistar = cp.phi.conjugate_batch(cert.z[ks])
-    inner = np.array([cp.psi.inner_min(cert.z[k], float(cert.mu[k]), x0)[0] for k in ks.tolist()])
+    """The conjectured bound at each k of ``ks``: one phi* batch and one inner-minimum batch."""
+    Z = cert.z[ks]
+    phistar = cp.phi.conjugate_batch(Z)
+    inner = cp.psi.inner_min_batch(Z, cert.mu[ks], x0)[0]
     return np.where(np.isinf(phistar), -math.inf, -phistar + inner)
 
 
@@ -260,7 +299,7 @@ def probe_instance(
     start = cert.start_index
     ks = np.arange(start, K + 1)
     xs = trace.x[ks]
-    psi_vals = np.array([cp.psi.value(x) for x in xs], dtype=float)
+    psi_vals = cp.psi.value_batch(xs)
     f_vals = cp.phi.value_batch(xs) + psi_vals
     conied = _conjectured(cert, cp, x0, ks)
     vac = np.isneginf(conied)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -445,3 +446,33 @@ def test_oracle_error_is_that_of_a_per_step_check(run, nonfinite, faults):
             run(bad, x0, K)
         assert str(err.value) == f"{kind} is not finite at iteration {k}"
         assert err.value.iteration == k
+
+
+@pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize("faults", _FAULTS, ids=[str(f) for f in _FAULTS])
+def test_blocked_check_raises_the_per_step_error(run, faults, monkeypatch):
+    # blocks of 3 rows put faults on both sides of block boundaries
+    monkeypatch.setattr(ccfom.methods, "_CHECK_ROWS", 3)
+    test_oracle_error_is_that_of_a_per_step_check(run, math.nan, faults)
+
+
+# ---------------------------------------------------------------------------
+# memory of the method loops
+
+
+@pytest.mark.parametrize("run", [ccfom.run_gradient, ccfom.run_accelerated], ids=["gradient", "accelerated"])
+def test_loop_memory_is_that_of_its_trace(run):
+    # the loops hold no per-row objects: the peak is the trace's own arrays
+    # plus temporaries of a fixed size, here at K=10^5 in dimension 2
+    p = ccfom.from_id("quad:diag=1,10")
+    run(p, [1.0, -2.0], 10)  # caches and lazy set-up of the first call
+    tracemalloc.start()
+    try:
+        trace = run(p, [1.0, -2.0], 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [trace.x, trace.g, trace.t, trace.y, trace.theta]
+    nbytes = sum(a.nbytes for a in arrays if a is not None)
+    assert peak < 1.5 * nbytes + 2**20
+

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -74,6 +76,81 @@ class TestRegularizers:
         for bad in ("l1", "l1:lam=-1", "box:lo=1:hi=0", "huber:delta=1", "zero:lam=1", "box:lo=0"):
             with pytest.raises(ConfigError):
                 regularizer_from_id(bad)
+
+
+def _psi(kind, dim):
+    if kind == "l1":
+        return make_l1(0.7)
+    if kind == "box":
+        return make_box(np.linspace(-1.0, -0.5, dim), np.linspace(0.5, 1.0, dim))
+    return make_zero()
+
+
+def _inner_min_dot(psi, z, mu, x0):
+    """The inner minimum with a BLAS ``z @ u``, and the magnitude of its terms."""
+    if psi.kind == "zero":
+        terms = [float(z @ x0), -float(z @ z) / (2.0 * mu)]
+    else:
+        if psi.kind == "l1":
+            u = soft_threshold(x0 - z / mu, 0.7 / mu)
+        else:
+            u = psi.prox(x0 - z / mu, 1.0)
+        terms = [psi.value(u), float(z @ u), 0.5 * mu * float(np.sum((u - x0) ** 2))]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+class TestRegularizerBatches:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 40])
+    @pytest.mark.parametrize("kind", ["l1", "box", "zero"])
+    def test_batches_are_the_one_row_forms_stacked(self, kind, dim, rng):
+        psi = _psi(kind, dim)
+        X = rng.uniform(-0.5, 0.5, (60, dim))  # rows 0..29 lie inside the box
+        X[30:, 0] = np.where(np.arange(30) % 2, 1.5, -1.5)  # rows 30..59 outside it
+        vals = psi.value_batch(X)
+        assert vals.tobytes() == np.array([psi.value(x) for x in X]).tobytes()
+        if kind == "box":
+            assert np.all(vals[:30] == 0.0) and np.all(vals[30:] == math.inf)
+
+        Z = rng.normal(0.0, 3.0, (60, dim))
+        mu = rng.uniform(0.01, 5.0, 60)
+        x0 = rng.uniform(-1.0, 1.0, dim)
+        vals, U = psi.inner_min_batch(Z, mu, x0)
+        rows = [psi.inner_min(z, m, x0) for z, m in zip(Z, mu.tolist())]
+        assert vals.tobytes() == np.array([v for v, _ in rows]).tobytes()
+        assert U.tobytes() == np.array([u for _, u in rows]).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 40])
+    @pytest.mark.parametrize("kind", ["l1", "box", "zero"])
+    def test_inner_min_batch_agrees_with_the_blas_dot_formula(self, kind, dim, rng):
+        psi = _psi(kind, dim)
+        Z = rng.normal(0.0, 3.0, (60, dim))
+        mu = rng.uniform(0.01, 5.0, 60)
+        x0 = rng.uniform(-1.0, 1.0, dim)
+        vals, _ = psi.inner_min_batch(Z, mu, x0)
+        for v, z, m in zip(vals.tolist(), Z, mu.tolist()):
+            expect, scale = _inner_min_dot(psi, z, m, x0)
+            assert abs(v - expect) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("K", [1, 40, 400])
+    def test_probe_makes_one_batch_call_of_each(self, K):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        psi = make_l1(0.5)
+        counted = dataclasses.replace(
+            psi,
+            value_batch=counting("value_batch", psi.value_batch),
+            inner_min_batch=counting("inner_min_batch", psi.inner_min_batch),
+            prox=counting("prox", psi.prox),
+        )
+        cp = CompositeProblem(phi=ccfom.from_id("quad:diag=1,10"), psi=counted)
+        probe_instance(cp, [1.0, -1.0], K)
+        assert calls == {"value_batch": 1, "inner_min_batch": 1, "prox": K}
 
 
 class TestProximalRun:

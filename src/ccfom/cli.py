@@ -46,6 +46,8 @@ from .reporting import (
     check_summary,
     fmt,
     fmt_column,
+    format_rows,
+    open_csv,
     read_csv,
     render_convergence_svg,
     write_csv,
@@ -160,11 +162,14 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"{args.csv}: no data rows (empty trace)")
     cfg = ExperimentConfig.from_values(meta, "verify", _flags(args))
     spec, tol = cfg.single_cell(), cfg.tolerances()
+    text = rows.columns  # each converted as int() and float() convert a cell
     try:
-        stored_ks = np.array([int(r["k"]) for r in rows], dtype=np.int64)
-        stored = {c: np.array([float(r[c]) for r in rows]) for c in _CHECKED_COLUMNS}
+        stored_ks = np.asarray(text["k"], dtype=np.int64)
+        stored = {c: np.asarray(text[c], dtype=float) for c in _CHECKED_COLUMNS}
     except ValueError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
+    except OverflowError:
+        raise ConfigError(f"{args.csv}: a k is outside the int64 range") from None
     outcome = execute_cell(spec, tol)
     table = outcome.rows.rows
     recomputed = table.columns
@@ -185,12 +190,11 @@ def cmd_verify(args) -> int:
         c: same_k & ~_close(stored[c][:n], recomputed[c][:n].astype(float), tol)
         for c in _CHECKED_COLUMNS
     }
-    stored_verdicts = np.array([r["verdict"] for r in rows[:n]])
-    verdict_mismatch = same_k & (stored_verdicts != recomputed["verdict"][:n])
+    verdict_mismatch = same_k & (np.asarray(text["verdict"][:n]) != recomputed["verdict"][:n])
     # the certificate link on the stored numbers themselves, row i holding k = start + i
     lhs_k = lhs_from_stored[start : start + n]
     cert_k = stored["cert_k"][:n]
-    stored_vacuous = np.array([r["vacuous_flag"] for r in rows[:n]]) == "1"
+    stored_vacuous = np.asarray(text["vacuous_flag"][:n]) == "1"
     residual = lhs_k - cert_k
     link = Check(-residual, tol.bound(lhs_k, cert_k), same_k & ~stored_vacuous)
     summary, _ = check_summary("stored chain certificate", ks, link)
@@ -203,12 +207,10 @@ def cmd_verify(args) -> int:
     }
 
     # failure messages in row order, for the rows that have any
-    bad_rows = ~same_k | verdict_mismatch
-    for c in _CHECKED_COLUMNS:
-        bad_rows |= mismatch[c]
+    bad_rows = np.logical_or.reduce([~same_k, verdict_mismatch, *mismatch.values()])
     bad_rows[list(cert_failures)] = True
     for i in np.flatnonzero(bad_rows).tolist():
-        k, row = int(ks[i]), rows[i]
+        k = int(ks[i])
         if not same_k[i]:
             failures.append(f"k={k}: index mismatch with recomputed row {recomputed['k'][i]}")
             continue
@@ -216,12 +218,12 @@ def cmd_verify(args) -> int:
             if mismatch[c][i]:
                 rec_v = float(recomputed[c][i])
                 failures.append(
-                    f"k={k}: column {c} mismatch: stored {row[c]} vs recomputed "
+                    f"k={k}: column {c} mismatch: stored {text[c][i]} vs recomputed "
                     f"{fmt(rec_v)} (tolerance {fmt(tol.bound(rec_v))})"
                 )
         if verdict_mismatch[i]:
             failures.append(
-                f"k={k}: verdict mismatch: stored {row['verdict']} vs recomputed "
+                f"k={k}: verdict mismatch: stored {text['verdict'][i]} vs recomputed "
                 f"{recomputed['verdict'][i]}"
             )
         if i in cert_failures:
@@ -244,47 +246,42 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Run every cell; each cell's rows are formatted once, for its own CSV and,
+    behind the cell's (problem, method, iterations), for the streamed aggregate."""
     cfg = ExperimentConfig.from_file(args.config, "sweep", _flags(args))
     cells, tol = cfg.cells(), cfg.tolerances()
     stem = Path(cfg["csv"])
-    tables: list[Table] = []
     report_lines: list[str] = []
     series: list[Series] = []
     worst = EXIT_PASS
     multi_k = len(cfg["iterations"]) > 1
-    for i, spec in enumerate(cells):
-        label = f"{spec.method} {spec.problem_id}" + (f" K={spec.iterations}" if multi_k else "")
-        try:
-            outcome = execute_cell(spec, tol)
-        except (ConfigError, OracleError) as exc:
-            code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_ORACLE
-            worst = max(worst, code)
-            report_lines.append(f"cell {i} ({label}): ERROR exit {code}: {exc}")
-            continue
-        cell_path = _out_path(args.out, f"{stem.stem}.cell{i:03d}{stem.suffix}")
-        write_csv(cell_path, outcome.meta, RUN_COLUMNS, outcome.rows.rows)
-        n = len(outcome.rows.rows)
-        tables.append(Table({
-            "problem": np.full(n, spec.problem_id),
-            "method": np.full(n, spec.method),
-            "iterations": np.full(n, spec.iterations),
-            **outcome.rows.rows.columns,
-        }))
-        worst = max(worst, outcome.exit_code)
-        report_lines.append(
-            f"cell {i} ({label}): {'PASS' if outcome.exit_code == 0 else 'FAIL'} "
-            f"({len(outcome.rows.rows)} rows; {cell_path})"
-        )
-        series.extend(_series_for(outcome, label))
-
-    agg_path = _out_path(args.out, cfg["csv"])
-    meta = {
-        "sweep": f"{len(cells)} cells",
-        "eps_rel": fmt(tol.eps_rel),
-        "eps_abs": fmt(tol.eps_abs),
-    }
+    meta = {"sweep": f"{len(cells)} cells",
+            "eps_rel": fmt(tol.eps_rel), "eps_abs": fmt(tol.eps_abs)}
     agg_columns = ["problem", "method", "iterations"] + RUN_COLUMNS
-    write_csv(agg_path, meta, agg_columns, Table.concat(tables, agg_columns))
+    with open_csv(_out_path(args.out, cfg["csv"]), meta, agg_columns) as write_agg:
+        for i, spec in enumerate(cells):
+            label = f"{spec.method} {spec.problem_id}"
+            label += f" K={spec.iterations}" if multi_k else ""
+            try:
+                outcome = execute_cell(spec, tol)
+            except (ConfigError, OracleError) as exc:
+                code = EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_ORACLE
+                worst = max(worst, code)
+                report_lines.append(f"cell {i} ({label}): ERROR exit {code}: {exc}")
+                continue
+            cell_path = _out_path(args.out, f"{stem.stem}.cell{i:03d}{stem.suffix}")
+            with open_csv(cell_path, outcome.meta, RUN_COLUMNS) as write_cell:
+                for chunk in format_rows(RUN_COLUMNS, outcome.rows.rows):
+                    lines = list(chunk)
+                    write_cell(lines)
+                    write_agg(lines, (spec.problem_id, spec.method, spec.iterations))
+            worst = max(worst, outcome.exit_code)
+            report_lines.append(
+                f"cell {i} ({label}): {'PASS' if outcome.exit_code == 0 else 'FAIL'} "
+                f"({len(outcome.rows.rows)} rows; {cell_path})"
+            )
+            series.extend(_series_for(outcome, label))
+
     write_report(_out_path(args.out, cfg["report"]), [f"sweep: {len(cells)} cells"], report_lines)
     if cfg["svg"]:
         render_convergence_svg(_out_path(args.out, cfg["svg"]), series)
@@ -297,15 +294,14 @@ def cmd_sweep(args) -> int:
 # conjecture probe
 
 
-def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) -> Table:
+def _conjecture_rows(cp, trace, cert, result) -> Table:
     ks = result.ks
     n = ks.size
     margins = result.margins
     verdicts = np.where(
         result.vacuous, "VACUOUS", np.where(result.violated, "CONJ-VIOLATION", "CONJ-OK")
     )
-    columns = {} if instance is None else {"instance": np.full(n, instance)}
-    columns.update({
+    return Table({
         "k": ks,
         "f_xk": result.f_values,
         "lhs_k": result.f_values,
@@ -321,7 +317,6 @@ def _conjecture_rows(cp, trace, cert, result, instance: Optional[int] = None) ->
         "psi_xk": result.psi_values,
         "conj_margin_k": margins,
     })
-    return Table(columns)
 
 
 def _conjecture_report(result) -> list[str]:
@@ -359,26 +354,19 @@ def cmd_conjecture(args) -> int:
     lines = [Z_RECURSION_NOTE]
     if cfg.mode == SUITE:
         summary, probes = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
-        columns = ["instance"] + CONJECTURE_COLUMNS
-        rows = Table.concat(
-            [_conjecture_rows(cp, trace, cert, result, instance=i)
-             for i, (cp, trace, cert, result) in enumerate(probes)],
-            columns,
-        )
         lines += list(summary.violation_reports) + [
             f"vacuous records: {summary.vacuous_records}",
             f"min margin: {fmt(summary.min_margin)}",
             summary.summary_line(),
         ]
-        meta = {
-            "suite": "lasso",
-            "instances": str(cfg["instances"]),
-            "dim": str(cfg["dim"]),
-            "iterations": str(K),
-            "seed": str(cfg["seed"]),
-            "psi": "l1 (per-instance lambda)",
-            "note": Z_RECURSION_NOTE,
-        }
+        counts = ("instances", "dim", "iterations", "seed")
+        meta = {"suite": "lasso", **{key: fmt(cfg[key]) for key in counts},
+                "psi": "l1 (per-instance lambda)", "note": Z_RECURSION_NOTE}
+        columns = ["instance"] + CONJECTURE_COLUMNS
+        with open_csv(_out_path(args.out, cfg["csv"]), meta, columns) as write:
+            for i, probe in enumerate(probes):
+                for block in format_rows(CONJECTURE_COLUMNS, _conjecture_rows(*probe)):
+                    write(block, (i,))
     else:
         spec = cfg.single_cell()
         phi = spec.build_problem()
@@ -388,7 +376,6 @@ def cmd_conjecture(args) -> int:
             raise ConfigError(str(exc)) from exc
         x0 = resolve_x0(spec.x0_spec, cp.dim)
         trace, cert, result = probe_instance(cp, x0, K, tol)
-        rows = _conjecture_rows(cp, trace, cert, result)
         lines += _conjecture_report(result)
         lines.append(
             f"CONJECTURE probe: 1 instance, {result.iterations_checked} iterations checked, "
@@ -404,9 +391,9 @@ def cmd_conjecture(args) -> int:
             "eps_abs": fmt(tol.eps_abs),
             "note": Z_RECURSION_NOTE,
         }
-        columns = CONJECTURE_COLUMNS
+        write_csv(_out_path(args.out, cfg["csv"]), meta, CONJECTURE_COLUMNS,
+                  _conjecture_rows(cp, trace, cert, result))
 
-    write_csv(_out_path(args.out, cfg["csv"]), meta, columns, rows)
     write_report(_out_path(args.out, cfg["report"]), [lines[0]], lines[1:])
     print(lines[-1])  # the summary line
     return EXIT_PASS

@@ -116,7 +116,7 @@ _TOLERANCE = _number(float, lambda x: 0 < x < math.inf, "a positive finite numbe
 KEYS = {
     #                 parser               default                      run sweep verify conj suite
     "problem":    Key(str,                 None,                       "R   L     R      R    -"),
-    "method":     Key(_method,             "prox_accelerated",         "R   L     R      R    o"),
+    "method":     Key(_method,             "prox_accelerated",         "R   L     R      o    o"),
     "x0":         Key(str,                 "zeros",                    "o   o     R      o    -"),
     "iterations": Key(_COUNT,              None,                       "R   L     R      R    R"),
     "schedule":   Key(str,                 None,                       "o   o     R      -    -"),

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "Table",
     "check_summary",
     "build_rows",
+    "format_rows",
+    "open_csv",
     "write_csv",
     "read_csv",
     "write_report",
@@ -80,10 +83,11 @@ def fmt_column(values) -> list[str]:
 
 
 class Table(Sequence):
-    """CSV rows stored as one array (or list) per column.
+    """CSV rows stored as one array (or list, or tuple) per column.
 
     Indexing and iteration give a row as a ``{column: value}`` dict;
-    :func:`write_csv` formats it a chunk of rows at a time.
+    :func:`format_rows` formats it a chunk of rows at a time, and
+    :func:`read_csv` returns one of text columns.
     """
 
     def __init__(self, columns: dict[str, Sequence]):
@@ -97,12 +101,6 @@ class Table(Sequence):
         if not -self._len <= i < self._len:
             raise IndexError(i)
         return {name: col[i] for name, col in self.columns.items()}
-
-    @classmethod
-    def concat(cls, tables: Sequence["Table"], columns: Sequence[str]) -> "Table":
-        """The rows of ``tables`` one after another, restricted to ``columns``."""
-        return cls({c: np.concatenate([np.asarray(t.columns[c]) for t in tables]) if tables else []
-                    for c in columns})
 
 
 @dataclass
@@ -314,30 +312,47 @@ def _cells(column) -> list:
     return list(map(quoted.__getitem__, texts))
 
 
-def write_csv(path, meta: dict[str, str], columns: Sequence[str], rows: Table):
-    """Write ``rows`` as a schema-v1 CSV: version line, metadata, header, data rows.
-
-    Every data row comes from one ``%`` template, with a numeric column's
-    conversion from ``_CELL_FORMATS`` and text cells quoted as by
-    ``csv.writer``; rows are formatted and written ``_CSV_CHUNK_ROWS`` at a
-    time, so the file's text never exists whole in memory.
-    """
+def format_rows(columns: Sequence[str], rows: Table) -> Iterator[Iterator[str]]:
+    """The data rows of ``rows`` as CSV lines, in chunks of ``_CSV_CHUNK_ROWS``, each
+    line from one ``%`` template: a numeric column's conversion from
+    ``_CELL_FORMATS``, text cells quoted as by ``csv.writer``.  A chunk is an
+    iterator over its lines; a caller that writes it twice makes it a list."""
     data = [rows.columns[c] for c in columns]
     template = ",".join(
         _CELL_FORMATS[col.dtype.kind] if _numeric(col) else "%s" for col in data
     ) + "\n"
+    for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+        chunk = [_cells(col[lo : lo + _CSV_CHUNK_ROWS]) for col in data]
+        yield map(template.__mod__, zip(*chunk))
+
+
+@contextmanager
+def open_csv(path, meta: dict[str, str], columns: Sequence[str]):
+    """Write a schema-v1 CSV's version line, metadata and header, then yield
+    ``write(lines, prefix=())``, which appends rows from :func:`format_rows`, each
+    behind the cells ``prefix`` (before each row, not each text line: a quoted
+    cell may hold a newline).  A multi-part CSV is written as such blocks."""
     with open(path, "w") as out:
-        out.write(CSV_VERSION_LINE + "\n")
-        for key, val in meta.items():
-            out.write(f"# {key} = {val}\n")
-        out.write(",".join(map(_quote, columns)) + "\n")
-        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = [_cells(col[lo : lo + _CSV_CHUNK_ROWS]) for col in data]
-            out.write("".join(map(template.__mod__, zip(*chunk))))
+        out.write("".join([CSV_VERSION_LINE + "\n", *(f"# {k} = {v}\n" for k, v in meta.items()),
+                           ",".join(map(_quote, columns)) + "\n"]))
+
+        def write(lines: Iterable[str], prefix: Sequence = ()):
+            lead = "".join(_quote(fmt(v)) + "," for v in prefix)
+            out.write("".join(map(lead.__add__, lines)))
+
+        yield write
 
 
-def read_csv(path) -> tuple[dict[str, str], list[str], list[dict[str, str]]]:
-    """Parse a schema-v1 CSV back into (metadata, columns, text rows)."""
+def write_csv(path, meta: dict[str, str], columns: Sequence[str], rows: Table):
+    """Write ``rows`` as a schema-v1 CSV, a chunk of rows at a time: the file's
+    text never exists whole in memory."""
+    with open_csv(path, meta, columns) as write:
+        for lines in format_rows(columns, rows):
+            write(lines)
+
+
+def read_csv(path) -> tuple[dict[str, str], list[str], Table]:
+    """Parse a schema-v1 CSV back into (metadata, columns, a Table of text columns)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -356,14 +371,12 @@ def read_csv(path) -> tuple[dict[str, str], list[str], list[dict[str, str]]]:
         raise ConfigError(f"{path} has no header row")
     reader = csv.reader(lines[i:])
     columns = [c.strip() for c in next(reader)]
-    rows = []
-    for vals in reader:
-        if not vals:
-            continue
+    rows = [vals for vals in reader if vals]
+    for vals in rows:
         if len(vals) != len(columns):
             raise ConfigError(f"{path}: row has {len(vals)} fields, header has {len(columns)}")
-        rows.append(dict(zip(columns, vals)))
-    return meta, columns, rows
+    cells = zip(*rows) if rows else [()] * len(columns)
+    return meta, columns, Table(dict(zip(columns, cells)))
 
 
 def write_report(path, header: Sequence[str], lines: Sequence[str]):

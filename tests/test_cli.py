@@ -195,6 +195,70 @@ class TestVerify:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(bad)]) == 3
 
+    def test_k_outside_int64_exits_3(self, tmp_path, capsys):
+        csv = self.make_run(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(csv.read_text().replace("\n5,", "\n99999999999999999999,", 1))
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 3
+        assert capsys.readouterr().err == f"config error: {bad}: a k is outside the int64 range\n"
+
+    def test_row_with_a_missing_field_exits_3(self, tmp_path, capsys):
+        csv = self.make_run(tmp_path)
+        lines = csv.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        lines[i] = lines[i].rsplit(",", 1)[0]  # no verdict
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: row has 10 fields, header has 11\n")
+
+    @pytest.mark.parametrize("edit, stored", [
+        (lambda lines: lines[:-1], 12),
+        (lambda lines: lines + [lines[-1]], 14),
+    ], ids=["last row dropped", "row appended"])
+    def test_row_count_mismatch_is_the_only_failure(self, tmp_path, capsys, edit, stored):
+        csv = self.make_run(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(edit(csv.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 2
+        failures = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("FAIL ")]
+        assert failures == [f"FAIL row count mismatch: stored {stored}, recomputed 13"]
+
+    def test_cell_conversion_is_that_of_float_and_int(self):
+        """verify converts a whole column at once; each cell gets float()'s
+        (and, for k, int()'s) value, bit for bit, and their errors."""
+        cells = ["nan", "-nan", "NaN", "inf", "-inf", "-Infinity", "1e5000", "-1e5000", "1_0",
+                 " 1.5 ", "\t-2e-3\n", "5e-324", "1e-400", "-0.0", "0.1", "+.5", "5."]
+        floats = np.asarray(cells, dtype=float)
+        assert floats.view(np.int64).tolist() == np.array(
+            [float(c) for c in cells]).view(np.int64).tolist()
+        ks = [" 5 ", "1_0", "-3", "+7", "9223372036854775807"]
+        assert np.asarray(ks, dtype=np.int64).tolist() == [int(c) for c in ks]
+        for bad in ["abc", "", "1__0", "0x10"]:
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                np.asarray([bad], dtype=float)
+        with pytest.raises(ValueError, match=re.escape("'5.0'")):
+            np.asarray(["5.0"], dtype=np.int64)
+        with pytest.raises(OverflowError):
+            np.asarray(["9223372036854775808"], dtype=np.int64)
+
+    def test_respelt_cells_reproduce(self, tmp_path):
+        csv = self.make_run(tmp_path)
+        lines = csv.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        cells = lines[i].split(",")
+        cells[0] = " 5 "
+        cells[1:10] = [f" {c}\t" for c in cells[1:10]]
+        lines[i] = ",".join(cells)
+        respelt = tmp_path / "respelt.csv"
+        respelt.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(respelt)]) == 0
+
     def test_rejects_non_schema_file(self, tmp_path):
         f = tmp_path / "x.csv"
         f.write_text("k,f\n1,2\n")
@@ -305,6 +369,30 @@ class TestSweep:
         for a, b in zip(run_rows, sweep_rows):
             trimmed = {k: v for k, v in b.items() if k in RUN_COLUMNS}
             assert trimmed == a
+
+    def test_aggregate_is_each_cell_csv_behind_its_prefix(self, tmp_path):
+        cfg = write_cfg(tmp_path / "sw.cfg", problem="quad:diag=1,100; norm:G=1:dim=1",
+                        method="gradient; subgradient", x0="ones", iterations="10; 20",
+                        csv="sw.csv", report="sw.txt")
+        # subgradient on quad (no G) and gradient on norm (no L) error and are skipped
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        expected = [CSV_VERSION_LINE + "\n", "# sweep = 8 cells\n", "# eps_rel = 1.0000000000000001e-09\n",
+                    "# eps_abs = 1.0000000000000001e-09\n",
+                    "problem,method,iterations," + ",".join(RUN_COLUMNS) + "\n"]
+        cells = [("quad:diag=1,100", "gradient", K) for K in (10, 20)] + [None] * 4 + [
+            ("norm:G=1:dim=1", "subgradient", K) for K in (10, 20)]
+        for i, cell in enumerate(cells):
+            path = tmp_path / f"sw.cell{i:03d}.csv"
+            assert path.exists() == (cell is not None)
+            if cell is None:
+                continue
+            pid, method, K = cell
+            prefix = f'"{pid}"' if "," in pid else pid
+            text = path.read_text()
+            data = text[text.index("\nk,") + 1 :].splitlines(keepends=True)[1:]
+            assert len(data) == K + (method == "subgradient")
+            expected += [f"{prefix},{method},{K}," + line for line in data]
+        assert (tmp_path / "sw.csv").read_text() == "".join(expected)
 
     def test_bound_scales_with_horizon(self, tmp_path):
         cfg = write_cfg(
@@ -470,6 +558,14 @@ class TestConjecture:
         _, cols, rows = read_csv(tmp_path / "s.csv")
         assert cols[0] == "instance"
         assert len(rows) == 60
+
+    def test_method_defaults_to_prox_accelerated(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", problem="quad:diag=1,10", psi="l1:lam=0.5",
+                        x0="1.0,-1.0", iterations=20, csv="c.csv", report="c.txt")
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        meta, _, rows = read_csv(tmp_path / "c.csv")
+        assert meta["method"] == "prox_accelerated"
+        assert len(rows) == 20
 
     def test_requires_psi_or_suite(self, tmp_path):
         cfg = write_cfg(tmp_path / "bad.cfg", problem="quad:diag=1",

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from ccfom import reporting
-from ccfom.reporting import CSV_VERSION_LINE, Table, fmt_column, read_csv, write_csv
+from ccfom.reporting import (
+    CSV_VERSION_LINE,
+    Table,
+    fmt_column,
+    format_rows,
+    open_csv,
+    read_csv,
+    write_csv,
+)
 
 
 def _reference_csv(meta, columns, rows: Table) -> str:
@@ -65,13 +73,39 @@ def test_write_csv_with_column_subset_order_and_quoted_header(tmp_path):
     assert got.read_bytes() == ref.read_bytes()
 
 
-def test_write_csv_of_an_empty_concatenation(tmp_path):
+def test_csv_of_zero_blocks(tmp_path):
     columns = ["problem", "k", "f_xk"]
-    rows = Table.concat([], columns)
     got = tmp_path / "empty.csv"
-    write_csv(got, {"sweep": "0 cells"}, columns, rows)
-    assert got.read_text() == _reference_csv({"sweep": "0 cells"}, columns, rows)
-    assert read_csv(got) == ({"sweep": "0 cells"}, columns, [])
+    with open_csv(got, {"sweep": "0 cells"}, columns):
+        pass
+    empty = Table({c: [] for c in columns})
+    assert got.read_text() == _reference_csv({"sweep": "0 cells"}, columns, empty)
+    meta, cols, rows = read_csv(got)
+    assert (meta, cols, len(rows)) == ({"sweep": "0 cells"}, columns, 0)
+    assert rows.columns == {c: () for c in columns}
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, _CHUNK + 1])
+def test_prefixed_blocks_are_bytewise_those_of_csv_writer(tmp_path, n):
+    """Each block's rows behind constant cells, a text cell holding a newline
+    among them, equal csv.writer's rows of the prefix columns and the table."""
+    rows = _table(n)
+    columns = ["text", "f", "k", "mixed"]
+    prefixes = [("quad:diag=1,100", "two\nlines", 20), (3, 'say "hi"', -0.5),
+                ("", '",\n"', math.nan)]
+    got = tmp_path / "got.csv"
+    with open_csv(got, {"sweep": "3 cells"}, ["p", "q", "r"] + columns) as write:
+        for prefix in prefixes:
+            for lines in format_rows(columns, rows):
+                write(lines, prefix)
+    buf = io.StringIO()
+    buf.write(CSV_VERSION_LINE + "\n# sweep = 3 cells\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["p", "q", "r"] + columns)
+    for prefix in prefixes:
+        cells = zip(*(fmt_column(rows.columns[c]) for c in columns))
+        writer.writerows([*map(reporting.fmt, prefix), *row] for row in cells)
+    assert got.read_text() == buf.getvalue()
 
 
 def test_written_cells_parse_back_with_the_csv_module(tmp_path):

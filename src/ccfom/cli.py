@@ -199,11 +199,11 @@ def cmd_verify(args) -> int:
     link = Check(-residual, tol.bound(lhs_k, cert_k), same_k & ~stored_vacuous)
     summary, _ = check_summary("stored chain certificate", ks, link)
     cert_fail = np.flatnonzero(link.failed)
+    spelt = fmt_column(np.concatenate([residual[cert_fail], link.tol[cert_fail]]))
     cert_failures = {
         int(i): f"k={ks[i]}: chain certificate on stored values: "
                 f"residual {r} exceeds tol {b}"
-        for i, r, b in zip(cert_fail.tolist(), fmt_column(residual[cert_fail]),
-                           fmt_column(link.tol[cert_fail]))
+        for i, r, b in zip(cert_fail.tolist(), spelt[: cert_fail.size], spelt[cert_fail.size :])
     }
 
     # failure messages in row order, for the rows that have any
@@ -271,10 +271,9 @@ def cmd_sweep(args) -> int:
                 continue
             cell_path = _out_path(args.out, f"{stem.stem}.cell{i:03d}{stem.suffix}")
             with open_csv(cell_path, outcome.meta, RUN_COLUMNS) as write_cell:
-                for chunk in format_rows(RUN_COLUMNS, outcome.rows.rows):
-                    lines = list(chunk)
-                    write_cell(lines)
-                    write_agg(lines, (spec.problem_id, spec.method, spec.iterations))
+                for grid in format_rows(RUN_COLUMNS, outcome.rows.rows):
+                    write_cell(grid)
+                    write_agg(grid, (spec.problem_id, spec.method, spec.iterations))
             worst = max(worst, outcome.exit_code)
             report_lines.append(
                 f"cell {i} ({label}): {'PASS' if outcome.exit_code == 0 else 'FAIL'} "
@@ -336,6 +335,7 @@ def _conjecture_report(result) -> list[str]:
     at = np.flatnonzero(itemised)
     states = np.where(result.vacuous[at], "VACUOUS",
                       np.where(result.violated[at], "VIOLATION", "ok"))
+    spelt = fmt_column(np.concatenate([result.margins[at], result.tolerances[at]]))
     return [
         f"records k={ks[0]}..{ks[-1]}: {ks.size} checked, {int(result.violated.sum())} "
         f"VIOLATION, {int(result.vacuous.sum())} VACUOUS, {at.size} itemised below "
@@ -343,8 +343,8 @@ def _conjecture_report(result) -> list[str]:
         summary,
     ] + [
         f"k={k}: margin={m} tol={t} {state}"
-        for k, m, t, state in zip(ks[at].tolist(), fmt_column(result.margins[at]),
-                                  fmt_column(result.tolerances[at]), states.tolist())
+        for k, m, t, state in zip(ks[at].tolist(), spelt[: at.size], spelt[at.size :],
+                                  states.tolist())
     ]
 
 
@@ -365,8 +365,8 @@ def cmd_conjecture(args) -> int:
         columns = ["instance"] + CONJECTURE_COLUMNS
         with open_csv(_out_path(args.out, cfg["csv"]), meta, columns) as write:
             for i, probe in enumerate(probes):
-                for block in format_rows(CONJECTURE_COLUMNS, _conjecture_rows(*probe)):
-                    write(block, (i,))
+                for grid in format_rows(CONJECTURE_COLUMNS, _conjecture_rows(*probe)):
+                    write(grid, (i,))
     else:
         spec = cfg.single_cell()
         phi = spec.build_problem()

@@ -315,8 +315,8 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
         raise ValueError("dim must be >= 1")
 
     def grad(x):
-        e = np.exp(x - x.max())
-        return e / e.sum()
+        e = np.exp(x - np.maximum.reduce(x))
+        return e / np.add.reduce(e)
 
     def conjugate_batch(Z):
         zc = np.clip(Z, 0.0, None)
@@ -475,11 +475,13 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
         return out
 
     def subgradient(x):
-        vals = A @ x + b
-        top = float(np.max(vals))
-        active = np.flatnonzero(vals >= top - 1e-12 * (1.0 + abs(top)))
-        if active.size == 1:
-            return A[active[0]].copy()
+        vals = A @ x
+        vals += b
+        i = int(vals.argmax())
+        top = float(vals[i])
+        active = vals >= top - 1e-12 * (1.0 + abs(top))
+        if np.count_nonzero(active) == 1:
+            return A[i].copy()
         return _least_norm_in_hull(A[active])
 
     bases = _conjugate_bases(A, b)

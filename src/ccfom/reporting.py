@@ -5,19 +5,23 @@ comments sufficient to reproduce the run, a header row, then one data row
 per certificate index k.  Residual columns use the convention
 residual = LHS - RHS of the checked inequality, so a check passes when the
 residual is <= its tolerance.  Numbers carry 17 significant digits, making
-the file bit-stable across repeated runs and lossless to re-parse.
+the file bit-stable across repeated runs and lossless to re-parse.  They are
+spelt exactly as "%.17g" spells them, by a vectorised kernel that turns each
+chunk of rows into one byte grid; a value whose rounding the kernel cannot
+certify is spelt by "%.17g" itself (see "CSV cells" below).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Optional
+from collections.abc import Callable, Iterator, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,23 +67,6 @@ RUN_COLUMNS = [
 ]
 
 CONJECTURE_COLUMNS = RUN_COLUMNS + ["psi", "psi_xk", "conj_margin_k"]
-
-
-def fmt_column(values) -> list[str]:
-    """``[fmt(v) for v in values]``, a whole numeric array at a time.
-
-    ``"{:.17g}"`` spells NaN of either sign as ``nan`` and the infinities as
-    ``inf``/``-inf``, so the float path is byte-equal to :func:`fmt`.
-    """
-    if isinstance(values, np.ndarray):
-        kind = values.dtype.kind
-        if kind == "f":
-            return list(map("{:.17g}".format, values.tolist()))
-        if kind in "iub":
-            return list(map(str, values.astype(np.int64).tolist()))
-        if kind == "U":
-            return values.tolist()
-    return [fmt(v) for v in values]
 
 
 class Table(Sequence):
@@ -222,21 +209,23 @@ def build_rows(
         n = at.size
         vacuous = ver.vacuous[at]
         pre = [f"k={k}: " for k in ks[at].tolist()]
+        checks = {name: Check(*(a[at] for a in full)) for name, full in ver.checks.items()}
+        # every residual and tolerance of the itemised records, spelt in one call
+        spelt = fmt_column(np.concatenate([x for c in checks.values() for x in (-c.margin, c.tol)]))
         columns = []
-        for name, full in ver.checks.items():
-            check = Check(*(a[at] for a in full))
+        for j, (name, check) in enumerate(checks.items()):
+            residuals = spelt[2 * j * n : (2 * j + 1) * n]
+            tols = spelt[(2 * j + 1) * n : (2 * j + 2) * n]
             if name == "g_ball":  # the vacuous-record note, between the links and g_ball
                 columns.append(_sparse_lines(n, vacuous, [
-                    f"{pre[j]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
-                    for j in np.flatnonzero(vacuous).tolist()
+                    f"{pre[i]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
+                    for i in np.flatnonzero(vacuous).tolist()
                 ]))
             failed = check.failed
             if name in _FAIL_LINES:
-                i = np.flatnonzero(failed)
                 columns.append(_sparse_lines(n, failed, [
-                    f"{pre[j]}FAIL {name}: {_FAIL_LINES[name]} = {r} > tol {t}"
-                    for j, r, t in zip(i.tolist(), fmt_column(-check.margin[i]),
-                                       fmt_column(check.tol[i]))
+                    f"{pre[i]}FAIL {name}: {_FAIL_LINES[name]} = {residuals[i]} > tol {tols[i]}"
+                    for i in np.flatnonzero(failed).tolist()
                 ]))
                 continue
             title = _title(name)
@@ -244,12 +233,11 @@ def build_rows(
                               np.where(check.applicable, "pass", "skipped (vacuous)"))
             column = [
                 f"{a}{title}: residual={r} tol={t} {c}"
-                for a, r, t, c in zip(pre, fmt_column(-check.margin), fmt_column(check.tol),
-                                      states.tolist())
+                for a, r, t, c in zip(pre, residuals, tols, states.tolist())
             ]
             if name not in CHAIN_CHECKS:  # listed only where they apply
-                for j in np.flatnonzero(~check.applicable).tolist():
-                    column[j] = ""
+                for i in np.flatnonzero(~check.applicable).tolist():
+                    column[i] = ""
             columns.append(column)
 
         lines = [f"reference point: {p.solution_provenance}"]
@@ -278,18 +266,186 @@ def build_rows(
     )
 
 
+# ---------------------------------------------------------------------------
+# CSV cells: a chunk of rows as one byte grid
+#
+# Each cell of a chunk gets a fixed-width slot of bytes, padded with NUL and
+# followed by its comma or newline; the chunk's text is the grid without its
+# NULs, decoded once.  A float is spelt as "%.17g" spells it.  Its 17-digit
+# mantissa m = round(|x| 10^(16-e)), with e = floor(log10|x|), comes from
+# Dekker's two-product of |x| with a double-double 10^(16-e).  As in Grisu
+# (Loitsch, PLDI 2010), m is used only where its rounding is certified: every
+# other value (an exact or near tie, a value next to a power of ten, |x|
+# outside the fast range) is spelt by fmt.  The text is then one gather from
+# the digits, keyed by (sign, layout class, count of significant digits).
+
 # Data rows are formatted and written this many at a time.
 _CSV_CHUNK_ROWS = 4096
 
-# The conversion of a numeric column's cells, by dtype kind: floats to 17
-# significant digits, spelt as fmt spells them ("%.17g" writes NaN of either
-# sign as nan, the infinities as inf and -inf), integers and booleans as
-# integers.  Any other column is text.
-_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
+# The exponents e of the fast path.  Over them 10^(16-e) lies within
+# 10^-264..10^296 and |x| below 10^281, so no product, split or partial
+# product below overflows or leaves the normal range.
+_FAST_EXP = (-280, 280)
+# Veltkamp's splitter: fl(x s) - (fl(x s) - x) is the upper 26 bits of x.
+_SPLIT = 2.0**27 + 1
+# For the right e, |x| 10^(16-e) = p + r, where p = fl(|x| t_hi) is an
+# integer below 2^57 and the computed r is off by less than 2^-47: 2^-49
+# from t_lo's own rounding, 2^-49 from fl(|x| t_lo) and 2^-48 from its sum
+# with p's exact low part.  A fraction of r farther than this from 1/2
+# certifies m = round(p + r).  An e off by one (log10 next to a power of
+# ten) puts m at or outside 10^16 or 10^17, so m strictly between them
+# certifies e.
+_HALF_MARGIN = 2.0**-45
+
+# A float's source row, 36 bytes as nine 4-digit words: "000" and the first
+# mantissa digit, the other 16 digits, "0" and the three digits of |e|, then
+# these constant bytes.  Its layout picks from them.
+_SRC_CONST = np.frombuffer(b"\0-.e+naif\0\0\0", np.uint32)
+_SRC_POS = {"0": 0, "h": 21, "t": 22, "u": 23,
+            **{chr(c): 24 + i for i, c in enumerate(b"\0-.e+naif")}}
+# The longest "%.17g" text, e.g. "-1.2345678901234567e-308".
+_FLOAT_SLOT = 24
+# Layout classes: 0..20 fixed notation (e = class - 4); 21..24 e+XX, e+XXX,
+# e-XX and e-XXX; then zero, the infinities, NaN, and the values fmt spells.
+_ZERO, _INF, _NAN, _BY_FMT = 25, 26, 27, 28
+_CLASSES = 29
 
 
-def _numeric(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype.kind in _CELL_FORMATS
+def _exp_class(e: int) -> int:
+    if -4 <= e <= 16:
+        return e + 4
+    return 21 + 2 * (e < 0) + (abs(e) >= 100)
+
+
+def _float_layout(neg: bool, cls: int, s: int) -> list[int]:
+    """The source positions that spell a float of sign ``neg``, layout class
+    ``cls`` and ``s`` significant digits (mantissa digit j at 3 + j),
+    NUL-padded to the slot."""
+    if cls <= 20:
+        e = cls - 4
+        if e < 0:
+            text = ["0", "."] + ["0"] * (-e - 1) + list(range(s))
+        else:
+            text = list(range(e + 1)) + (["."] + list(range(e + 1, s)) if s > e + 1 else [])
+    elif cls < _ZERO:
+        exp_neg, three = divmod(cls - 21, 2)
+        text = [0] + (["."] + list(range(1, s)) if s > 1 else [])
+        text += ["e", "-" if exp_neg else "+"] + ["h", "t", "u"][1 - three:]
+    else:
+        text = {_ZERO: ["0"], _INF: list("inf"), _NAN: list("nan"), _BY_FMT: []}[cls]
+    if neg and cls not in (_NAN, _BY_FMT):
+        text = ["-"] + text
+    text += ["\0"] * (_FLOAT_SLOT - len(text))
+    return [3 + c if isinstance(c, int) else _SRC_POS[c] for c in text]
+
+
+class _Tables(NamedTuple):
+    digits4: np.ndarray  # (10^4,) uint32 whose bytes are the 4 digits of 0..9999
+    zeros4: np.ndarray  # the trailing zeros of those 4 digits
+    t_hi: np.ndarray  # 10^(16-e) rounded, for e over _FAST_EXP
+    t_hi1: np.ndarray  # the upper and lower halves of t_hi (Veltkamp)
+    t_hi2: np.ndarray
+    t_lo: np.ndarray  # 10^(16-e) - t_hi, rounded
+    exp_class: np.ndarray  # the layout class of each e over _FAST_EXP
+    layout: np.ndarray  # (2 * _CLASSES * 17, _FLOAT_SLOT) source positions
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's constant tables, built exactly on first use."""
+    d = np.arange(10_000, dtype=np.int32)
+    digits4 = np.empty((10_000, 4), np.uint8)
+    for j in range(4):
+        digits4[:, 3 - j] = d // 10**j % 10 + ord("0")
+    exps = range(_FAST_EXP[0], _FAST_EXP[1] + 1)
+    t_hi, t_lo = [], []
+    for e in exps:  # 10^(16-e) = a/b; int / int is correctly rounded
+        a, b = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        t_hi.append(a / b)
+        num, den = t_hi[-1].as_integer_ratio()
+        t_lo.append((a * den - num * b) / (b * den))
+    t_hi, t_lo = np.array(t_hi), np.array(t_lo)
+    c = t_hi * _SPLIT
+    t_hi1 = c - (c - t_hi)
+    keys = [(neg, cls, s) for neg in (False, True) for cls in range(_CLASSES) for s in range(1, 18)]
+    layout = np.empty((len(keys), _FLOAT_SLOT), np.intp)
+    for row, key in zip(layout, keys):
+        row[:] = _float_layout(*key)
+    zeros4 = sum((d % 10**j == 0).astype(np.int8) for j in range(1, 5))
+    return _Tables(digits4.view(np.uint32).ravel(), zeros4, t_hi, t_hi1, t_hi - t_hi1, t_lo,
+                   np.array([_exp_class(e) for e in exps]), layout)
+
+
+def _float_slots(x: np.ndarray) -> np.ndarray:
+    """(n, _FLOAT_SLOT) NUL-padded bytes: each float as "%.17g" spells it."""
+    t = _tables()
+    x = x.astype(np.float64, copy=False)
+    n = x.size
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= _FAST_EXP[0]) & (e <= _FAST_EXP[1])  # no zero, NaN or infinity
+    a[~fast] = 1.0
+    i = np.where(fast, e - _FAST_EXP[0], -_FAST_EXP[0]).astype(np.intp)
+    th1, th2 = t.t_hi1[i], t.t_hi2[i]
+    # Dekker's two-product |x| t_hi = p + r, exactly; then r += |x| t_lo
+    p = a * t.t_hi[i]
+    c = a * _SPLIT
+    a1 = c - (c - a)
+    a2 = a - a1
+    r = a2 * th2 - (((p - a1 * th1) - a2 * th1) - a1 * th2)
+    r += a * t.t_lo[i]
+    whole = np.floor(r)
+    frac = r - whole
+    m = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    ok = fast & (np.abs(frac - 0.5) > _HALF_MARGIN) & (m > 10**16) & (m < 10**17)
+    m[~ok] = 10**16  # digits in range for the rows spelt otherwise
+
+    hi, lo = np.divmod(m, 10**8)
+    lead, hi = np.divmod(hi, 10**8)
+    groups = (lead, *np.divmod(hi, 10**4), *np.divmod(lo, 10**4))
+    src = np.empty((n, 9), np.uint32)
+    for j, g in enumerate(groups):
+        src[:, j] = t.digits4[g]
+    src[:, 5] = t.digits4[np.abs(i + _FAST_EXP[0])]
+    src[:, 6:] = _SRC_CONST
+    src = src.view(np.uint8)
+    # the count of significant digits, 17 less the trailing zeros of m
+    zeros = [t.zeros4[g] for g in groups[1:]]
+    s = 17 - np.where(lo == 0, 8 + np.where(groups[2] == 0, 4 + zeros[0], zeros[1]),
+                      np.where(groups[4] == 0, 4 + zeros[2], zeros[3]))
+
+    cls = t.exp_class[i]
+    odd = np.flatnonzero(~ok)
+    if odd.size:
+        y = x[odd]
+        cls[odd] = np.where(y == 0, _ZERO, np.where(np.isinf(y), _INF,
+                                                     np.where(np.isnan(y), _NAN, _BY_FMT)))
+    idx = t.layout.take((np.signbit(x) * _CLASSES + cls) * 17 + (s - 1), axis=0)
+    idx += np.arange(0, src.size, src.shape[1])[:, None]
+    out = src.ravel().take(idx)
+    by_fmt = odd[cls[odd] == _BY_FMT]
+    if by_fmt.size:
+        out[by_fmt] = _byte_slots([fmt(v).encode() for v in x[by_fmt].tolist()], _FLOAT_SLOT)
+    return out
+
+
+def _int_slots(v: np.ndarray) -> np.ndarray:
+    """(n, w) bytes: each integer in decimal, a NUL for its sign if it has none
+    and for each leading zero."""
+    t = _tables()
+    neg = v < 0
+    mag = v.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    width = len(str(int(mag.max()))) if v.size else 1
+    groups = np.empty((v.size, -(-width // 4)), np.intp)
+    for j in reversed(range(groups.shape[1])):
+        mag, groups[:, j] = np.divmod(mag, 10**4)
+    digits = t.digits4[groups].view(np.uint8)[:, -width:]
+    digits[:, :-1][np.logical_and.accumulate(digits[:, :-1] == ord("0"), axis=1)] = 0
+    if not neg.any():
+        return digits
+    return np.concatenate([np.where(neg, ord("-"), 0).astype(np.uint8)[:, None], digits], axis=1)
 
 
 def _quote(text: str) -> str:
@@ -300,45 +456,96 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cells(column) -> list:
-    """The values that fill a column's slot of the row template."""
-    if _numeric(column):
-        return column.tolist()
-    if isinstance(column, np.ndarray) and column.dtype.kind == "U":
-        texts = column.tolist()
-    else:
-        texts = [fmt(v) for v in column]
-    quoted = {text: _quote(text) for text in set(texts)}
-    return list(map(quoted.__getitem__, texts))
+def _cell_bytes(text: str) -> bytes:
+    """A text cell's bytes as the csv module writes them; a NUL, which the grid
+    drops, is refused."""
+    if "\0" in text:
+        raise ValueError(f"a CSV cell cannot hold a NUL character: {text!r}")
+    return _quote(text).encode()
 
 
-def format_rows(columns: Sequence[str], rows: Table) -> Iterator[Iterator[str]]:
-    """The data rows of ``rows`` as CSV lines, in chunks of ``_CSV_CHUNK_ROWS``, each
-    line from one ``%`` template: a numeric column's conversion from
-    ``_CELL_FORMATS``, text cells quoted as by ``csv.writer``.  A chunk is an
-    iterator over its lines; a caller that writes it twice makes it a list."""
+def _byte_slots(cells: list[bytes], width: int = 1) -> np.ndarray:
+    """(n, w) NUL-padded bytes of ``cells``, w at least ``width``."""
+    width = max([width, *map(len, cells)])
+    return np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), width)
+
+
+def _slots(column) -> np.ndarray:
+    """A column's cells as (n, w) NUL-padded bytes: floats as "%.17g" spells them,
+    integers and booleans as integers, any other column as fmt's text, quoted
+    once per distinct value."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "f":
+        return _float_slots(column)
+    if kind in "iub":
+        return _int_slots(column)
+    texts = column.tolist() if kind == "U" else [fmt(v) for v in column]
+    code = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    table = _byte_slots([_cell_bytes(text) for text in code])
+    return table[np.fromiter(map(code.__getitem__, texts), np.intp, len(texts))]
+
+
+def _grid(slots: Sequence[np.ndarray]) -> np.ndarray:
+    """The slots side by side, each followed by a comma, the last by a newline."""
+    grid = np.empty((len(slots[0]), sum(s.shape[1] + 1 for s in slots)), np.uint8)
+    at = 0
+    for s in slots:
+        grid[:, at : at + s.shape[1]] = s
+        at += s.shape[1] + 1
+        grid[:, at - 1] = ord(",")
+    grid[:, -1] = ord("\n")
+    return grid
+
+
+def _text(grid: np.ndarray) -> str:
+    return str(grid[grid != 0], "utf-8")
+
+
+def fmt_column(values) -> list[str]:
+    """``[fmt(v) for v in values]``; a numeric array goes through the CSV cell
+    kernel, a grid of one column per ``_CSV_CHUNK_ROWS`` values."""
+    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+    if kind in "fiub":
+        texts = []
+        for lo in range(0, values.size, _CSV_CHUNK_ROWS):
+            texts += _text(_grid([_slots(values[lo : lo + _CSV_CHUNK_ROWS])])).split("\n")[:-1]
+        return texts
+    return values.tolist() if kind == "U" else [fmt(v) for v in values]
+
+
+def format_rows(columns: Sequence[str], rows: Table) -> Iterator[np.ndarray]:
+    """The data rows of ``rows``, in chunks of ``_CSV_CHUNK_ROWS``, each chunk one
+    byte grid for ``write`` of :func:`open_csv`; a chunk may be written more
+    than once.
+
+    A cell is a NUL-padded slot followed by its comma or newline.  Float cells
+    are spelt as "%.17g" spells them.  The kernel spells zeros, NaN, the
+    infinities and every value whose 17-digit rounding it can certify; fmt
+    spells the rest (exact and near ties, values next to a power of ten, |x|
+    outside 1e-280..1e281).  Integer and boolean cells are integers; any
+    other column is fmt's text, quoted as csv.writer quotes it.
+    """
     data = [rows.columns[c] for c in columns]
-    template = ",".join(
-        _CELL_FORMATS[col.dtype.kind] if _numeric(col) else "%s" for col in data
-    ) + "\n"
     for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-        chunk = [_cells(col[lo : lo + _CSV_CHUNK_ROWS]) for col in data]
-        yield map(template.__mod__, zip(*chunk))
+        yield _grid([_slots(col[lo : lo + _CSV_CHUNK_ROWS]) for col in data])
 
 
 @contextmanager
 def open_csv(path, meta: dict[str, str], columns: Sequence[str]):
     """Write a schema-v1 CSV's version line, metadata and header, then yield
-    ``write(lines, prefix=())``, which appends rows from :func:`format_rows`, each
-    behind the cells ``prefix`` (before each row, not each text line: a quoted
-    cell may hold a newline).  A multi-part CSV is written as such blocks."""
+    ``write(grid, prefix=())``, which appends a chunk from :func:`format_rows`
+    behind the cells ``prefix``, as constant leading columns of its grid (so
+    before each row, not each text line: a quoted cell may hold a newline).  A
+    multi-part CSV is written as such blocks."""
     with open(path, "w") as out:
         out.write("".join([CSV_VERSION_LINE + "\n", *(f"# {k} = {v}\n" for k, v in meta.items()),
                            ",".join(map(_quote, columns)) + "\n"]))
 
-        def write(lines: Iterable[str], prefix: Sequence = ()):
-            lead = "".join(_quote(fmt(v)) + "," for v in prefix)
-            out.write("".join(map(lead.__add__, lines)))
+        def write(grid: np.ndarray, prefix: Sequence = ()):
+            if prefix:
+                lead = np.frombuffer(b"".join(_cell_bytes(fmt(v)) + b"," for v in prefix), np.uint8)
+                grid = np.concatenate([np.broadcast_to(lead, (len(grid), lead.size)), grid], axis=1)
+            out.write(_text(grid))
 
         yield write
 
@@ -347,9 +554,8 @@ def write_csv(path, meta: dict[str, str], columns: Sequence[str], rows: Table):
     """Write ``rows`` as a schema-v1 CSV, a chunk of rows at a time: the file's
     text never exists whole in memory."""
     with open_csv(path, meta, columns) as write:
-        for lines in format_rows(columns, rows):
-            write(lines)
-
+        for grid in format_rows(columns, rows):
+            write(grid)
 
 def read_csv(path) -> tuple[dict[str, str], list[str], Table]:
     """Parse a schema-v1 CSV back into (metadata, columns, a Table of text columns)."""

@@ -41,9 +41,10 @@ from .reporting import (
     RUN_COLUMNS,
     RunRows,
     Series,
-    Table,
     build_rows,
     check_summary,
+    conjecture_report,
+    conjecture_rows,
     fmt,
     fmt_column,
     format_rows,
@@ -144,16 +145,6 @@ _CHECKED_COLUMNS = [
 ]
 
 
-def _close(stored: np.ndarray, recomputed: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Per entry: both NaN, equal infinities, or within the tolerance of ``recomputed``."""
-    with np.errstate(invalid="ignore"):
-        near = np.abs(stored - recomputed) <= tol.bound(recomputed)
-    infinite = np.isinf(stored) | np.isinf(recomputed)
-    return (np.isnan(stored) & np.isnan(recomputed)) | np.where(
-        infinite, stored == recomputed, near
-    )
-
-
 def cmd_verify(args) -> int:
     meta, columns, rows = read_csv(args.csv)
     if columns != RUN_COLUMNS:
@@ -186,18 +177,25 @@ def cmd_verify(args) -> int:
 
     ks = stored_ks[:n]
     same_k = ks == recomputed["k"][:n]
-    mismatch = {
-        c: same_k & ~_close(stored[c][:n], recomputed[c][:n].astype(float), tol)
-        for c in _CHECKED_COLUMNS
-    }
+    # each column's stored value against the recomputed one: a margin of minus
+    # their distance, 0 for two NaNs or two equal infinities, -inf for other infinities
+    agree = {}
+    for c in _CHECKED_COLUMNS:
+        a, b = stored[c][:n], recomputed[c][:n].astype(float)
+        with np.errstate(invalid="ignore"):
+            distance = np.where(np.isinf(a) | np.isinf(b), np.where(a == b, 0.0, math.inf),
+                                np.abs(a - b))
+        distance[np.isnan(a) & np.isnan(b)] = 0.0
+        agree[c] = Check(-distance, tol.bound(b), same_k)
+    mismatch = {c: check.failed for c, check in agree.items()}
     verdict_mismatch = same_k & (np.asarray(text["verdict"][:n]) != recomputed["verdict"][:n])
     # the certificate link on the stored numbers themselves, row i holding k = start + i
     lhs_k = lhs_from_stored[start : start + n]
     cert_k = stored["cert_k"][:n]
-    stored_vacuous = np.asarray(text["vacuous_flag"][:n]) == "1"
     residual = lhs_k - cert_k
-    link = Check(-residual, tol.bound(lhs_k, cert_k), same_k & ~stored_vacuous)
-    summary, _ = check_summary("stored chain certificate", ks, link)
+    link = Check(-residual, tol.bound(lhs_k, cert_k), same_k & (stored["vacuous_flag"][:n] != 1))
+    checks = {"stored chain certificate": link, **{f"column {c}": agree[c] for c in agree}}
+    summary = [check_summary(title, ks, check)[0] for title, check in checks.items()]
     cert_fail = np.flatnonzero(link.failed)
     spelt = fmt_column(np.concatenate([residual[cert_fail], link.tol[cert_fail]]))
     cert_failures = {
@@ -216,10 +214,9 @@ def cmd_verify(args) -> int:
             continue
         for c in _CHECKED_COLUMNS:
             if mismatch[c][i]:
-                rec_v = float(recomputed[c][i])
                 failures.append(
                     f"k={k}: column {c} mismatch: stored {text[c][i]} vs recomputed "
-                    f"{fmt(rec_v)} (tolerance {fmt(tol.bound(rec_v))})"
+                    f"{fmt(float(recomputed[c][i]))} (tolerance {fmt(agree[c].tol[i])})"
                 )
         if verdict_mismatch[i]:
             failures.append(
@@ -231,7 +228,7 @@ def cmd_verify(args) -> int:
 
     report_path = Path(str(args.csv) + ".verify.txt")
     header = [f"verify: {args.csv}", f"tolerances: eps_rel={tol.eps_rel:g} eps_abs={tol.eps_abs:g}"]
-    write_report(report_path, header, [summary] + ["FAIL " + f for f in failures])
+    write_report(report_path, header, summary + ["FAIL " + f for f in failures])
     if failures:
         for f in failures:
             print(f"FAIL {f}")
@@ -293,79 +290,18 @@ def cmd_sweep(args) -> int:
 # conjecture probe
 
 
-def _conjecture_rows(cp, trace, cert, result) -> Table:
-    ks = result.ks
-    n = ks.size
-    margins = result.margins
-    verdicts = np.where(
-        result.vacuous, "VACUOUS", np.where(result.violated, "CONJ-VIOLATION", "CONJ-OK")
-    )
-    return Table({
-        "k": ks,
-        "f_xk": result.f_values,
-        "lhs_k": result.f_values,
-        "cert_k": result.conjectured,
-        "vacuous_flag": result.vacuous.astype(np.int64),
-        "mu_k": cert.mu[ks],
-        "theta_k": trace.theta[ks],
-        "theorem_bound_k": np.full(n, math.nan),
-        "residual_chain_max": -margins,
-        "residual_induction": np.full(n, math.nan),
-        "verdict": verdicts,
-        "psi": np.full(n, cp.psi.label),
-        "psi_xk": result.psi_values,
-        "conj_margin_k": margins,
-    })
-
-
-def _conjecture_report(result) -> list[str]:
-    """The probe's report body, summary first, as the run report is.
-
-    A record count line and one :func:`check_summary` line over the margins,
-    then, in k order, only the records that violate the conjecture, are
-    vacuous, or have the worst residual/tol.
-    """
-    ks = result.ks
-    summary, worst = check_summary(
-        "conjecture margin", ks, Check(result.margins, result.tolerances, ~result.vacuous)
-    )
-    itemised = result.violated | result.vacuous
-    if worst is not None:
-        itemised[worst] = True
-    at = np.flatnonzero(itemised)
-    states = np.where(result.vacuous[at], "VACUOUS",
-                      np.where(result.violated[at], "VIOLATION", "ok"))
-    spelt = fmt_column(np.concatenate([result.margins[at], result.tolerances[at]]))
-    return [
-        f"records k={ks[0]}..{ks[-1]}: {ks.size} checked, {int(result.violated.sum())} "
-        f"VIOLATION, {int(result.vacuous.sum())} VACUOUS, {at.size} itemised below "
-        f"(violating, vacuous or the worst)",
-        summary,
-    ] + [
-        f"k={k}: margin={m} tol={t} {state}"
-        for k, m, t, state in zip(ks[at].tolist(), spelt[: at.size], spelt[at.size :],
-                                  states.tolist())
-    ]
-
-
 def cmd_conjecture(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, "conjecture", _flags(args))
     tol, K = cfg.tolerances(), cfg["iterations"]
-    lines = [Z_RECURSION_NOTE]
     if cfg.mode == SUITE:
-        summary, probes = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
-        lines += list(summary.violation_reports) + [
-            f"vacuous records: {summary.vacuous_records}",
-            f"min margin: {fmt(summary.min_margin)}",
-            summary.summary_line(),
-        ]
+        probes = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
         counts = ("instances", "dim", "iterations", "seed")
         meta = {"suite": "lasso", **{key: fmt(cfg[key]) for key in counts},
                 "psi": "l1 (per-instance lambda)", "note": Z_RECURSION_NOTE}
         columns = ["instance"] + CONJECTURE_COLUMNS
         with open_csv(_out_path(args.out, cfg["csv"]), meta, columns) as write:
             for i, probe in enumerate(probes):
-                for grid in format_rows(CONJECTURE_COLUMNS, _conjecture_rows(*probe)):
+                for grid in format_rows(CONJECTURE_COLUMNS, conjecture_rows(*probe)):
                     write(grid, (i,))
     else:
         spec = cfg.single_cell()
@@ -375,12 +311,7 @@ def cmd_conjecture(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         x0 = resolve_x0(spec.x0_spec, cp.dim)
-        trace, cert, result = probe_instance(cp, x0, K, tol)
-        lines += _conjecture_report(result)
-        lines.append(
-            f"CONJECTURE probe: 1 instance, {result.iterations_checked} iterations checked, "
-            f"{len(result.violations)} violations found"
-        )
+        probes = [(cp, *probe_instance(cp, x0, K, tol))]
         meta = {
             "problem": spec.problem_id,
             "psi": cp.psi.label,
@@ -392,9 +323,10 @@ def cmd_conjecture(args) -> int:
             "note": Z_RECURSION_NOTE,
         }
         write_csv(_out_path(args.out, cfg["csv"]), meta, CONJECTURE_COLUMNS,
-                  _conjecture_rows(cp, trace, cert, result))
+                  conjecture_rows(*probes[0]))
 
-    write_report(_out_path(args.out, cfg["report"]), [lines[0]], lines[1:])
+    lines = conjecture_report([result for *_, result in probes], suite=cfg.mode == SUITE)
+    write_report(_out_path(args.out, cfg["report"]), [Z_RECURSION_NOTE], lines)
     print(lines[-1])  # the summary line
     return EXIT_PASS
 

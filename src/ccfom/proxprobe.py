@@ -49,7 +49,6 @@ __all__ = [
     "probe_instance",
     "lasso_instance",
     "lasso_suite",
-    "ProbeSummary",
     "Z_RECURSION_NOTE",
 ]
 
@@ -344,64 +343,21 @@ def lasso_instance(dim: int, seed: int, rows_extra: int = 3, lam_scale: float = 
     return cp, np.zeros(dim)
 
 
-@dataclass(frozen=True, eq=False)
-class ProbeSummary:
-    """Aggregate outcome of a batch of probe runs."""
-
-    instances: int
-    iterations_checked: int
-    violations_found: int
-    vacuous_records: int
-    min_margin: float
-    violation_reports: tuple[str, ...]
-
-    def summary_line(self) -> str:
-        return (
-            f"CONJECTURE probe: {self.instances} instances, "
-            f"{self.iterations_checked} iterations checked, "
-            f"{self.violations_found} violations found"
-        )
-
-
 def lasso_suite(
     instances: int,
     dim: int,
     K: int,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[ProbeSummary, list[tuple[CompositeProblem, MethodTrace, DualCertificate, ProbeResult]]]:
-    """Probe ``instances`` seeded lasso composites for K iterations each.
+) -> list[tuple[CompositeProblem, MethodTrace, DualCertificate, ProbeResult]]:
+    """Probe ``instances`` seeded lasso composites (seeds ``seed``, ``seed`` + 1, ...)
+    for K iterations each, from their start points.
 
-    Returns the summary and, per instance, the composite with the outputs of
-    :func:`probe_instance`.
+    Returns, per instance in seed order, the composite followed by the
+    (trace, certificate, result) of :func:`probe_instance`.
     """
     probes = []
-    reports = []
-    total_iters = 0
-    violations = 0
-    vacuous = 0
-    min_margin = math.inf
     for i in range(instances):
         cp, x0 = lasso_instance(dim, seed + i)
-        trace, cert, res = probe_instance(cp, x0, K, tol)
-        probes.append((cp, trace, cert, res))
-        total_iters += res.iterations_checked
-        violations += len(res.violations)
-        vacuous += int(res.vacuous.sum())
-        finite = res.margins[~res.vacuous]
-        if finite.size:
-            min_margin = min(min_margin, float(finite.min()))
-        for k, m, t in res.violations:
-            reports.append(
-                f"violation: composite={res.composite_label} seed={seed + i} dim={dim} "
-                f"K={K} x0=zeros k={k} margin={m:.6e} tol={t:.3e}"
-            )
-    summary = ProbeSummary(
-        instances=instances,
-        iterations_checked=total_iters,
-        violations_found=violations,
-        vacuous_records=vacuous,
-        min_margin=min_margin,
-        violation_reports=tuple(reports),
-    )
-    return summary, probes
+        probes.append((cp, *probe_instance(cp, x0, K, tol)))
+    return probes

@@ -1,4 +1,4 @@
-"""CSV/report/SVG serialization for runs and verification results.
+"""CSV/report/SVG serialization for runs, verification results and conjecture probes.
 
 CSV schema v1: a ``# ccfom-csv v1`` version line, ``# key = value`` metadata
 comments sufficient to reproduce the run, a header row, then one data row
@@ -40,7 +40,10 @@ __all__ = [
     "fmt_column",
     "Table",
     "check_summary",
+    "summary_first",
     "build_rows",
+    "conjecture_rows",
+    "conjecture_report",
     "format_rows",
     "open_csv",
     "write_csv",
@@ -136,14 +139,23 @@ def _title(name: str) -> str:
     return f"identity {name}"
 
 
-def check_summary(title: str, ks: np.ndarray, check: Check) -> tuple[str, Optional[int]]:
+def _where(ks: np.ndarray, instance: Optional[np.ndarray], i: int) -> str:
+    """The label of record i: its k, behind its instance when records span several."""
+    return f"k={ks[i]}" if instance is None else f"instance {instance[i]} k={ks[i]}"
+
+
+def check_summary(
+    title: str, ks: np.ndarray, check: Check, instance: Optional[np.ndarray] = None
+) -> tuple[str, Optional[int]]:
     """The summary line of one check over the records ``ks``, and the index of its worst record.
 
     The line gives the number of records the check applies to, how many
-    fail and the first failing k, and the largest residual/tol
-    (-margin/tol) over the applicable records with its k.  A NaN ratio (a
-    NaN margin, which fails) ranks as the worst; ties go to the smallest k.
-    A check that applies nowhere gets "not applicable" and no worst record.
+    fail and the first failing record, and the largest residual/tol
+    (-margin/tol) over the applicable records with its record.  A NaN ratio
+    (a NaN margin, which fails) ranks as the worst; ties go to the first
+    record.  A check that applies nowhere gets "not applicable" and no worst
+    record.  A record is named by its k, behind its ``instance`` when given;
+    only the first failing and the worst records are named.
     """
     at = np.flatnonzero(check.applicable)
     if not at.size:
@@ -153,10 +165,42 @@ def check_summary(title: str, ks: np.ndarray, check: Check) -> tuple[str, Option
         ratio = np.where((margin == 0) & (tol == 0), 0.0, -margin / tol)
     i = int(np.argmax(ratio))  # the first NaN if there is one, else the first maximum
     failed = np.flatnonzero(check.failed)
-    first = f" (first at k={ks[failed[0]]})" if failed.size else ""
+    first = f" (first at {_where(ks, instance, failed[0])})" if failed.size else ""
     line = (f"{title}: {at.size} applicable, {failed.size} failing{first}, "
-            f"worst residual/tol {fmt(ratio[i])} at k={ks[at[i]]}")
+            f"worst residual/tol {fmt(ratio[i])} at {_where(ks, instance, at[i])}")
     return line, int(at[i])
+
+
+def summary_first(
+    checks: dict[str, Check],
+    ks: np.ndarray,
+    failed: np.ndarray,
+    vacuous: np.ndarray,
+    items: Callable[[np.ndarray], list[str]],
+    words: tuple[str, str] = ("FAIL", "failing"),
+    instance: Optional[np.ndarray] = None,
+) -> list[str]:
+    """A report body, summary first: the record counts, one :func:`check_summary`
+    line per check (titled by its key), then ``items(at)``, the lines of the
+    records ``at`` itemised in record order: those ``failed`` (counted as
+    ``words[0]``), vacuous, or some check's worst."""
+    itemised = failed | vacuous
+    summary = []
+    for title, check in checks.items():
+        line, worst = check_summary(title, ks, check, instance)
+        summary.append(line)
+        if worst is not None:
+            itemised[worst] = True
+    at = np.flatnonzero(itemised)
+    span = (f"k={ks[0]}..{ks[-1]}" if instance is None
+            else f"instance {instance[0]}..{instance[-1]}, k={ks.min()}..{ks.max()}")
+    whose = "a check's worst" if len(checks) > 1 else "the worst"
+    return [
+        f"records {span}: {ks.size} checked, {int(failed.sum())} {words[0]}, "
+        f"{int(vacuous.sum())} VACUOUS, {at.size} itemised below ({words[1]}, vacuous or {whose})",
+        *summary,
+        *items(at),
+    ]
 
 
 def build_rows(
@@ -170,9 +214,8 @@ def build_rows(
     Every column, verdict and report state is read from the check table
     ``ver``; ``tol`` is not read (the table holds every tolerance) and is
     accepted so that four-argument calls keep working.  After the header
-    the report gives the record counts and one :func:`check_summary` line
-    per check, in table order, then itemises, in k order, only the records
-    that fail, are vacuous, or are some check's worst.  An itemised record
+    the report is the :func:`summary_first` body of the table's checks, in
+    table order.  An itemised record
     lists each check in table order: the bound, descent and G-ball checks
     only where they fail, the chain links always (a link that does not
     apply is "skipped (vacuous)"), and the other checks where they apply;
@@ -197,15 +240,7 @@ def build_rows(
         "verdict": ver.verdicts,
     })
 
-    def format_report() -> list[str]:
-        itemised = ver.record_failed | ver.vacuous
-        summary = []
-        for name, check in ver.checks.items():
-            line, worst = check_summary(_title(name), ks, check)
-            summary.append(line)
-            if worst is not None:
-                itemised[worst] = True
-        at = np.flatnonzero(itemised)
+    def items(at: np.ndarray) -> list[str]:
         n = at.size
         vacuous = ver.vacuous[at]
         pre = [f"k={k}: " for k in ks[at].tolist()]
@@ -239,7 +274,9 @@ def build_rows(
                 for i in np.flatnonzero(~check.applicable).tolist():
                     column[i] = ""
             columns.append(column)
+        return [line for group in zip(*columns) for line in group if line]
 
+    def format_report() -> list[str]:
         lines = [f"reference point: {p.solution_provenance}"]
         if ver.reference is not None:
             line = f"reference value: {fmt(ver.reference)}"
@@ -248,14 +285,8 @@ def build_rows(
             lines.append(line)
         else:
             lines.append("reference value unavailable; closed-form bound checks skipped")
-        lines.append(
-            f"records k={ks[0]}..{ks[-1]}: {ks.size} checked, "
-            f"{int(ver.record_failed.sum())} FAIL, {int(ver.vacuous.sum())} VACUOUS, "
-            f"{n} itemised below (failing, vacuous or a check's worst)"
-        )
-        lines += summary
-        lines += [line for group in zip(*columns) for line in group if line]
-        return lines
+        checks = {_title(name): check for name, check in ver.checks.items()}
+        return lines + summary_first(checks, ks, ver.record_failed, ver.vacuous, items)
 
     return RunRows(
         rows=rows,
@@ -264,6 +295,66 @@ def build_rows(
         bound_series=ver.values["theorem_bound_k"] if ver.distance is not None else None,
         _format_report=format_report,
     )
+
+
+def conjecture_rows(cp, trace: MethodTrace, cert, result) -> Table:
+    """The CSV rows of one conjecture probe: a composite ``cp`` and the
+    (trace, certificate, result) of :func:`ccfom.proxprobe.probe_instance`."""
+    ks = result.ks
+    n = ks.size
+    verdicts = np.where(
+        result.vacuous, "VACUOUS", np.where(result.violated, "CONJ-VIOLATION", "CONJ-OK")
+    )
+    return Table({
+        "k": ks,
+        "f_xk": result.f_values,
+        "lhs_k": result.f_values,
+        "cert_k": result.conjectured,
+        "vacuous_flag": result.vacuous.astype(np.int64),
+        "mu_k": cert.mu[ks],
+        "theta_k": trace.theta[ks],
+        "theorem_bound_k": np.full(n, math.nan),
+        "residual_chain_max": -result.margins,
+        "residual_induction": np.full(n, math.nan),
+        "verdict": verdicts,
+        "psi": np.full(n, cp.psi.label),
+        "psi_xk": result.psi_values,
+        "conj_margin_k": result.margins,
+    })
+
+
+def conjecture_report(results: Sequence, suite: bool = False) -> list[str]:
+    """The report body of the conjecture probe results ``results``, summary first.
+
+    The :func:`summary_first` body over every result's records, with one
+    ``conjecture margin`` check over the non-vacuous ones; each itemised
+    record reads ``k=…: margin=… tol=… ok|VIOLATION|VACUOUS``, behind
+    ``instance i`` in a ``suite``.  The last line, which the CLI also
+    prints, gives the instance, record and violation counts.
+    """
+    ks, margins, tols, vacuous = (
+        np.concatenate([getattr(r, name) for r in results])
+        for name in ("ks", "margins", "tolerances", "vacuous")
+    )
+    check = Check(margins, tols, ~vacuous)
+    violated = check.failed
+    instance = np.repeat(np.arange(len(results)), [r.ks.size for r in results]) if suite else None
+
+    def items(at: np.ndarray) -> list[str]:
+        states = np.where(vacuous[at], "VACUOUS", np.where(violated[at], "VIOLATION", "ok"))
+        spelt = fmt_column(np.concatenate([margins[at], tols[at]]))
+        return [
+            f"{_where(ks, instance, i)}: margin={m} tol={t} {state}"
+            for i, m, t, state in zip(at.tolist(), spelt[: at.size], spelt[at.size :],
+                                      states.tolist())
+        ]
+
+    n = len(results)
+    return summary_first({"conjecture margin": check}, ks, violated, vacuous, items,
+                         ("VIOLATION", "violating"), instance) + [
+        f"CONJECTURE probe: {n} instance{'' if n == 1 else 's'}, {ks.size} iterations checked, "
+        f"{int(violated.sum())} violations found"
+    ]
 
 
 # ---------------------------------------------------------------------------

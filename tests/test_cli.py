@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 
 import ccfom
 from ccfom.certificates import Check
-from ccfom.cli import _conjecture_report, main
+from ccfom import proxprobe
+from ccfom.cli import _CHECKED_COLUMNS, main
 from ccfom.proxprobe import Z_RECURSION_NOTE, ProbeResult
-from ccfom.reporting import CSV_VERSION_LINE, RUN_COLUMNS, read_csv
+from ccfom.reporting import CSV_VERSION_LINE, RUN_COLUMNS, conjecture_report, read_csv
 
 
 def write_cfg(path: Path, **kv) -> Path:
@@ -160,8 +162,11 @@ class TestVerify:
         csv = self.make_run(tmp_path)
         assert main(["verify", str(csv)]) == 0
         report = (tmp_path / "run.csv.verify.txt").read_text().splitlines()
-        assert len(report) == 3
+        assert len(report) == 3 + len(_CHECKED_COLUMNS)
         assert report[2].startswith("stored chain certificate: 13 applicable, 0 failing, worst ")
+        # each cross-checked column reproduces exactly: a NaN cell where a NaN is recomputed too
+        assert report[3:] == [f"column {c}: 13 applicable, 0 failing, worst residual/tol 0 at k=0"
+                              for c in _CHECKED_COLUMNS]
 
     def test_corrupted_f_value_fails_at_that_k(self, tmp_path, capsys):
         csv = self.make_run(tmp_path)
@@ -259,6 +264,54 @@ class TestVerify:
         respelt.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(respelt)]) == 0
 
+    def edit_cell(self, tmp_path, csv, row, column, edit) -> tuple[int, Path]:
+        """A copy of ``csv`` with ``edit`` applied to one cell of data row ``row``; (k, path)."""
+        lines = csv.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("k,")) + 1
+        i = first + row if row >= 0 else len(lines) + row
+        cells = lines[i].split(",")
+        j = RUN_COLUMNS.index(column)
+        cells[j] = edit(cells[j])
+        lines[i] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        return int(cells[0]), bad
+
+    def test_nan_cell_respelt_reproduces(self, tmp_path, capsys):
+        csv = self.make_run(tmp_path)
+
+        def respell(cell):
+            assert cell == "nan"
+            return "NaN"
+
+        _, bad = self.edit_cell(tmp_path, csv, -1, "residual_induction", respell)
+        assert main(["verify", str(bad)]) == 0
+        assert "all 13 rows reproduce" in capsys.readouterr().out
+
+    def test_number_where_nan_is_recomputed_fails(self, tmp_path, capsys):
+        csv = self.make_run(tmp_path)
+        k, bad = self.edit_cell(tmp_path, csv, -1, "residual_induction", lambda cell: "1")
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 2
+        assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")] == [
+            f"FAIL k={k}: column residual_induction mismatch: stored 1 vs recomputed nan "
+            "(tolerance 1.0000000000000001e-09)"
+        ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["f_xk", "mu_k"])
+    def test_non_finite_where_finite_is_recomputed_fails_at_that_k(self, tmp_path, capsys,
+                                                                 column, value):
+        csv = self.make_run(tmp_path)
+        _, _, rows = read_csv(csv)
+        assert math.isfinite(float(rows[5][column]))
+        k, bad = self.edit_cell(tmp_path, csv, 5, column, lambda cell: value)
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 2
+        named = [line for line in capsys.readouterr().out.splitlines() if "mismatch" in line]
+        assert len(named) == 1
+        assert named[0].startswith(f"FAIL k={k}: column {column} mismatch: stored {value} vs ")
+
     def test_rejects_non_schema_file(self, tmp_path):
         f = tmp_path / "x.csv"
         f.write_text("k,f\n1,2\n")
@@ -302,8 +355,6 @@ class TestVerify:
         dict(problem="quad:diag=1,10", method="accelerated", x0="ones", iterations=20),
     ], ids=["subgradient", "accelerated"])
     def test_fault_matrix_names_exactly_the_corrupted_column(self, tmp_path, capsys, column, run):
-        from ccfom.cli import _CHECKED_COLUMNS
-
         assert set(self._CORRUPT) == set(_CHECKED_COLUMNS) | {"verdict"}
         csv = self.make_run(tmp_path, **run)
         lines = csv.read_text().splitlines()
@@ -329,11 +380,16 @@ class TestVerify:
             assert f"FAIL k={k}: chain certificate on stored values" in "\n".join(stored_check)
         else:
             assert stored_check == []
-        # the report: its header, the stored-certificate summary, then the FAIL lines of stdout
+        # the report: its header, the stored-certificate summary, one summary per
+        # cross-checked column (only the corrupted one failing), then the FAIL lines of stdout
         report = (tmp_path / "bad.csv.verify.txt").read_text().splitlines()
         failing = len(stored_check)
         assert re.match(rf"stored chain certificate: \d+ applicable, {failing} failing", report[2])
-        assert report[3:] == failures
+        columns = 3 + len(_CHECKED_COLUMNS)
+        for c, line in zip(_CHECKED_COLUMNS, report[3:columns]):
+            failed = rf"1 failing \(first at k={k}\)" if c == column else "0 failing"
+            assert re.match(rf"column {c}: \d+ applicable, {failed}, worst ", line), line
+        assert report[columns:] == failures
 
 
 class TestSweep:
@@ -517,7 +573,7 @@ class TestConjecture:
             conjectured=margins, margins=margins, tolerances=tols, vacuous=vacuous,
             violated=Check(margins, tols, ~vacuous).failed, violations=(),
         )
-        assert _conjecture_report(result) == [
+        assert conjecture_report([result]) == [
             "records k=1..8: 8 checked, 2 VIOLATION, 1 VACUOUS, "
             "3 itemised below (violating, vacuous or the worst)",
             "conjecture margin: 7 applicable, 2 failing (first at k=2), "
@@ -525,6 +581,7 @@ class TestConjecture:
             "k=2: margin=-3 tol=1 VIOLATION",
             "k=4: margin=-inf tol=1 VACUOUS",
             "k=6: margin=-2 tol=1 VIOLATION",
+            "CONJECTURE probe: 1 instance, 8 iterations checked, 2 violations found",
         ]
 
     def test_zero_psi_matches_plain_run_certificates(self, tmp_path):
@@ -558,6 +615,51 @@ class TestConjecture:
         _, cols, rows = read_csv(tmp_path / "s.csv")
         assert cols[0] == "instance"
         assert len(rows) == 60
+
+    @pytest.mark.parametrize("kv", [
+        dict(problem="quad:diag=1,10", psi="l1:lam=0.5", x0="1.0,-1.0"),
+        dict(suite="lasso", instances=1, dim=3),
+    ], ids=["single", "suite"])
+    def test_one_instance_is_singular(self, tmp_path, capsys, kv):
+        cfg = write_cfg(tmp_path / "c.cfg", iterations=20, csv="c.csv", report="c.txt", **kv)
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        line = "CONJECTURE probe: 1 instance, 20 iterations checked, 0 violations found"
+        assert capsys.readouterr().out.splitlines()[-1] == line
+        assert (tmp_path / "c.txt").read_text().splitlines()[-1] == line
+
+    def test_suite_report_is_summary_first_and_itemises_by_instance(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        honest = proxprobe.lasso_instance
+
+        def lying_instance(dim, seed):
+            # phi's conjugate overstated by 5 depresses every conjectured bound
+            cp, x0 = honest(dim, seed)
+            conjugate_batch = cp.phi.conjugate_batch
+            phi = replace(cp.phi, conjugate_batch=lambda Z: conjugate_batch(Z) + 5.0)
+            return proxprobe.CompositeProblem(phi=phi, psi=cp.psi), x0
+
+        monkeypatch.setattr(proxprobe, "lasso_instance", lying_instance)
+        cfg = write_cfg(tmp_path / "s.cfg", suite="lasso", instances=3, dim=2, iterations=50,
+                        csv="s.csv", report="s.txt")
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        last = "CONJECTURE probe: 3 instances, 150 iterations checked, 150 violations found"
+        assert capsys.readouterr().out.splitlines()[-1] == last
+        lines = (tmp_path / "s.txt").read_text().splitlines()
+        # four summary lines whatever the suite: the note, the counts, the margin check and
+        # the closing line; between them one line per violating record
+        assert lines[:2] == [Z_RECURSION_NOTE,
+                             "records instance 0..2, k=1..50: 150 checked, 150 VIOLATION, "
+                             "0 VACUOUS, 150 itemised below (violating, vacuous or the worst)"]
+        assert re.fullmatch(r"conjecture margin: 150 applicable, 150 failing "
+                            r"\(first at instance 0 k=1\), worst residual/tol \S+ "
+                            r"at instance \d k=\d+", lines[2])
+        assert lines[-1] == last
+        items = lines[3:-1]
+        assert len(lines) == 4 + 150
+        _, _, rows = read_csv(tmp_path / "s.csv")
+        for row, line in zip(rows, items, strict=True):
+            assert re.fullmatch(rf"instance {row['instance']} k={row['k']}: "
+                                rf"margin={re.escape(row['conj_margin_k'])} tol=\S+ VIOLATION", line)
 
     def test_method_defaults_to_prox_accelerated(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", problem="quad:diag=1,10", psi="l1:lam=0.5",

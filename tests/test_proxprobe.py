@@ -251,12 +251,12 @@ class TestLassoSuite:
         assert np.all(x0a == 0.0)
 
     def test_suite_reports_margins(self):
-        summary, results = lasso_suite(4, 3, 40, seed=11)
-        assert summary.instances == 4
-        assert summary.iterations_checked == 4 * 40
-        assert len(results) == 4
-        assert math.isfinite(summary.min_margin)
-        assert "CONJECTURE" in summary.summary_line()
+        probes = lasso_suite(4, 3, 40, seed=11)
+        assert len(probes) == 4
+        for i, (cp, trace, cert, res) in enumerate(probes):
+            assert cp.phi.problem_id == f"lasso-smooth:dim=3:seed={11 + i}"
+            assert res.iterations_checked == 40 and len(trace.x) == 41
+            assert np.all(np.isfinite(res.margins[~res.vacuous]))
 
     def test_probe_reports_violations_without_asserting(self):
         # corrupt the margin tolerance path: a fabricated composite whose

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 import ccfom
 from ccfom import reporting
-from ccfom.cli import _conjecture_rows
 from ccfom.proxprobe import CompositeProblem, probe_instance, regularizer_from_id
 from ccfom.reporting import (
     CSV_VERSION_LINE,
     RUN_COLUMNS,
     CONJECTURE_COLUMNS,
     Table,
+    conjecture_rows,
     fmt,
     fmt_column,
     format_rows,
@@ -255,7 +255,7 @@ def test_run_tables_are_written_as_the_per_cell_reference(tmp_path, pid, method,
                                           ("quad:diag=4:b=10", "box:lo=-1:hi=1", [0.5])])
 def test_conjecture_tables_are_written_as_the_per_cell_reference(tmp_path, phi, psi, x0):
     cp = CompositeProblem(phi=ccfom.from_id(phi), psi=regularizer_from_id(psi))
-    rows = _conjecture_rows(cp, *probe_instance(cp, x0, 4200))
+    rows = conjecture_rows(cp, *probe_instance(cp, x0, 4200))
     path = tmp_path / "conj.csv"
     write_csv(path, {}, CONJECTURE_COLUMNS, rows)
     assert path.read_text() == _reference_csv({}, CONJECTURE_COLUMNS, rows)

@@ -94,6 +94,11 @@ __all__ = [
 
 CHAIN_CHECKS = ("certificate", "quad_min", "fenchel", "end_to_end")
 
+# Steps per block of the certificate recursion: the Python float lists of a
+# block (its coefficients, mu, and one coordinate's steps and values) hold
+# a few times 4096 entries at any horizon.
+_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class DualCertificate:
@@ -137,25 +142,34 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
     K = trace.horizon
     spec.require(p, K)
     start = spec.start
-    z = np.full((K + 1, trace.dim), math.nan)
-    mu = np.full(K + 1, math.nan)
+    # mu's closed form and theta come first: their temporaries are freed
+    # before z exists
+    mu_k = float(spec.mu(trace, p.lipschitz_grad)[start])
     theta = np.full(K + 1, math.nan)
     theta[start:K] = spec.theta(trace)
-    # The recursion a row at a time, with theta_k g_k for all k in one product
-    # and the coefficients as Python floats: the same IEEE operations in the
-    # same order as z[k+1] = (1 - theta_k) z[k] + theta_k g_k, so the same bits.
-    th = theta[start:K]
-    keeps = (1.0 - th).tolist()
-    steps = th[:, None] * trace.g[spec.offset + start : spec.offset + K]
-    zs = z[start:]
-    zs[0] = trace.g[0]
-    prev = zs[0]
-    for c, s, nxt in zip(keeps, steps, zs[1:]):
-        np.multiply(prev, c, out=nxt)
-        np.add(nxt, s, out=nxt)
-        prev = nxt
-    mu0 = float(spec.mu(trace, p.lipschitz_grad)[start])
-    mu[start:] = list(itertools.accumulate(keeps, operator.mul, initial=mu0))
+    z = np.full((K + 1, trace.dim), math.nan)
+    mu = np.full(K + 1, math.nan)
+    z[start] = trace.g[0]
+    mu[start] = mu_k
+    z_k = z[start].tolist()
+    g = trace.g[spec.offset + start : spec.offset + K]
+    # The recursion in blocks of _BLOCK_ROWS steps, one coordinate at a time
+    # over Python floats: z_j * c + s is the same two IEEE operations in the
+    # same order as z[k+1] = (1 - theta_k) z[k] + theta_k g_k row by row,
+    # so the same bits, without a numpy call per k.  mu is carried from
+    # block to block, so no per-step list outlives its block.
+    for lo in range(0, K - start, _BLOCK_ROWS):
+        hi = min(K - start, lo + _BLOCK_ROWS)
+        th = theta[start + lo : start + hi]
+        keeps = (1.0 - th).tolist()
+        steps = th[:, None] * g[lo:hi]
+        rows = z[start + lo + 1 : start + hi + 1]
+        for j, zj in enumerate(z_k):
+            rows[:, j] = [zj := zj * c + s for c, s in zip(keeps, steps[:, j].tolist())]
+            z_k[j] = zj
+        mus = list(itertools.accumulate(keeps, operator.mul, initial=mu_k))
+        mu[start + lo : start + hi + 1] = mus
+        mu_k = mus[-1]
     return DualCertificate(method=trace.method, start_index=start, z=z, mu=mu, theta=theta)
 
 
@@ -303,8 +317,10 @@ def verify_chain(
       end_to_end    LHS_k <= f(x) + (mu_k/2)||x-x0||^2
 
     The point-dependent links keep, per k, the margin and tolerance of the
-    test point where margin + tolerance is smallest (the first such point
-    on ties).  On a vacuous record (z_k outside dom f*) the links that read
+    test point where margin + tolerance is smallest, a NaN margin counting
+    as smaller than any number (the first such point on ties), so a link
+    that cannot be evaluated at some test point fails whatever the order of
+    the points.  On a vacuous record (z_k outside dom f*) the links that read
     f*(z_k) do not apply and their margins are NaN; for the subgradient
     method there ``g_ball`` fails if ||z_k|| > G(1+eps), since the
     construction provably keeps z_k in the G-ball.
@@ -337,7 +353,8 @@ def verify_chain(
             if j == 0:
                 margins[name], tols[name] = m, t
             else:
-                closer = m + t < margins[name] + tols[name]  # nearer to m < -t
+                # nearer to m < -t; a NaN margin fails, so it is kept over any number
+                closer = ~(m + t >= margins[name] + tols[name]) & ~np.isnan(margins[name])
                 margins[name] = np.where(closer, m, margins[name])
                 tols[name] = np.where(closer, t, tols[name])
     # the links that read f*(z_k) do not apply on a vacuous record

@@ -129,11 +129,15 @@ def theta_sequence(K: int) -> np.ndarray:
     """theta_0..theta_K with theta_0 = 1 and the defining recurrence."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    theta = np.empty(K + 1)
-    theta[0] = 1.0
-    for k in range(K):
-        theta[k + 1] = theta_next(theta[k])
-    return theta
+    return np.fromiter(_thetas(K), float, count=K + 1)
+
+
+def _thetas(K: int):
+    th = 1.0
+    yield th
+    for _ in range(K):
+        th = theta_next(th)
+        yield th
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,11 +205,12 @@ def _check_steps(p: ProblemInstance, q: np.ndarray, g: np.ndarray, n: int) -> No
             raise OracleError(f"subgradient is not finite at iteration {last}", iteration=last)
 
 
-def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, step: Callable[[int], None]):
-    """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``step(k)`` (k < K).
+def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, rows, step: Callable[..., None]):
+    """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``step(g[k], *row)`` (k < K).
 
-    ``step(k)`` fills q[k+1]; it is called for k = 0, 1, ... in turn.  The
-    loop calls only ``subgradient``: f and g are checked once, at the end,
+    ``rows`` yields K tuples of the views that step k takes, in step
+    order; ``step`` fills q[k+1] from g[k] and its row.  The loop calls
+    only ``subgradient``: f and g are checked once, at the end,
     f in one ``value_batch`` call per ``_CHECK_ROWS`` steps.  The loop
     and the checks run under one ``np.errstate`` that silences overflow and
     invalid operations, so an oracle that overflows returns inf or NaN
@@ -219,14 +224,17 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, step: Callabl
     never reported.
     """
     K = q.shape[0] - 1
+    subgradient = p.subgradient
     queried = 0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for k, qk in enumerate(q):
-                g[k] = p.subgradient(qk)
-                queried = k + 1
-                if k < K:
-                    step(k)
+            # each step's row views come from one zip, made when the step
+            # takes them: no view outlives its step
+            for qk, gk, row in zip(q, g, rows):
+                gk[...] = subgradient(qk)
+                queried += 1
+                step(gk, *row)
+            g[K] = subgradient(q[K])
         except Exception:
             _check_steps(p, q, g, queried)
             raise
@@ -240,17 +248,14 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
-    # each step's row views, made when the step takes them: no view outlives its step
-    rows = zip(x, x[1:], g, t)
     tg = np.empty(p.dim)
 
-    def step(k):
+    def step(gk, xk, x_next, tk):
         # x[k+1] = x[k] - t[k] * g[k]
-        xk, x_next, gk, tk = next(rows)
         np.multiply(gk, tk, out=tg)
         np.subtract(xk, tg, out=x_next)
 
-    _oracle_loop(p, x, g, step)
+    _oracle_loop(p, x, g, zip(x, x[1:], t), step)
     return MethodTrace(method=method, problem_id=p.problem_id, x=x, g=g, t=t)
 
 
@@ -270,33 +275,27 @@ def _run_momentum(
     x = np.empty((K + 1, p.dim))
     y = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
-    theta = np.empty(K + 1)
     x[0] = x0
     y[0] = x0
-    theta[0] = th = 1.0
-    # each step's row views, made when the step takes them: no view outlives its step
-    rows = zip(x, x[1:], y, y[1:], g)
+    # theta and the extrapolation coefficients do not depend on the oracle
+    theta = theta_sequence(K)
+    coefs = theta[1:] * (1.0 - theta[:-1]) / theta[:-1]
     tmp = np.empty(p.dim)
 
-    def step(k):
+    def step(gk, xk, x_next, yk, y_next, c):
         # x[k+1] = prox(y[k] - t[k] * g[k], t[k]), without prox when it is None
         # y[k+1] = x[k+1] + (theta[k+1] * (1 - theta[k]) / theta[k]) * (x[k+1] - x[k])
-        nonlocal th
-        xk, x_next, yk, y_next, gk = next(rows)
         np.multiply(gk, tk, out=tmp)
         if prox is None:
             np.subtract(yk, tmp, out=x_next)
         else:
             np.subtract(yk, tmp, out=tmp)
             x_next[...] = prox(tmp, tk)
-        th_next = theta_next(th)
-        theta[k + 1] = th_next
         np.subtract(x_next, xk, out=tmp)
-        np.multiply(tmp, th_next * (1.0 - th) / th, out=tmp)
+        np.multiply(tmp, c, out=tmp)
         np.add(x_next, tmp, out=y_next)
-        th = th_next
 
-    _oracle_loop(p, y, g, step)
+    _oracle_loop(p, y, g, zip(x, x[1:], y, y[1:], coefs), step)
     return MethodTrace(method=method, problem_id=problem_id, x=x, g=g, t=t, y=y, theta=theta)
 
 

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import ConfigError, OracleError
 
@@ -41,6 +40,14 @@ __all__ = [
 # Maximum accepted condition number for the quadratic family: beyond this the
 # conjugate (which needs A^{-1}) is numerically meaningless.
 MAX_QUAD_CONDITION = 1e12
+
+# Right-hand-side elements per Cholesky solve of the quadratic conjugate.
+# OpenBLAS 0.3.31 hands a triangular solve of 1024 or more right-hand-side
+# elements to its worker threads, and such a call took 12-16 ms instead of
+# about 0.2 ms (10,001 rows, dim 2) in some processes on a 2-core machine;
+# below that size it stays on the calling thread.  Each column is solved
+# on its own, so the blocks do not change any bit.
+_SOLVE_ELEMENTS = 1023
 
 # Indicator-type conjugate domains get a hair of slack: dual vectors that are
 # mathematically inside the domain can land a few ulp outside after long
@@ -184,7 +191,8 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     """f(x) = (1/2)<x, A x> + <b, x> with A symmetric positive definite.
 
     The conjugate f*(z) = (1/2)<z - b, A^{-1}(z - b)> is evaluated through a
-    Cholesky factorization computed once here, one solve per batch of rows.
+    Cholesky factorization computed once here, solved for a batch of rows
+    in blocks of at most ``_SOLVE_ELEMENTS`` entries.
     Matrices with condition number above ``MAX_QUAD_CONDITION`` are
     rejected.
     """
@@ -214,9 +222,16 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     def grad(x):
         return A @ x + b
 
+    # cho_solve's own solver, called on each block without its per-call checks
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor[0],))
+    rows = max(1, _SOLVE_ELEMENTS // n)
+
     def conjugate_batch(Z):
-        D = Z - b
-        return 0.5 * row_dot(D, scipy.linalg.cho_solve(factor, D.T).T)
+        D = np.asarray_chkfinite(Z - b)  # cho_solve's check, once per batch
+        S = np.empty_like(D)
+        for lo in range(0, D.shape[0], rows):
+            S[lo : lo + rows] = potrs(factor[0], D[lo : lo + rows].T, lower=factor[1])[0].T
+        return 0.5 * row_dot(D, S)
 
     def value_batch(X):
         # columnwise accumulation: fast on both C- and F-ordered batches
@@ -450,6 +465,8 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     larger) are computed at construction when the objective is bounded
     below.
     """
+    import scipy.optimize  # only here: the one family that solves LPs
+
     A = np.array(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a matrix (one affine piece per row)")

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import ccfom
+from ccfom.methods import method_spec
 
 # Catalog cells used by several test modules: (problem id, x0)
 SMOOTH_CELLS = [
@@ -35,3 +38,21 @@ def abs_value():
 
 def sample_points(rng, dim, n=25, scale=4.0):
     return rng.uniform(-scale, scale, size=(n, dim))
+
+
+def row_recursion(trace, p):
+    """z_k and mu_k by the recursion on whole rows, one k at a time (the reference)."""
+    spec = method_spec(trace.method)
+    K, start = trace.horizon, spec.start
+    z = np.full((K + 1, trace.dim), math.nan)
+    mu = np.full(K + 1, math.nan)
+    theta = np.full(K + 1, math.nan)
+    theta[start:K] = spec.theta(trace)
+    g = trace.g[spec.offset:]
+    z[start] = trace.g[0]
+    mu[start] = spec.mu(trace, p.lipschitz_grad)[start]
+    for k in range(start, K):
+        th = theta[k]
+        z[k + 1] = (1.0 - th) * z[k] + th * g[k]
+        mu[k + 1] = (1.0 - th) * mu[k]
+    return z, mu

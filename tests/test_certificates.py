@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ccfom.certificates import (
 )
 from ccfom.methods import StepSchedule, method_spec
 from ccfom.reporting import build_rows, check_summary
-from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS
+from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, row_recursion
 
 TOL = ccfom.DEFAULT_TOLERANCES
 
@@ -107,9 +108,34 @@ class TestBuildCertificate:
         else:
             tr = run_method(p, method, x0, K)
         cert = build_certificate(tr, p)
-        z, mu = _row_recursion(tr, p)
+        z, mu = row_recursion(tr, p)
         assert z.tobytes() == cert.z.tobytes()
         assert mu.tobytes() == cert.mu.tobytes()
+
+    @pytest.mark.parametrize("method,pid", [
+        ("subgradient", "norm:G=2:dim=2"),
+        ("gradient", "quad:diag=1,10"),
+        ("accelerated", "quad:diag=1,10"),
+    ])
+    def test_memory_is_that_of_its_arrays(self, method, pid):
+        # the recursion keeps no per-step object beyond a block: at K=10^5
+        # in dimension 2 the peak is z, mu and theta plus temporaries of a
+        # fixed size
+        p, K = ccfom.from_id(pid), 10**5
+        build_certificate(run_method(p, method, [1.0, -2.0], 10), p)  # lazy set-up
+        # a trace of the right shape; the recursion does not read x
+        tr = ccfom.MethodTrace(
+            method=method, problem_id=pid, x=np.zeros((K + 1, 2)),
+            g=np.random.default_rng(0).standard_normal((K + 1, 2)), t=np.full(K + 1, 0.1),
+            theta=methods.theta_sequence(K) if method == "accelerated" else None,
+        )
+        tracemalloc.start()
+        try:
+            cert = build_certificate(tr, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (cert.z.nbytes + cert.mu.nbytes + cert.theta.nbytes) + 2**20
 
     def test_gradient_needs_positive_horizon(self, scalar_quad):
         tr = ccfom.run_gradient(scalar_quad, [2.0], 1)
@@ -119,24 +145,6 @@ class TestBuildCertificate:
         )
         with pytest.raises(ValueError):
             build_certificate(short, scalar_quad)
-
-
-def _row_recursion(trace, p):
-    """z_k and mu_k by the recursion on whole rows, one k at a time (the reference)."""
-    spec = method_spec(trace.method)
-    K, start = trace.horizon, spec.start
-    z = np.full((K + 1, trace.dim), math.nan)
-    mu = np.full(K + 1, math.nan)
-    theta = np.full(K + 1, math.nan)
-    theta[start:K] = spec.theta(trace)
-    g = trace.g[spec.offset:]
-    z[start] = trace.g[0]
-    mu[start] = spec.mu(trace, p.lipschitz_grad)[start]
-    for k in range(start, K):
-        th = theta[k]
-        z[k + 1] = (1.0 - th) * z[k] + th * g[k]
-        mu[k + 1] = (1.0 - th) * mu[k]
-    return z, mu
 
 
 class TestCertificateValue:
@@ -233,6 +241,23 @@ class TestVerifyChain:
         assert chain.verdicts[1] == "VACUOUS"
         assert chain.vacuous[1]
         assert not math.isfinite(chain.values["cert_k"][1])
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_nan_margin_at_any_test_point_fails(self, order):
+        # f is NaN at one of the two test points: the fenchel and end_to_end
+        # links cannot be evaluated there, whichever point comes first
+        p = ccfom.from_id("quad:diag=1,10")
+        bad = np.array([0.5, 0.5])
+        nan_at_bad = dataclasses.replace(
+            p, value=lambda x: math.nan if np.array_equal(x, bad) else p.value(x))
+        tr = ccfom.run_gradient(p, [1.0, 1.0], 5)
+        pts = [[np.array([1.0, 1.0]), bad][i] for i in order]
+        table = verify_run(tr, nan_at_bad, pts)
+        assert not table.all_pass
+        for name in ("fenchel", "end_to_end"):
+            assert np.isnan(table.checks[name].margin).all(), name
+            assert table.checks[name].failed.all(), name
+        assert reference_chain(tr, table.certificate, nan_at_bad, pts)[1][2] == "FAIL"
 
     def test_subgradient_escape_is_hard_failure(self, abs_value):
         p, tr = abs_value, ccfom.run_subgradient(abs_value, [1.0], StepSchedule.horizon_sqrt(2), 2)
@@ -427,9 +452,11 @@ def reference_chain(trace, cert, p, pts, tol=TOL):
             if not vacuous:
                 at_q["fenchel"] = (f_q - (-fstar + zq), _ref_tol(tol, f_q, fstar, zq))
             for name, (m, t) in at_q.items():
-                if name not in margins or m + t < margins[name] + tols[name]:
+                # the point nearest to failing; a NaN margin fails, so it is kept
+                if (name not in margins or m + t < margins[name] + tols[name]
+                        or (math.isnan(m) and not math.isnan(margins[name]))):
                     margins[name], tols[name] = m, t
-        failed = any(margins[name] < -tols[name] for name in margins)
+        failed = any(not margins[name] >= -tols[name] for name in margins)
         escaped = (vacuous and spec.g_ball and p.lipschitz_f is not None
                    and float(np.linalg.norm(z)) > p.lipschitz_f * (1.0 + tol.eps_rel))
         verdict = "FAIL" if failed or escaped else ("VACUOUS" if vacuous else "PASS")

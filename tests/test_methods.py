@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import ccfom
 from ccfom.errors import OracleError
-from ccfom.methods import StepSchedule, theta_next, theta_sequence
-from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS
+from ccfom.methods import StepSchedule, method_spec, theta_next, theta_sequence
+from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, row_recursion
 
 
 class TestTheta:
@@ -305,6 +305,43 @@ def test_trace_is_bitwise_that_of_the_plain_loop(case, dim, rng):
             continue
         assert got.shape == expected[name].shape
         assert got.tobytes() == expected[name].tobytes(), name  # bits, -0.0 and NaN included
+
+
+# every family under every method it admits, and the l1, box and zero prox
+# probes: (problem id, x0, method name or psi)
+_RUN_CELLS = {
+    "subgradient norm": ("norm:G=2:dim=3", [1.0, 0.5, -0.25], "subgradient"),
+    "subgradient maxaff": ("maxaff:dim=2:pieces=5:seed=1", [0.5, -1.0], "subgradient"),
+    "gradient quad": ("quad:diag=1,100", [1.0, -0.5], "gradient"),
+    "gradient lse": ("lse:dim=2", [3.0, -3.0], "gradient"),
+    "accelerated quad": ("quad:diag=1,100", [1.0, -0.5], "accelerated"),
+    "accelerated lse": ("lse:dim=2", [1.3, -1.1], "accelerated"),
+    "prox_accelerated l1": ("quad:diag=1,10", [1.0, -1.0], ccfom.make_l1(0.5)),
+    "prox_accelerated box": ("quad:diag=4,1", [0.5, 2.0], ccfom.make_box([-1.0, -1.0], [1.0, 0.25])),
+    "prox_accelerated zero": ("quad:diag=1,10", [1.0, -1.0], ccfom.make_zero()),
+}
+
+
+@pytest.mark.parametrize("K", [1, 2, 4095, 4096, 4097, 10**4])
+@pytest.mark.parametrize("cell", list(_RUN_CELLS))
+def test_run_and_certificate_are_bitwise_those_of_the_row_loops(cell, K):
+    # the runs against the per-step loops (theta_next at each step), and
+    # build_certificate against the recursion on whole rows, across the
+    # certificate's block boundaries
+    pid, x0, how = _RUN_CELLS[cell]
+    p = ccfom.from_id(pid)
+    if isinstance(how, str):
+        trace = method_spec(how).run(p, x0, StepSchedule.horizon_sqrt(K), K)
+        t = trace.t if how == "subgradient" else np.full(K + 1, 1.0 / p.lipschitz_grad)
+        expected = _plain_momentum(p, x0, K) if how == "accelerated" else _plain_descent(p, x0, t)
+    else:
+        trace = ccfom.run_proximal_accelerated(ccfom.CompositeProblem(phi=p, psi=how), x0, K)
+        expected = _plain_momentum(p, x0, K, how.prox)
+    cert = ccfom.build_certificate(trace, p)
+    expected["z"], expected["mu"] = row_recursion(trace, p)
+    for name, want in expected.items():
+        got = getattr(cert if name in ("z", "mu") else trace, name)
+        assert got.tobytes() == want.tobytes(), name  # bits, -0.0 and NaN included
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,9 @@ the per-k entry points (``certificate_value``, ``theorem_bound``) run the
 same expressions on a single k.
 
 Index bookkeeping: ``start_index`` is 0 for the subgradient certificate and
-1 for the gradient/accelerated ones, and is part of the data model because
-it is the single most error-prone detail here.
+1 for the gradient/accelerated ones.  It is read off the method
+(``MethodSpec.start``), never stored, because it is the single most
+error-prone detail here.
 """
 
 from __future__ import annotations
@@ -111,7 +112,6 @@ class DualCertificate:
     """
 
     method: str
-    start_index: int
     z: np.ndarray
     mu: np.ndarray
     theta: np.ndarray
@@ -119,6 +119,10 @@ class DualCertificate:
     def __post_init__(self):
         for name in ("z", "mu", "theta"):
             getattr(self, name).flags.writeable = False
+
+    @property
+    def start_index(self) -> int:
+        return method_spec(self.method).start
 
     @property
     def horizon(self) -> int:
@@ -170,7 +174,7 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
         mus = list(itertools.accumulate(keeps, operator.mul, initial=mu_k))
         mu[start + lo : start + hi + 1] = mus
         mu_k = mus[-1]
-    return DualCertificate(method=trace.method, start_index=start, z=z, mu=mu, theta=theta)
+    return DualCertificate(method=trace.method, z=z, mu=mu, theta=theta)
 
 
 def _quad_min_terms(Z: np.ndarray, mu, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

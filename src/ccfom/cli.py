@@ -7,8 +7,8 @@ Subcommands
     conjecture  proximal probe of the conjectured composite certificate
 
 Exit codes are the machine contract: 0 all checks pass, 2 verification
-failure, 3 config/schema/usage error (a trace over the budget included), 4
-oracle failure.
+failure, 3 config/schema/usage error (a trace over the budget and an output
+that cannot be written included), 4 oracle failure.
 
 Problem identifiers (``family:key=val:...``):
     quad:diag=1,10[:b=0.5,0]   diagonal quadratic (entries of A, optional b)
@@ -102,14 +102,15 @@ def _out_path(out_dir: Optional[str], rel: str) -> Path:
 
 
 def _series_for(outcome: CellOutcome, label: str) -> list[Series]:
-    out = []
-    rows = outcome.rows
-    ks = rows.rows.columns["k"]
-    if rows.gap_series is not None:
-        out.append(Series(label=label, ks=ks, values=rows.gap_series))
-        if rows.bound_series is not None:
-            out.append(Series(label=label, ks=ks, values=rows.bound_series, dashed=True))
-    return out
+    """The gap (when the reference value is known) and its bound (when the distance is too)."""
+    table = outcome.rows.table
+    if table.reference is None:
+        return []
+    gap = Series(label=label, ks=table.ks, values=table.values["gap"])
+    if table.distance is None:
+        return [gap]
+    bound = table.values["theorem_bound_k"]
+    return [gap, Series(label=label, ks=table.ks, values=bound, dashed=True)]
 
 
 def cmd_run(args) -> int:
@@ -378,6 +379,12 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except OSError as exc:
+        # inputs are read with their OSError raised as a ConfigError, so
+        # this is an output (a file or an --out directory) that cannot be written
+        print(f"config error: cannot write {exc.filename or 'an output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -155,7 +155,6 @@ class MethodTrace:
     """
 
     method: str
-    problem_id: str
     x: np.ndarray
     g: np.ndarray
     t: np.ndarray
@@ -256,7 +255,7 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
         np.subtract(xk, tg, out=x_next)
 
     _oracle_loop(p, x, g, zip(x, x[1:], t), step)
-    return MethodTrace(method=method, problem_id=p.problem_id, x=x, g=g, t=t)
+    return MethodTrace(method=method, x=x, g=g, t=t)
 
 
 def _run_momentum(
@@ -264,7 +263,6 @@ def _run_momentum(
     x0,
     K: int,
     method: str,
-    problem_id: str,
     prox: Optional[Callable[[np.ndarray, float], np.ndarray]],
 ) -> MethodTrace:
     """The momentum loop; ``prox(v, t)``, when given, maps each gradient step."""
@@ -296,7 +294,7 @@ def _run_momentum(
         np.add(x_next, tmp, out=y_next)
 
     _oracle_loop(p, y, g, zip(x, x[1:], y, y[1:], coefs), step)
-    return MethodTrace(method=method, problem_id=problem_id, x=x, g=g, t=t, y=y, theta=theta)
+    return MethodTrace(method=method, x=x, g=g, t=t, y=y, theta=theta)
 
 
 def run_subgradient(
@@ -325,7 +323,7 @@ def run_accelerated(p: ProblemInstance, x0, K: int) -> MethodTrace:
     gradient step.
     """
     method_spec("accelerated").require(p, K)
-    return _run_momentum(p, x0, K, "accelerated", p.problem_id, prox=None)
+    return _run_momentum(p, x0, K, "accelerated", prox=None)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,7 @@ class MethodSpec:
     mu at ``start``, with g_k a subgradient at the query point y_k:
     (y_k, g_k) = (trace.<query>[k + offset], trace.g[k + offset]).
 
-    smooth           needs L and differentiability, and runs only with its
+    smooth           needs L (so a differentiable f), and runs only with its
                      default schedule t_k = 1/L, for which its theorem is
                      stated; a method that is not smooth needs G
     momentum         theta_k comes from the run, which also fills the
@@ -375,11 +373,8 @@ class MethodSpec:
 
     def require(self, p: ProblemInstance, K: int) -> None:
         """Raise ValueError unless ``p`` and the horizon K admit this method."""
-        if self.smooth and (p.lipschitz_grad is None or not p.is_differentiable):
-            raise ValueError(
-                f"{self.name} method needs a differentiable problem with L; "
-                f"{p.problem_id} does not qualify"
-            )
+        if self.smooth and p.lipschitz_grad is None:
+            raise ValueError(f"{self.name} method needs an L constant; {p.problem_id} has none")
         if not self.smooth and p.lipschitz_f is None:
             raise ValueError(f"{self.name} method needs a G constant; {p.problem_id} has none")
         if K < self.start:
@@ -409,7 +404,10 @@ def _subgradient_bound(p, dist, k, schedule):
     k = np.asarray(k)
     last = int(k.max())
     if isinstance(schedule, StepSchedule):
-        steps = schedule.resolve(last, p.lipschitz_grad)
+        # a fixed-length schedule is resolved at its own horizon: a run it
+        # drives takes the same steps, whatever k is asked for
+        fixed = {"horizon_sqrt": schedule.horizon, "explicit": len(schedule.values or ()) - 1}
+        steps = schedule.resolve(fixed.get(schedule.kind, last), p.lipschitz_grad)
     else:
         steps = np.asarray(schedule, dtype=float)
     if steps.size < last + 1:

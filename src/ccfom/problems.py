@@ -124,11 +124,12 @@ class ProblemInstance:
     f and f* are written once, as row batches: ``value_batch`` and
     ``conjugate_batch`` evaluate them on every row of an (N, dim) array, and
     ``conjugate_batch`` may return +inf outside dom(f*) but never -inf.  The
-    single-point ``value`` and ``conjugate`` are those batches on one row
-    (``_one_row``), so the two forms cannot disagree.  ``subgradient`` is
-    single-point only: the method loops are sequential.  At least one of
-    ``lipschitz_f`` (G, bound on subgradient norms) and ``lipschitz_grad``
-    (L, gradient Lipschitz constant) must be present.
+    single-point ``value`` and ``conjugate``, when not given, are those
+    batches on one row (``_one_row``), so the two forms cannot disagree.
+    ``subgradient`` is single-point only: the method loops are sequential.
+    At least one of ``lipschitz_f`` (G, bound on subgradient norms) and
+    ``lipschitz_grad`` (L, gradient Lipschitz constant) must be present; an
+    instance with L is differentiable, and its subgradient is the gradient.
 
     ``project_to_solution`` maps a point to the designated reference point
     used by bound checks: the nearest minimizer when one exists, otherwise a
@@ -137,9 +138,7 @@ class ProblemInstance:
 
     problem_id: str
     dim: int
-    value: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
-    conjugate: Callable[[np.ndarray], float]
     value_batch: Callable[[np.ndarray], np.ndarray]
     conjugate_batch: Callable[[np.ndarray], np.ndarray]
     lipschitz_f: Optional[float] = None
@@ -147,9 +146,13 @@ class ProblemInstance:
     optimal_value: Optional[float] = None
     project_to_solution: Optional[Callable[[np.ndarray], np.ndarray]] = None
     solution_provenance: str = "unavailable"
-    is_differentiable: bool = False
+    value: Optional[Callable[[np.ndarray], float]] = None
+    conjugate: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
+        for name in ("value", "conjugate"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, _one_row(getattr(self, f"{name}_batch")))
         if self.dim < 1:
             raise ValueError("dim must be positive")
         if self.lipschitz_f is None and self.lipschitz_grad is None:
@@ -165,11 +168,6 @@ class ProblemInstance:
             return None
         x = as_point(x, self.dim, "x")
         return float(np.linalg.norm(x - self.project_to_solution(x)))
-
-    def gradient(self, x) -> np.ndarray:
-        if not self.is_differentiable:
-            raise ValueError(f"{self.problem_id} is not differentiable")
-        return self.subgradient(x)
 
 
 def fenchel_gap(p: ProblemInstance, z, x) -> float:
@@ -244,20 +242,16 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
             out += X @ b
         return out
 
-    value = _one_row(value_batch)
     return ProblemInstance(
         problem_id=problem_id or f"quad:custom:dim={n}",
         dim=n,
-        value=value,
         subgradient=grad,
-        conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
         conjugate_batch=conjugate_batch,
         lipschitz_grad=float(eigs[-1]),
-        optimal_value=value(minimizer),
+        optimal_value=_one_row(value_batch)(minimizer),
         project_to_solution=lambda x: minimizer,
         solution_provenance="closed-form minimizer -A^{-1} b",
-        is_differentiable=True,
     )
 
 
@@ -297,16 +291,13 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
     return ProblemInstance(
         problem_id=problem_id or f"norm:G={G:g}:dim={dim}",
         dim=dim,
-        value=_one_row(value_batch),
         subgradient=subgradient,
-        conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
         conjugate_batch=conjugate_batch,
         lipschitz_f=G,
         optimal_value=0.0,
         project_to_solution=lambda x: zero,
         solution_provenance="unique minimizer at the origin",
-        is_differentiable=False,
     )
 
 
@@ -359,9 +350,7 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
     return ProblemInstance(
         problem_id=problem_id or f"lse:dim={dim}",
         dim=dim,
-        value=_one_row(value_batch),
         subgradient=grad,
-        conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
         conjugate_batch=conjugate_batch,
         lipschitz_grad=1.0,
@@ -372,7 +361,6 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
             "objective is unbounded below, so bounds are checked against "
             "this reference line instead of a minimizer"
         ),
-        is_differentiable=True,
     )
 
 
@@ -554,16 +542,13 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     return ProblemInstance(
         problem_id=problem_id or f"maxaff:custom:dim={n}:pieces={m}",
         dim=n,
-        value=_one_row(value_batch),
         subgradient=subgradient,
-        conjugate=_one_row(conjugate_batch),
         value_batch=value_batch,
         conjugate_batch=conjugate_batch,
         lipschitz_f=G,
         optimal_value=optimal_value,
         project_to_solution=project,
         solution_provenance=provenance,
-        is_differentiable=False,
     )
 
 

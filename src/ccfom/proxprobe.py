@@ -76,15 +76,19 @@ class Regularizer:
     single-point ``value`` and ``inner_min`` are those batches on one row,
     so the two forms cannot disagree.  ``prox(x, t)`` is single-point only:
     the proximal loop is sequential.  ``dim`` is None when psi applies in
-    any dimension.
+    any dimension.  ``label`` is the id that :func:`regularizer_from_id`
+    rebuilds psi from, and its family is the ``kind``.
     """
 
-    kind: str
     label: str
     value_batch: Callable[[np.ndarray], np.ndarray]
     inner_min_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     prox: Callable[[np.ndarray, float], np.ndarray]
     dim: Optional[int] = None
+
+    @property
+    def kind(self) -> str:
+        return self.label.partition(":")[0]
 
     def value(self, x) -> float:
         return float(self.value_batch(np.asarray(x, dtype=float)[None])[0])
@@ -94,6 +98,12 @@ class Regularizer:
             np.asarray(z, dtype=float)[None], np.array([mu], dtype=float), np.asarray(x0, dtype=float)
         )
         return float(vals[0]), U[0]
+
+
+def _spell(v: float) -> str:
+    """``v`` as ``:g`` spells it when that reads back as ``v``, else its shortest exact text."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
 
 
 def soft_threshold(v: np.ndarray, amount) -> np.ndarray:
@@ -124,7 +134,7 @@ def make_l1(lam: float) -> Regularizer:
         return _inner_objective(value_batch(U), Z, mu, U, x0), U
 
     return Regularizer(
-        kind="l1", label=f"l1:lam={lam:g}", value_batch=value_batch,
+        label=f"l1:lam={_spell(lam)}", value_batch=value_batch,
         inner_min_batch=inner_min_batch, prox=prox,
     )
 
@@ -151,9 +161,9 @@ def make_box(lo, hi) -> Regularizer:
         U = np.clip(x0 - Z / mu[:, None], lo, hi)
         return _inner_objective(0.0, Z, mu, U, x0), U
 
-    label = f"box:lo={','.join(f'{v:g}' for v in lo)}:hi={','.join(f'{v:g}' for v in hi)}"
+    label = f"box:lo={','.join(map(_spell, lo.tolist()))}:hi={','.join(map(_spell, hi.tolist()))}"
     return Regularizer(
-        kind="box", label=label, value_batch=value_batch,
+        label=label, value_batch=value_batch,
         inner_min_batch=inner_min_batch, prox=prox, dim=lo.size,
     )
 
@@ -177,7 +187,7 @@ def make_zero() -> Regularizer:
         return zx0 - half, x0 - Z / mu[:, None]
 
     return Regularizer(
-        kind="zero", label="zero", value_batch=value_batch,
+        label="zero", value_batch=value_batch,
         inner_min_batch=inner_min_batch, prox=prox,
     )
 
@@ -230,10 +240,6 @@ class CompositeProblem:
     def dim(self) -> int:
         return self.phi.dim
 
-    @property
-    def label(self) -> str:
-        return f"{self.phi.problem_id}+{self.psi.label}"
-
 
 def run_proximal_accelerated(cp: CompositeProblem, x0, K: int) -> MethodTrace:
     """Accelerated method with the proximal step, t_k = 1/L of the smooth part.
@@ -241,7 +247,7 @@ def run_proximal_accelerated(cp: CompositeProblem, x0, K: int) -> MethodTrace:
     The theta/y updates are unchanged; with psi == 0 the trace reproduces
     :func:`ccfom.methods.run_accelerated` bitwise.
     """
-    return _run_momentum(cp.phi, x0, K, "prox_accelerated", cp.label, prox=cp.psi.prox)
+    return _run_momentum(cp.phi, x0, K, "prox_accelerated", prox=cp.psi.prox)
 
 
 def _conjectured(cert: DualCertificate, cp: CompositeProblem, x0: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -272,7 +278,6 @@ class ProbeResult:
     check fails (margin below -tolerance, or NaN); they are the violations.
     """
 
-    composite_label: str
     ks: np.ndarray
     f_values: np.ndarray
     psi_values: np.ndarray
@@ -309,7 +314,6 @@ def probe_instance(
         (int(ks[i]), float(margins[i]), float(tols[i])) for i in np.flatnonzero(violated)
     )
     result = ProbeResult(
-        composite_label=cp.label,
         ks=ks,
         f_values=f_vals,
         psi_values=psi_vals,

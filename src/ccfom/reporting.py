@@ -95,19 +95,20 @@ class Table(Sequence):
 
 @dataclass
 class RunRows:
-    """Assembled per-k CSV rows plus the report lines that accompany them.
+    """Assembled per-k CSV rows, the check table they were laid out from,
+    and the report lines that accompany them.
 
-    ``gap_series`` and ``bound_series`` run over the records k = start..K
-    (None when the reference value, resp. the distance, is unavailable).
     The report text is formatted the first time ``report_lines`` is read,
     from the check table; a caller that writes no report formats none.
     """
 
     rows: Table
-    has_failure: bool
-    gap_series: Optional[np.ndarray]
-    bound_series: Optional[np.ndarray]
+    table: CheckTable
     _format_report: Callable[[], list[str]] = field(repr=False)
+
+    @property
+    def has_failure(self) -> bool:
+        return not self.table.all_pass
 
     @cached_property
     def report_lines(self) -> list[str]:
@@ -288,13 +289,7 @@ def build_rows(
         checks = {_title(name): check for name, check in ver.checks.items()}
         return lines + summary_first(checks, ks, ver.record_failed, ver.vacuous, items)
 
-    return RunRows(
-        rows=rows,
-        has_failure=not ver.all_pass,
-        gap_series=ver.values["gap"] if ver.reference is not None else None,
-        bound_series=ver.values["theorem_bound_k"] if ver.distance is not None else None,
-        _format_report=format_report,
-    )
+    return RunRows(rows=rows, table=ver, _format_report=format_report)
 
 
 def conjecture_rows(cp, trace: MethodTrace, cert, result) -> Table:

@@ -44,7 +44,7 @@ def hacked(cert, **faults):
     arrays = dict(z=np.array(cert.z), mu=np.array(cert.mu), theta=np.array(cert.theta))
     for name, (k, f) in faults.items():
         arrays[name][k] = f(arrays[name][k])
-    return ccfom.DualCertificate(method=cert.method, start_index=cert.start_index, **arrays)
+    return ccfom.DualCertificate(method=cert.method, **arrays)
 
 
 class TestBuildCertificate:
@@ -125,7 +125,7 @@ class TestBuildCertificate:
         build_certificate(run_method(p, method, [1.0, -2.0], 10), p)  # lazy set-up
         # a trace of the right shape; the recursion does not read x
         tr = ccfom.MethodTrace(
-            method=method, problem_id=pid, x=np.zeros((K + 1, 2)),
+            method=method, x=np.zeros((K + 1, 2)),
             g=np.random.default_rng(0).standard_normal((K + 1, 2)), t=np.full(K + 1, 0.1),
             theta=methods.theta_sequence(K) if method == "accelerated" else None,
         )
@@ -137,10 +137,18 @@ class TestBuildCertificate:
             tracemalloc.stop()
         assert peak < 1.5 * (cert.z.nbytes + cert.mu.nbytes + cert.theta.nbytes) + 2**20
 
+    @pytest.mark.parametrize("method,start", [
+        ("subgradient", 0), ("gradient", 1), ("accelerated", 1), ("prox_accelerated", 1),
+    ])
+    def test_start_index_is_the_methods(self, method, start):
+        cert = ccfom.DualCertificate(method=method, z=np.zeros((3, 1)), mu=np.zeros(3),
+                                     theta=np.zeros(3))
+        assert cert.start_index == start
+
     def test_gradient_needs_positive_horizon(self, scalar_quad):
         tr = ccfom.run_gradient(scalar_quad, [2.0], 1)
         short = ccfom.MethodTrace(
-            method="gradient", problem_id=tr.problem_id,
+            method="gradient",
             x=np.array(tr.x[:1]), g=np.array(tr.g[:1]), t=np.array(tr.t[:1]),
         )
         with pytest.raises(ValueError):
@@ -234,7 +242,7 @@ class TestVerifyChain:
         bad_z = np.array(cert.z)
         bad_z[2] = [5.0, 5.0]  # far off the simplex: conjugate is +inf
         hacked = ccfom.DualCertificate(
-            method=cert.method, start_index=1, z=bad_z,
+            method=cert.method, z=bad_z,
             mu=np.array(cert.mu), theta=np.array(cert.theta),
         )
         chain = chain_of(tr, hacked, p, [np.zeros(2)])
@@ -265,7 +273,7 @@ class TestVerifyChain:
         bad_z = np.array(cert.z)
         bad_z[1] = [7.0]  # far outside the G-ball
         hacked = ccfom.DualCertificate(
-            method="subgradient", start_index=0, z=bad_z,
+            method="subgradient", z=bad_z,
             mu=np.array(cert.mu), theta=np.array(cert.theta),
         )
         chain = chain_of(tr, hacked, p, [np.zeros(1)])
@@ -322,7 +330,7 @@ class TestVerifyChain:
         bad_mu = np.array(cert.mu)
         bad_mu[5] *= 1e-6  # inflates ||z||^2/(2 mu): certificate drops below LHS
         hacked = ccfom.DualCertificate(
-            method="gradient", start_index=1, z=np.array(cert.z),
+            method="gradient", z=np.array(cert.z),
             mu=bad_mu, theta=np.array(cert.theta),
         )
         chain = chain_of(tr, hacked, scalar_quad, [np.zeros(1)])
@@ -391,13 +399,27 @@ class TestTheoremBound:
             value_batch=lambda X: np.sum(X * X, axis=1),
             conjugate_batch=lambda Z: np.sum(Z * Z, axis=1) / 4,
             lipschitz_grad=2.0,
-            is_differentiable=True,
         )
         assert theorem_bound(p, [1.0], "gradient", 3) is None
 
     def test_subgradient_needs_schedule(self, abs_value):
         with pytest.raises(ValueError):
             theorem_bound(abs_value, [1.0], "subgradient", 2)
+
+    @pytest.mark.parametrize("schedule", [
+        StepSchedule.horizon_sqrt(10),
+        StepSchedule.explicit([1.0 / (i + 1) ** 0.5 for i in range(11)]),
+    ])
+    def test_fixed_length_schedule_at_every_k(self, abs_value, schedule):
+        # resolved at its own horizon: the bound at k <= K is that of the
+        # run's own steps, bit for bit, and a k beyond its steps raises
+        K = 10
+        trace = ccfom.run_subgradient(abs_value, [1.0], schedule, K)
+        for k in range(K + 1):
+            got = theorem_bound(abs_value, [1.0], "subgradient", k, schedule=schedule)
+            assert got == theorem_bound(abs_value, [1.0], "subgradient", k, schedule=trace.t)
+        with pytest.raises(ValueError):
+            theorem_bound(abs_value, [1.0], "subgradient", K + 1, schedule=schedule)
 
 
 class TestVerifyRunMatrix:

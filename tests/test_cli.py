@@ -569,7 +569,7 @@ class TestConjecture:
         tols = np.ones(8)
         vacuous = np.isneginf(margins)
         result = ProbeResult(
-            composite_label="test", ks=ks, f_values=np.zeros(8), psi_values=np.zeros(8),
+            ks=ks, f_values=np.zeros(8), psi_values=np.zeros(8),
             conjectured=margins, margins=margins, tolerances=tols, vacuous=vacuous,
             violated=Check(margins, tols, ~vacuous).failed, violations=(),
         )
@@ -717,6 +717,20 @@ CONJ_KV = dict(problem="quad:diag=1", psi="l1:lam=1", method="prox_accelerated",
                iterations=5)
 SUITE_KV = dict(suite="lasso", instances=2, dim=2, iterations=5)
 UNREAD = dict(psi="zero", suite="lasso", instances=3, dim=2, seed=1)
+
+
+@pytest.mark.parametrize("command,kv,out", [
+    ("run", dict(RUN_KV, csv="sub/run.csv"), "."),
+    ("run", dict(RUN_KV, svg="nodir/p.svg"), "."),  # after the CSV and report are written
+    ("sweep", dict(RUN_KV, csv="nodir/s.csv"), "."),
+    ("conjecture", dict(CONJ_KV, report="nodir/r.txt"), "."),
+    ("run", RUN_KV, "afile"),  # --out naming a file
+], ids=["run-csv", "run-svg", "sweep-csv", "conjecture-report", "out-is-a-file"])
+def test_unwritable_output_exits_3(tmp_path, capsys, command, kv, out):
+    (tmp_path / "afile").write_text("")
+    cfg = run_cfg(tmp_path, **kv)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 3
+    assert "config error: cannot write " in capsys.readouterr().err
 
 
 class TestInputSchema:

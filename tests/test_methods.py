@@ -158,6 +158,17 @@ class TestRunGradient:
         with pytest.raises(ValueError):
             ccfom.run_gradient(abs_value, [1.0], 5)
 
+    @pytest.mark.parametrize("method", ["gradient", "accelerated"])
+    def test_L_alone_admits_the_smooth_methods(self, method):
+        # L is the whole of smoothness: an instance that gives L and nothing
+        # else about it passes the smooth methods' requirement
+        p = ccfom.ProblemInstance(
+            problem_id="L only", dim=1, subgradient=lambda x: 2 * x,
+            value_batch=lambda X: np.sum(X * X, axis=1),
+            conjugate_batch=lambda Z: np.sum(Z * Z, axis=1) / 4, lipschitz_grad=2.0,
+        )
+        method_spec(method).require(p, 3)
+
 
 class TestRunAccelerated:
     @pytest.mark.parametrize("pid,x0", SMOOTH_CELLS)

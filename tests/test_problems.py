@@ -292,13 +292,21 @@ class TestCatalogInvariants:
 @pytest.mark.parametrize("pid", [
     "quad:diag=1,10:b=1,0", "quad:diag=1,100", "lasso", "norm:G=2:dim=3", "lse:dim=3",
     "maxaff:abs=1", "maxaff:dim=2:pieces=5:seed=1", "maxaff:dim=3:pieces=6:seed=0",
-    "maxaff:dim=3:pieces=2:seed=0",
+    "maxaff:dim=3:pieces=2:seed=0", "bare",
 ])
 def test_single_point_oracles_are_the_batch_on_one_row(pid, rng):
     # f and f* are written once, as row batches; value and conjugate are
     # those batches on one row, bit for bit ("maxaff:dim=3:pieces=2:seed=0"
-    # takes the LP path, "lasso" is the smooth part of a lasso composite)
-    p = ccfom.lasso_instance(5, 3)[0].phi if pid == "lasso" else ccfom.from_id(pid)
+    # takes the LP path, "lasso" is the smooth part of a lasso composite,
+    # "bare" an instance given its batches and no single-point forms)
+    if pid == "bare":
+        q = ccfom.from_id("quad:diag=1,10:b=1,0")
+        p = ccfom.ProblemInstance(
+            problem_id="bare", dim=q.dim, subgradient=q.subgradient, value_batch=q.value_batch,
+            conjugate_batch=q.conjugate_batch, lipschitz_grad=q.lipschitz_grad,
+        )
+    else:
+        p = ccfom.lasso_instance(5, 3)[0].phi if pid == "lasso" else ccfom.from_id(pid)
     X = sample_points(rng, p.dim, n=20)
     # subgradients lie in dom f*; the sample points themselves need not
     Z = np.vstack([[p.subgradient(x) for x in X], X])

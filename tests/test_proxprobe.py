@@ -77,6 +77,28 @@ class TestRegularizers:
             with pytest.raises(ConfigError):
                 regularizer_from_id(bad)
 
+    @pytest.mark.parametrize("psi,label", [
+        (make_l1(0.5), "l1:lam=0.5"),
+        (make_l1(1e-5), "l1:lam=1e-05"),
+        (make_box([-1.0], [1.0]), "box:lo=-1:hi=1"),
+        (make_box([0.0, -0.25], [1.0, 2.0]), "box:lo=0,-0.25:hi=1,2"),
+        # values that ":g" would round to six digits
+        (make_l1(0.1234567891), "l1:lam=0.1234567891"),
+        (make_l1(1234567.0), "l1:lam=1234567.0"),
+        (make_box([-1.0 / 3.0], [2.0 / 3.0]),
+         "box:lo=-0.3333333333333333:hi=0.6666666666666666"),
+    ])
+    def test_label_rebuilds_the_regularizer_exactly(self, psi, label, rng):
+        # ":g" where it reads back exactly, the shortest exact text elsewhere
+        assert psi.label == label
+        again = regularizer_from_id(label)
+        assert again.label == label and again.kind == psi.kind
+        # the prox reads every parameter: the threshold lam t, or the box's bounds
+        X = rng.uniform(-2.0, 2.0, (40, psi.dim or 2))
+        for x in X:
+            assert again.prox(x, 0.7).tobytes() == psi.prox(x, 0.7).tobytes()
+        assert again.value_batch(X).tobytes() == psi.value_batch(X).tobytes()
+
 
 def _psi(kind, dim):
     if kind == "l1":
@@ -230,7 +252,7 @@ class TestConjecturedCertificate:
         hacked_z = np.array(cert.z)
         hacked_z[1] = [5.0, 5.0]
         hacked = ccfom.DualCertificate(
-            method=cert.method, start_index=1, z=hacked_z,
+            method=cert.method, z=hacked_z,
             mu=np.array(cert.mu), theta=np.array(cert.theta),
         )
         assert conjectured_certificate(hacked, cp, [1.0, -1.0], 1) == -math.inf
@@ -271,7 +293,6 @@ class TestLassoSuite:
             value_batch=phi_honest.value_batch,
             conjugate_batch=lambda Z: phi_honest.conjugate_batch(Z) + 5.0,  # depresses the certificate
             lipschitz_grad=1.0,
-            is_differentiable=True,
         )
         cp = CompositeProblem(phi=lying, psi=make_l1(1.0))
         _, _, res = probe_instance(cp, [3.0], 10)

@@ -101,6 +101,18 @@ def _out_path(out_dir: Optional[str], rel: str) -> Path:
     return base / rel
 
 
+def _outputs(out_dir: Optional[str], cfg: ExperimentConfig, *keys: str) -> dict[str, Path]:
+    """The path of each output among ``keys`` that ``cfg`` names, checked before anything
+    runs, so that an output that cannot be written leaves no other one behind."""
+    paths = {key: _out_path(out_dir, cfg[key]) for key in keys if cfg[key]}
+    for path in paths.values():
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: no directory {path.parent}")
+    return paths
+
+
 def _series_for(outcome: CellOutcome, label: str) -> list[Series]:
     """The gap (when the reference value is known) and its bound (when the distance is too)."""
     table = outcome.rows.table
@@ -116,23 +128,19 @@ def _series_for(outcome: CellOutcome, label: str) -> list[Series]:
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, "run", _flags(args))
     spec, tol = cfg.single_cell(), cfg.tolerances()
+    out = _outputs(args.out, cfg, "csv", "report", "svg")
     outcome = execute_cell(spec, tol)
-    csv_path = _out_path(args.out, cfg["csv"])
-    write_csv(csv_path, outcome.meta, RUN_COLUMNS, outcome.rows.rows)
-    report_path = _out_path(args.out, cfg["report"])
+    write_csv(out["csv"], outcome.meta, RUN_COLUMNS, outcome.rows.rows)
     header = [
         f"run: problem={spec.problem_id} method={spec.method} "
         f"x0={outcome.meta['x0']} K={spec.iterations} schedule={outcome.meta['schedule']}",
         f"tolerances: eps_rel={tol.eps_rel:g} eps_abs={tol.eps_abs:g}",
     ]
-    write_report(report_path, header, outcome.rows.report_lines)
-    if cfg["svg"]:
-        render_convergence_svg(
-            _out_path(args.out, cfg["svg"]),
-            _series_for(outcome, f"{spec.method} {spec.problem_id}"),
-        )
+    write_report(out["report"], header, outcome.rows.report_lines)
+    if "svg" in out:
+        render_convergence_svg(out["svg"], _series_for(outcome, f"{spec.method} {spec.problem_id}"))
     status = "PASS" if outcome.exit_code == EXIT_PASS else "FAIL"
-    print(f"{status}: {len(outcome.rows.rows)} iterations checked; csv={csv_path}")
+    print(f"{status}: {len(outcome.rows.rows)} iterations checked; csv={out['csv']}")
     return outcome.exit_code
 
 
@@ -248,6 +256,7 @@ def cmd_sweep(args) -> int:
     behind the cell's (problem, method, iterations), for the streamed aggregate."""
     cfg = ExperimentConfig.from_file(args.config, "sweep", _flags(args))
     cells, tol = cfg.cells(), cfg.tolerances()
+    out = _outputs(args.out, cfg, "csv", "report", "svg")
     stem = Path(cfg["csv"])
     report_lines: list[str] = []
     series: list[Series] = []
@@ -256,7 +265,7 @@ def cmd_sweep(args) -> int:
     meta = {"sweep": f"{len(cells)} cells",
             "eps_rel": fmt(tol.eps_rel), "eps_abs": fmt(tol.eps_abs)}
     agg_columns = ["problem", "method", "iterations"] + RUN_COLUMNS
-    with open_csv(_out_path(args.out, cfg["csv"]), meta, agg_columns) as write_agg:
+    with open_csv(out["csv"], meta, agg_columns) as write_agg:
         for i, spec in enumerate(cells):
             label = f"{spec.method} {spec.problem_id}"
             label += f" K={spec.iterations}" if multi_k else ""
@@ -279,9 +288,9 @@ def cmd_sweep(args) -> int:
             )
             series.extend(_series_for(outcome, label))
 
-    write_report(_out_path(args.out, cfg["report"]), [f"sweep: {len(cells)} cells"], report_lines)
-    if cfg["svg"]:
-        render_convergence_svg(_out_path(args.out, cfg["svg"]), series)
+    write_report(out["report"], [f"sweep: {len(cells)} cells"], report_lines)
+    if "svg" in out:
+        render_convergence_svg(out["svg"], series)
     for line in report_lines:
         print(line)
     return worst
@@ -294,13 +303,14 @@ def cmd_sweep(args) -> int:
 def cmd_conjecture(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, "conjecture", _flags(args))
     tol, K = cfg.tolerances(), cfg["iterations"]
+    out = _outputs(args.out, cfg, "csv", "report")
     if cfg.mode == SUITE:
         probes = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
         counts = ("instances", "dim", "iterations", "seed")
         meta = {"suite": "lasso", **{key: fmt(cfg[key]) for key in counts},
                 "psi": "l1 (per-instance lambda)", "note": Z_RECURSION_NOTE}
         columns = ["instance"] + CONJECTURE_COLUMNS
-        with open_csv(_out_path(args.out, cfg["csv"]), meta, columns) as write:
+        with open_csv(out["csv"], meta, columns) as write:
             for i, probe in enumerate(probes):
                 for grid in format_rows(CONJECTURE_COLUMNS, conjecture_rows(*probe)):
                     write(grid, (i,))
@@ -323,11 +333,10 @@ def cmd_conjecture(args) -> int:
             "eps_abs": fmt(tol.eps_abs),
             "note": Z_RECURSION_NOTE,
         }
-        write_csv(_out_path(args.out, cfg["csv"]), meta, CONJECTURE_COLUMNS,
-                  conjecture_rows(*probes[0]))
+        write_csv(out["csv"], meta, CONJECTURE_COLUMNS, conjecture_rows(*probes[0]))
 
     lines = conjecture_report([result for *_, result in probes], suite=cfg.mode == SUITE)
-    write_report(_out_path(args.out, cfg["report"]), [Z_RECURSION_NOTE], lines)
+    write_report(out["report"], [Z_RECURSION_NOTE], lines)
     print(lines[-1])  # the summary line
     return EXIT_PASS
 

@@ -133,10 +133,13 @@ def theta_sequence(K: int) -> np.ndarray:
 
 
 def _thetas(K: int):
+    # theta_next's formula without its range check: every theta it yields
+    # lies in (0, 1], which the check would test again at each k
+    sqrt = math.sqrt
     th = 1.0
     yield th
     for _ in range(K):
-        th = theta_next(th)
+        th = 2.0 * th / (sqrt(th * th + 4.0) + th)
         yield th
 
 
@@ -207,13 +210,14 @@ def _check_steps(p: ProblemInstance, q: np.ndarray, g: np.ndarray, n: int) -> No
 def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, rows, step: Callable[..., None]):
     """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``step(g[k], *row)`` (k < K).
 
-    ``rows`` yields K tuples of the views that step k takes, in step
-    order; ``step`` fills q[k+1] from g[k] and its row.  The loop calls
-    only ``subgradient``: f and g are checked once, at the end,
-    f in one ``value_batch`` call per ``_CHECK_ROWS`` steps.  The loop
-    and the checks run under one ``np.errstate`` that silences overflow and
-    invalid operations, so an oracle that overflows returns inf or NaN
-    quietly and the checks turn that into an OracleError.  A non-finite g
+    ``rows`` yields K tuples of what step k takes (views of the rows it
+    writes, and its scalars), in step order; ``step`` fills q[k+1] from
+    g[k] and its row.  The loop calls only ``subgradient``: f and g are
+    checked once, at the end, f in one ``value_batch`` call per
+    ``_CHECK_ROWS`` steps.  The loop and the checks run under one
+    ``np.errstate`` that silences overflow and invalid operations, so an
+    oracle that overflows returns inf or NaN quietly and the checks turn
+    that into an OracleError.  A non-finite g
     does not stop the loop, and when an exception from the oracle or from
     ``step`` stops it, the steps it completed are checked before the
     exception propagates.  Either way the error is the one that a check of
@@ -247,14 +251,17 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
-    tg = np.empty(p.dim)
+    xk = x0.tolist()
 
-    def step(gk, xk, x_next, tk):
-        # x[k+1] = x[k] - t[k] * g[k]
-        np.multiply(gk, tk, out=tg)
-        np.subtract(xk, tg, out=x_next)
+    def step(gk, x_next, tk):
+        # x[k+1] = x[k] - t[k] * g[k], over Python floats: the IEEE operations
+        # of the row arithmetic, in its order, without a numpy call each
+        nonlocal xk
+        xk = [a - tk * b for a, b in zip(xk, gk.tolist())]
+        x_next[...] = xk
 
-    _oracle_loop(p, x, g, zip(x, x[1:], t), step)
+    # t is read one float at a time: a list of it would hold 32 bytes per step
+    _oracle_loop(p, x, g, zip(x[1:], map(float, t)), step)
     return MethodTrace(method=method, x=x, g=g, t=t)
 
 
@@ -263,13 +270,17 @@ def _run_momentum(
     x0,
     K: int,
     method: str,
-    prox: Optional[Callable[[np.ndarray, float], np.ndarray]],
+    prox: Optional[Callable[[list[float], float], list[float]]],
 ) -> MethodTrace:
-    """The momentum loop; ``prox(v, t)``, when given, maps each gradient step."""
+    """The momentum loop; ``prox(v, t)``, when given, maps each gradient step.
+
+    Steps run over Python floats as in :func:`_run_descent`, so ``prox``
+    maps a list of floats to a list of floats.
+    """
     x0 = as_point(x0, p.dim, "x0")
     check_trace_budget(K, p.dim)
-    tk = 1.0 / p.lipschitz_grad
-    t = np.full(K + 1, tk)
+    t = np.full(K + 1, 1.0 / p.lipschitz_grad)
+    tk = float(t[0])
     x = np.empty((K + 1, p.dim))
     y = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
@@ -278,22 +289,22 @@ def _run_momentum(
     # theta and the extrapolation coefficients do not depend on the oracle
     theta = theta_sequence(K)
     coefs = theta[1:] * (1.0 - theta[:-1]) / theta[:-1]
-    tmp = np.empty(p.dim)
+    xk = yk = x0.tolist()
 
-    def step(gk, xk, x_next, yk, y_next, c):
+    def step(gk, x_next, y_next, c):
         # x[k+1] = prox(y[k] - t[k] * g[k], t[k]), without prox when it is None
-        # y[k+1] = x[k+1] + (theta[k+1] * (1 - theta[k]) / theta[k]) * (x[k+1] - x[k])
-        np.multiply(gk, tk, out=tmp)
-        if prox is None:
-            np.subtract(yk, tmp, out=x_next)
-        else:
-            np.subtract(yk, tmp, out=tmp)
-            x_next[...] = prox(tmp, tk)
-        np.subtract(x_next, xk, out=tmp)
-        np.multiply(tmp, c, out=tmp)
-        np.add(x_next, tmp, out=y_next)
+        # y[k+1] = x[k+1] + (x[k+1] - x[k]) * (theta[k+1] * (1 - theta[k]) / theta[k])
+        # (a sum of two NaNs, whose bits CPython may take from either one,
+        # comes only after a non-finite step: the run raises OracleError)
+        nonlocal xk, yk
+        v = [a - tk * b for a, b in zip(yk, gk.tolist())]
+        x1 = v if prox is None else prox(v, tk)
+        yk = [a + (a - b) * c for a, b in zip(x1, xk)]
+        xk = x1
+        x_next[...] = x1
+        y_next[...] = yk
 
-    _oracle_loop(p, y, g, zip(x, x[1:], y, y[1:], coefs), step)
+    _oracle_loop(p, y, g, zip(x[1:], y[1:], map(float, coefs)), step)
     return MethodTrace(method=method, x=x, g=g, t=t, y=y, theta=theta)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,8 +74,10 @@ class Regularizer:
     the other row sums by ``sum(axis=1)`` on C-ordered rows, so one row
     alone gives the same bits as that row inside any batch.  The
     single-point ``value`` and ``inner_min`` are those batches on one row,
-    so the two forms cannot disagree.  ``prox(x, t)`` is single-point only:
-    the proximal loop is sequential.  ``dim`` is None when psi applies in
+    so the two forms cannot disagree.  ``prox(v, t)`` is single-point only:
+    the proximal loop is sequential, and steps over Python floats, so
+    ``prox`` maps a sequence of floats to a list of floats, with the bits
+    of the numpy form it spells.  ``dim`` is None when psi applies in
     any dimension.  ``label`` is the id that :func:`regularizer_from_id`
     rebuilds psi from, and its family is the ``kind``.
     """
@@ -83,7 +85,7 @@ class Regularizer:
     label: str
     value_batch: Callable[[np.ndarray], np.ndarray]
     inner_min_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    prox: Callable[[np.ndarray, float], np.ndarray]
+    prox: Callable[[Sequence[float], float], list[float]]
     dim: Optional[int] = None
 
     @property
@@ -125,8 +127,16 @@ def make_l1(lam: float) -> Regularizer:
     def value_batch(X):
         return lam * np.abs(X).sum(axis=1)
 
-    def prox(x, t):
-        return soft_threshold(x, lam * t)
+    def prox(v, t):
+        # soft_threshold(v, lam * t) one coordinate at a time, bit for bit:
+        # np.sign is +0.0 at -0.0, and the numpy form returns a NaN x
+        # quieted, spelt x * 1.0 since a product of two NaNs may keep either
+        a = lam * t
+        return [
+            (1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0) * (0.0 if (w := abs(x) - a) <= 0.0 else w)
+            if x == x else x * 1.0
+            for x in v
+        ]
 
     def inner_min_batch(Z, mu, x0):
         m = mu[:, None]
@@ -154,8 +164,8 @@ def make_box(lo, hi) -> Regularizer:
         inside = np.all((X >= lo) & (X <= hi), axis=1)
         return np.where(inside, 0.0, math.inf)
 
-    def prox(x, t):
-        return np.clip(x, lo, hi)
+    def prox(v, t):
+        return np.clip(v, lo, hi).tolist()
 
     def inner_min_batch(Z, mu, x0):
         U = np.clip(x0 - Z / mu[:, None], lo, hi)
@@ -179,8 +189,8 @@ def make_zero() -> Regularizer:
     def value_batch(X):
         return np.zeros(X.shape[0])
 
-    def prox(x, t):
-        return x
+    def prox(v, t):
+        return v
 
     def inner_min_batch(Z, mu, x0):
         zx0, half = _quad_min_terms(Z, mu, x0)

@@ -721,7 +721,7 @@ UNREAD = dict(psi="zero", suite="lasso", instances=3, dim=2, seed=1)
 
 @pytest.mark.parametrize("command,kv,out", [
     ("run", dict(RUN_KV, csv="sub/run.csv"), "."),
-    ("run", dict(RUN_KV, svg="nodir/p.svg"), "."),  # after the CSV and report are written
+    ("run", dict(RUN_KV, svg="nodir/p.svg"), "."),  # checked before the CSV and report
     ("sweep", dict(RUN_KV, csv="nodir/s.csv"), "."),
     ("conjecture", dict(CONJ_KV, report="nodir/r.txt"), "."),
     ("run", RUN_KV, "afile"),  # --out naming a file
@@ -731,6 +731,9 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command, kv, out):
     cfg = run_cfg(tmp_path, **kv)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 3
     assert "config error: cannot write " in capsys.readouterr().err
+    if "svg" in kv:
+        # every output is checked before the cell runs: none is left behind
+        assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.report.txt").exists()
 
 
 class TestInputSchema:

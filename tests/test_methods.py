@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ccfom
 from ccfom.errors import OracleError
 from ccfom.methods import StepSchedule, method_spec, theta_next, theta_sequence
+from ccfom.proxprobe import soft_threshold
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, row_recursion
 
 
@@ -31,6 +32,13 @@ class TestTheta:
         ks = np.arange(1, 2001)
         assert np.all(theta[ks - 1] <= 2.0 / (ks + 1) + 1e-15)
         assert theta[0] == 1.0  # equality at the base case: theta_0 = 2/2
+
+    @pytest.mark.parametrize("K", [1, 2, 10**4])
+    def test_sequence_is_bitwise_the_theta_next_chain(self, K):
+        chain = [1.0]
+        for _ in range(K):
+            chain.append(theta_next(chain[-1]))
+        assert theta_sequence(K).tobytes() == np.array(chain).tobytes()
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
     def test_domain(self, bad):
@@ -289,13 +297,13 @@ _PLAIN = {
         _quad,
         lambda p, x0, K: ccfom.run_proximal_accelerated(
             ccfom.CompositeProblem(phi=p, psi=ccfom.make_l1(0.3)), x0, K),
-        lambda p, x0, K: _plain_momentum(p, x0, K, ccfom.make_l1(0.3).prox),
+        lambda p, x0, K: _plain_momentum(p, x0, K, lambda v, t: soft_threshold(v, 0.3 * t)),
     ),
     "prox_accelerated box": (
         _quad,
         lambda p, x0, K: ccfom.run_proximal_accelerated(
             ccfom.CompositeProblem(phi=p, psi=_box(p.dim)), x0, K),
-        lambda p, x0, K: _plain_momentum(p, x0, K, _box(p.dim).prox),
+        lambda p, x0, K: _plain_momentum(p, x0, K, lambda v, t: np.clip(v, -0.5, 0.75)),  # _box
     ),
 }
 
@@ -508,7 +516,15 @@ def test_blocked_check_raises_the_per_step_error(run, faults, monkeypatch):
 # memory of the method loops
 
 
-@pytest.mark.parametrize("run", [ccfom.run_gradient, ccfom.run_accelerated], ids=["gradient", "accelerated"])
+_MEMORY_RUNS = {
+    "subgradient": lambda p, x0, K: ccfom.run_subgradient(p, x0, StepSchedule.horizon_sqrt(K), K),
+    "gradient": _RUNS["gradient"],
+    "accelerated": _RUNS["accelerated"],
+    "prox_accelerated l1": _RUNS["prox_accelerated"],
+}
+
+
+@pytest.mark.parametrize("run", list(_MEMORY_RUNS.values()), ids=list(_MEMORY_RUNS))
 def test_loop_memory_is_that_of_its_trace(run):
     # the loops hold no per-row objects: the peak is the trace's own arrays
     # plus temporaries of a fixed size, here at K=10^5 in dimension 2

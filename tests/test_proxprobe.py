@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,18 @@ from ccfom.proxprobe import (
     run_proximal_accelerated,
     soft_threshold,
 )
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# signed zeros and NaNs (a payload, a signalling one), infinities, the least
+# subnormal and tiny normals: the edges where a prox's bits can go astray
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, -math.nan, _from_bits(0x7FF8000000000123), _from_bits(0xFFF0000000000001),
+    math.inf, -math.inf, 5e-324, -5e-324, 1e-300, -1e-300, 0.3, -2.0,
+]
 
 
 def brute_prox(psi, x, t, lo=-10.0, hi=10.0, n=200001):
@@ -57,6 +70,26 @@ class TestRegularizers:
         grid = brute_prox(psi, x, t)
         step = 20.0 / 200000
         assert abs(float(psi.prox(np.array([x]), t)[0]) - grid) <= step
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, 1e-300, 0.0, math.inf])
+    def test_l1_prox_is_bitwise_soft_threshold(self, t):
+        # the list prox against the numpy form it spells, including |v| = lam t;
+        # repeated, as CPython specialises the float operations of a hot loop
+        psi, a = make_l1(0.7), 0.7 * t
+        v = EDGE_VALUES + [a, -a]
+        with np.errstate(invalid="ignore"):
+            want = soft_threshold(np.array(v), a)
+        for _ in range(3):
+            assert np.array(psi.prox(v, t)).tobytes() == want.tobytes()
+            for x, w in zip(v, want):
+                assert np.array(psi.prox([x], t)).tobytes() == w.tobytes(), x
+
+    def test_box_prox_is_bitwise_np_clip(self):
+        lo, hi = [-1.0, 0.0, -1e-300], [1.0, 5e-324, 1e-300]
+        psi = make_box(lo, hi)
+        for x in EDGE_VALUES + [-1.0, 1.0]:
+            v = [x, x, x]
+            assert np.array(psi.prox(v, 1.0)).tobytes() == np.clip(np.array(v), lo, hi).tobytes(), x
 
     @given(st.floats(-20, 20), st.floats(0.01, 5.0))
     @settings(max_examples=200, deadline=None)
@@ -96,7 +129,7 @@ class TestRegularizers:
         # the prox reads every parameter: the threshold lam t, or the box's bounds
         X = rng.uniform(-2.0, 2.0, (40, psi.dim or 2))
         for x in X:
-            assert again.prox(x, 0.7).tobytes() == psi.prox(x, 0.7).tobytes()
+            assert np.array(again.prox(x, 0.7)).tobytes() == np.array(psi.prox(x, 0.7)).tobytes()
         assert again.value_batch(X).tobytes() == psi.value_batch(X).tobytes()
 
 

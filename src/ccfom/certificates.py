@@ -44,7 +44,7 @@ it.  The checks, in report order:
     g_ball                ||z_k|| <= G(1+eps) on a vacuous record of the
                           subgradient method, whose z_k averages subgradients
     induction step        the per-step inequality k -> k+1; no step leaves K
-    query_point, or extrapolation, step_balance and theta_mu_ratio
+    query_point, or extrapolation and theta_mu_ratio
                           the identities of the step (margin = -residual)
     mu closed form        mu_k equals its closed form (margin = -deviation)
 
@@ -76,6 +76,8 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "CHAIN_CHECKS",
+    "INDUCTION_CHECKS",
+    "IDENTITY_CHECKS",
     "DualCertificate",
     "Check",
     "CheckTable",
@@ -94,6 +96,9 @@ __all__ = [
 ]
 
 CHAIN_CHECKS = ("certificate", "quad_min", "fenchel", "end_to_end")
+# the per-step inequality k -> k+1, and the identities of the step
+INDUCTION_CHECKS = ("induction step",)
+IDENTITY_CHECKS = ("query_point", "extrapolation", "theta_mu_ratio")
 
 # Steps per block of the certificate recursion: the Python float lists of a
 # block (its coefficients, mu, and one coordinate's steps and values) hold
@@ -345,7 +350,7 @@ def verify_chain(
     margins = {"certificate": cert_vals - lhs_k}
     tols = {"certificate": tol.bound(lhs_k, fstar, zx0, half)}
     for j, q in enumerate(pts):
-        f_q = p.value(q)
+        f_q = float(p.value_batch(q[None])[0])
         zq = row_dot(Z, q[None])
         quad = 0.5 * mu * float(np.sum((q - x0) ** 2))
         at_q = {
@@ -407,10 +412,9 @@ def verify_induction_all(
     and each identity's margin is minus its residual: the norm of
     x0 - y_k - z_k/mu_k (``query_point``, subgradient/gradient), or the
     momentum identities (accelerated): ``extrapolation`` for
-    y_k = (1-theta_k) x_k + theta_k (x0 - z_k/mu_k), ``step_balance`` for
-    (1-theta_k)(y_k - x_k) = theta_k (x0 - y_k - z_k/mu_k), and
-    ``theta_mu_ratio`` for theta_k^2/((1-theta_k) mu_k) = 1/L.  No step
-    leaves k = K, so there the checks do not apply and their margins are NaN.
+    y_k = (1-theta_k) x_k + theta_k (x0 - z_k/mu_k), and ``theta_mu_ratio``
+    for theta_k^2/((1-theta_k) mu_k) = 1/L.  No step leaves k = K, so there
+    the checks do not apply and their margins are NaN.
     """
     spec = method_spec(trace.method)
     lo, hi = cert.start_index, trace.horizon
@@ -445,10 +449,6 @@ def verify_induction_all(
         steps["extrapolation"] = (
             -_row_norms(Y - (a * X + b * (x0 - z_mu))),
             tol.bound(_row_norms(Y), _row_norms(X), x0_norm, z_norm),
-        )
-        steps["step_balance"] = (
-            -_row_norms(a * (Y - X) - b * W),
-            tol.bound(_row_norms(Y - X), x0_norm, _row_norms(Y), z_norm),
         )
         L = p.lipschitz_grad
         steps["theta_mu_ratio"] = (
@@ -491,7 +491,8 @@ def reference_value(p: ProblemInstance, x0) -> Optional[float]:
     if p.project_to_solution is None:
         return None
     x0 = as_point(x0, p.dim, "x0")
-    return float(p.value(p.project_to_solution(x0)))
+    reference = np.asarray(p.project_to_solution(x0), dtype=float)
+    return float(p.value_batch(reference[None])[0])
 
 
 def theorem_bound(

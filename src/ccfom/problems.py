@@ -178,7 +178,7 @@ def fenchel_gap(p: ProblemInstance, z, x) -> float:
     """
     z = as_point(z, p.dim, "z")
     x = as_point(x, p.dim, "x")
-    return p.conjugate(z) + p.value(x) - float(z @ x)
+    return _one_row(p.conjugate_batch)(z) + _one_row(p.value_batch)(x) - float(z @ x)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .certificates import CHAIN_CHECKS, Check, CheckTable
+from .certificates import CHAIN_CHECKS, IDENTITY_CHECKS, INDUCTION_CHECKS, Check, CheckTable
 from .config import fmt, parse_config_text
 from .errors import ConfigError
 from .methods import MethodTrace, method_spec
@@ -115,29 +115,16 @@ class RunRows:
         return self._format_report()
 
 
-def _sparse_lines(n: int, flags: np.ndarray, lines: list[str]) -> list[str]:
-    """A column of report lines: ``lines`` at the flagged records, "" elsewhere."""
-    out = [""] * n
-    for i, line in zip(np.flatnonzero(flags).tolist(), lines):
-        out[i] = line
-    return out
-
-
-# The checks printed only where they fail, with the quantity their residual is.
-_FAIL_LINES = {
-    "suboptimality bound": "gap - bound",
-    "monotone descent": "f(x_k) - f(x_k-1)",
-    "g_ball": "||z_k|| - G(1+eps)",
-}
+_VACUOUS_NOTE = "VACUOUS record: dual vector left dom(f*), certificate is -inf"
 
 
 def _title(name: str) -> str:
     """The title of a check in the summary and on the records it covers."""
     if name in CHAIN_CHECKS:
         return f"chain {name}"
-    if name in _FAIL_LINES or name in ("induction step", "mu closed form"):
-        return name
-    return f"identity {name}"
+    if name in IDENTITY_CHECKS:
+        return f"identity {name}"
+    return name
 
 
 def _where(ks: np.ndarray, instance: Optional[np.ndarray], i: int) -> str:
@@ -177,14 +164,18 @@ def summary_first(
     ks: np.ndarray,
     failed: np.ndarray,
     vacuous: np.ndarray,
-    items: Callable[[np.ndarray], list[str]],
     words: tuple[str, str] = ("FAIL", "failing"),
     instance: Optional[np.ndarray] = None,
 ) -> list[str]:
     """A report body, summary first: the record counts, one :func:`check_summary`
-    line per check (titled by its key), then ``items(at)``, the lines of the
-    records ``at`` itemised in record order: those ``failed`` (counted as
-    ``words[0]``), vacuous, or some check's worst."""
+    line per check (titled by its key), then the itemised records in record
+    order: those ``failed`` (counted as ``words[0]``), vacuous, or some check's
+    worst.
+
+    An itemised record is a ``VACUOUS record`` note if it is vacuous, then one
+    ``<title>: residual=… tol=… pass|<words[0]>`` line for each check that
+    applies there, in table order; each line is behind the record's label.
+    """
     itemised = failed | vacuous
     summary = []
     for title, check in checks.items():
@@ -196,11 +187,25 @@ def summary_first(
     span = (f"k={ks[0]}..{ks[-1]}" if instance is None
             else f"instance {instance[0]}..{instance[-1]}, k={ks.min()}..{ks.max()}")
     whose = "a check's worst" if len(checks) > 1 else "the worst"
+    n = at.size
+    checks_at = {title: Check(*(a[at] for a in check)) for title, check in checks.items()}
+    # every residual and tolerance of the itemised records, spelt in one call
+    spelt = fmt_column(np.concatenate([x for c in checks_at.values() for x in (-c.margin, c.tol)]))
+    columns = [[_VACUOUS_NOTE if v else "" for v in vacuous[at].tolist()]]
+    for j, (title, check) in enumerate(checks_at.items()):
+        states = np.where(check.failed, words[0], "pass").tolist()
+        columns.append([
+            f"{title}: residual={r} tol={t} {state}" if applies else ""
+            for r, t, state, applies in zip(spelt[2 * j * n : (2 * j + 1) * n],
+                                            spelt[(2 * j + 1) * n : (2 * j + 2) * n],
+                                            states, check.applicable.tolist())
+        ])
     return [
         f"records {span}: {ks.size} checked, {int(failed.sum())} {words[0]}, "
-        f"{int(vacuous.sum())} VACUOUS, {at.size} itemised below ({words[1]}, vacuous or {whose})",
+        f"{int(vacuous.sum())} VACUOUS, {n} itemised below ({words[1]}, vacuous or {whose})",
         *summary,
-        *items(at),
+        *(f"{_where(ks, instance, i)}: {item}"
+          for i, *record in zip(at.tolist(), *columns) for item in record if item),
     ]
 
 
@@ -216,12 +221,8 @@ def build_rows(
     ``ver``; ``tol`` is not read (the table holds every tolerance) and is
     accepted so that four-argument calls keep working.  After the header
     the report is the :func:`summary_first` body of the table's checks, in
-    table order.  An itemised record
-    lists each check in table order: the bound, descent and G-ball checks
-    only where they fail, the chain links always (a link that does not
-    apply is "skipped (vacuous)"), and the other checks where they apply;
-    a vacuous record's note comes before its G-ball line.  The text is
-    formatted when ``report_lines`` is first read.
+    table order, each titled by :func:`_title`.  The text is formatted when
+    ``report_lines`` is first read.
     """
     cert = ver.certificate
     start = cert.start_index
@@ -237,45 +238,9 @@ def build_rows(
         "theta_k": theta[start:],
         "theorem_bound_k": ver.values["theorem_bound_k"],
         "residual_chain_max": ver.residual(*CHAIN_CHECKS),
-        "residual_induction": ver.residual("induction step"),
+        "residual_induction": ver.residual(*INDUCTION_CHECKS),
         "verdict": ver.verdicts,
     })
-
-    def items(at: np.ndarray) -> list[str]:
-        n = at.size
-        vacuous = ver.vacuous[at]
-        pre = [f"k={k}: " for k in ks[at].tolist()]
-        checks = {name: Check(*(a[at] for a in full)) for name, full in ver.checks.items()}
-        # every residual and tolerance of the itemised records, spelt in one call
-        spelt = fmt_column(np.concatenate([x for c in checks.values() for x in (-c.margin, c.tol)]))
-        columns = []
-        for j, (name, check) in enumerate(checks.items()):
-            residuals = spelt[2 * j * n : (2 * j + 1) * n]
-            tols = spelt[(2 * j + 1) * n : (2 * j + 2) * n]
-            if name == "g_ball":  # the vacuous-record note, between the links and g_ball
-                columns.append(_sparse_lines(n, vacuous, [
-                    f"{pre[i]}VACUOUS record: dual vector left dom(f*), certificate is -inf"
-                    for i in np.flatnonzero(vacuous).tolist()
-                ]))
-            failed = check.failed
-            if name in _FAIL_LINES:
-                columns.append(_sparse_lines(n, failed, [
-                    f"{pre[i]}FAIL {name}: {_FAIL_LINES[name]} = {residuals[i]} > tol {tols[i]}"
-                    for i in np.flatnonzero(failed).tolist()
-                ]))
-                continue
-            title = _title(name)
-            states = np.where(failed, "FAIL",
-                              np.where(check.applicable, "pass", "skipped (vacuous)"))
-            column = [
-                f"{a}{title}: residual={r} tol={t} {c}"
-                for a, r, t, c in zip(pre, residuals, tols, states.tolist())
-            ]
-            if name not in CHAIN_CHECKS:  # listed only where they apply
-                for i in np.flatnonzero(~check.applicable).tolist():
-                    column[i] = ""
-            columns.append(column)
-        return [line for group in zip(*columns) for line in group if line]
 
     def format_report() -> list[str]:
         lines = [f"reference point: {p.solution_provenance}"]
@@ -287,7 +252,7 @@ def build_rows(
         else:
             lines.append("reference value unavailable; closed-form bound checks skipped")
         checks = {_title(name): check for name, check in ver.checks.items()}
-        return lines + summary_first(checks, ks, ver.record_failed, ver.vacuous, items)
+        return lines + summary_first(checks, ks, ver.record_failed, ver.vacuous)
 
     return RunRows(rows=rows, table=ver, _format_report=format_report)
 
@@ -322,10 +287,9 @@ def conjecture_report(results: Sequence, suite: bool = False) -> list[str]:
     """The report body of the conjecture probe results ``results``, summary first.
 
     The :func:`summary_first` body over every result's records, with one
-    ``conjecture margin`` check over the non-vacuous ones; each itemised
-    record reads ``k=…: margin=… tol=… ok|VIOLATION|VACUOUS``, behind
-    ``instance i`` in a ``suite``.  The last line, which the CLI also
-    prints, gives the instance, record and violation counts.
+    ``conjecture margin`` check over the non-vacuous ones; a record is
+    labelled ``instance i k=…`` in a ``suite``.  The last line, which the
+    CLI also prints, gives the instance, record and violation counts.
     """
     ks, margins, tols, vacuous = (
         np.concatenate([getattr(r, name) for r in results])
@@ -335,17 +299,8 @@ def conjecture_report(results: Sequence, suite: bool = False) -> list[str]:
     violated = check.failed
     instance = np.repeat(np.arange(len(results)), [r.ks.size for r in results]) if suite else None
 
-    def items(at: np.ndarray) -> list[str]:
-        states = np.where(vacuous[at], "VACUOUS", np.where(violated[at], "VIOLATION", "ok"))
-        spelt = fmt_column(np.concatenate([margins[at], tols[at]]))
-        return [
-            f"{_where(ks, instance, i)}: margin={m} tol={t} {state}"
-            for i, m, t, state in zip(at.tolist(), spelt[: at.size], spelt[at.size :],
-                                      states.tolist())
-        ]
-
     n = len(results)
-    return summary_first({"conjecture margin": check}, ks, violated, vacuous, items,
+    return summary_first({"conjecture margin": check}, ks, violated, vacuous,
                          ("VIOLATION", "violating"), instance) + [
         f"CONJECTURE probe: {n} instance{'' if n == 1 else 's'}, {ks.size} iterations checked, "
         f"{int(violated.sum())} violations found"

@@ -10,6 +10,7 @@ import ccfom
 from ccfom import methods
 from ccfom.certificates import (
     CHAIN_CHECKS,
+    IDENTITY_CHECKS,
     Check,
     build_certificate,
     certificate_value,
@@ -18,11 +19,13 @@ from ccfom.certificates import (
     lhs,
     lhs_series,
     mu_closed_form_residuals,
+    reference_value,
     theorem_bound,
     verify_certificate,
     verify_chain,
     verify_run,
 )
+from ccfom.config import fmt
 from ccfom.methods import StepSchedule, method_spec
 from ccfom.reporting import build_rows, check_summary
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, row_recursion
@@ -256,8 +259,10 @@ class TestVerifyChain:
         # links cannot be evaluated there, whichever point comes first
         p = ccfom.from_id("quad:diag=1,10")
         bad = np.array([0.5, 0.5])
+        # value=None: the single-point f is derived again, from the faulty batch
         nan_at_bad = dataclasses.replace(
-            p, value=lambda x: math.nan if np.array_equal(x, bad) else p.value(x))
+            p, value_batch=lambda X: np.where(_rows_equal(X, bad), math.nan, p.value_batch(X)),
+            value=None)
         tr = ccfom.run_gradient(p, [1.0, 1.0], 5)
         pts = [[np.array([1.0, 1.0]), bad][i] for i in order]
         table = verify_run(tr, nan_at_bad, pts)
@@ -289,7 +294,8 @@ class TestVerifyChain:
         assert np.all(cert.z == 1.0)
         far, near = np.array([100.0]), np.array([1.0])
         low = {100.0: 1e-7, 1.0: 6e-9}  # -0.5 x tol(far) passes, -2 x tol(near) fails
-        faulty = dataclasses.replace(abs_value, value=lambda x: abs(float(x[0])) - low.get(float(x[0]), 0.0))
+        faulty = dataclasses.replace(abs_value, value_batch=lambda X: abs_value.value_batch(X) - [
+            low.get(x, 0.0) for x in X[:, 0].tolist()])
         chain = chain_of(tr, cert, faulty, [far, near])
         assert chain.verdicts.tolist() == ["FAIL"] * 11
         assert np.allclose(chain.checks["fenchel"].margin, -6e-9, rtol=1e-6, atol=0)
@@ -337,7 +343,7 @@ class TestVerifyChain:
         assert chain.verdicts[4] == "FAIL"
 
 
-STEP_CHECKS = ("induction step", "query_point", "extrapolation", "step_balance", "theta_mu_ratio")
+STEP_CHECKS = ("induction step", "query_point", "extrapolation", "theta_mu_ratio")
 
 
 class TestInduction:
@@ -359,7 +365,7 @@ class TestInduction:
         tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
         ver = verify_run(tr, p)
         steps = {name for name in ver.checks if name in STEP_CHECKS}
-        assert steps == {"induction step", "extrapolation", "step_balance", "theta_mu_ratio"}
+        assert steps == {"induction step", "extrapolation", "theta_mu_ratio"}
         assert not any(ver.checks[name].failed.any() for name in steps)
 
     def test_margin_nonnegative_for_subgradient(self):
@@ -512,8 +518,6 @@ def reference_induction(trace, cert, p, tol=TOL):
             x = trace.x[k]
             res["extrapolation"] = norm(y - ((1.0 - th) * x + th * (x0 - z / mu)))
             rtol["extrapolation"] = _ref_tol(tol, norm(y), norm(x), norm(x0), norm(z) / mu)
-            res["step_balance"] = norm((1.0 - th) * (y - x) - th * w)
-            rtol["step_balance"] = _ref_tol(tol, norm(y - x), norm(x0), norm(y), norm(z) / mu)
             res["theta_mu_ratio"] = abs(th * th / ((1.0 - th) * mu) - 1.0 / p.lipschitz_grad)
             rtol["theta_mu_ratio"] = _ref_tol(tol, 1.0 / p.lipschitz_grad)
         ok = margin >= -tolerance and all(res[n] <= rtol[n] for n in res)
@@ -619,11 +623,7 @@ class TestAgainstScalarReference:
 # ---------------------------------------------------------------------------
 # falsifiability: each named check fires on its own fault, at the faulted k
 
-_REPORTED_FAILURE = re.compile(
-    r"^k=(\d+): (?:FAIL (suboptimality bound|monotone descent|g_ball): .*"
-    r"|chain (\w+): .* FAIL|(induction step): .* FAIL|identity (\w+): .* FAIL"
-    r"|(mu closed form): .* FAIL)$"
-)
+_REPORTED_FAILURE = re.compile(r"^k=(\d+): (?:chain |identity )?([\w ]+): residual=\S+ tol=\S+ FAIL$")
 
 
 def fired(trace, p, cert=None):
@@ -636,7 +636,7 @@ def fired(trace, p, cert=None):
     for line in rows.report_lines:
         m = _REPORTED_FAILURE.match(line)
         if m:
-            reported.add((int(m.group(1)), next(g for g in m.groups()[1:] if g)))
+            reported.add((int(m.group(1)), m.group(2)))
     assert reported == failures
     assert rows.has_failure == bool(failures)
     failed_ks = {k for k, _ in failures}
@@ -692,7 +692,7 @@ def _scaled_theta():
     tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
     cert = hacked(build_certificate(tr, p), theta=(30, lambda th: 1.5 * th))
     return tr, p, p, cert, {(30, name) for name in (
-        "induction step", "extrapolation", "step_balance", "theta_mu_ratio")}
+        "induction step", "extrapolation", "theta_mu_ratio")}
 
 
 def _nan_theta():
@@ -701,7 +701,7 @@ def _nan_theta():
     tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
     cert = hacked(build_certificate(tr, p), theta=(30, lambda th: math.nan))
     return tr, p, p, cert, {(30, name) for name in (
-        "induction step", "extrapolation", "step_balance", "theta_mu_ratio")}
+        "induction step", "extrapolation", "theta_mu_ratio")}
 
 
 def _escaped_g_ball():
@@ -736,6 +736,27 @@ def _raised_f_after_convergence():
     return tr, p, bad, None, {(250, "monotone descent")}
 
 
+def _lowered_f_at_reference():
+    # f lowered at the reference point x* alone, a test point of the chain: the
+    # links that read f(x*) fail where their margin there is below the drop,
+    # fenchel (the Fenchel gap f*(z_k) + f(x*) - <z_k, x*>) from k = 18 on and
+    # end_to_end from k = 34 on
+    p = ccfom.from_id("quad:diag=1,100")
+    tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
+    cert = build_certificate(tr, p)
+    x_star = default_test_points(p, tr.x[0])[0]
+    at_ref = verify_chain(tr, cert, p, lhs_series(tr, p), [x_star])
+    drop = 0.3
+    base = p.value_batch
+    bad = dataclasses.replace(p, value_batch=lambda X: base(X) - drop * _rows_equal(X, x_star))
+    expected = set()
+    for name in ("fenchel", "end_to_end"):
+        margin = at_ref.checks[name].margin
+        assert np.all(np.abs(margin - drop) > 1e-6), name  # no record near the threshold
+        expected |= {(k, name) for k in at_ref.ks[margin < drop].tolist()}
+    return tr, p, bad, cert, expected
+
+
 FAULTS = {
     "wrong conjugate, gradient": lambda: _wrong_conjugate("gradient"),
     "wrong conjugate, accelerated": lambda: _wrong_conjugate("accelerated"),
@@ -748,6 +769,7 @@ FAULTS = {
     "moved z_k": _moved_dual_vector,
     "scaled mu_K": _scaled_last_mu,
     "f(x_k) rises after convergence": _raised_f_after_convergence,
+    "f lowered at the reference point": _lowered_f_at_reference,
 }
 
 
@@ -883,6 +905,31 @@ class TestSummary:
             assert 2 in vacuous_ks
             assert "k=2: VACUOUS record: dual vector left dom(f*), certificate is -inf" in lines
 
+    @pytest.mark.parametrize("cell", list(SUMMARY_CELLS))
+    def test_itemised_record_lists_each_check_that_applies_there(self, cell):
+        # a vacuous record's note first, then one line per applicable check in table order
+        trace, _, p, cert, _ = SUMMARY_CELLS[cell]()
+        cert = build_certificate(trace, p) if cert is None else cert
+        table = verify_certificate(trace, cert, p, tol=TOL)
+        lines = build_rows(trace, p, table).report_lines
+        records = {}
+        for line in lines[3 + len(table.checks) :]:
+            k, item = re.fullmatch(r"k=(\d+): (.+)", line).groups()
+            records.setdefault(int(k), []).append(item)
+        assert list(records) == sorted(records) and records
+        for k, items in records.items():
+            i = k - table.ks[0]
+            expected = (["VACUOUS record: dual vector left dom(f*), certificate is -inf"]
+                        if table.vacuous[i] else [])
+            for name, check in table.checks.items():
+                if check.applicable[i]:
+                    title = (f"chain {name}" if name in CHAIN_CHECKS
+                             else f"identity {name}" if name in IDENTITY_CHECKS else name)
+                    state = "FAIL" if check.failed[i] else "pass"
+                    expected.append(f"{title}: residual={fmt(-check.margin[i])} "
+                                    f"tol={fmt(check.tol[i])} {state}")
+            assert items == expected, (cell, k)
+
     def test_nan_margin_is_the_worst_and_ties_go_to_the_first_k(self):
         ks = np.arange(3, 9)
         applies = np.array([True, True, True, True, True, False])
@@ -923,6 +970,18 @@ class TestSummary:
         lines = build_rows(tr, p, verify_run(tr, p)).report_lines
         assert lines[2].startswith("records k=1..10000: 10000 checked, 0 FAIL, 0 VACUOUS, ")
         assert len("\n".join(lines).encode()) < 64 * 1024
+
+
+def test_single_point_reads_go_through_the_batches():
+    # f and f* at a single point are the batches on one row, so a fault
+    # injected into a batch reaches the reference value and the Fenchel gap
+    p = ccfom.from_id("lse:dim=2")
+    q = dataclasses.replace(p, value_batch=lambda X: p.value_batch(X) + 1.0,
+                            conjugate_batch=lambda Z: p.conjugate_batch(Z) + 2.0)
+    x0, z, x = [3.0, -3.0], [0.25, 0.75], [1.0, -2.0]
+    assert p.optimal_value is None
+    assert reference_value(q, x0) == reference_value(p, x0) + 1.0
+    assert ccfom.fenchel_gap(q, z, x) == pytest.approx(ccfom.fenchel_gap(p, z, x) + 3.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

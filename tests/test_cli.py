@@ -556,10 +556,11 @@ class TestConjecture:
         worst = re.fullmatch(r"conjecture margin: 400 applicable, 0 failing, "
                              r"worst residual/tol \S+ at k=(\d+)", lines[2])
         assert worst
-        # the one itemised record is the worst, with the CSV's margin
+        # the one itemised record is the worst, with the CSV's residual (minus the margin)
         _, _, rows = read_csv(tmp_path / "c.csv")
         row = rows[int(worst[1]) - 1]
-        assert re.fullmatch(rf"k={worst[1]}: margin={re.escape(row['conj_margin_k'])} tol=\S+ ok",
+        assert re.fullmatch(rf"k={worst[1]}: conjecture margin: "
+                            rf"residual={re.escape(row['residual_chain_max'])} tol=\S+ pass",
                             lines[3])
         assert lines[4:] == [last]
 
@@ -578,9 +579,9 @@ class TestConjecture:
             "3 itemised below (violating, vacuous or the worst)",
             "conjecture margin: 7 applicable, 2 failing (first at k=2), "
             "worst residual/tol 3 at k=2",
-            "k=2: margin=-3 tol=1 VIOLATION",
-            "k=4: margin=-inf tol=1 VACUOUS",
-            "k=6: margin=-2 tol=1 VIOLATION",
+            "k=2: conjecture margin: residual=3 tol=1 VIOLATION",
+            "k=4: VACUOUS record: dual vector left dom(f*), certificate is -inf",
+            "k=6: conjecture margin: residual=2 tol=1 VIOLATION",
             "CONJECTURE probe: 1 instance, 8 iterations checked, 2 violations found",
         ]
 
@@ -658,8 +659,9 @@ class TestConjecture:
         assert len(lines) == 4 + 150
         _, _, rows = read_csv(tmp_path / "s.csv")
         for row, line in zip(rows, items, strict=True):
-            assert re.fullmatch(rf"instance {row['instance']} k={row['k']}: "
-                                rf"margin={re.escape(row['conj_margin_k'])} tol=\S+ VIOLATION", line)
+            assert re.fullmatch(rf"instance {row['instance']} k={row['k']}: conjecture margin: "
+                                rf"residual={re.escape(row['residual_chain_max'])} tol=\S+ VIOLATION",
+                                line)
 
     def test_method_defaults_to_prox_accelerated(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", problem="quad:diag=1,10", psi="l1:lam=0.5",

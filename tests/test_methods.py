@@ -339,6 +339,12 @@ _RUN_CELLS = {
     "prox_accelerated box": ("quad:diag=4,1", [0.5, 2.0], ccfom.make_box([-1.0, -1.0], [1.0, 0.25])),
     "prox_accelerated zero": ("quad:diag=1,10", [1.0, -1.0], ccfom.make_zero()),
 }
+# the per-step references of the prox cells' regularizers, not their own prox
+_PLAIN_PROX = {
+    "prox_accelerated l1": lambda v, t: soft_threshold(v, 0.5 * t),
+    "prox_accelerated box": lambda v, t: np.clip(v, [-1.0, -1.0], [1.0, 0.25]),
+    "prox_accelerated zero": None,
+}
 
 
 @pytest.mark.parametrize("K", [1, 2, 4095, 4096, 4097, 10**4])
@@ -355,7 +361,7 @@ def test_run_and_certificate_are_bitwise_those_of_the_row_loops(cell, K):
         expected = _plain_momentum(p, x0, K) if how == "accelerated" else _plain_descent(p, x0, t)
     else:
         trace = ccfom.run_proximal_accelerated(ccfom.CompositeProblem(phi=p, psi=how), x0, K)
-        expected = _plain_momentum(p, x0, K, how.prox)
+        expected = _plain_momentum(p, x0, K, _PLAIN_PROX[cell])
     cert = ccfom.build_certificate(trace, p)
     expected["z"], expected["mu"] = row_recursion(trace, p)
     for name, want in expected.items():

@@ -17,6 +17,7 @@ kept in one ``MethodSpec`` record per method, looked up with
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -42,10 +43,12 @@ __all__ = [
 # Full-history traces are kept in memory; desk scale only.
 MAX_TRACE_SCALARS = 10**8
 
-# Rows per block of the end-of-run finiteness check: its temporaries stay
-# near 4096 * dim * 32 bytes (1 MB at dim 8) at any horizon, and a block
-# costs one value_batch call, a few microseconds against the milliseconds
-# the loop takes to fill it.
+# Rows per block of the loop: the steps of a block keep their rows in
+# lists of Python floats, write them into the trace at the block's end, and
+# are then checked for finiteness in one value_batch call.  The lists and
+# the check's temporaries stay near 4096 * dim * 32 bytes (1 MB at dim 8)
+# per trace array at any horizon, and a block's write and check take a few
+# microseconds against the milliseconds its steps take.
 _CHECK_ROWS = 4096
 
 
@@ -187,61 +190,87 @@ def check_trace_budget(K: int, dim: int):
         )
 
 
-def _check_steps(p: ProblemInstance, q: np.ndarray, g: np.ndarray, n: int) -> None:
-    """The OracleError of a per-step check over the first ``n`` steps, if any.
+def _check_block(p: ProblemInstance, q: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
+    """The OracleError of a per-step check of steps lo..hi-1, if any.
 
     A per-step check tests f(q[k]), then g[k], at each k in turn, so it
     stops at the first non-finite g, or at a non-finite f at or before it.
-    The steps are checked in blocks of ``_CHECK_ROWS``, so the temporaries
-    of ``value_batch`` do not grow with the run.
     """
-    for lo in range(0, n, _CHECK_ROWS):
-        hi = min(n, lo + _CHECK_ROWS)
-        bad_g = np.flatnonzero(~np.isfinite(g[lo:hi]).all(axis=1))
-        last = lo + int(bad_g[0]) if bad_g.size else hi - 1
-        bad_f = np.flatnonzero(~np.isfinite(p.value_batch(q[lo : last + 1])))
-        if bad_f.size:
-            k = lo + int(bad_f[0])
-            raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
-        if bad_g.size:
-            raise OracleError(f"subgradient is not finite at iteration {last}", iteration=last)
+    bad_g = np.flatnonzero(~np.isfinite(g[lo:hi]).all(axis=1))
+    last = lo + int(bad_g[0]) if bad_g.size else hi - 1
+    bad_f = np.flatnonzero(~np.isfinite(p.value_batch(q[lo : last + 1])))
+    if bad_f.size:
+        k = lo + int(bad_f[0])
+        raise OracleError(f"objective value is not finite at iteration {k}", iteration=k)
+    if bad_g.size:
+        raise OracleError(f"subgradient is not finite at iteration {last}", iteration=last)
 
 
-def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, rows, step: Callable[..., None]):
-    """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``step(g[k], *row)`` (k < K).
+def _flush(arr: np.ndarray, start: int, flat: list) -> int:
+    """Write the rows held in ``flat``, one after another, into arr from row ``start``; empty it.
 
-    ``rows`` yields K tuples of what step k takes (views of the rows it
-    writes, and its scalars), in step order; ``step`` fills q[k+1] from
-    g[k] and its row.  The loop calls only ``subgradient``: f and g are
-    checked once, at the end, f in one ``value_batch`` call per
-    ``_CHECK_ROWS`` steps.  The loop and the checks run under one
-    ``np.errstate`` that silences overflow and invalid operations, so an
-    oracle that overflows returns inf or NaN quietly and the checks turn
-    that into an OracleError.  A non-finite g
-    does not stop the loop, and when an exception from the oracle or from
-    ``step`` stops it, the steps it completed are checked before the
-    exception propagates.  Either way the error is the one that a check of
-    f(q[k]) and then g[k] at every step would have raised: the first
-    non-finite f(q[j]), j <= k, for the first non-finite g at k, else a
-    non-finite f, else the exception; what the loop did after that k is
-    never reported.
+    Returns the number of rows; ValueError when ``flat`` holds no whole
+    number of rows.
+    """
+    n = len(flat) // arr.shape[1]
+    arr[start : start + n] = np.reshape(flat, (n, arr.shape[1]))
+    flat.clear()
+    return n
+
+
+def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params, step: Callable, extra=()):
+    """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``q[k+1] = step(g[k], param_k)`` (k < K).
+
+    q[0] is filled; ``params`` yields the K step parameters in step order.
+    q_k goes to the oracle, and the oracle's g_k to ``step``, as lists of
+    Python floats; the loop keeps the rows of ``_CHECK_ROWS`` steps in flat
+    lists and writes them into q and g at the block's end.  For each
+    (array, list) pair of ``extra``, ``step`` appends row k+1 of that array
+    to the list, which the loop writes with the others.
+
+    The loop calls only ``subgradient``: f and g are checked once per
+    block, after its rows are written, f in one ``value_batch`` call.  The
+    loop and the checks run under one ``np.errstate`` that silences
+    overflow and invalid operations, so an oracle that overflows returns
+    inf or NaN quietly and the checks turn that into an OracleError.  A
+    non-finite g does not stop the block, and when an exception from the
+    oracle or from ``step`` stops it, the steps it completed are written
+    and checked before the exception propagates.  Either way the error is
+    the one that a check of f(q[k]) and then g[k] at every step would have
+    raised: the first non-finite f(q[j]), j <= k, for the first non-finite
+    g at k, else a non-finite f, else the exception; what the loop did
+    after that k is never reported.
     """
     K = q.shape[0] - 1
     subgradient = p.subgradient
-    queried = 0
+    params = iter(params)
+    qk = q[0].tolist()
+    gs, qs = [], []
+    # extend, not +=: list += ndarray is numpy's elementwise sum
+    put_g, put_q = gs.extend, qs.extend
+    outs = ((q, qs), *extra)
+
+    def write(lo):
+        # the block's rows into the trace arrays; returns its number of g rows
+        for arr, rows in outs:
+            _flush(arr, lo + 1, rows)
+        return _flush(g, lo, gs)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            # each step's row views come from one zip, made when the step
-            # takes them: no view outlives its step
-            for qk, gk, row in zip(q, g, rows):
-                gk[...] = subgradient(qk)
-                queried += 1
-                step(gk, *row)
-            g[K] = subgradient(q[K])
-        except Exception:
-            _check_steps(p, q, g, queried)
-            raise
-        _check_steps(p, q, g, K + 1)
+        for lo in range(0, K + 1, _CHECK_ROWS):
+            hi = min(K + 1, lo + _CHECK_ROWS)
+            try:
+                for param in itertools.islice(params, min(hi, K) - lo):
+                    gk = subgradient(qk)
+                    put_g(gk)
+                    qk = step(gk, param)
+                    put_q(qk)
+                if hi > K:
+                    put_g(subgradient(qk))
+            except Exception:
+                _check_block(p, q, g, lo, lo + write(lo))
+                raise
+            _check_block(p, q, g, lo, lo + write(lo))
 
 
 def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method: str) -> MethodTrace:
@@ -253,15 +282,15 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
     x[0] = x0
     xk = x0.tolist()
 
-    def step(gk, x_next, tk):
+    def step(gk, tk):
         # x[k+1] = x[k] - t[k] * g[k], over Python floats: the IEEE operations
         # of the row arithmetic, in its order, without a numpy call each
         nonlocal xk
-        xk = [a - tk * b for a, b in zip(xk, gk.tolist())]
-        x_next[...] = xk
+        xk = [a - tk * b for a, b in zip(xk, gk)]
+        return xk
 
     # t is read one float at a time: a list of it would hold 32 bytes per step
-    _oracle_loop(p, x, g, zip(x[1:], map(float, t)), step)
+    _oracle_loop(p, x, g, map(float, t), step)
     return MethodTrace(method=method, x=x, g=g, t=t)
 
 
@@ -290,21 +319,22 @@ def _run_momentum(
     theta = theta_sequence(K)
     coefs = theta[1:] * (1.0 - theta[:-1]) / theta[:-1]
     xk = yk = x0.tolist()
+    xs = []
 
-    def step(gk, x_next, y_next, c):
+    def step(gk, c):
         # x[k+1] = prox(y[k] - t[k] * g[k], t[k]), without prox when it is None
         # y[k+1] = x[k+1] + (x[k+1] - x[k]) * (theta[k+1] * (1 - theta[k]) / theta[k])
         # (a sum of two NaNs, whose bits CPython may take from either one,
         # comes only after a non-finite step: the run raises OracleError)
         nonlocal xk, yk
-        v = [a - tk * b for a, b in zip(yk, gk.tolist())]
+        v = [a - tk * b for a, b in zip(yk, gk)]
         x1 = v if prox is None else prox(v, tk)
         yk = [a + (a - b) * c for a, b in zip(x1, xk)]
         xk = x1
-        x_next[...] = x1
-        y_next[...] = yk
+        xs.extend(x1)
+        return yk
 
-    _oracle_loop(p, y, g, zip(x[1:], y[1:], map(float, coefs)), step)
+    _oracle_loop(p, y, g, map(float, coefs), step, extra=((x, xs),))
     return MethodTrace(method=method, x=x, g=g, t=t, y=y, theta=theta)
 
 

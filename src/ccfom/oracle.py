@@ -117,7 +117,7 @@ def lipschitz_estimate(p: ProblemInstance, grid: GridSpec, samples_per_axis: int
     axes = [np.linspace(grid.lower[i], grid.upper[i], n) for i in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     X = np.stack([m.ravel() for m in mesh], axis=-1)
-    return max(float(np.linalg.norm(p.subgradient(row))) for row in X)
+    return max(float(np.linalg.norm(p.subgradient(row))) for row in X.tolist())
 
 
 def conjugate_by_grid(p: ProblemInstance, z, grid: GridSpec) -> GridMax:

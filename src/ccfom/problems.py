@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -112,6 +112,35 @@ def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pairwise_sum(values: list[float]) -> float:
+    """The sum of ``values`` in the order ``np.add.reduce`` takes on a contiguous array.
+
+    Below 8 terms that order is sequential from 0.0; up to 128 terms it is
+    eight running sums combined as a tree, then the tail; longer runs are
+    halved at a multiple of 8 and each half summed the same way.  A zero
+    sum is +0.0, as there.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        for j in range(8):
+            r[j] += values[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[end:]:
+        total += v
+    return total + 0.0
+
+
 def _one_row(batch: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
     """The single-point oracle of a row-wise batch oracle: the batch on one row."""
     return lambda z: float(batch(np.asarray(z, dtype=float)[None])[0])
@@ -126,7 +155,10 @@ class ProblemInstance:
     ``conjugate_batch`` may return +inf outside dom(f*) but never -inf.  The
     single-point ``value`` and ``conjugate``, when not given, are those
     batches on one row (``_one_row``), so the two forms cannot disagree.
-    ``subgradient`` is single-point only: the method loops are sequential.
+    ``subgradient`` is single-point only: the method loops are sequential
+    and step over Python floats, so it maps a sequence of floats to a list
+    of floats (an oracle that returns an array also runs, with the same
+    bits and slower).
     At least one of ``lipschitz_f`` (G, bound on subgradient norms) and
     ``lipschitz_grad`` (L, gradient Lipschitz constant) must be present; an
     instance with L is differentiable, and its subgradient is the gradient.
@@ -138,7 +170,7 @@ class ProblemInstance:
 
     problem_id: str
     dim: int
-    subgradient: Callable[[np.ndarray], np.ndarray]
+    subgradient: Callable[[Sequence[float]], list[float]]
     value_batch: Callable[[np.ndarray], np.ndarray]
     conjugate_batch: Callable[[np.ndarray], np.ndarray]
     lipschitz_f: Optional[float] = None
@@ -217,8 +249,19 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     minimizer = scipy.linalg.cho_solve(factor, 0.0 - b)
     minimizer.flags.writeable = False
 
-    def grad(x):
-        return A @ x + b
+    d = np.diagonal(A)
+    if np.array_equal(A, np.diag(d)) and not np.any(np.signbit(b) & (b == 0.0)):
+        # A @ x + b one coordinate at a time: for finite x the off-diagonal
+        # products are exact zeros, which change only the sign of a zero
+        # row sum, and adding a b_i that is not -0.0 erases that sign
+        coefs = list(zip(d.tolist(), b.tolist()))
+
+        def grad(x):
+            return [a * v + c for (a, c), v in zip(coefs, x)]
+    else:
+
+        def grad(x):
+            return (A @ x + b).tolist()
 
     # cho_solve's own solver, called on each block without its per-call checks
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor[0],))
@@ -273,10 +316,14 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
     zero.flags.writeable = False
 
     def subgradient(x):
-        nx = math.sqrt(x @ x)  # np.linalg.norm(x), without its dispatch
+        # (G / ||x||) * x; ||x|| as np.linalg.norm(x) takes it, by BLAS ddot
+        # (an FMA chain, not the sequential sum of squares)
+        v = np.array(x, dtype=float)
+        nx = math.sqrt(v @ v)
         if nx == 0.0:
-            return np.zeros(dim)
-        return (G / nx) * x
+            return [0.0] * dim
+        s = G / nx
+        return [s * c for c in x]
 
     def conjugate_batch(Z):
         inside = np.sqrt(row_dot(Z, Z)) <= G * (1.0 + _BALL_SLACK)
@@ -321,8 +368,12 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
         raise ValueError("dim must be >= 1")
 
     def grad(x):
-        e = np.exp(x - np.maximum.reduce(x))
-        return e / np.add.reduce(e)
+        # e = exp(x - max x), then e / sum e: np.exp itself, whose bits
+        # math.exp does not always give, and its sum in np.add.reduce's order
+        m = max(x)
+        e = np.exp([v - m for v in x]).tolist()
+        total = _pairwise_sum(e)
+        return [v / total for v in e]
 
     def conjugate_batch(Z):
         zc = np.clip(Z, 0.0, None)
@@ -486,8 +537,8 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
         top = float(vals[i])
         active = vals >= top - 1e-12 * (1.0 + abs(top))
         if np.count_nonzero(active) == 1:
-            return A[i].copy()
-        return _least_norm_in_hull(A[active])
+            return A[i].tolist()
+        return _least_norm_in_hull(A[active]).tolist()
 
     bases = _conjugate_bases(A, b)
     if bases is None:

@@ -400,6 +400,20 @@ def _counted(p, calls):
 
 
 @pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize("pid", ["quad:diag=1,10", "lse:dim=3"])
+def test_oracle_that_returns_arrays_runs_with_the_same_bits(run, pid):
+    # the loops hand the oracle lists; one written for numpy, which returns
+    # an array, steps over numpy scalars with the same IEEE operations
+    p = ccfom.from_id(pid)
+    x0 = [1.0, -2.0, 0.5][: p.dim]
+    arrays = dataclasses.replace(p, subgradient=lambda x: np.array(p.subgradient(x)))
+    want, got = run(p, x0, 100), run(arrays, x0, 100)
+    for name in ("x", "g", "y"):
+        if getattr(want, name) is not None:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
 @pytest.mark.parametrize("pid", ["quad:diag=1,10", "lse:dim=2"])
 def test_one_subgradient_call_per_step(run, pid):
     K = 25
@@ -513,9 +527,35 @@ def test_oracle_error_is_that_of_a_per_step_check(run, nonfinite, faults):
 @pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
 @pytest.mark.parametrize("faults", _FAULTS, ids=[str(f) for f in _FAULTS])
 def test_blocked_check_raises_the_per_step_error(run, faults, monkeypatch):
-    # blocks of 3 rows put faults on both sides of block boundaries
+    # blocks of 3 rows put faults on both sides of block boundaries: the
+    # loop writes its rows into the trace and checks them once per block
     monkeypatch.setattr(ccfom.methods, "_CHECK_ROWS", 3)
     test_oracle_error_is_that_of_a_per_step_check(run, math.nan, faults)
+
+
+@pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize(
+    "faults", [((), (4097,), ()), ((), (), (4097,)), ((), (4097,), (4099,))],
+    ids=["nan g", "raises", "nan g, then raises"],
+)
+def test_fault_in_the_second_block_raises_the_per_step_error(run, faults):
+    # the blocks of the loop as they are: the fault at k = 4097 lies one
+    # step into the second block of a run of three
+    K = 2 * 4096 + 1
+    assert ccfom.methods._CHECK_ROWS == 4096
+    p = ccfom.from_id("lse:dim=2")
+    x0 = [1.0, -2.0]
+    clean = run(p, x0, K)
+    bad = _faulty(p, clean.x if clean.y is None else clean.y, *faults)
+    kind, k = _per_step_error(*faults, K)
+    if kind == "raised":
+        with pytest.raises(_Boom, match=f"oracle raised at {k}"):
+            run(bad, x0, K)
+    else:
+        with pytest.raises(OracleError) as err:
+            run(bad, x0, K)
+        assert str(err.value) == f"{kind} is not finite at iteration {k}"
+        assert err.value.iteration == k
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ class TestLogSumExp:
 
     def test_gradient_is_stable_for_large_inputs(self):
         p = ccfom.make_log_sum_exp(2)
-        g = p.subgradient(np.array([800.0, -800.0]))
+        g = np.asarray(p.subgradient(np.array([800.0, -800.0])))
         assert np.all(np.isfinite(g)) and g.sum() == pytest.approx(1.0)
         assert math.isfinite(p.value(np.array([800.0, -800.0])))
 
@@ -256,7 +256,7 @@ class TestCatalogInvariants:
             pytest.skip("no L constant")
         L = p.lipschitz_grad
         for x in sample_points(rng, p.dim):
-            g = p.subgradient(x)
+            g = np.asarray(p.subgradient(x))
             lhs = p.value(x - g / L)
             rhs = p.value(x) - float(g @ g) / (2 * L)
             assert lhs <= rhs + 1e-9
@@ -445,3 +445,129 @@ class TestCatalogIds:
                 value_batch=lambda X: np.zeros(len(X)),
                 conjugate_batch=lambda Z: np.zeros(len(Z)),
             )
+
+
+# ---------------------------------------------------------------------------
+# the list oracles against the numpy forms they spell
+
+
+def _oracle_inputs(rng, dim):
+    """Seeded points, then points made of +-0, subnormals and +-1e300."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-320, -1e-310, 1e300, -1e300]
+    points = list(rng.standard_normal((20, dim)) * 3.0)
+    points += [np.full(dim, v) for v in special]
+    points += list(rng.choice(special + [1.5, -0.25], size=(20, dim)))
+    return points
+
+
+def _diag_quad(d, b):
+    return lambda x: np.diag(d) @ x + b
+
+
+def _dense_quad(A, b):
+    return lambda x: A @ x + b
+
+
+def _norm(G):
+    def reference(x):
+        nx = math.sqrt(x @ x)
+        return np.zeros(x.size) if nx == 0.0 else (G / nx) * x
+    return reference
+
+
+def _lse(x):
+    e = np.exp(x - np.maximum.reduce(x))
+    return e / np.add.reduce(e)
+
+
+def _maxaff(A, b):
+    def reference(x):
+        vals = A @ x
+        vals += b
+        i = int(vals.argmax())
+        top = float(vals[i])
+        active = vals >= top - 1e-12 * (1.0 + abs(top))
+        if np.count_nonzero(active) == 1:
+            return A[i].copy()
+        return ccfom.problems._least_norm_in_hull(A[active])
+    return reference
+
+
+def _dense_lasso_quad():
+    M = np.random.default_rng(7).standard_normal((8, 5))
+    A, b = M.T @ M, -(M.T @ np.linspace(-1.0, 1.0, 8))
+    return ccfom.make_quadratic(A, b), _dense_quad(A, b)
+
+
+def _maxaff_case(pid):
+    p, A, b = maxaff_with_pieces(pid)
+    return p, _maxaff(A, b)
+
+
+_ORACLE_CASES = {
+    "quad:diag=1": lambda: (ccfom.from_id("quad:diag=1"), _diag_quad([1.0], np.zeros(1))),
+    "quad:diag=1,100": lambda: (ccfom.from_id("quad:diag=1,100"), _diag_quad([1.0, 100.0], np.zeros(2))),
+    "quad:diag=0.5,3,7:b=-1,0,2": lambda: (
+        ccfom.from_id("quad:diag=0.5,3,7:b=-1,0,2"), _diag_quad([0.5, 3.0, 7.0], np.array([-1.0, 0.0, 2.0]))),
+    # a -0.0 in b: that row of A @ x + b takes the sign of the zero off-diagonal products
+    "quad:diag=1,100:b=-0,1": lambda: (
+        ccfom.from_id("quad:diag=1,100:b=-0,1"), _diag_quad([1.0, 100.0], np.array([-0.0, 1.0]))),
+    "quad dense (lasso)": _dense_lasso_quad,
+    "norm:G=2:dim=3": lambda: (ccfom.from_id("norm:G=2:dim=3"), _norm(2.0)),
+    "norm:G=1:dim=1": lambda: (ccfom.from_id("norm:G=1:dim=1"), _norm(1.0)),
+    **{f"lse:dim={n}": (lambda n=n: (ccfom.from_id(f"lse:dim={n}"), _lse)) for n in (1, 2, 3, 8, 9, 16)},
+    **{pid: (lambda pid=pid: _maxaff_case(pid)) for pid in MAXAFF_IDS},
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 300])
+def test_pairwise_sum_is_that_of_np_add_reduce(n, rng):
+    # the lse oracle sums its exponentials in this order
+    for values in (rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-8, 0, n),
+                   rng.standard_normal(n), np.full(n, -0.0), rng.choice([0.0, -0.0], n)):
+        got = ccfom.problems._pairwise_sum(values.tolist())
+        assert np.float64(got).tobytes() == np.add.reduce(values).tobytes()
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_list_subgradient_is_bitwise_the_numpy_form(case, rng):
+    # the oracles take and return lists of Python floats; each must give
+    # the bits of the numpy form it replaces, -0.0 included
+    p, reference = _ORACLE_CASES[case]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in _oracle_inputs(rng, p.dim):
+            g = p.subgradient(x.tolist())
+            assert type(g) is list and all(type(v) is float for v in g)
+            assert np.array(g).tobytes() == reference(x).tobytes(), x
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_list_subgradient_of_a_non_finite_point_is_not_finite(case, rng):
+    # the method loops find a non-finite step by its g; a max-of-affine
+    # oracle instead raises, as the numpy form does, for want of an active
+    # piece (lse takes exp(-inf) = 0 exactly, so only nan and +inf there)
+    p, reference = _ORACLE_CASES[case]()
+    values = (math.nan, math.inf) if case.startswith("lse") else (math.nan, math.inf, -math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in values:
+            x = rng.standard_normal(p.dim)
+            x[rng.integers(p.dim)] = v
+            if case.startswith("maxaff"):
+                with pytest.raises(ValueError):
+                    reference(x)
+                with pytest.raises(ValueError):
+                    p.subgradient(x.tolist())
+            else:
+                assert not np.isfinite(p.subgradient(x.tolist())).all(), x
+
+
+@pytest.mark.parametrize("A,b,x", [
+    ([[1.0], [-1.0]], [0.0, 0.0], [0.0]),
+    ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0], [0.0, -5.0]),
+])
+def test_list_subgradient_at_a_max_affine_tie_takes_the_hull(A, b, x):
+    # two pieces tie: the least-norm point of their hull, no row of A
+    p = ccfom.make_max_affine(A, b)
+    g = p.subgradient(x)
+    assert type(g) is list and all(v == 0.0 for v in g)
+    assert np.array(g).tobytes() == _maxaff(np.array(A), np.array(b))(np.array(x)).tobytes()

@@ -13,8 +13,6 @@ from .certificates import (
     CheckTable,
     DualCertificate,
     build_certificate,
-    certificate_value,
-    lhs,
     lhs_series,
     mu_closed_form_residuals,
     reference_value,
@@ -47,7 +45,6 @@ from .problems import (
 from .proxprobe import (
     CompositeProblem,
     Regularizer,
-    conjectured_certificate,
     lasso_instance,
     lasso_suite,
     make_box,

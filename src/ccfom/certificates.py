@@ -49,9 +49,10 @@ it.  The checks, in report order:
     mu closed form        mu_k equals its closed form (margin = -deviation)
 
 A record's verdict is FAIL where any check fails, else VACUOUS on a vacuous
-record, else PASS.  Each check is one array expression over all records;
-the per-k entry points (``certificate_value``, ``theorem_bound``) run the
-same expressions on a single k.
+record, else PASS.  Each check is one array expression over all records,
+and every per-k number a run has (``lhs_series``, the table's ``cert_k``)
+is one entry of such an array.  ``theorem_bound`` and
+``certificate_value_raw`` are formulas that need no run.
 
 Index bookkeeping: ``start_index`` is 0 for the subgradient certificate and
 1 for the gradient/accelerated ones.  It is read off the method
@@ -82,9 +83,7 @@ __all__ = [
     "Check",
     "CheckTable",
     "build_certificate",
-    "certificate_value",
     "certificate_value_raw",
-    "lhs",
     "lhs_series",
     "verify_chain",
     "verify_induction_all",
@@ -208,19 +207,6 @@ def certificate_value_raw(p: ProblemInstance, z: np.ndarray, mu: float, x0: np.n
     return float(_certificate_terms(p, z[None], mu, np.asarray(x0, dtype=float))[3][0])
 
 
-def certificate_value(cert: DualCertificate, p: ProblemInstance, x0, k: int) -> float:
-    """The certificate upper bound at iteration k.
-
-    A return of -inf means the record is vacuous: z_k left dom(f*), the
-    bound holds trivially and certifies nothing.  Bitwise equal to
-    ``verify_run(...).values["cert_k"]`` at k.
-    """
-    if not cert.start_index <= k <= cert.horizon:
-        raise ValueError(f"k={k} outside certificate range [{cert.start_index}, {cert.horizon}]")
-    x0 = as_point(x0, p.dim, "x0")
-    return float(_certificate_terms(p, cert.z[k : k + 1], cert.mu[k : k + 1], x0)[3][0])
-
-
 def lhs_series(trace: MethodTrace, p: ProblemInstance, f_values: Optional[np.ndarray] = None) -> np.ndarray:
     """The per-iteration bounded quantity LHS_k for all k, NaN where undefined.
 
@@ -231,14 +217,6 @@ def lhs_series(trace: MethodTrace, p: ProblemInstance, f_values: Optional[np.nda
     spec = method_spec(trace.method)
     spec.require(p, trace.horizon)
     return spec.lhs(trace, p, p.value_batch(trace.x) if f_values is None else f_values)
-
-
-def lhs(trace: MethodTrace, p: ProblemInstance, k: int) -> float:
-    """LHS_k for one iteration (see :func:`lhs_series`)."""
-    start = method_spec(trace.method).start
-    if not start <= k <= trace.horizon:
-        raise ValueError(f"k={k} outside [{start}, {trace.horizon}] for {trace.method}")
-    return float(lhs_series(trace, p)[k])
 
 
 class Check(NamedTuple):

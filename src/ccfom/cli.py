@@ -95,21 +95,26 @@ def _flags(args) -> dict[str, str]:
     return {key: val for key, val in given.items() if val is not None}
 
 
-def _out_path(out_dir: Optional[str], rel: str) -> Path:
+def _outputs(out_dir: Optional[str], cfg: ExperimentConfig, *keys: str, cells: int = 0) -> dict[str, Path]:
+    """The path of each output among ``keys`` that ``cfg`` names, and of the CSVs of a
+    sweep's ``cells`` next to its ``csv`` (as ``cell000``, ...), checked before anything
+    runs, so that an output that cannot be written, or two that name one file, leave
+    no output behind."""
     base = Path(out_dir) if out_dir else Path(".")
     base.mkdir(parents=True, exist_ok=True)
-    return base / rel
-
-
-def _outputs(out_dir: Optional[str], cfg: ExperimentConfig, *keys: str) -> dict[str, Path]:
-    """The path of each output among ``keys`` that ``cfg`` names, checked before anything
-    runs, so that an output that cannot be written leaves no other one behind."""
-    paths = {key: _out_path(out_dir, cfg[key]) for key in keys if cfg[key]}
-    for path in paths.values():
+    paths = {key: base / cfg[key] for key in keys if cfg[key]}
+    csv = paths.get("csv")
+    for i in range(cells):
+        paths[f"cell{i:03d}"] = csv.with_name(f"{csv.stem}.cell{i:03d}{csv.suffix}")
+    owners: dict[Path, str] = {}
+    for key, path in paths.items():
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise ConfigError(f"cannot write {path}: no directory {path.parent}")
+        other = owners.setdefault(path.resolve(), key)
+        if other != key:
+            raise ConfigError(f"outputs {other} and {key} both name {path}")
     return paths
 
 
@@ -256,8 +261,7 @@ def cmd_sweep(args) -> int:
     behind the cell's (problem, method, iterations), for the streamed aggregate."""
     cfg = ExperimentConfig.from_file(args.config, "sweep", _flags(args))
     cells, tol = cfg.cells(), cfg.tolerances()
-    out = _outputs(args.out, cfg, "csv", "report", "svg")
-    stem = Path(cfg["csv"])
+    out = _outputs(args.out, cfg, "csv", "report", "svg", cells=len(cells))
     report_lines: list[str] = []
     series: list[Series] = []
     worst = EXIT_PASS
@@ -276,7 +280,7 @@ def cmd_sweep(args) -> int:
                 worst = max(worst, code)
                 report_lines.append(f"cell {i} ({label}): ERROR exit {code}: {exc}")
                 continue
-            cell_path = _out_path(args.out, f"{stem.stem}.cell{i:03d}{stem.suffix}")
+            cell_path = out[f"cell{i:03d}"]
             with open_csv(cell_path, outcome.meta, RUN_COLUMNS) as write_cell:
                 for grid in format_rows(RUN_COLUMNS, outcome.rows.rows):
                     write_cell(grid)

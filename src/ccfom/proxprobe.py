@@ -44,7 +44,6 @@ __all__ = [
     "make_box",
     "make_zero",
     "run_proximal_accelerated",
-    "conjectured_certificate",
     "ProbeResult",
     "probe_instance",
     "lasso_instance",
@@ -79,7 +78,7 @@ class Regularizer:
     ``prox`` maps a sequence of floats to a list of floats, with the bits
     of the numpy form it spells.  ``dim`` is None when psi applies in
     any dimension.  ``label`` is the id that :func:`regularizer_from_id`
-    rebuilds psi from, and its family is the ``kind``.
+    rebuilds psi from.
     """
 
     label: str
@@ -87,10 +86,6 @@ class Regularizer:
     inner_min_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     prox: Callable[[Sequence[float], float], list[float]]
     dim: Optional[int] = None
-
-    @property
-    def kind(self) -> str:
-        return self.label.partition(":")[0]
 
     def value(self, x) -> float:
         return float(self.value_batch(np.asarray(x, dtype=float)[None])[0])
@@ -268,16 +263,6 @@ def _conjectured(cert: DualCertificate, cp: CompositeProblem, x0: np.ndarray, ks
     return np.where(np.isinf(phistar), -math.inf, -phistar + inner)
 
 
-def conjectured_certificate(
-    cert: DualCertificate, cp: CompositeProblem, x0, k: int
-) -> float:
-    """The conjectured composite bound at k; -inf (vacuous) when phi*(z_k) = +inf."""
-    if not cert.start_index <= k <= cert.horizon:
-        raise ValueError(f"k={k} outside certificate range [{cert.start_index}, {cert.horizon}]")
-    x0 = as_point(x0, cp.dim, "x0")
-    return float(_conjectured(cert, cp, x0, np.array([k]))[0])
-
-
 @dataclass(frozen=True, eq=False)
 class ProbeResult:
     """Margins of the conjectured bound along one run.
@@ -337,21 +322,22 @@ def probe_instance(
     return trace, cert, result
 
 
-def lasso_instance(dim: int, seed: int, rows_extra: int = 3, lam_scale: float = 0.3) -> tuple[CompositeProblem, np.ndarray]:
+def lasso_instance(dim: int, seed: int) -> tuple[CompositeProblem, np.ndarray]:
     """Seeded l1-regularized least-squares composite and its start point.
 
-    phi(x) = (1/2)||Ax - y||^2 up to an additive constant (built as the
-    quadratic (1/2)x^T A^T A x - (A^T y)^T x; dropping the constant shifts
-    phi and phi* equally, so probe margins are unchanged), psi = lam ||x||_1
-    with lam = lam_scale * ||A^T y||_inf.
+    phi(x) = (1/2)||Ax - y||^2 up to an additive constant, with A of
+    dim + 3 standard normal rows (built as the quadratic
+    (1/2)x^T A^T A x - (A^T y)^T x; dropping the constant shifts phi and
+    phi* equally, so probe margins are unchanged), psi = lam ||x||_1 with
+    lam = 0.3 * ||A^T y||_inf.
     """
     rng = np.random.default_rng([271828, seed])
-    m = dim + rows_extra
+    m = dim + 3
     A = rng.standard_normal((m, dim))
     target = rng.standard_normal(m)
     Q = A.T @ A
     lin = -(A.T @ target)
-    lam = lam_scale * float(np.max(np.abs(A.T @ target)))
+    lam = 0.3 * float(np.max(np.abs(A.T @ target)))
     phi = make_quadratic(Q, lin, problem_id=f"lasso-smooth:dim={dim}:seed={seed}")
     cp = CompositeProblem(phi=phi, psi=make_l1(lam))
     return cp, np.zeros(dim)

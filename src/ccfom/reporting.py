@@ -652,7 +652,7 @@ def _decades(lo: float, hi: float) -> list[int]:
     return list(range(math.floor(lo), math.floor(hi) + 1))
 
 
-def render_convergence_svg(path, series: list[Series], title: str = "suboptimality vs k"):
+def render_convergence_svg(path, series: list[Series]):
     """Log-log polyline plot, 800x600, no plotting dependency.
 
     Nonpositive values cannot be drawn on log axes and are dropped from the
@@ -669,7 +669,7 @@ def render_convergence_svg(path, series: list[Series], title: str = "suboptimali
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_VIEW_W}" height="{_VIEW_H}" '
         f'viewBox="0 0 {_VIEW_W} {_VIEW_H}">',
         f'<rect width="{_VIEW_W}" height="{_VIEW_H}" fill="white"/>',
-        f'<text x="{_VIEW_W / 2}" y="28" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_VIEW_W / 2}" y="28" text-anchor="middle" font-size="16">suboptimality vs k</text>',
     ]
     if cleaned:
         x_lo = min(float(x.min()) for _, x, _, _ in cleaned)

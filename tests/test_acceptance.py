@@ -13,7 +13,6 @@ import pytest
 import ccfom
 from ccfom.certificates import (
     CHAIN_CHECKS,
-    build_certificate,
     mu_closed_form_residuals,
     reference_value,
     theorem_bound,
@@ -168,16 +167,14 @@ def test_criterion_4_certificate_chain_matrix():
 def test_criterion_5_base_case_equalities():
     p = ccfom.from_id("norm:G=1:dim=1")
     tr = ccfom.run_subgradient(p, [1.0], StepSchedule.horizon_sqrt(0), 0)
-    cert = build_certificate(tr, p)
-    lhs0 = ccfom.lhs(tr, p, 0)
-    cert0 = ccfom.certificate_value(cert, p, [1.0], 0)
+    lhs0 = ccfom.lhs_series(tr, p)[0]
+    cert0 = verify_run(tr, p).values["cert_k"][0]  # the record of k = 0
     assert abs(lhs0 - 0.5) <= 1e-12 and abs(cert0 - 0.5) <= 1e-12
 
     q = ccfom.from_id("quad:diag=1")
     tg = ccfom.run_gradient(q, [2.0], 1)
-    certg = build_certificate(tg, q)
-    lhs1 = ccfom.lhs(tg, q, 1)
-    cert1 = ccfom.certificate_value(certg, q, [2.0], 1)
+    lhs1 = ccfom.lhs_series(tg, q)[1]
+    cert1 = verify_run(tg, q).values["cert_k"][0]  # the record of k = 1
     assert abs(lhs1) <= 1e-12 and abs(cert1) <= 1e-12
     announce(5, True, "hand-derived base-case equalities reproduce to 1e-12")
 
@@ -250,10 +247,9 @@ def test_criterion_8_conjecture_probe():
     trace, cert, res = probe_instance(cp, [1.0, 1.0], 200)
     plain = ccfom.run_accelerated(phi, [1.0, 1.0], 200)
     assert np.array_equal(trace.x, plain.x)
-    plain_cert = build_certificate(plain, phi)
-    x0 = np.array([1.0, 1.0])
-    for i, k in enumerate(res.ks):
-        assert res.conjectured[i] == ccfom.certificate_value(plain_cert, phi, x0, int(k))
+    plain_table = verify_run(plain, phi)
+    assert np.array_equal(res.ks, plain_table.ks)
+    assert res.conjectured.tobytes() == plain_table.values["cert_k"].tobytes()
 
     elapsed = time.monotonic() - t_start
     assert elapsed < 60.0

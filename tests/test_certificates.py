@@ -13,10 +13,8 @@ from ccfom.certificates import (
     IDENTITY_CHECKS,
     Check,
     build_certificate,
-    certificate_value,
     certificate_value_raw,
     default_test_points,
-    lhs,
     lhs_series,
     mu_closed_form_residuals,
     reference_value,
@@ -161,47 +159,34 @@ class TestBuildCertificate:
 class TestCertificateValue:
     def test_subgradient_base_case_equality(self, abs_value):
         p, tr = abs_value, ccfom.run_subgradient(abs_value, [1.0], StepSchedule.horizon_sqrt(0), 0)
-        cert = build_certificate(tr, p)
-        assert certificate_value(cert, p, [1.0], 0) == pytest.approx(0.5, abs=1e-15)
-        assert lhs(tr, p, 0) == pytest.approx(0.5, abs=1e-15)
+        assert verify_run(tr, p).values["cert_k"][0] == pytest.approx(0.5, abs=1e-15)  # k = 0
+        assert lhs_series(tr, p)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_gradient_base_case_equality(self, scalar_quad):
         tr = ccfom.run_gradient(scalar_quad, [2.0], 1)
-        cert = build_certificate(tr, scalar_quad)
-        assert certificate_value(cert, scalar_quad, [2.0], 1) == 0.0
-        assert lhs(tr, scalar_quad, 1) == 0.0
+        assert verify_run(tr, scalar_quad).values["cert_k"][0] == 0.0  # k = 1
+        assert lhs_series(tr, scalar_quad)[1] == 0.0
 
     def test_vacuous_returns_minus_inf(self):
         p = ccfom.make_scaled_norm(2.0, 2)
         v = certificate_value_raw(p, np.array([0.0, 2.5]), 1.0, np.zeros(2))
         assert v == -math.inf
 
-    def test_range_check(self, scalar_quad):
-        tr = ccfom.run_gradient(scalar_quad, [2.0], 3)
-        cert = build_certificate(tr, scalar_quad)
-        with pytest.raises(ValueError):
-            certificate_value(cert, scalar_quad, [2.0], 0)
-
 
 class TestLhs:
     def test_subgradient_first_record(self, abs_value):
         tr = ccfom.run_subgradient(abs_value, [1.0], StepSchedule.explicit([0.5, 0.5]), 1)
         # (t0 f(x0) - (G^2/2) t0^2) / t0
-        assert lhs(tr, abs_value, 0) == pytest.approx(1.0 - 0.25, abs=1e-15)
+        assert lhs_series(tr, abs_value)[0] == pytest.approx(1.0 - 0.25, abs=1e-15)
 
     def test_gradient_average(self, scalar_quad):
         tr = ccfom.run_gradient(scalar_quad, [2.0], 2)
-        assert lhs(tr, scalar_quad, 2) == 0.0
+        assert lhs_series(tr, scalar_quad)[2] == 0.0
 
     def test_accelerated_is_latest_value(self):
         p = ccfom.from_id("quad:diag=1,10")
         tr = ccfom.run_accelerated(p, [1.0, 1.0], 3)
-        assert lhs(tr, p, 1) == p.value(tr.x[1])
-
-    def test_out_of_range(self, scalar_quad):
-        tr = ccfom.run_gradient(scalar_quad, [2.0], 3)
-        with pytest.raises(ValueError):
-            lhs(tr, scalar_quad, 0)
+        assert lhs_series(tr, p)[1] == p.value(tr.x[1])
 
 
 def chain_of(trace, cert, p, test_points):
@@ -613,8 +598,6 @@ class TestAgainstScalarReference:
         tr = run_method(p, method, x0, 40)
         ver = verify_run(tr, p)
         ks = ver.ks.tolist()
-        for i, k in enumerate(ks):
-            assert certificate_value(ver.certificate, p, tr.x[0], k) == ver.values["cert_k"][i]
         rows = build_rows(tr, p, ver).rows
         bounds = [theorem_bound(p, tr.x[0], method, k, schedule=tr.t) for k in ks]
         assert rows.columns["theorem_bound_k"].tolist() == bounds

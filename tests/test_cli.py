@@ -412,6 +412,22 @@ class TestSweep:
         assert (tmp_path / "sweep.cell000.csv").exists()
         assert (tmp_path / "sweep.svg").exists()
 
+    def test_cell_csvs_sit_next_to_the_aggregate(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "sw.cfg", problem="quad:diag=1,10",
+                        method="gradient; accelerated", x0="ones", iterations=10,
+                        csv="res/sweep.csv", report="sweep.report.txt")
+        out = tmp_path / "o"
+        (out / "res").mkdir(parents=True)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert written == ["res/sweep.cell000.csv", "res/sweep.cell001.csv", "res/sweep.csv",
+                           "sweep.report.txt"]
+        printed = capsys.readouterr().out
+        for i in range(2):
+            cell = out / "res" / f"sweep.cell{i:03d}.csv"
+            assert f"(10 rows; {cell})" in printed
+            assert main(["verify", str(cell)]) == 0
+
     def test_single_cell_sweep_matches_run(self, tmp_path):
         common = dict(problem="quad:diag=1,10", method="gradient", x0="ones", iterations=20)
         run_dir, sweep_dir = tmp_path / "r", tmp_path / "s"
@@ -736,6 +752,31 @@ def test_unwritable_output_exits_3(tmp_path, capsys, command, kv, out):
     if "svg" in kv:
         # every output is checked before the cell runs: none is left behind
         assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.report.txt").exists()
+
+
+@pytest.mark.parametrize("command,kv,link", [
+    ("run", dict(RUN_KV, csv="same.txt", report="same.txt"), None),
+    ("run", dict(RUN_KV, csv="o.csv", svg="./o.csv"), None),
+    ("run", dict(RUN_KV, csv="o.csv", svg="link.svg"), "o.csv"),
+    ("sweep", dict(RUN_KV, csv="same.txt", report="same.txt"), None),
+    ("sweep", dict(RUN_KV, method="gradient; accelerated", csv="s.csv", report="s.cell001.csv"),
+     None),
+    ("sweep", dict(RUN_KV, csv="sub/s.csv", report="sub/s.cell000.csv"), None),
+    ("conjecture", dict(CONJ_KV, csv="same.txt", report="same.txt"), None),
+    ("conjecture", dict(SUITE_KV, csv="same.txt", report="sub/../same.txt"), None),
+], ids=["run-csv-report", "run-csv-svg", "run-svg-links-to-csv", "sweep-csv-report",
+        "sweep-report-is-a-cell", "sweep-report-is-a-cell-in-a-directory",
+        "conjecture-csv-report", "suite-csv-report"])
+def test_two_outputs_naming_one_file_exit_3(tmp_path, capsys, command, kv, link):
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    if link:
+        (out / "link.svg").symlink_to(link)
+    cfg = run_cfg(tmp_path, **kv)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert "both name" in capsys.readouterr().err
+    # checked before anything runs: no output is written
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 class TestInputSchema:

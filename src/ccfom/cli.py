@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import cells
 from .certificates import Check, lhs_series, verify_run
 from .config import SUITE, ExperimentConfig, RunSpec, cell_metadata, resolve_schedule, resolve_x0
 from .errors import ConfigError, OracleError
@@ -99,9 +100,9 @@ def _outputs(out_dir: Optional[str], cfg: ExperimentConfig, *keys: str, cells: i
     """The path of each output among ``keys`` that ``cfg`` names, and of the CSVs of a
     sweep's ``cells`` next to its ``csv`` (as ``cell000``, ...), checked before anything
     runs, so that an output that cannot be written, or two that name one file, leave
-    no output behind."""
+    no output behind: the ``out_dir`` directory (with its parents) is made only once
+    every check passes, and until then counts as a directory that outputs can go in."""
     base = Path(out_dir) if out_dir else Path(".")
-    base.mkdir(parents=True, exist_ok=True)
     paths = {key: base / cfg[key] for key in keys if cfg[key]}
     csv = paths.get("csv")
     for i in range(cells):
@@ -110,11 +111,12 @@ def _outputs(out_dir: Optional[str], cfg: ExperimentConfig, *keys: str, cells: i
     for key, path in paths.items():
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
-        if not path.parent.is_dir():
+        if not (path.parent.is_dir() or path.parent == base and not base.exists()):
             raise ConfigError(f"cannot write {path}: no directory {path.parent}")
         other = owners.setdefault(path.resolve(), key)
         if other != key:
             raise ConfigError(f"outputs {other} and {key} both name {path}")
+    base.mkdir(parents=True, exist_ok=True)
     return paths
 
 
@@ -169,8 +171,9 @@ def cmd_verify(args) -> int:
     spec, tol = cfg.single_cell(), cfg.tolerances()
     text = rows.columns  # each converted as int() and float() convert a cell
     try:
-        stored_ks = np.asarray(text["k"], dtype=np.int64)
-        stored = {c: np.asarray(text[c], dtype=float) for c in _CHECKED_COLUMNS}
+        stored_ks, *floats = cells.parse([text[c] for c in ["k", *_CHECKED_COLUMNS]],
+                                         [np.int64] + [np.float64] * len(_CHECKED_COLUMNS))
+        stored = dict(zip(_CHECKED_COLUMNS, floats))
     except ValueError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
     except OverflowError:
@@ -202,7 +205,7 @@ def cmd_verify(args) -> int:
         distance[np.isnan(a) & np.isnan(b)] = 0.0
         agree[c] = Check(-distance, tol.bound(b), same_k)
     mismatch = {c: check.failed for c, check in agree.items()}
-    verdict_mismatch = same_k & (np.asarray(text["verdict"][:n]) != recomputed["verdict"][:n])
+    verdict_mismatch = same_k & ~cells.same_text(text["verdict"][:n], recomputed["verdict"][:n])
     # the certificate link on the stored numbers themselves, row i holding k = start + i
     lhs_k = lhs_from_stored[start : start + n]
     cert_k = stored["cert_k"][:n]

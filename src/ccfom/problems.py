@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, OracleError
 
@@ -226,6 +225,8 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     Matrices with condition number above ``MAX_QUAD_CONDITION`` are
     rejected.
     """
+    import scipy.linalg  # only here: its import takes longer than the rest of ccfom's
+
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be a square matrix")

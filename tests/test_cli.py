@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -777,6 +780,31 @@ def test_two_outputs_naming_one_file_exit_3(tmp_path, capsys, command, kv, link)
     assert "both name" in capsys.readouterr().err
     # checked before anything runs: no output is written
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("kv", [dict(RUN_KV, csv="same.txt", report="same.txt"),
+                                dict(RUN_KV, csv="nodir/run.csv")],
+                         ids=["csv-is-report", "unwritable-csv"])
+def test_rejected_outputs_leave_no_out_directory(tmp_path, kv):
+    """--out is made only once every output has passed its checks."""
+    cfg = run_cfg(tmp_path, **kv)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fresh" / "deeper")]) == 3
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_a_fresh_out_directory_is_made(tmp_path):
+    cfg = run_cfg(tmp_path, **RUN_KV)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fresh" / "deeper")]) == 0
+    assert (tmp_path / "fresh" / "deeper" / "run.csv").is_file()
+
+
+def test_import_leaves_scipy_linalg_out():
+    """Only the quadratic family needs scipy.linalg; it is imported there."""
+    code = ("import sys, ccfom; ccfom.from_id('lse:dim=2'); "
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(ccfom.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestInputSchema:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ccfom
-from ccfom import reporting
+from ccfom import cells, reporting
 from ccfom.proxprobe import CompositeProblem, probe_instance, regularizer_from_id
 from ccfom.reporting import (
     CSV_VERSION_LINE,
@@ -191,7 +191,7 @@ def test_kernel_on_powers_of_ten_and_their_neighbours():
 
 
 def test_kernel_at_the_edges_of_its_fast_range():
-    lo, hi = reporting._FAST_EXP
+    lo, hi = cells.FAST_EXP
     edges = np.array([float(f"{m}e{e}") for e in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1)
                       for m in (1, 1.5, 9.999999999999999)])
     _assert_spelt_as_17g(_neighbours(edges, 50))
@@ -202,7 +202,7 @@ def test_kernel_spells_values_itself_and_leaves_ties_to_fmt(monkeypatch):
     exact ties: 10^15 <= |x| < 10^17 ending in .25 or .75); every tie goes to
     fmt, since its fraction is 1/2."""
     spelt = []
-    monkeypatch.setattr(reporting, "fmt", lambda v: spelt.append(v) or fmt(v))
+    monkeypatch.setattr(cells, "fmt", lambda v: spelt.append(v) or fmt(v))
     rng = np.random.default_rng(11)
     x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-250, 250, 100_000)
     assert fmt_column(x) == list(map("%.17g".__mod__, x.tolist()))

@@ -22,6 +22,7 @@ Regularizers for ``psi``: ``zero``, ``l1:lam=0.5``, ``box:lo=0:hi=1,2``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -359,17 +360,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Parsing reads the parser and changes nothing in it: each call returns
+    a new namespace holding that call's arguments and the defaults.
+    """
     parser = _Parser(
         prog="ccfom",
         description="First-order methods with per-iteration convergence certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, text in (
-        ("run", cmd_run, "run one experiment and verify it inline"),
-        ("verify", cmd_verify, "recompute all checks for a stored trace CSV"),
-        ("sweep", cmd_sweep, "run a grid of cells and aggregate"),
-        ("conjecture", cmd_conjecture, "probe the composite-certificate conjecture"),
+    for name, text in (
+        ("run", "run one experiment and verify it inline"),
+        ("verify", "recompute all checks for a stored trace CSV"),
+        ("sweep", "run a grid of cells and aggregate"),
+        ("conjecture", "probe the composite-certificate conjecture"),
     ):
         sp = sub.add_parser(name, help=text)
         if name == "verify":
@@ -380,15 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
         # strings: validated as the config keys they override
         sp.add_argument("--eps-rel", default=None, dest="eps_rel")
         sp.add_argument("--eps-abs", default=None, dest="eps_abs")
-        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at each call, so a replaced cmd_* on this module is the one run
+    command = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep,
+               "conjecture": cmd_conjecture}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

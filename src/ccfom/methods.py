@@ -17,7 +17,6 @@ kept in one ``MethodSpec`` record per method, looked up with
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -132,18 +131,15 @@ def theta_sequence(K: int) -> np.ndarray:
     """theta_0..theta_K with theta_0 = 1 and the defining recurrence."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    return np.fromiter(_thetas(K), float, count=K + 1)
-
-
-def _thetas(K: int):
-    # theta_next's formula without its range check: every theta it yields
+    # theta_next's formula without its range check: every theta it gives
     # lies in (0, 1], which the check would test again at each k
     sqrt = math.sqrt
-    th = 1.0
-    yield th
-    for _ in range(K):
+    theta = np.empty(K + 1)
+    th = theta[0] = 1.0
+    for k in range(1, K + 1):
         th = 2.0 * th / (sqrt(th * th + 4.0) + th)
-        yield th
+        theta[k] = th
+    return theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,15 +214,18 @@ def _flush(arr: np.ndarray, start: int, flat: list) -> int:
     return n
 
 
-def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params, step: Callable, extra=()):
-    """g[k] = a subgradient at q[k] for k = 0..K, each followed by ``q[k+1] = step(g[k], param_k)`` (k < K).
+def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params: np.ndarray, stepper: Callable, extra=()):
+    """g[k] = a subgradient at q[k] for k = 0..K, with q[k+1] from g[k] and params[k] (k < K).
 
-    q[0] is filled; ``params`` yields the K step parameters in step order.
-    q_k goes to the oracle, and the oracle's g_k to ``step``, as lists of
-    Python floats; the loop keeps the rows of ``_CHECK_ROWS`` steps in flat
-    lists and writes them into q and g at the block's end.  For each
-    (array, list) pair of ``extra``, ``step`` appends row k+1 of that array
-    to the list, which the loop writes with the others.
+    q[0] is filled; ``params`` holds at least the K step parameters.  The
+    loop keeps the rows of ``_CHECK_ROWS`` steps in flat lists and writes
+    them into q and g at the block's end.  The steps of a block are one
+    call ``stepper(qk, ps, gs, qs)``: from the query point qk, a list of
+    Python floats, it takes one step per float of the list ``ps``, appends
+    g_k to ``gs`` and then q_{k+1} to ``qs`` as soon as each is done, and
+    returns its last query point.  For each (array, list) pair of
+    ``extra``, the stepper appends row k+1 of that array to the list, which
+    the loop writes with the others.
 
     The loop calls only ``subgradient``: f and g are checked once per
     block, after its rows are written, f in one ``value_batch`` call.  The
@@ -234,7 +233,7 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params, step:
     overflow and invalid operations, so an oracle that overflows returns
     inf or NaN quietly and the checks turn that into an OracleError.  A
     non-finite g does not stop the block, and when an exception from the
-    oracle or from ``step`` stops it, the steps it completed are written
+    oracle or from the stepper stops it, the rows it completed are written
     and checked before the exception propagates.  Either way the error is
     the one that a check of f(q[k]) and then g[k] at every step would have
     raised: the first non-finite f(q[j]), j <= k, for the first non-finite
@@ -242,12 +241,7 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params, step:
     after that k is never reported.
     """
     K = q.shape[0] - 1
-    subgradient = p.subgradient
-    params = iter(params)
-    qk = q[0].tolist()
     gs, qs = [], []
-    # extend, not +=: list += ndarray is numpy's elementwise sum
-    put_g, put_q = gs.extend, qs.extend
     outs = ((q, qs), *extra)
 
     def write(lo):
@@ -256,21 +250,27 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params, step:
             _flush(arr, lo + 1, rows)
         return _flush(g, lo, gs)
 
+    qk = q[0].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, K + 1, _CHECK_ROWS):
             hi = min(K + 1, lo + _CHECK_ROWS)
             try:
-                for param in itertools.islice(params, min(hi, K) - lo):
-                    gk = subgradient(qk)
-                    put_g(gk)
-                    qk = step(gk, param)
-                    put_q(qk)
+                qk = stepper(qk, params[lo : min(hi, K)].tolist(), gs, qs)
                 if hi > K:
-                    put_g(subgradient(qk))
+                    gs.extend(p.subgradient(qk))
             except Exception:
                 _check_block(p, q, g, lo, lo + write(lo))
                 raise
             _check_block(p, q, g, lo, lo + write(lo))
+
+
+# The steppers run over Python floats and update a copy of each row by
+# index: the IEEE operations of the row arithmetic, in its order, with no
+# numpy call and no function frame but the oracle's and the prox's.  Rows
+# are appended with extend, not +=: an oracle may return an ndarray, and
+# list += ndarray is numpy's elementwise sum.  A row is copied before it
+# is changed, since the oracle or the prox may keep, or return, the list
+# it was given.
 
 
 def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method: str) -> MethodTrace:
@@ -280,17 +280,22 @@ def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method:
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
-    xk = x0.tolist()
+    subgradient = p.subgradient
+    coords = range(p.dim)
 
-    def step(gk, tk):
-        # x[k+1] = x[k] - t[k] * g[k], over Python floats: the IEEE operations
-        # of the row arithmetic, in its order, without a numpy call each
-        nonlocal xk
-        xk = [a - tk * b for a, b in zip(xk, gk)]
+    def stepper(xk, ts, gs, xs):
+        # x[k+1] = x[k] - t[k] * g[k]
+        put_g, put_x = gs.extend, xs.extend
+        for tk in ts:
+            gk = subgradient(xk)
+            put_g(gk)
+            xk = xk.copy()
+            for i in coords:
+                xk[i] -= tk * gk[i]
+            put_x(xk)
         return xk
 
-    # t is read one float at a time: a list of it would hold 32 bytes per step
-    _oracle_loop(p, x, g, map(float, t), step)
+    _oracle_loop(p, x, g, t, stepper)
     return MethodTrace(method=method, x=x, g=g, t=t)
 
 
@@ -318,23 +323,34 @@ def _run_momentum(
     # theta and the extrapolation coefficients do not depend on the oracle
     theta = theta_sequence(K)
     coefs = theta[1:] * (1.0 - theta[:-1]) / theta[:-1]
-    xk = yk = x0.tolist()
+    subgradient = p.subgradient
+    coords = range(p.dim)
+    xk = x0.tolist()
     xs = []
 
-    def step(gk, c):
+    def stepper(yk, cs, gs, ys):
         # x[k+1] = prox(y[k] - t[k] * g[k], t[k]), without prox when it is None
         # y[k+1] = x[k+1] + (x[k+1] - x[k]) * (theta[k+1] * (1 - theta[k]) / theta[k])
         # (a sum of two NaNs, whose bits CPython may take from either one,
         # comes only after a non-finite step: the run raises OracleError)
-        nonlocal xk, yk
-        v = [a - tk * b for a, b in zip(yk, gk)]
-        x1 = v if prox is None else prox(v, tk)
-        yk = [a + (a - b) * c for a, b in zip(x1, xk)]
-        xk = x1
-        xs.extend(x1)
+        nonlocal xk
+        put_g, put_x, put_y = gs.extend, xs.extend, ys.extend
+        for c in cs:
+            gk = subgradient(yk)
+            put_g(gk)
+            v = yk.copy()
+            for i in coords:
+                v[i] -= tk * gk[i]
+            x1 = v if prox is None else prox(v, tk)
+            put_x(x1)
+            yk = x1.copy()
+            for i in coords:
+                yk[i] += (yk[i] - xk[i]) * c
+            put_y(yk)
+            xk = x1
         return yk
 
-    _oracle_loop(p, y, g, map(float, coefs), step, extra=((x, xs),))
+    _oracle_loop(p, y, g, coefs, stepper, extra=((x, xs),))
     return MethodTrace(method=method, x=x, g=g, t=t, y=y, theta=theta)
 
 

@@ -251,18 +251,29 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     minimizer.flags.writeable = False
 
     d = np.diagonal(A)
+    coords = range(n)
     if np.array_equal(A, np.diag(d)) and not np.any(np.signbit(b) & (b == 0.0)):
         # A @ x + b one coordinate at a time: for finite x the off-diagonal
         # products are exact zeros, which change only the sign of a zero
         # row sum, and adding a b_i that is not -0.0 erases that sign
-        coefs = list(zip(d.tolist(), b.tolist()))
+        dl, bl = d.tolist(), b.tolist()
 
         def grad(x):
-            return [a * v + c for (a, c), v in zip(coefs, x)]
+            g = dl.copy()
+            for i in coords:
+                g[i] = g[i] * x[i] + bl[i]
+            return g
     else:
+        bl = b.tolist()
 
         def grad(x):
-            return (A @ x + b).tolist()
+            # the matvec stays one BLAS gemv (its FMA bits are not those of
+            # a sum over Python floats; A.dot calls it as A @ x does, with
+            # less dispatch); + b is the same IEEE sum over floats
+            g = A.dot(x).tolist()
+            for i in coords:
+                g[i] += bl[i]
+            return g
 
     # cho_solve's own solver, called on each block without its per-call checks
     potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor[0],))
@@ -315,16 +326,21 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
     G = float(G)
     zero = np.zeros(dim)
     zero.flags.writeable = False
+    coords = range(dim)
 
     def subgradient(x):
         # (G / ||x||) * x; ||x|| as np.linalg.norm(x) takes it, by BLAS ddot
-        # (an FMA chain, not the sequential sum of squares)
+        # (an FMA chain, not the sequential sum of squares), which v.dot(v)
+        # calls as v @ v does, with less dispatch
         v = np.array(x, dtype=float)
-        nx = math.sqrt(v @ v)
+        nx = math.sqrt(v.dot(v))
         if nx == 0.0:
             return [0.0] * dim
         s = G / nx
-        return [s * c for c in x]
+        g = list(x)
+        for i in coords:
+            g[i] = s * g[i]
+        return g
 
     def conjugate_batch(Z):
         inside = np.sqrt(row_dot(Z, Z)) <= G * (1.0 + _BALL_SLACK)
@@ -368,13 +384,20 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
     if dim < 1:
         raise ValueError("dim must be >= 1")
 
+    coords = range(dim)
+
     def grad(x):
         # e = exp(x - max x), then e / sum e: np.exp itself, whose bits
         # math.exp does not always give, and its sum in np.add.reduce's order
         m = max(x)
-        e = np.exp([v - m for v in x]).tolist()
+        e = list(x)
+        for i in coords:
+            e[i] -= m
+        e = np.exp(e).tolist()
         total = _pairwise_sum(e)
-        return [v / total for v in e]
+        for i in coords:
+            e[i] /= total
+        return e
 
     def conjugate_batch(Z):
         zc = np.clip(Z, 0.0, None)
@@ -531,14 +554,28 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
             np.maximum(out, pieces[i], out=out)
         return out
 
+    rows, bl = A.tolist(), b.tolist()
+    pieces, others = range(m), range(1, m)
+
     def subgradient(x):
-        vals = A @ x
-        vals += b
-        i = int(vals.argmax())
-        top = float(vals[i])
-        active = vals >= top - 1e-12 * (1.0 + abs(top))
-        if np.count_nonzero(active) == 1:
-            return A[i].tolist()
+        # the matvec stays one BLAS gemv, as in the dense quadratic; the rest
+        # is numpy's + b, first-occurrence argmax (the first NaN, if any,
+        # wins) and >= test over floats
+        vals = A.dot(x).tolist()
+        top = vals[0] = vals[0] + bl[0]
+        i = 0
+        for j in others:
+            v = vals[j] = vals[j] + bl[j]
+            if not v <= top and top == top:
+                i, top = j, v
+        cut = top - 1e-12 * (1.0 + abs(top))
+        active = []
+        for j in pieces:
+            if vals[j] >= cut:
+                active.append(j)
+        if len(active) == 1:
+            return rows[i].copy()
+        # no piece is active at a NaN or +inf top: the empty hull raises ValueError
         return _least_norm_in_hull(A[active]).tolist()
 
     bases = _conjugate_bases(A, b)

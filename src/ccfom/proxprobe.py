@@ -127,11 +127,15 @@ def make_l1(lam: float) -> Regularizer:
         # np.sign is +0.0 at -0.0, and the numpy form returns a NaN x
         # quieted, spelt x * 1.0 since a product of two NaNs may keep either
         a = lam * t
-        return [
-            (1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0) * (0.0 if (w := abs(x) - a) <= 0.0 else w)
-            if x == x else x * 1.0
-            for x in v
-        ]
+        out = list(v)
+        for i in range(len(out)):
+            x = out[i]
+            if x == x:
+                w = abs(x) - a
+                out[i] = (1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0) * (0.0 if w <= 0.0 else w)
+            else:
+                out[i] = x * 1.0
+        return out
 
     def inner_min_batch(Z, mu, x0):
         m = mu[:, None]

@@ -441,6 +441,15 @@ def read_csv(path) -> tuple[dict[str, str], list[str], Table]:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        return _parse_csv(path, raw)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # a file that is not text in the locale's encoding, or a cell over
+        # csv.field_size_limit()
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _parse_csv(path, raw: bytes) -> tuple[dict[str, str], list[str], Table]:
     head = _head(raw)
     lines = (head[0] if head else _text(raw)).splitlines()
     if not lines or lines[0].strip() != CSV_VERSION_LINE:

@@ -326,7 +326,7 @@ def test_a_field_over_the_csv_limit_raises_the_csv_modules_error(tmp_path, run_c
     try:
         with pytest.raises(csv.Error) as want:
             _csv_module_read(path)
-        with pytest.raises(csv.Error, match=re.escape(str(want.value))):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {want.value}")):
             read_csv(path)
     finally:
         csv.field_size_limit(limit)

@@ -223,6 +223,29 @@ class TestVerify:
         assert capsys.readouterr().err == (
             f"config error: {bad}: row has 10 fields, header has 11\n")
 
+    def test_file_that_is_not_text_exits_3(self, tmp_path, capsys):
+        csv = self.make_run(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(csv.read_bytes().replace(b"PASS", b"PA\xffSS", 1))
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {bad}: ") and "0xff" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["split in numpy", "csv module"])
+    def test_cell_over_the_field_size_limit_exits_3(self, tmp_path, capsys, ending):
+        csv = self.make_run(tmp_path)
+        lines = csv.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("5,"))
+        lines[i] = lines[i].rsplit(",", 1)[0] + "," + "P" * 140_000
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(ending.join(lines).encode() + ending.encode())
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 3
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: field larger than field limit (131072)\n")
+
     @pytest.mark.parametrize("edit, stored", [
         (lambda lines: lines[:-1], 12),
         (lambda lines: lines + [lines[-1]], 14),
@@ -913,6 +936,26 @@ class TestInputSchema:
         assert exit_code(["--help"]) == 0
         assert exit_code(["run", "--help"]) == 0
         assert "--eps-rel" in capsys.readouterr().out
+
+    def test_successive_calls_share_no_arguments(self, tmp_path, capsys):
+        # the parser is built once per process; nothing of one call's
+        # arguments reaches the next
+        assert ccfom.cli.build_parser() is ccfom.cli.build_parser()
+        cfg = run_cfg(tmp_path, **RUN_KV)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        csv, report = tmp_path / "run.csv", tmp_path / "run.csv.verify.txt"
+
+        def verify(*flags):
+            capsys.readouterr()
+            code = exit_code(["verify", str(csv), *flags])
+            return code, capsys.readouterr(), report.read_text()
+
+        plain = verify()
+        assert plain[0] == 0
+        assert exit_code(["run"]) == 3
+        loose = verify("--eps-rel", "0.25")
+        assert loose[0] == 0 and loose[2] != plain[2]
+        assert verify() == plain
 
     def test_metadata_round_trip_is_byte_identical(self, tmp_path):
         from test_acceptance import ACCEPTANCE_MATRIX

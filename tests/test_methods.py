@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -422,6 +423,40 @@ def test_one_subgradient_call_per_step(run, pid):
     run(p, [1.0, -2.0], K)
     # f is checked once, on all K+1 query points
     assert calls == {"subgradient": K + 1, "value_batch": 1}
+
+
+@pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+def test_a_step_calls_only_its_oracle_and_its_prox(run):
+    # every Python-level call of a run, counted by code object: K+1 oracle
+    # calls, K prox calls (prox runs only), and a few calls per block of
+    # the loop (its stepper, the write and the check)
+    K = 2 * 4096 + 1
+    p = ccfom.from_id("quad:diag=1,1.5")  # stable under the subgradient run's step 1
+    oracle, prox = p.subgradient.__code__, ccfom.make_l1(0.1).prox.__code__
+
+    def calls_of(K):
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code] += 1
+
+        sys.setprofile(profile)
+        try:
+            run(p, [1.0, -2.0], K)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    run(p, [1.0, -2.0], 10)  # caches and lazy set-up of the first call
+    one, three = calls_of(1), calls_of(K)  # a run of one block, and of three
+    steps = 1 if run is _RUNS["prox_accelerated"] else 0
+    assert (one.pop(oracle), one.pop(prox, 0)) == (2, steps)
+    assert (three.pop(oracle), three.pop(prox, 0)) == (K + 1, K * steps)
+    # numpy's own Python functions make most of these (about 40 here); a
+    # frame per step would make at least 4096
+    per_block = (sum(three.values()) - sum(one.values())) / 2
+    assert per_block <= 100, three.most_common(5)
 
 
 def _per_step_error(bad_value, bad_grad, raises, K):

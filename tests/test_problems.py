@@ -499,9 +499,27 @@ def _dense_lasso_quad():
     return ccfom.make_quadratic(A, b), _dense_quad(A, b)
 
 
+def _dense_quad_signed_zero_b():
+    # + b over floats: a -0.0 b_i keeps a -0.0 row of A @ x, a +0.0 one erases it
+    A = np.array([[2.0, 0.5, 0.0], [0.5, 3.0, -1.0], [0.0, -1.0, 4.0]])
+    b = np.array([-0.0, 0.0, 1.5])
+    return ccfom.make_quadratic(A, b), _dense_quad(A, b)
+
+
 def _maxaff_case(pid):
     p, A, b = maxaff_with_pieces(pid)
     return p, _maxaff(A, b)
+
+
+def _maxaff_points(A, b, points):
+    """A max-of-affine case with points of its own: (p, reference, points)."""
+    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+    return ccfom.make_max_affine(A, b), _maxaff(A, b), points
+
+
+# the pieces' tolerance below a top of 1: 1e-12 * (1 + |top|)
+_CUT = 1.0 - 1e-12 * (1.0 + 1.0)
+_INF = math.inf
 
 
 _ORACLE_CASES = {
@@ -517,6 +535,25 @@ _ORACLE_CASES = {
     "norm:G=1:dim=1": lambda: (ccfom.from_id("norm:G=1:dim=1"), _norm(1.0)),
     **{f"lse:dim={n}": (lambda n=n: (ccfom.from_id(f"lse:dim={n}"), _lse)) for n in (1, 2, 3, 8, 9, 16)},
     **{pid: (lambda pid=pid: _maxaff_case(pid)) for pid in MAXAFF_IDS},
+    "quad dense:b=-0,0,1.5": _dense_quad_signed_zero_b,
+}
+# max-of-affine cases with points of their own, at the edges of the oracle's
+# float post-processing
+_EDGE_CASES = {
+    # exact ties of two, three and four pieces, and first-occurrence argmax
+    "maxaff ties": lambda: _maxaff_points(
+        [[2.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 0.0, 0.0, -1.0],
+        [[0.0, 0.0], [-0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [0.0, 3.0], [-3.0, 3.0], [0.5, -7.0]]),
+    # a piece exactly at the tolerance below the top is active, one ulp lower is not
+    "maxaff at the cut": lambda: _maxaff_points(
+        [[2.0], [-1.0], [0.5]], [1.0, _CUT, -5.0], [[0.0], [-0.0]]),
+    "maxaff below the cut": lambda: _maxaff_points(
+        [[2.0], [-1.0], [0.5]], [1.0, math.nextafter(_CUT, -_INF), -5.0], [[0.0], [-0.0]]),
+    # every piece at -inf: all tie; a +inf or NaN top (0 * inf is NaN) raises
+    "maxaff infinities": lambda: _maxaff_points(
+        [[1.0, 0.0], [2.0, 1.0], [0.5, -1.0]], [0.0, 1.0, 2.0],
+        [[-_INF, 0.0], [-_INF, 5.0], [_INF, 0.0], [0.0, -_INF], [_INF, -_INF],
+         [math.nan, 0.0], [0.0, math.nan]]),
 }
 
 
@@ -529,13 +566,21 @@ def test_pairwise_sum_is_that_of_np_add_reduce(n, rng):
         assert np.float64(got).tobytes() == np.add.reduce(values).tobytes()
 
 
-@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+@pytest.mark.parametrize("case", [*_ORACLE_CASES, *_EDGE_CASES])
 def test_list_subgradient_is_bitwise_the_numpy_form(case, rng):
     # the oracles take and return lists of Python floats; each must give
-    # the bits of the numpy form it replaces, -0.0 included
-    p, reference = _ORACLE_CASES[case]()
+    # the bits of the numpy form it replaces, -0.0 included, and raise
+    # ValueError where it does (a max-of-affine oracle with no active piece)
+    p, reference, *points = {**_ORACLE_CASES, **_EDGE_CASES}[case]()
+    points = [np.array(x, dtype=float) for x in (points[0] if points else [])]
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in _oracle_inputs(rng, p.dim):
+        for x in _oracle_inputs(rng, p.dim) + points:
+            try:
+                reference(x)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    p.subgradient(x.tolist())
+                continue
             g = p.subgradient(x.tolist())
             assert type(g) is list and all(type(v) is float for v in g)
             assert np.array(g).tobytes() == reference(x).tobytes(), x

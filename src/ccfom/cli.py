@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import cells
 from .certificates import Check, lhs_series, verify_run
 from .config import SUITE, ExperimentConfig, RunSpec, cell_metadata, resolve_schedule, resolve_x0
 from .errors import ConfigError, OracleError
@@ -162,19 +161,24 @@ _CHECKED_COLUMNS = [
 ]
 
 
+# The stored columns as read: k and the checked columns as numbers, the verdict as text
+# (an object array: a fixed-width string dtype would truncate a longer verdict).
+_COLUMN_DTYPES = {c: np.int64 if c == "k" else np.float64 if c in _CHECKED_COLUMNS else object
+                  for c in RUN_COLUMNS}
+
+
 def cmd_verify(args) -> int:
-    meta, columns, rows = read_csv(args.csv)
+    meta, columns, rows = read_csv(args.csv, _COLUMN_DTYPES)
     if columns != RUN_COLUMNS:
         raise ConfigError(f"{args.csv}: unexpected columns {columns}")
     if not rows:
         raise ConfigError(f"{args.csv}: no data rows (empty trace)")
     cfg = ExperimentConfig.from_values(meta, "verify", _flags(args))
     spec, tol = cfg.single_cell(), cfg.tolerances()
-    text = rows.columns  # each converted as int() and float() convert a cell
+    cols = rows.columns  # read as numbers, or as text converted as int() and float() convert it
     try:
-        stored_ks, *floats = cells.parse([text[c] for c in ["k", *_CHECKED_COLUMNS]],
-                                         [np.int64] + [np.float64] * len(_CHECKED_COLUMNS))
-        stored = dict(zip(_CHECKED_COLUMNS, floats))
+        stored_ks = np.asarray(cols["k"], dtype=np.int64)
+        stored = {c: np.asarray(cols[c], dtype=np.float64) for c in _CHECKED_COLUMNS}
     except ValueError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
     except OverflowError:
@@ -206,7 +210,7 @@ def cmd_verify(args) -> int:
         distance[np.isnan(a) & np.isnan(b)] = 0.0
         agree[c] = Check(-distance, tol.bound(b), same_k)
     mismatch = {c: check.failed for c, check in agree.items()}
-    verdict_mismatch = same_k & ~cells.same_text(text["verdict"][:n], recomputed["verdict"][:n])
+    verdict_mismatch = same_k & (np.asarray(cols["verdict"][:n]) != recomputed["verdict"][:n])
     # the certificate link on the stored numbers themselves, row i holding k = start + i
     lhs_k = lhs_from_stored[start : start + n]
     cert_k = stored["cert_k"][:n]
@@ -225,7 +229,10 @@ def cmd_verify(args) -> int:
     # failure messages in row order, for the rows that have any
     bad_rows = np.logical_or.reduce([~same_k, verdict_mismatch, *mismatch.values()])
     bad_rows[list(cert_failures)] = True
-    for i in np.flatnonzero(bad_rows).tolist():
+    bad = np.flatnonzero(bad_rows).tolist()
+    if bad:  # the messages quote each stored cell as written
+        text = read_csv(args.csv)[2].columns
+    for i in bad:
         k = int(ks[i])
         if not same_k[i]:
             failures.append(f"k={k}: index mismatch with recomputed row {recomputed['k'][i]}")

@@ -14,11 +14,14 @@ The minimum has a closed form for every k at once, so a probe evaluates
 phi*, the inner minimum and psi(x_k) as one row batch each over all its
 records (see :class:`Regularizer`); only the proximal steps run per k.
 
-IMPORTANT: this is a conjecture, not a theorem.  No construction of the
-dual sequences is known for the composite case; the probe reuses the
-accelerated recipe verbatim with g_k = grad phi(y_k) feeding the
-z-recursion (the minimal analogue), and that choice is recorded in every
-output.  A violation is a reportable finding, never a test failure.
+IMPORTANT: this is a conjecture, not a theorem.  Gutman & Pena,
+"Convergence rates of proximal gradient methods via the convex conjugate",
+SIAM J. Optim. 29 (2019), construct dual sequences for the proximal
+gradient and accelerated proximal gradient methods; the probe does not use
+their construction.  It reuses the accelerated recipe verbatim with
+g_k = grad phi(y_k) feeding the z-recursion (the minimal analogue), and
+that choice is recorded in every output.  A violation is a reportable
+finding, never a test failure.
 """
 
 from __future__ import annotations
@@ -71,14 +74,12 @@ class Regularizer:
     for every row z of Z, the quantity the conjectured certificate needs.
     The inner products <z, u> are summed in ``row_dot``'s column order and
     the other row sums by ``sum(axis=1)`` on C-ordered rows, so one row
-    alone gives the same bits as that row inside any batch.  The
-    single-point ``value`` and ``inner_min`` are those batches on one row,
-    so the two forms cannot disagree.  ``prox(v, t)`` is single-point only:
-    the proximal loop is sequential, and steps over Python floats, so
-    ``prox`` maps a sequence of floats to a list of floats, with the bits
-    of the numpy form it spells.  ``dim`` is None when psi applies in
-    any dimension.  ``label`` is the id that :func:`regularizer_from_id`
-    rebuilds psi from.
+    alone gives the same bits as that row inside any batch.  ``prox(v, t)``
+    is single-point only: the proximal loop is sequential, and steps over
+    Python floats, so ``prox`` maps a sequence of floats to a list of
+    floats, with the bits of the numpy form it spells.  ``dim`` is None
+    when psi applies in any dimension.  ``label`` is the id that
+    :func:`regularizer_from_id` rebuilds psi from.
     """
 
     label: str
@@ -86,15 +87,6 @@ class Regularizer:
     inner_min_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     prox: Callable[[Sequence[float], float], list[float]]
     dim: Optional[int] = None
-
-    def value(self, x) -> float:
-        return float(self.value_batch(np.asarray(x, dtype=float)[None])[0])
-
-    def inner_min(self, z, mu: float, x0) -> tuple[float, np.ndarray]:
-        vals, U = self.inner_min_batch(
-            np.asarray(z, dtype=float)[None], np.array([mu], dtype=float), np.asarray(x0, dtype=float)
-        )
-        return float(vals[0]), U[0]
 
 
 def _spell(v: float) -> str:
@@ -163,8 +155,19 @@ def make_box(lo, hi) -> Regularizer:
         inside = np.all((X >= lo) & (X <= hi), axis=1)
         return np.where(inside, 0.0, math.inf)
 
+    lo_f, hi_f = lo.tolist(), hi.tolist()
+
     def prox(v, t):
-        return np.clip(v, lo, hi).tolist()
+        # np.clip(v, lo, hi) one coordinate at a time, bit for bit: a NaN x
+        # passes through as it is, and where x equals a bound (-0.0 and 0.0
+        # included) the bound is returned, as numpy's max-then-min returns it
+        out = list(v)
+        for i in range(len(out)):
+            x = out[i]
+            if x == x:
+                x = x if x > lo_f[i] else lo_f[i]
+                out[i] = x if x < hi_f[i] else hi_f[i]
+        return out
 
     def inner_min_batch(Z, mu, x0):
         U = np.clip(x0 - Z / mu[:, None], lo, hi)

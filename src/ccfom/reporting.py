@@ -8,16 +8,17 @@ residual is <= its tolerance.  Numbers carry 17 significant digits, making
 the file bit-stable across repeated runs and lossless to re-parse.  They are
 spelt exactly as "%.17g" spells them, by a vectorised kernel that turns each
 chunk of rows into one byte grid; a value whose rounding the kernel cannot
-certify is spelt by "%.17g" itself.  Read back, the data block is split in
-numpy and its cells are kept as bytes until read (see :mod:`ccfom.cells`).
+certify is spelt by "%.17g" itself (see :mod:`ccfom.cells`).  Read back,
+each cell is text as the csv module splits it, or, for ``ccfom verify``, the
+whole data block is one ``np.loadtxt`` call that converts each column to its
+dtype, a file it cannot read going to the csv module.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
-import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -80,7 +81,7 @@ class Table(Sequence):
 
     Indexing and iteration give a row as a ``{column: value}`` dict;
     :func:`format_rows` formats it a chunk of rows at a time, and
-    :func:`read_csv` returns one of text columns.
+    :func:`read_csv` returns one of text or typed columns.
     """
 
     def __init__(self, columns: dict[str, Sequence]):
@@ -405,53 +406,25 @@ def write_csv(path, meta: dict[str, str], columns: Sequence[str], rows: Table):
         for grid in format_rows(columns, rows):
             write(grid)
 
-# Bytes that send a file to the csv module: those that universal newlines or
-# str.splitlines take for a line break besides "\n" (CR, VT, FF, FS, GS, RS),
-# and NUL.  So do a non-ASCII byte, a quote in or after the header row, and
-# an empty line after it.
-_SLOW_BYTES = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\0")
-# The line break before the first line after the version line that is no comment.
-_HEADER = re.compile(rb"\n(?!#)")
+def read_csv(path, dtypes: Optional[dict] = None) -> tuple[dict[str, str], list[str], Table]:
+    """Parse a schema-v1 CSV back into (metadata, columns, a Table).
 
-
-def _head(raw: bytes) -> Optional[tuple[str, int]]:
-    """The head of an ASCII file (its version line, comments and header row) as
-    text, and the byte its data block starts at; None when the file holds a
-    byte that sends it to the csv module."""
-    if not raw.isascii() or any(b in raw for b in _SLOW_BYTES):
-        return None
-    m = _HEADER.search(raw)
-    if not m or (end := raw.find(b"\n", m.end())) < 0:
-        return raw.decode("ascii"), len(raw)
-    if raw.find(b'"', m.end()) >= 0:
-        return None
-    return raw[:end].decode("ascii"), end + 1
-
-
-def read_csv(path) -> tuple[dict[str, str], list[str], Table]:
-    """Parse a schema-v1 CSV back into (metadata, columns, a Table of text columns).
-
-    The data block of an ASCII file with no quote, CR or empty line is split
-    at its commas and newlines in numpy, each column a
-    :class:`ccfom.cells.TextColumn` whose cells are decoded when read; the
-    csv module reads any other file, each column a tuple of str.  The cells
-    and the errors are the same either way.
+    Each column is a tuple of its cells' text, as the csv module reads them.
+    Given ``dtypes`` (column -> dtype, in the header's order), a file with
+    that header, at least one data line and no quote is read by one
+    ``np.loadtxt`` call instead, each column an array of its dtype.  Its
+    converter accepts a subset of what ``int()`` and ``float()`` accept (a
+    signed ASCII integer, or what ``PyOS_string_to_double`` reads, around
+    whitespace), with the same values; a file it refuses, or reads with a
+    warning, is read as text, whose errors are the file's errors.
     """
     try:
-        raw = Path(path).read_bytes()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        return _parse_csv(path, raw)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        # a file that is not text in the locale's encoding, or a cell over
-        # csv.field_size_limit()
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_csv(path, raw: bytes) -> tuple[dict[str, str], list[str], Table]:
-    head = _head(raw)
-    lines = (head[0] if head else _text(raw)).splitlines()
+    lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_VERSION_LINE:
         raise ConfigError(f"{path} is not a ccfom-csv v1 file")
     i = 1
@@ -463,28 +436,29 @@ def _parse_csv(path, raw: bytes) -> tuple[dict[str, str], list[str], Table]:
         raise ConfigError(f"{path} metadata {exc}") from None
     if i >= len(lines) or not lines[i].strip():
         raise ConfigError(f"{path} has no header row")
-    reader = csv.reader(lines[i:])
-    columns = [c.strip() for c in next(reader)]
-    if head and head[1] < len(raw):
-        try:
-            data = cells.split_rows(raw, head[1], len(columns))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        if data is not None:
-            return meta, columns, Table(dict(zip(columns, data)))
-        # the block holds an empty line; the header, with no quote, is one line
-        reader = csv.reader(_text(raw).splitlines()[i + 1 :])
-    rows = [vals for vals in reader if vals]
+    try:
+        reader = csv.reader(lines[i:])
+        columns = [c.strip() for c in next(reader)]
+        # with no quote each line is a row, and with none over the csv
+        # module's field limit the csv module would raise no error
+        if (dtypes and columns == list(dtypes) and i + 1 < len(lines) and '"' not in text
+                and max(map(len, lines)) <= csv.field_size_limit()):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    data = np.loadtxt(lines[i + 1 :], dtype=list(dtypes.items()), delimiter=",",
+                                      comments=None, ndmin=1)
+                return meta, columns, Table({c: data[c] for c in columns})
+            except (ValueError, Warning):
+                pass
+        rows = [vals for vals in reader if vals]
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        raise ConfigError(f"{path}: {exc}") from None
     for vals in rows:
         if len(vals) != len(columns):
             raise ConfigError(f"{path}: row has {len(vals)} fields, header has {len(columns)}")
     data = zip(*rows) if rows else [()] * len(columns)
     return meta, columns, Table(dict(zip(columns, data)))
-
-
-def _text(raw: bytes) -> str:
-    """The text of a file's bytes as read_text() decodes them, universal newlines included."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None)).read()
 
 
 def write_report(path, header: Sequence[str], lines: Sequence[str]):

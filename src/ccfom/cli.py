@@ -47,7 +47,6 @@ from .reporting import (
     conjecture_report,
     conjecture_rows,
     fmt,
-    fmt_column,
     format_rows,
     open_csv,
     read_csv,
@@ -173,7 +172,13 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"{args.csv}: unexpected columns {columns}")
     if not rows:
         raise ConfigError(f"{args.csv}: no data rows (empty trace)")
-    cfg = ExperimentConfig.from_values(meta, "verify", _flags(args))
+    flags = _flags(args)
+    try:
+        cfg = ExperimentConfig.from_values(meta, "verify", flags)
+    except ConfigError as exc:  # a bad flag's message names its key, not the file
+        if any(str(exc).startswith(f"{key}: ") for key in flags):
+            raise
+        raise ConfigError(f"{args.csv} metadata {exc}") from None
     spec, tol = cfg.single_cell(), cfg.tolerances()
     cols = rows.columns  # read as numbers, or as text converted as int() and float() convert it
     try:
@@ -218,17 +223,10 @@ def cmd_verify(args) -> int:
     link = Check(-residual, tol.bound(lhs_k, cert_k), same_k & (stored["vacuous_flag"][:n] != 1))
     checks = {"stored chain certificate": link, **{f"column {c}": agree[c] for c in agree}}
     summary = [check_summary(title, ks, check)[0] for title, check in checks.items()]
-    cert_fail = np.flatnonzero(link.failed)
-    spelt = fmt_column(np.concatenate([residual[cert_fail], link.tol[cert_fail]]))
-    cert_failures = {
-        int(i): f"k={ks[i]}: chain certificate on stored values: "
-                f"residual {r} exceeds tol {b}"
-        for i, r, b in zip(cert_fail.tolist(), spelt[: cert_fail.size], spelt[cert_fail.size :])
-    }
+    cert_failed = link.failed
 
     # failure messages in row order, for the rows that have any
-    bad_rows = np.logical_or.reduce([~same_k, verdict_mismatch, *mismatch.values()])
-    bad_rows[list(cert_failures)] = True
+    bad_rows = np.logical_or.reduce([~same_k, verdict_mismatch, cert_failed, *mismatch.values()])
     bad = np.flatnonzero(bad_rows).tolist()
     if bad:  # the messages quote each stored cell as written
         text = read_csv(args.csv)[2].columns
@@ -248,8 +246,9 @@ def cmd_verify(args) -> int:
                 f"k={k}: verdict mismatch: stored {text['verdict'][i]} vs recomputed "
                 f"{recomputed['verdict'][i]}"
             )
-        if i in cert_failures:
-            failures.append(cert_failures[i])
+        if cert_failed[i]:
+            failures.append(f"k={k}: chain certificate on stored values: "
+                            f"residual {fmt(residual[i])} exceeds tol {fmt(link.tol[i])}")
 
     report_path = Path(str(args.csv) + ".verify.txt")
     header = [f"verify: {args.csv}", f"tolerances: eps_rel={tol.eps_rel:g} eps_abs={tol.eps_abs:g}"]

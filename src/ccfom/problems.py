@@ -687,11 +687,13 @@ def _floats(val: str, pid: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {val!r} in {pid!r}") from None
 
 
-def _int(val: str, pid: str) -> int:
+def _one(kind: type, val: str, pid: str):
+    """``val`` as one number of ``kind``, int or float."""
     try:
-        return int(val)
+        return kind(val)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {val!r} in {pid!r}") from None
+        rule = "an integer" if kind is int else "one number"
+        raise ConfigError(f"expected {rule}, got {val!r} in {pid!r}") from None
 
 
 def from_id(pid: str) -> ProblemInstance:
@@ -715,22 +717,22 @@ def from_id(pid: str) -> ProblemInstance:
             return make_quadratic(np.diag(diag), b, problem_id=pid)
         if family == "norm":
             take({"G", "dim"})
-            G = _floats(params["G"], pid)[0] if "G" in params else 1.0
-            dim = _int(params["dim"], pid) if "dim" in params else 1
+            G = _one(float, params["G"], pid) if "G" in params else 1.0
+            dim = _one(int, params["dim"], pid) if "dim" in params else 1
             return make_scaled_norm(G, dim, problem_id=pid)
         if family == "lse":
             take({"dim"})
-            dim = _int(params["dim"], pid) if "dim" in params else 2
+            dim = _one(int, params["dim"], pid) if "dim" in params else 2
             return make_log_sum_exp(dim, problem_id=pid)
         if family == "maxaff":
             if "abs" in params:
                 take({"abs"})
-                G = _floats(params["abs"], pid)[0]
+                G = _one(float, params["abs"], pid)
                 return make_max_affine([[G], [-G]], [0.0, 0.0], problem_id=pid)
             take({"dim", "pieces", "seed"})
-            dim = _int(params["dim"], pid) if "dim" in params else 2
-            pieces = _int(params["pieces"], pid) if "pieces" in params else dim + 2
-            seed = _int(params["seed"], pid) if "seed" in params else 0
+            dim = _one(int, params["dim"], pid) if "dim" in params else 2
+            pieces = _one(int, params["pieces"], pid) if "pieces" in params else dim + 2
+            seed = _one(int, params["seed"], pid) if "seed" in params else 0
             return random_max_affine(dim, pieces, seed, problem_id=pid)
     except ValueError as exc:
         raise ConfigError(f"cannot build problem {pid!r}: {exc}") from exc

@@ -41,7 +41,6 @@ __all__ = [
     "RUN_COLUMNS",
     "CONJECTURE_COLUMNS",
     "fmt",
-    "fmt_column",
     "Table",
     "check_summary",
     "summary_first",
@@ -191,26 +190,23 @@ def summary_first(
     span = (f"k={ks[0]}..{ks[-1]}" if instance is None
             else f"instance {instance[0]}..{instance[-1]}, k={ks.min()}..{ks.max()}")
     whose = "a check's worst" if len(checks) > 1 else "the worst"
-    n = at.size
-    checks_at = {title: Check(*(a[at] for a in check)) for title, check in checks.items()}
-    # every residual and tolerance of the itemised records, spelt in one call
-    spelt = fmt_column(np.concatenate([x for c in checks_at.values() for x in (-c.margin, c.tol)]))
-    columns = [[_VACUOUS_NOTE if v else "" for v in vacuous[at].tolist()]]
-    for j, (title, check) in enumerate(checks_at.items()):
-        states = np.where(check.failed, words[0], "pass").tolist()
-        columns.append([
-            f"{title}: residual={r} tol={t} {state}" if applies else ""
-            for r, t, state, applies in zip(spelt[2 * j * n : (2 * j + 1) * n],
-                                            spelt[(2 * j + 1) * n : (2 * j + 2) * n],
-                                            states, check.applicable.tolist())
-        ])
-    return [
+    lines = [
         f"records {span}: {ks.size} checked, {int(failed.sum())} {words[0]}, "
-        f"{int(vacuous.sum())} VACUOUS, {n} itemised below ({words[1]}, vacuous or {whose})",
+        f"{int(vacuous.sum())} VACUOUS, {at.size} itemised below ({words[1]}, vacuous or {whose})",
         *summary,
-        *(f"{_where(ks, instance, i)}: {item}"
-          for i, *record in zip(at.tolist(), *columns) for item in record if item),
     ]
+    columns = [(title, (-check.margin[at]).tolist(), check.tol[at].tolist(),
+                check.failed[at].tolist(), check.applicable[at].tolist())
+               for title, check in checks.items()]
+    for j, (i, note) in enumerate(zip(at.tolist(), vacuous[at].tolist())):
+        where = _where(ks, instance, i)
+        if note:
+            lines.append(f"{where}: {_VACUOUS_NOTE}")
+        for title, residual, tol, fails, applies in columns:
+            if applies[j]:
+                lines.append(f"{where}: {title}: residual={fmt(residual[j])} tol={fmt(tol[j])} "
+                             f"{words[0] if fails[j] else 'pass'}")
+    return lines
 
 
 def build_rows(
@@ -347,19 +343,6 @@ def _slots(column) -> np.ndarray:
     code = {text: i for i, text in enumerate(dict.fromkeys(texts))}
     table = cells.byte_slots([_cell_bytes(text) for text in code])
     return table[np.fromiter(map(code.__getitem__, texts), np.intp, len(texts))]
-
-
-def fmt_column(values) -> list[str]:
-    """``[fmt(v) for v in values]``; a numeric array goes through the CSV cell
-    kernel, a grid of one column per ``_CSV_CHUNK_ROWS`` values."""
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
-    if kind in "fiub":
-        texts = []
-        for lo in range(0, values.size, _CSV_CHUNK_ROWS):
-            grid = cells.grid([_slots(values[lo : lo + _CSV_CHUNK_ROWS])])
-            texts += cells.grid_text(grid).split("\n")[:-1]
-        return texts
-    return values.tolist() if kind == "U" else [fmt(v) for v in values]
 
 
 def format_rows(columns: Sequence[str], rows: Table) -> Iterator[np.ndarray]:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import ccfom
+from ccfom import cells
 from ccfom.methods import method_spec
+from ccfom.reporting import Table, format_rows
 
 # Catalog cells used by several test modules: (problem id, x0)
 SMOOTH_CELLS = [
@@ -56,3 +58,10 @@ def row_recursion(trace, p):
         z[k + 1] = (1.0 - th) * z[k] + th * g[k]
         mu[k + 1] = (1.0 - th) * mu[k]
     return z, mu
+
+
+def csv_cells(values: np.ndarray) -> list[str]:
+    """Each value as the CSV writer spells its cell: ``format_rows`` on a
+    one-column Table, each chunk's grid read back by ``cells.grid_text``."""
+    return [text for grid in format_rows(["x"], Table({"x": values}))
+            for text in cells.grid_text(grid).split("\n")[:-1]]

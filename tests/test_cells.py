@@ -15,7 +15,8 @@ from ccfom import cells
 from ccfom.cli import _COLUMN_DTYPES, main
 from ccfom.config import parse_config_text
 from ccfom.errors import ConfigError
-from ccfom.reporting import CSV_VERSION_LINE, fmt_column, read_csv
+from ccfom.reporting import CSV_VERSION_LINE, read_csv
+from conftest import csv_cells
 
 
 def _bits(x: np.ndarray) -> list[int]:
@@ -53,7 +54,7 @@ def test_writer_spellings_of_random_bit_patterns_read_back(tmp_path):
     x[4000:6000] = np.round(x[4000:6000] % 1e6)  # integers
     x[6000:6632] = [float(f"1e{j}") for j in range(-323, 309)]
     x[6632:7264] = -x[6000:6632]
-    back = _assert_read_as_numpy(tmp_path / "c.csv", fmt_column(x))
+    back = _assert_read_as_numpy(tmp_path / "c.csv", csv_cells(x))
     finite = ~np.isnan(x)
     assert _bits(back[finite]) == _bits(x[finite])
     assert np.isnan(back[~finite]).all()
@@ -64,7 +65,7 @@ def test_writer_spellings_at_the_edges_of_the_range(tmp_path):
     edges = np.array([float(f"{m}e{e}") for e in (lo - 13, lo - 12, lo - 1, lo, lo + 1, hi, hi + 1)
                       for m in (1, 1.5, 9.999999999999999)])
     near = np.concatenate([edges.view(np.int64) + d for d in range(-40, 41)]).view(np.float64)
-    _assert_read_as_numpy(tmp_path / "c.csv", fmt_column(np.concatenate([near, -near])))
+    _assert_read_as_numpy(tmp_path / "c.csv", csv_cells(np.concatenate([near, -near])))
 
 
 def _canonical(d: Decimal) -> str:
@@ -114,7 +115,7 @@ def test_tiny_values_next_to_the_range(tmp_path):
     e = rng.integers(-292, -281, 5000).tolist()
     texts = [f"{a}e{b}" for a, b in zip(m, e)] + [f"{a}.{a}e{b}" for a, b in zip(m, e)]
     _assert_read_as_numpy(tmp_path / "c.csv", texts)
-    _assert_read_as_numpy(tmp_path / "c.csv", fmt_column(np.array([float(t) for t in texts])))
+    _assert_read_as_numpy(tmp_path / "c.csv", csv_cells(np.array([float(t) for t in texts])))
 
 
 def test_fixed_notation_and_leading_zeros(tmp_path):

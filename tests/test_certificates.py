@@ -26,6 +26,7 @@ from ccfom.certificates import (
 from ccfom.config import fmt
 from ccfom.methods import StepSchedule, method_spec
 from ccfom.reporting import build_rows, check_summary
+from ccfom.tolerances import Tolerances
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, row_recursion
 
 TOL = ccfom.DEFAULT_TOLERANCES
@@ -846,7 +847,18 @@ def _vacuous_record():
     return tr, p, p, cert, None
 
 
-SUMMARY_CELLS = {"passing": _passing_cell, "lse vacuous record": _vacuous_record, **FAULTS}
+def _tight_tolerance():
+    # a correct run checked at eps 1e-300 (SUMMARY_TOL), where rounding alone
+    # fails almost every record: the report itemises over a thousand of them
+    p = ccfom.from_id("lse:dim=2")
+    tr = ccfom.run_accelerated(p, [3.0, -3.0], 1200)
+    return tr, p, p, None, None
+
+
+SUMMARY_CELLS = {"passing": _passing_cell, "lse vacuous record": _vacuous_record, **FAULTS,
+                 "tight tolerance": _tight_tolerance}
+# the tolerances of a cell not checked at TOL
+SUMMARY_TOL = {"tight tolerance": Tolerances(eps_rel=1e-300, eps_abs=1e-300)}
 
 
 class TestSummary:
@@ -854,7 +866,7 @@ class TestSummary:
     def test_summary_matches_a_reduction_over_the_table(self, cell):
         trace, _, p, cert, expected = SUMMARY_CELLS[cell]()
         cert = build_certificate(trace, p) if cert is None else cert
-        table = verify_certificate(trace, cert, p, tol=TOL)
+        table = verify_certificate(trace, cert, p, tol=SUMMARY_TOL.get(cell, TOL))
         lines = build_rows(trace, p, table).report_lines
         ks = table.ks
         worst_ks = set()
@@ -893,7 +905,7 @@ class TestSummary:
         # a vacuous record's note first, then one line per applicable check in table order
         trace, _, p, cert, _ = SUMMARY_CELLS[cell]()
         cert = build_certificate(trace, p) if cert is None else cert
-        table = verify_certificate(trace, cert, p, tol=TOL)
+        table = verify_certificate(trace, cert, p, tol=SUMMARY_TOL.get(cell, TOL))
         lines = build_rows(trace, p, table).report_lines
         records = {}
         for line in lines[3 + len(table.checks) :]:
@@ -912,6 +924,8 @@ class TestSummary:
                     expected.append(f"{title}: residual={fmt(-check.margin[i])} "
                                     f"tol={fmt(check.tol[i])} {state}")
             assert items == expected, (cell, k)
+        if cell == "tight tolerance":
+            assert table.record_failed[[k - table.ks[0] for k in records]].sum() >= 1000
 
     def test_nan_margin_is_the_worst_and_ties_go_to_the_first_k(self):
         ks = np.arange(3, 9)
@@ -996,10 +1010,8 @@ def test_report_text_is_formatted_on_first_read(monkeypatch):
     tr = ccfom.run_gradient(p, [1.0, 1.0], 40)
     ver = verify_run(tr, p)
     calls = []
-    for name in ("fmt", "fmt_column"):
-        real = getattr(reporting, name)
-        monkeypatch.setattr(reporting, name,
-                            lambda v, real=real, name=name: calls.append(name) or real(v))
+    real = reporting.fmt
+    monkeypatch.setattr(reporting, "fmt", lambda v: calls.append(v) or real(v))
     rows = build_rows(tr, p, ver, TOL)
     assert calls == []
     lines = rows.report_lines

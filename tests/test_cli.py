@@ -79,6 +79,9 @@ class TestRun:
             dict(problem="norm:G=1:dim=1", method="subgradient", x0="1.0", iterations=5,
                  schedule="inverse_L"),
             dict(problem="quad:diag=1", method="gradient", x0="1.0", iterations=5, workers=2),
+            # one number where a list is given
+            dict(problem="norm:G=2,3:dim=3", method="subgradient", iterations=5),
+            dict(problem="maxaff:abs=1,5", method="subgradient", iterations=5),
         ],
     )
     def test_invalid_configs_exit_3(self, tmp_path, kv):
@@ -863,6 +866,33 @@ class TestInputSchema:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(bad)]) == 3
         assert f"key {key!r} is not read by verify" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        ("extra", "key 'note' is not read by verify"),
+        ("missing", "missing required key 'x0'"),
+        ("bad value", "eps_rel: expected a positive finite number, got 'abc'"),
+    ])
+    def test_metadata_error_names_the_csv(self, tmp_path, capsys, edit, message):
+        assert main(["run", "--config", str(run_cfg(tmp_path, **RUN_KV)), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        if edit == "extra":
+            lines.insert(2, "# note = x")
+        elif edit == "missing":
+            lines.remove(next(line for line in lines if line.startswith("# x0 = ")))
+        else:
+            lines = [("# eps_rel = abc" if line.startswith("# eps_rel = ") else line) for line in lines]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(bad)]) == 3
+        assert capsys.readouterr().err == f"config error: {bad} metadata {message}\n"
+
+    @pytest.mark.parametrize("flag,key", [("--eps-rel", "eps_rel"), ("--eps-abs", "eps_abs")])
+    def test_bad_tolerance_flag_to_verify_keeps_its_message(self, tmp_path, capsys, flag, key):
+        assert main(["run", "--config", str(run_cfg(tmp_path, **RUN_KV)), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "run.csv"), flag, "abc"]) == 3
+        assert capsys.readouterr().err == (
+            f"config error: {key}: expected a positive finite number, got 'abc'\n")
 
     @pytest.mark.parametrize("kv", [
         dict(CONJ_KV, problem="quad:diag=1; quad:diag=2"),

@@ -428,6 +428,8 @@ class TestCatalogIds:
             "maxaff:pieces=1:dim=2",
             "mystery:dim=2",
             "norm:G=-1",
+            "norm:G=2,3:dim=3",
+            "maxaff:abs=1,5",
         ],
     )
     def test_bad_ids_raise_config_error(self, bad):

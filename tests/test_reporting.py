@@ -17,12 +17,12 @@ from ccfom.reporting import (
     Table,
     conjecture_rows,
     fmt,
-    fmt_column,
     format_rows,
     open_csv,
     read_csv,
     write_csv,
 )
+from conftest import csv_cells
 
 
 def _cells(column) -> list[str]:
@@ -148,7 +148,7 @@ def test_written_cells_parse_back_with_the_csv_module(tmp_path):
 
 
 def _assert_spelt_as_17g(x: np.ndarray):
-    got = fmt_column(x)
+    got = csv_cells(x)
     assert len(got) == x.size
     bad = [(v, g, r) for v, g, r in zip(x.tolist(), got, map("%.17g".__mod__, x.tolist()))
            if g != r]
@@ -205,11 +205,11 @@ def test_kernel_spells_values_itself_and_leaves_ties_to_fmt(monkeypatch):
     monkeypatch.setattr(cells, "fmt", lambda v: spelt.append(v) or fmt(v))
     rng = np.random.default_rng(11)
     x = rng.standard_normal(100_000) * 10.0 ** rng.integers(-250, 250, 100_000)
-    assert fmt_column(x) == list(map("%.17g".__mod__, x.tolist()))
+    assert csv_cells(x) == list(map("%.17g".__mod__, x.tolist()))
     assert len(spelt) < 200
     spelt.clear()
     k = rng.integers(10**15, 2**51, 1000).astype(np.float64)
-    assert fmt_column(k + 0.75) == list(map("%.17g".__mod__, (k + 0.75).tolist()))
+    assert csv_cells(k + 0.75) == list(map("%.17g".__mod__, (k + 0.75).tolist()))
     assert spelt == (k + 0.75).tolist()
 
 
@@ -227,8 +227,8 @@ def test_integer_and_flag_cells_are_str():
                                rng.integers(0, 2**64, 1000, dtype=np.uint64)])
     for v in (signed, unsigned, signed.astype(np.int32), signed.astype(np.int8),
               np.arange(10), np.array([True, False, True])):
-        assert fmt_column(v) == [str(int(i)) for i in v.tolist()]
-    assert fmt_column(np.array([], dtype=np.int64)) == fmt_column(np.array([])) == []
+        assert csv_cells(v) == [str(int(i)) for i in v.tolist()]
+    assert csv_cells(np.array([], dtype=np.int64)) == csv_cells(np.array([])) == []
 
 
 _RUNS = [("quad:diag=1,100", "gradient", 2), ("quad:diag=1,100:b=3,-2", "accelerated", 2),

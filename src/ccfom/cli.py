@@ -188,7 +188,12 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"{args.csv}: {exc}") from exc
     except OverflowError:
         raise ConfigError(f"{args.csv}: a k is outside the int64 range") from None
-    outcome = execute_cell(spec, tol)
+    try:  # the stored metadata builds the cell: its errors name the file
+        outcome = execute_cell(spec, tol)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.csv} metadata {exc}") from None
+    except OracleError as exc:
+        raise OracleError(f"{args.csv}: {exc}", iteration=exc.iteration) from None
     table = outcome.rows.rows
     recomputed = table.columns
     n = min(len(rows), len(table))

@@ -404,10 +404,12 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
         terms = zc * np.log(np.where(zc > 0.0, zc, 1.0))  # 0 log 0 = 0
         total = Z[:, 0].copy()
         entropy = terms[:, 0].copy()
+        off = Z[:, 0] < -_SIMPLEX_TOL
         for j in range(1, dim):
             total += Z[:, j]
             entropy += terms[:, j]
-        off = (np.abs(total - 1.0) > _SIMPLEX_TOL) | np.any(Z < -_SIMPLEX_TOL, axis=1)
+            off |= Z[:, j] < -_SIMPLEX_TOL
+        off |= np.abs(total - 1.0) > _SIMPLEX_TOL
         return np.where(off, math.inf, entropy)
 
     def value_batch(X):
@@ -482,13 +484,14 @@ def _least_norm_in_hull(rows: np.ndarray) -> np.ndarray:
     return best
 
 
-def _conjugate_bases(A: np.ndarray, b: np.ndarray) -> Optional[list[tuple[np.ndarray, ...]]]:
+def _conjugate_bases(A: np.ndarray, b: np.ndarray) -> Optional[list[list[tuple[float, list[float], float]]]]:
     """Every invertible basis of the max-of-affine conjugate LP, ready to evaluate.
 
     A basis B is a set of n+1 pieces whose block M_B of M = [A^T; 1^T] is
-    invertible; it is stored as (M_B^{-1}[:, n], M_B^{-1}[:, :n]^T, -b_B), so
-    that lam_B = M_B^{-1} [z; 1] is the first entry plus z_j times row j of
-    the second.  Returns None when enumeration does not give the exact
+    invertible; it is stored as one (c_k, [c_k0, ..., c_k(n-1)], -b_Bk) per
+    weight k, row k of M_B^{-1} split into its last entry and the rest, so
+    that lam_k = (M_B^{-1} [z; 1])_k is c_k plus z_j times c_kj, over Python
+    floats.  Returns None when enumeration does not give the exact
     conjugate or costs too much: no block is invertible (M has rank below
     n+1: the slopes lie in a hyperplane), an invertible block is too
     ill-conditioned to resolve its weights within the slack, or there are
@@ -506,7 +509,8 @@ def _conjugate_bases(A: np.ndarray, b: np.ndarray) -> Optional[list[tuple[np.nda
     if not np.any(invertible) or np.min(rcond[invertible]) < 1.0 / _MAX_BASIS_COND:
         return None
     inverses = np.linalg.inv(blocks[invertible])
-    return [(inv[:, n], inv[:, :n].T.copy(), -b[B]) for B, inv in zip(combos[invertible], inverses)]
+    return [[(w[n], w[:n], nb) for w, nb in zip(inv.tolist(), (-b[B]).tolist())]
+            for B, inv in zip(combos[invertible], inverses)]
 
 
 def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
@@ -518,9 +522,10 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     solution, so it is evaluated exactly by enumeration: every basis B of
     n+1 pieces with M_B = [A_B^T; 1^T] invertible is inverted here once,
     and ``conjugate_batch`` takes the least -<b_B, lam_B> over the bases
-    whose weights lam_B = M_B^{-1} [z; 1] are >= -``_WEIGHT_SLACK`` (all
-    rows at once, one basis at a time, summed column by column so a row's
-    bits do not depend on the batch).  Where enumeration does not apply (M
+    whose weights lam_B = M_B^{-1} [z; 1] are >= -``_WEIGHT_SLACK``: all
+    rows at once, basis by basis and weight by weight, each weight one
+    contiguous column summed over z_0..z_{n-1} in turn, so a row's bits do
+    not depend on the batch.  Where enumeration does not apply (M
     of rank below n+1, a basis with condition number above
     ``_MAX_BASIS_COND``, or more than ``_MAX_CONJUGATE_BASES`` bases)
     ``conjugate_batch`` solves one HiGHS LP per row.  The
@@ -598,14 +603,24 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     else:
 
         def conjugate_batch(Z):
-            zcols = [Z[:, j : j + 1] for j in range(n)]
+            # one contiguous column per weight, not an (N, n+1) array reduced
+            # along its rows, which numpy runs as one short inner loop per
+            # row; the least weight and -<b_B, lam_B> take weights 0..n in turn
+            zcols = [np.ascontiguousarray(Z[:, j]) for j in range(n)]
+            z0, others = zcols[0], range(1, n)
             best = np.full(Z.shape[0], math.inf)
-            for last, rows, neg_b in bases:
-                lam = last + zcols[0] * rows[0]
-                for j in range(1, n):
-                    lam += zcols[j] * rows[j]
-                feasible = np.min(lam, axis=1) >= -_WEIGHT_SLACK
-                np.minimum(best, np.where(feasible, row_dot(lam, neg_b[None]), math.inf), out=best)
+            for basis in bases:
+                low = value = None
+                for c, coefs, nb in basis:
+                    lam = c + z0 * coefs[0]
+                    for j in others:
+                        lam += zcols[j] * coefs[j]
+                    if value is None:
+                        low, value = lam, lam * nb
+                    else:
+                        np.minimum(low, lam, out=low)
+                        value += lam * nb
+                np.minimum(best, np.where(low >= -_WEIGHT_SLACK, value, math.inf), out=best)
             return best
 
     # min_x max_i <a_i, x> + b_i as an LP in (x, t)

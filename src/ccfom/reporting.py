@@ -339,10 +339,9 @@ def _slots(column) -> np.ndarray:
         return cells.float_slots(column)
     if kind in "iub":
         return cells.int_slots(column)
-    texts = column.tolist() if kind == "U" else [fmt(v) for v in column]
-    code = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    table = cells.byte_slots([_cell_bytes(text) for text in code])
-    return table[np.fromiter(map(code.__getitem__, texts), np.intp, len(texts))]
+    texts = column if kind == "U" else np.array([fmt(v) for v in column], dtype=object)
+    distinct, code = np.unique(texts, return_inverse=True)
+    return cells.byte_slots([_cell_bytes(text) for text in distinct.tolist()])[code]
 
 
 def format_rows(columns: Sequence[str], rows: Table) -> Iterator[np.ndarray]:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,7 +222,6 @@ class TestVerify:
         lines[i] = lines[i].rsplit(",", 1)[0]  # no verdict
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
         assert main(["verify", str(bad)]) == 3
         assert capsys.readouterr().err == (
             f"config error: {bad}: row has 10 fields, header has 11\n")
@@ -871,6 +871,9 @@ class TestInputSchema:
         ("extra", "key 'note' is not read by verify"),
         ("missing", "missing required key 'x0'"),
         ("bad value", "eps_rel: expected a positive finite number, got 'abc'"),
+        # values the re-run of the stored cell refuses: the catalog, then x0
+        ("problem", "expected one number, got '2,3' in 'norm:G=2,3:dim=3'"),
+        ("x0", "x0 has dimension 2, expected 1"),
     ])
     def test_metadata_error_names_the_csv(self, tmp_path, capsys, edit, message):
         assert main(["run", "--config", str(run_cfg(tmp_path, **RUN_KV)), "--out", str(tmp_path)]) == 0
@@ -880,11 +883,28 @@ class TestInputSchema:
         elif edit == "missing":
             lines.remove(next(line for line in lines if line.startswith("# x0 = ")))
         else:
-            lines = [("# eps_rel = abc" if line.startswith("# eps_rel = ") else line) for line in lines]
+            key, val = {"bad value": ("eps_rel", "abc"), "problem": ("problem", "norm:G=2,3:dim=3"),
+                        "x0": ("x0", "1,2")}[edit]
+            lines = [(f"# {key} = {val}" if line.startswith(f"# {key} = ") else line) for line in lines]
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(bad)]) == 3
         assert capsys.readouterr().err == f"config error: {bad} metadata {message}\n"
+
+    def test_oracle_failure_on_the_stored_cell_names_the_csv(self, tmp_path, capsys):
+        # f(x0) overflows to +inf at the first oracle query of the re-run
+        assert main(["run", "--config", str(run_cfg(tmp_path, **RUN_KV)), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(("# x0 = 1e200" if line.startswith("# x0 = ") else line)
+                                 for line in lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(bad)]) == 4
+        message = f"{bad}: objective value is not finite at iteration 0"
+        assert capsys.readouterr().err == f"oracle failure: {message}\n"
+        with pytest.raises(ccfom.OracleError) as raised:
+            ccfom.cli.cmd_verify(SimpleNamespace(csv=str(bad), eps_rel=None, eps_abs=None))
+        assert (str(raised.value), raised.value.iteration) == (message, 0)
 
     @pytest.mark.parametrize("flag,key", [("--eps-rel", "eps_rel"), ("--eps-abs", "eps_abs")])
     def test_bad_tolerance_flag_to_verify_keeps_its_message(self, tmp_path, capsys, flag, key):

@@ -560,6 +560,26 @@ def test_oracle_error_is_that_of_a_per_step_check(run, nonfinite, faults):
 
 
 @pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize("nonfinite", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_g_non_finite_in_its_last_coordinate_alone_is_found_at_its_k(run, nonfinite):
+    # the block check tests g column by column: one bad coordinate, the
+    # last, stops the run at its k, as a per-step check of the whole row does
+    p = ccfom.from_id("quad:diag=1,10,3")
+    queries = itertools.count()
+
+    def subgradient(x):
+        g = list(p.subgradient(x))
+        if next(queries) == 5:
+            g[-1] = nonfinite
+        return g
+
+    with pytest.raises(OracleError) as err:
+        run(dataclasses.replace(p, subgradient=subgradient), [1.0, -2.0, 0.5], 8)
+    assert str(err.value) == "subgradient is not finite at iteration 5"
+    assert err.value.iteration == 5
+
+
+@pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
 @pytest.mark.parametrize("faults", _FAULTS, ids=[str(f) for f in _FAULTS])
 def test_blocked_check_raises_the_per_step_error(run, faults, monkeypatch):
     # blocks of 3 rows put faults on both sides of block boundaries: the

@@ -165,6 +165,11 @@ class TestLogSumExp:
         assert p.conjugate(np.array([1.2, -0.2])) == math.inf
         # vertex of the simplex: 1*log(1) = 0
         assert p.conjugate(np.array([1.0, 0.0])) == 0.0
+        # summing to one, negative in one coordinate alone: the last, then each other
+        p3 = ccfom.make_log_sum_exp(3)
+        for z in ([0.55, 0.5, -0.05], [0.5, -0.05, 0.55], [-0.05, 0.55, 0.5]):
+            assert p3.conjugate(np.array(z)) == math.inf
+        assert math.isfinite(p3.conjugate(np.array([0.5, 0.5, 0.0])))
 
     def test_gradient_is_stable_for_large_inputs(self):
         p = ccfom.make_log_sum_exp(2)
@@ -408,6 +413,55 @@ def test_maxaff_conjugate_exact_inequalities(pid, rng):
     for x in sample_points(rng, n, n=30):
         zx, fx = Z @ x, p.value(x)
         assert np.all(fstar >= zx - fx - 1e-12 * (1.0 + np.abs(zx) + abs(fx) + np.abs(fstar)))
+
+
+def _enumerated_2d(bases, n):
+    """The enumerated conjugate with each basis's weights as one (N, n+1) array,
+    reduced along its rows: the form the weight-by-weight batch must meet bit for bit."""
+    arrays = [(np.array([w[0] for w in basis]), np.array([w[1] for w in basis]).T.copy(),
+               np.array([w[2] for w in basis])) for basis in bases]
+
+    def conjugate_batch(Z):
+        zcols = [Z[:, j : j + 1] for j in range(n)]
+        best = np.full(Z.shape[0], math.inf)
+        for last, rows, neg_b in arrays:
+            lam = last + zcols[0] * rows[0]
+            for j in range(1, n):
+                lam += zcols[j] * rows[j]
+            feasible = np.min(lam, axis=1) >= -ccfom.problems._WEIGHT_SLACK
+            value = ccfom.problems.row_dot(lam, neg_b[None])
+            np.minimum(best, np.where(feasible, value, math.inf), out=best)
+        return best
+
+    return conjugate_batch
+
+
+@pytest.mark.parametrize("pid", MAXAFF_IDS)
+def test_enumerated_conjugate_is_bitwise_the_2d_form(pid, rng):
+    p, A, b = maxaff_with_pieces(pid)
+    n = A.shape[1]
+    bases = ccfom.problems._conjugate_bases(A, b)
+    assert bases is not None
+    # the z_k of a K=1000 run (NaN rows below its start), rows inside and
+    # outside the hull, rows on its faces, and rows holding NaN and +-inf
+    trace = ccfom.run_subgradient(p, rng.uniform(-2.0, 2.0, n), ccfom.StepSchedule.horizon_sqrt(1000), 1000)
+    cert = ccfom.build_certificate(trace, p)
+    parts = [cert.z, maxaff_rows(rng, A)[0]]
+    if n == 1:
+        parts.append([[A.min()], [A.max()]])
+    else:
+        faces = A[scipy.spatial.ConvexHull(A).simplices]  # (facets, n, n): n slopes per facet
+        parts.append(np.einsum("fi,fij->fj", rng.dirichlet(np.ones(n), size=len(faces)), faces))
+    special = rng.standard_normal((60, n))
+    special[rng.random((60, n)) < 0.4] = math.nan
+    special[:20][rng.random((20, n)) < 0.5] = math.inf
+    special[20:40][rng.random((20, n)) < 0.5] = -math.inf
+    parts += [special, np.full((1, n), math.nan), np.full((1, n), math.inf), np.full((1, n), -math.inf)]
+    Z = np.vstack(parts)
+    with np.errstate(invalid="ignore"):
+        got, want = p.conjugate_batch(Z), _enumerated_2d(bases, n)(Z)
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got[cert.start_index : len(cert.z)]).all() and np.isinf(got).any()
 
 
 class TestCatalogIds:

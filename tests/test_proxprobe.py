@@ -73,6 +73,10 @@ class TestRegularizers:
         assert np.allclose(psi.prox(np.array([-1.0, 2.0]), 1.0), [0.0, 2.0])
         assert _value(psi, [-0.1, 1.0]) == math.inf
         assert _value(psi, [0.5, 1.0]) == 0.0
+        # outside in the last coordinate alone: above, below, NaN; on the bounds
+        for last in (10.5, -1e-300, math.nan):
+            assert _value(psi, [0.5, last]) == math.inf
+        assert _value(psi, [10.0, 0.0]) == _value(psi, [0.0, 10.0]) == 0.0
 
     @pytest.mark.parametrize("x,t", [(3.0, 1.0), (-1.7, 0.25), (0.2, 2.0)])
     def test_l1_prox_matches_grid(self, x, t):

@@ -123,8 +123,9 @@ def test_prefixed_blocks_are_bytewise_those_of_csv_writer(tmp_path, n):
 
 def test_a_text_cell_holding_nul_is_refused(tmp_path):
     """The grid drops NUL bytes, so a cell that holds one cannot be written."""
-    with pytest.raises(ValueError, match="NUL"):
-        write_csv(tmp_path / "t.csv", {}, ["t"], Table({"t": ["a\0b"]}))
+    for column in (["a\0b"], np.array(["PASS", "a\0b", "PASS"])):  # a list, and a `U` array
+        with pytest.raises(ValueError, match="NUL"):
+            write_csv(tmp_path / "t.csv", {}, ["t"], Table({"t": column}))
     with pytest.raises(ValueError, match="NUL"):
         with open_csv(tmp_path / "p.csv", {}, ["p", "k"]) as write:
             for grid in format_rows(["k"], Table({"k": np.arange(3)})):

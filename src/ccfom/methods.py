@@ -192,10 +192,7 @@ def _check_block(p: ProblemInstance, q: np.ndarray, g: np.ndarray, lo: int, hi: 
     A per-step check tests f(q[k]), then g[k], at each k in turn, so it
     stops at the first non-finite g, or at a non-finite f at or before it.
     """
-    finite = np.isfinite(g[lo:hi, 0])
-    for j in range(1, g.shape[1]):  # by column: numpy runs a row reduction a row at a time
-        finite &= np.isfinite(g[lo:hi, j])
-    bad_g = np.flatnonzero(~finite)
+    bad_g = np.flatnonzero(~np.isfinite(g[lo:hi]).all(axis=1))
     last = lo + int(bad_g[0]) if bad_g.size else hi - 1
     bad_f = np.flatnonzero(~np.isfinite(p.value_batch(q[lo : last + 1])))
     if bad_f.size:

@@ -404,12 +404,10 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
         terms = zc * np.log(np.where(zc > 0.0, zc, 1.0))  # 0 log 0 = 0
         total = Z[:, 0].copy()
         entropy = terms[:, 0].copy()
-        off = Z[:, 0] < -_SIMPLEX_TOL
         for j in range(1, dim):
             total += Z[:, j]
             entropy += terms[:, j]
-            off |= Z[:, j] < -_SIMPLEX_TOL
-        off |= np.abs(total - 1.0) > _SIMPLEX_TOL
+        off = (np.abs(total - 1.0) > _SIMPLEX_TOL) | np.any(Z < -_SIMPLEX_TOL, axis=1)
         return np.where(off, math.inf, entropy)
 
     def value_batch(X):

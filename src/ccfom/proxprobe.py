@@ -152,9 +152,7 @@ def make_box(lo, hi) -> Regularizer:
         raise ValueError("lo must be componentwise below hi")
 
     def value_batch(X):
-        inside = (X[:, 0] >= lo[0]) & (X[:, 0] <= hi[0])
-        for j in range(1, lo.size):
-            inside &= (X[:, j] >= lo[j]) & (X[:, j] <= hi[j])
+        inside = np.all((X >= lo) & (X <= hi), axis=1)
         return np.where(inside, 0.0, math.inf)
 
     lo_f, hi_f = lo.tolist(), hi.tolist()

@@ -222,6 +222,7 @@ class TestVerify:
         lines[i] = lines[i].rsplit(",", 1)[0]  # no verdict
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
         assert main(["verify", str(bad)]) == 3
         assert capsys.readouterr().err == (
             f"config error: {bad}: row has 10 fields, header has 11\n")

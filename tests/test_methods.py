@@ -562,8 +562,8 @@ def test_oracle_error_is_that_of_a_per_step_check(run, nonfinite, faults):
 @pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
 @pytest.mark.parametrize("nonfinite", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_g_non_finite_in_its_last_coordinate_alone_is_found_at_its_k(run, nonfinite):
-    # the block check tests g column by column: one bad coordinate, the
-    # last, stops the run at its k, as a per-step check of the whole row does
+    # one bad coordinate of g, the last, stops the run at its k, as a
+    # per-step check of the whole row does
     p = ccfom.from_id("quad:diag=1,10,3")
     queries = itertools.count()
 

@@ -27,14 +27,11 @@ from .methods import (
     run_accelerated,
     run_gradient,
     run_subgradient,
-    theta_next,
     theta_sequence,
 )
-from .oracle import GridSpec, conjugate_by_grid, lipschitz_estimate, min_by_grid
 from .problems import (
     ProblemInstance,
     as_point,
-    fenchel_gap,
     from_id,
     make_log_sum_exp,
     make_max_affine,

@@ -51,8 +51,8 @@ it.  The checks, in report order:
 A record's verdict is FAIL where any check fails, else VACUOUS on a vacuous
 record, else PASS.  Each check is one array expression over all records,
 and every per-k number a run has (``lhs_series``, the table's ``cert_k``)
-is one entry of such an array.  ``theorem_bound`` and
-``certificate_value_raw`` are formulas that need no run.
+is one entry of such an array.  ``theorem_bound`` is a formula that needs
+no run.
 
 Index bookkeeping: ``start_index`` is 0 for the subgradient certificate and
 1 for the gradient/accelerated ones.  It is read off the method
@@ -83,7 +83,6 @@ __all__ = [
     "Check",
     "CheckTable",
     "build_certificate",
-    "certificate_value_raw",
     "lhs_series",
     "verify_chain",
     "verify_induction_all",
@@ -199,12 +198,6 @@ def _certificate_terms(p: ProblemInstance, Z: np.ndarray, mu, x0: np.ndarray):
     zx0, half = _quad_min_terms(Z, mu, x0)
     value = np.where(np.isinf(fstar), -math.inf, -fstar + (zx0 - half))
     return fstar, zx0, half, value
-
-
-def certificate_value_raw(p: ProblemInstance, z: np.ndarray, mu: float, x0: np.ndarray) -> float:
-    """-f*(z) + <z, x0> - ||z||^2/(2 mu); -inf when z is outside dom(f*)."""
-    z = np.asarray(z, dtype=float)
-    return float(_certificate_terms(p, z[None], mu, np.asarray(x0, dtype=float))[3][0])
 
 
 def lhs_series(trace: MethodTrace, p: ProblemInstance, f_values: Optional[np.ndarray] = None) -> np.ndarray:

@@ -32,7 +32,6 @@ __all__ = [
     "check_trace_budget",
     "StepSchedule",
     "MethodTrace",
-    "theta_next",
     "theta_sequence",
     "run_subgradient",
     "run_gradient",
@@ -115,24 +114,16 @@ class StepSchedule:
         raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
-def theta_next(theta_k: float) -> float:
-    """The momentum parameter after theta_k.
-
-    Unique positive root of theta^2 + theta_k^2 * theta - theta_k^2 = 0,
-    evaluated in the cancellation-free form 2*theta_k/(sqrt(theta_k^2+4)+theta_k).
-    Always lies in (0, 1).
-    """
-    if not (0.0 < theta_k <= 1.0):
-        raise ValueError(f"theta_k must be in (0, 1], got {theta_k}")
-    return 2.0 * theta_k / (math.sqrt(theta_k * theta_k + 4.0) + theta_k)
-
-
 def theta_sequence(K: int) -> np.ndarray:
-    """theta_0..theta_K with theta_0 = 1 and the defining recurrence."""
+    """theta_0..theta_K with theta_0 = 1 and the defining recurrence.
+
+    theta_{k+1} is the unique positive root of
+    theta^2 + theta_k^2 * theta - theta_k^2 = 0, evaluated in the
+    cancellation-free form 2*theta_k/(sqrt(theta_k^2+4)+theta_k), and lies
+    in (0, 1).
+    """
     if K < 0:
         raise ValueError("K must be >= 0")
-    # theta_next's formula without its range check: every theta it gives
-    # lies in (0, 1], which the check would test again at each k
     sqrt = math.sqrt
     theta = np.empty(K + 1)
     th = theta[0] = 1.0

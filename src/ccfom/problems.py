@@ -27,7 +27,6 @@ __all__ = [
     "ProblemInstance",
     "as_point",
     "row_dot",
-    "fenchel_gap",
     "make_quadratic",
     "make_scaled_norm",
     "make_log_sum_exp",
@@ -199,17 +198,6 @@ class ProblemInstance:
             return None
         x = as_point(x, self.dim, "x")
         return float(np.linalg.norm(x - self.project_to_solution(x)))
-
-
-def fenchel_gap(p: ProblemInstance, z, x) -> float:
-    """f*(z) + f(x) - <z, x>.
-
-    Nonnegative for every pair, zero exactly when z is a subgradient of f
-    at x.  Returns +inf when z lies outside dom(f*).
-    """
-    z = as_point(z, p.dim, "z")
-    x = as_point(x, p.dim, "x")
-    return _one_row(p.conjugate_batch)(z) + _one_row(p.value_batch)(x) - float(z @ x)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 __all__ = [
     "Regularizer",
     "CompositeProblem",
+    "soft_threshold",
     "make_l1",
     "make_box",
     "make_zero",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, as_point
+from ccfom.problems import ProblemInstance, as_point
 
 __all__ = ["GridSpec", "GridMax", "conjugate_by_grid", "min_by_grid", "lipschitz_estimate"]
 

@@ -20,9 +20,9 @@ from ccfom.certificates import (
 )
 from ccfom.cli import main
 from ccfom.methods import StepSchedule, theta_sequence
-from ccfom.oracle import GridSpec, conjugate_by_grid, lipschitz_estimate, min_by_grid
 from ccfom.proxprobe import CompositeProblem, lasso_suite, make_zero, probe_instance
 from ccfom.reporting import read_csv
+from gridoracle import GridSpec, conjugate_by_grid, lipschitz_estimate, min_by_grid
 
 EPS_REL = 1e-9
 EPS_ABS = 1e-9

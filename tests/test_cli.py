@@ -961,6 +961,26 @@ class TestInputSchema:
         bad.write_text("\n".join(forged) + "\n")
         assert main(["verify", str(bad)]) == 3
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: verify applies any finite eps_abs "
+                       "that the CSV's metadata states, so the forged rows reproduce")
+    def test_huge_finite_tolerance_in_metadata_fails_verify(self, tmp_path):
+        # every f_xk and cert_k forged, under a tolerance that admits any value
+        cfg = run_cfg(tmp_path, problem="quad:diag=1,10", method="accelerated", x0="1.0,1.0",
+                      iterations=200)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("k,"))
+        forged = [re.sub(r"^# eps_abs = .*", "# eps_abs = 1e300", line) for line in lines[: header + 1]]
+        assert "# eps_abs = 1e300" in forged
+        for line in lines[header + 1:]:
+            parts = line.split(",")
+            parts[1], parts[3] = "12345", "-99"  # f_xk, cert_k
+            forged.append(",".join(parts))
+        bad = tmp_path / "forged.csv"
+        bad.write_text("\n".join(forged) + "\n")
+        assert main(["verify", str(bad)]) == 2
+
     def test_duplicate_metadata_key_exits_3(self, tmp_path, capsys):
         assert main(["run", "--config", str(run_cfg(tmp_path, **RUN_KV)), "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "run.csv").read_text().splitlines()

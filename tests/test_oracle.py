@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ccfom
-from ccfom.oracle import GridSpec, conjugate_by_grid, lipschitz_estimate, min_by_grid
+from gridoracle import GridSpec, conjugate_by_grid, lipschitz_estimate, min_by_grid
 
 
 def grid1d(points=8001, lo=-4.0, hi=4.0):

@@ -87,7 +87,6 @@ __all__ = [
     "verify_chain",
     "verify_induction_all",
     "theorem_bound",
-    "reference_value",
     "mu_closed_form_residuals",
     "verify_certificate",
     "verify_run",
@@ -135,10 +134,9 @@ class DualCertificate:
 def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate:
     """Construct the dual sequences for ``trace``.
 
-    The g_k feeding the recursion are the oracle outputs at the designated
-    points y_k, which the trace already stores: trace.g[k+1] for the
-    subgradient method (a subgradient at x_{k+1}) and trace.g[k] for the
-    gradient and accelerated methods (the gradient at x_k resp. y_k).
+    z_start = g_0, and the step from record k takes the next oracle output,
+    trace.g[k + 1 - start]: a subgradient at x_{k+1} for the subgradient
+    method, the gradient at x_k resp. y_k for the gradient and accelerated ones.
 
     For ``prox_accelerated`` traces, ``p`` must be the smooth part of the
     composite objective; the construction is the accelerated one verbatim.
@@ -159,7 +157,7 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
     z[start] = trace.g[0]
     mu[start] = mu_k
     z_k = z[start].tolist()
-    g = trace.g[spec.offset + start : spec.offset + K]
+    g = trace.g[1 : K + 1 - start]
     # The recursion in blocks of _BLOCK_ROWS steps, one coordinate at a time
     # over Python floats: z_j * c + s is the same two IEEE operations in the
     # same order as z[k+1] = (1 - theta_k) z[k] + theta_k g_k row by row,
@@ -366,7 +364,6 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
 def verify_induction_all(
     trace: MethodTrace,
     cert: DualCertificate,
-    p: ProblemInstance,
     lhs_values: np.ndarray,
     f_queries: np.ndarray,
     tol: Tolerances = DEFAULT_TOLERANCES,
@@ -384,8 +381,9 @@ def verify_induction_all(
     x0 - y_k - z_k/mu_k (``query_point``, subgradient/gradient), or the
     momentum identities (accelerated): ``extrapolation`` for
     y_k = (1-theta_k) x_k + theta_k (x0 - z_k/mu_k), and ``theta_mu_ratio``
-    for theta_k^2/((1-theta_k) mu_k) = 1/L.  No step leaves k = K, so there
-    the checks do not apply and their margins are NaN.
+    for theta_k^2/((1-theta_k) mu_k) = t_k, the run's own step.  Every input
+    is the run's: the problem is read only through ``f_queries``.  No step
+    leaves k = K, so there the checks do not apply and their margins are NaN.
     """
     spec = method_spec(trace.method)
     lo, hi = cert.start_index, trace.horizon
@@ -393,10 +391,10 @@ def verify_induction_all(
     th = cert.theta[lo:hi]
     Z = cert.z[lo:hi]
     mu = cert.mu[lo:hi]
-    at_query = slice(lo + spec.offset, hi + spec.offset)
-    f_y = f_queries[at_query]
-    Y = getattr(trace, spec.query)[at_query]
-    g = trace.g[at_query]
+    fed = slice(1, hi + 1 - lo)  # the step from record k reads row k + 1 - start
+    f_y = f_queries[fed]
+    Y = (trace.y if spec.momentum else trace.x)[fed]
+    g = trace.g[fed]
     z_mu = Z / mu[:, None]
     W = x0 - Y - z_mu
     gw = row_dot(g, W)
@@ -421,11 +419,8 @@ def verify_induction_all(
             -_row_norms(Y - (a * X + b * (x0 - z_mu))),
             tol.bound(_row_norms(Y), _row_norms(X), x0_norm, z_norm),
         )
-        L = p.lipschitz_grad
-        steps["theta_mu_ratio"] = (
-            -np.abs(th * th / ((1.0 - th) * mu) - 1.0 / L),
-            np.full(th.shape, tol.bound(1.0 / L)),
-        )
+        t = trace.t[lo:hi]
+        steps["theta_mu_ratio"] = (-np.abs(th * th / ((1.0 - th) * mu) - t), tol.bound(t))
 
     applicable = np.arange(lo, hi + 1) < hi
     return {
@@ -450,28 +445,12 @@ def mu_closed_form_residuals(
     return out
 
 
-def reference_value(p: ProblemInstance, x0) -> Optional[float]:
-    """Objective value at the designated reference point.
-
-    Equals the optimal value when a minimizer exists; for instances without
-    one (see ``solution_provenance``) it is f at the projection of x0 onto
-    the reference set, which still yields valid instances of the bounds.
-    """
-    if p.optimal_value is not None:
-        return p.optimal_value
-    if p.project_to_solution is None:
-        return None
-    x0 = as_point(x0, p.dim, "x0")
-    reference = np.asarray(p.project_to_solution(x0), dtype=float)
-    return float(p.value_batch(reference[None])[0])
-
-
 def theorem_bound(
     p: ProblemInstance,
     x0,
     method: str,
     k: int,
-    schedule=None,
+    steps: Sequence[float] = (),
 ) -> Optional[float]:
     """Closed-form suboptimality bound at iteration k, or None if the
     distance to the reference set is unavailable.
@@ -479,6 +458,9 @@ def theorem_bound(
     subgradient   (dist^2 + G^2 sum_{i<=k} t_i^2) / (2 sum_{i<=k} t_i)
     gradient      L dist^2 / (2k)
     accelerated   2 L dist^2 / (k+1)^2
+
+    ``steps`` is t_0..t_k (a run's ``trace.t``, or a schedule resolved at
+    its horizon); the subgradient bound raises ValueError without k+1 of them.
     """
     spec = method_spec(method)
     x0 = as_point(x0, p.dim, "x0")
@@ -486,17 +468,7 @@ def theorem_bound(
     if dist is None:
         return None
     spec.require(p, k)
-    return float(spec.bound(p, dist, np.asarray(k), schedule))
-
-
-def default_test_points(p: ProblemInstance, x0) -> list[np.ndarray]:
-    """Reference point (when available) plus the start point itself."""
-    x0 = as_point(x0, p.dim, "x0")
-    pts = []
-    if p.project_to_solution is not None:
-        pts.append(np.asarray(p.project_to_solution(x0), dtype=float))
-    pts.append(np.asarray(x0, dtype=float))
-    return pts
+    return float(spec.bound(p, dist, np.asarray(k), steps))
 
 
 def verify_certificate(
@@ -508,23 +480,29 @@ def verify_certificate(
 ) -> CheckTable:
     """Every check on ``trace`` and its certificate ``cert``, one table over k = start..K.
 
-    f is evaluated over the iterates once (and once over the query points
-    when they are not the iterates); every check reads those values.
+    x0 is projected onto the reference set once: the default test points,
+    the reference value (unless the optimal value is known) and the distance
+    are read off that one point.  f is evaluated over the iterates once (and
+    once over the query points when they are not the iterates).
     """
     spec = method_spec(trace.method)
     x0 = trace.x[0]
-    pts = default_test_points(p, x0) if test_points is None else test_points
+    reference, distance, pts = p.optimal_value, None, [x0]
+    if p.project_to_solution is not None:
+        x_ref = np.asarray(p.project_to_solution(x0), dtype=float)
+        pts, distance = [x_ref, x0], float(np.linalg.norm(x0 - x_ref))
+        if reference is None:
+            reference = float(p.value_batch(x_ref[None])[0])
     f_x = p.value_batch(trace.x)
     lhs_vals = lhs_series(trace, p, f_x)
-    chain = verify_chain(trace, cert, p, lhs_vals, pts, tol)
-    f_queries = f_x if spec.query == "x" else p.value_batch(getattr(trace, spec.query))
-    steps = verify_induction_all(trace, cert, p, lhs_vals, f_queries, tol)
+    chain = verify_chain(trace, cert, p, lhs_vals, pts if test_points is None else test_points, tol)
+    f_queries = p.value_batch(trace.y) if spec.momentum else f_x
+    steps = verify_induction_all(trace, cert, lhs_vals, f_queries, tol)
     mu_residuals = mu_closed_form_residuals(trace, cert, p)
 
     start, ks = cert.start_index, chain.ks
     n = ks.size
     f_k = f_x[start:]
-    reference, distance = reference_value(p, x0), p.distance_to_solution(x0)
     bound = np.full(n, math.nan) if distance is None else spec.bound(p, distance, ks, trace.t)
     gap = np.full(n, math.nan)
     if reference is not None:

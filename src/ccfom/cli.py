@@ -305,7 +305,8 @@ def cmd_sweep(args) -> int:
                 f"cell {i} ({label}): {'PASS' if outcome.exit_code == 0 else 'FAIL'} "
                 f"({len(outcome.rows.rows)} rows; {cell_path})"
             )
-            series.extend(_series_for(outcome, label))
+            if "svg" in out:
+                series.extend(_series_for(outcome, label))
 
     write_report(out["report"], [f"sweep: {len(cells)} cells"], report_lines)
     if "svg" in out:
@@ -324,15 +325,17 @@ def cmd_conjecture(args) -> int:
     tol, K = cfg.tolerances(), cfg["iterations"]
     out = _outputs(args.out, cfg, "csv", "report")
     if cfg.mode == SUITE:
-        probes = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
         counts = ("instances", "dim", "iterations", "seed")
         meta = {"suite": "lasso", **{key: fmt(cfg[key]) for key in counts},
                 "psi": "l1 (per-instance lambda)", "note": Z_RECURSION_NOTE}
         columns = ["instance"] + CONJECTURE_COLUMNS
+        results = []
+        # each instance's rows are written as it is probed; only its result is kept
         with open_csv(out["csv"], meta, columns) as write:
-            for i, probe in enumerate(probes):
+            for i, probe in enumerate(lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)):
                 for grid in format_rows(CONJECTURE_COLUMNS, conjecture_rows(*probe)):
                     write(grid, (i,))
+                results.append(probe[-1])
     else:
         spec = cfg.single_cell()
         phi = spec.build_problem()
@@ -341,7 +344,8 @@ def cmd_conjecture(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         x0 = resolve_x0(spec.x0_spec, cp.dim)
-        probes = [(cp, *probe_instance(cp, x0, K, tol))]
+        probe = (cp, *probe_instance(cp, x0, K, tol))
+        results = [probe[-1]]
         meta = {
             "problem": spec.problem_id,
             "psi": cp.psi.label,
@@ -352,9 +356,9 @@ def cmd_conjecture(args) -> int:
             "eps_abs": fmt(tol.eps_abs),
             "note": Z_RECURSION_NOTE,
         }
-        write_csv(out["csv"], meta, CONJECTURE_COLUMNS, conjecture_rows(*probes[0]))
+        write_csv(out["csv"], meta, CONJECTURE_COLUMNS, conjecture_rows(*probe))
 
-    lines = conjecture_report([result for *_, result in probes], suite=cfg.mode == SUITE)
+    lines = conjecture_report(results, suite=cfg.mode == SUITE)
     write_report(out["report"], [Z_RECURSION_NOTE], lines)
     print(lines[-1])  # the summary line
     return EXIT_PASS

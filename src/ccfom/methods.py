@@ -387,15 +387,17 @@ class MethodSpec:
         z_{k+1} = (1 - theta_k) z_k + theta_k g_k,   mu_{k+1} = (1 - theta_k) mu_k
 
     started at k = ``start`` from z = trace.g[0] and mu = the closed form of
-    mu at ``start``, with g_k a subgradient at the query point y_k:
-    (y_k, g_k) = (trace.<query>[k + offset], trace.g[k + offset]).
+    mu at ``start``.  Each step then takes the next oracle output: the step
+    from record k reads g_k = trace.g[k + 1 - start], a subgradient at the
+    query point y_k, the same row of trace.y for a method with momentum and
+    of trace.x otherwise.  Steps are read from trace.t alone.
 
     smooth           needs L (so a differentiable f), and runs only with its
                      default schedule t_k = 1/L, for which its theorem is
                      stated; a method that is not smooth needs G
     momentum         theta_k comes from the run, which also fills the
-                     theta_k column; the identity checks are the momentum
-                     identities instead of query_point
+                     theta_k column and queries y_k; the identity checks are
+                     the momentum identities instead of query_point
     running_min_gap  the suboptimality gap is that of the best iterate so far
     monotone         f(x_k) must not increase
     g_ball           ||z_k|| > G(1+eps) is a hard failure (z_k averages subgradients)
@@ -404,8 +406,6 @@ class MethodSpec:
     name: str
     start: int  # first certificate index; also the least horizon K
     smooth: bool
-    query: str
-    offset: int
     momentum: bool
     running_min_gap: bool
     monotone: bool
@@ -415,8 +415,8 @@ class MethodSpec:
     # LHS_k(trace, p, f) and the closed form mu_k(trace, L), for k = 0..K, NaN below start
     lhs: Callable[[MethodTrace, ProblemInstance, np.ndarray], np.ndarray]
     mu: Callable[[MethodTrace, Optional[float]], np.ndarray]
-    # (p, dist, k, schedule) -> the theorem's bound at k; k an int or an array of them
-    bound: Callable[[ProblemInstance, float, object, object], object]
+    # (p, dist, k, t) -> the theorem's bound at k (an int or an array of them); t = t_0..t_k
+    bound: Callable[[ProblemInstance, float, object, np.ndarray], object]
     run: Optional[Callable[..., MethodTrace]]  # (p, x0, schedule, K); None: no plain run
 
     def require(self, p: ProblemInstance, K: int) -> None:
@@ -445,22 +445,13 @@ def _subgradient_lhs(trace, p, f):
     return (weighted - 0.5 * G * G * squares) / totals
 
 
-def _subgradient_bound(p, dist, k, schedule):
+def _subgradient_bound(p, dist, k, t):
     # (dist^2 + G^2 sum_{i<=k} t_i^2) / (2 sum_{i<=k} t_i), from running sums
-    if schedule is None:
-        raise ValueError("subgradient bound needs the step schedule")
     k = np.asarray(k)
     last = int(k.max())
-    if isinstance(schedule, StepSchedule):
-        # a fixed-length schedule is resolved at its own horizon: a run it
-        # drives takes the same steps, whatever k is asked for
-        fixed = {"horizon_sqrt": schedule.horizon, "explicit": len(schedule.values or ()) - 1}
-        steps = schedule.resolve(fixed.get(schedule.kind, last), p.lipschitz_grad)
-    else:
-        steps = np.asarray(schedule, dtype=float)
-    if steps.size < last + 1:
-        raise ValueError(f"schedule provides {steps.size} steps, need {last + 1}")
-    ts = steps[: last + 1]
+    ts = np.asarray(t, dtype=float)[: last + 1]
+    if ts.size < last + 1:
+        raise ValueError(f"the bound at k={last} needs {last + 1} steps, got {ts.size}")
     G = p.lipschitz_f
     return (dist * dist + G * G * np.cumsum(ts * ts)[k]) / (2.0 * np.cumsum(ts)[k])
 
@@ -474,7 +465,7 @@ def _trace_theta(trace):
 # The run functions are looked up by name when called, so a wrapper that
 # replaces one of them on this module is also called through the table.
 _SUBGRADIENT = MethodSpec(
-    name="subgradient", start=0, smooth=False, query="x", offset=1, momentum=False,
+    name="subgradient", start=0, smooth=False, momentum=False,
     running_min_gap=True, monotone=False, g_ball=True, default_schedule="horizon_sqrt",
     theta=lambda trace: trace.t[1:] / np.cumsum(trace.t)[1:],
     lhs=_subgradient_lhs,
@@ -483,7 +474,7 @@ _SUBGRADIENT = MethodSpec(
     run=lambda p, x0, schedule, K: run_subgradient(p, x0, schedule, K),
 )
 _GRADIENT = MethodSpec(
-    name="gradient", start=1, smooth=True, query="x", offset=0, momentum=False,
+    name="gradient", start=1, smooth=True, momentum=False,
     running_min_gap=False, monotone=True, g_ball=False, default_schedule="inverse_L",
     theta=lambda trace: 1.0 / np.arange(2, trace.horizon + 1),  # 1/(k+1)
     # (f(x_1) + ... + f(x_k)) / k
@@ -491,17 +482,17 @@ _GRADIENT = MethodSpec(
         trace.horizon, np.cumsum(f[1:]) / np.arange(1, trace.horizon + 1)
     ),
     mu=lambda trace, L: _from_k1(trace.horizon, L / np.arange(1, trace.horizon + 1)),  # L/k
-    bound=lambda p, dist, k, schedule: p.lipschitz_grad * dist * dist / (2.0 * k),
+    bound=lambda p, dist, k, t: p.lipschitz_grad * dist * dist / (2.0 * k),
     run=lambda p, x0, schedule, K: run_gradient(p, x0, K),
 )
 _ACCELERATED = MethodSpec(
-    name="accelerated", start=1, smooth=True, query="y", offset=0, momentum=True,
+    name="accelerated", start=1, smooth=True, momentum=True,
     running_min_gap=False, monotone=False, g_ball=False, default_schedule="inverse_L",
     theta=_trace_theta,
     lhs=lambda trace, p, f: _from_k1(trace.horizon, f[1:]),  # f(x_k)
     # L theta_{k-1}^2
     mu=lambda trace, L: _from_k1(trace.horizon, L * trace.theta[:-1] ** 2),
-    bound=lambda p, dist, k, schedule: 2.0 * p.lipschitz_grad * dist * dist / ((k + 1) ** 2),
+    bound=lambda p, dist, k, t: 2.0 * p.lipschitz_grad * dist * dist / ((k + 1) ** 2),
     run=lambda p, x0, schedule, K: run_accelerated(p, x0, K),
 )
 _METHODS = {

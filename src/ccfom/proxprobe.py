@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -357,15 +357,15 @@ def lasso_suite(
     K: int,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[tuple[CompositeProblem, MethodTrace, DualCertificate, ProbeResult]]:
+) -> Iterator[tuple[CompositeProblem, MethodTrace, DualCertificate, ProbeResult]]:
     """Probe ``instances`` seeded lasso composites (seeds ``seed``, ``seed`` + 1, ...)
     for K iterations each, from their start points.
 
-    Returns, per instance in seed order, the composite followed by the
-    (trace, certificate, result) of :func:`probe_instance`.
+    Yields, per instance in seed order, the composite followed by the
+    (trace, certificate, result) of :func:`probe_instance`.  Each instance
+    is built and probed when it is asked for, so a caller that keeps only
+    the results holds one trace at a time.
     """
-    probes = []
     for i in range(instances):
         cp, x0 = lasso_instance(dim, seed + i)
-        probes.append((cp, *probe_instance(cp, x0, K, tol)))
-    return probes
+        yield (cp, *probe_instance(cp, x0, K, tol))

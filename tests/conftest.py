@@ -50,7 +50,7 @@ def row_recursion(trace, p):
     mu = np.full(K + 1, math.nan)
     theta = np.full(K + 1, math.nan)
     theta[start:K] = spec.theta(trace)
-    g = trace.g[spec.offset:]
+    g = trace.g[1 - start:]  # the step from record k reads g_{k+1-start}
     z[start] = trace.g[0]
     mu[start] = spec.mu(trace, p.lipschitz_grad)[start]
     for k in range(start, K):

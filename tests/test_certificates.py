@@ -14,10 +14,8 @@ from ccfom.certificates import (
     IDENTITY_CHECKS,
     Check,
     build_certificate,
-    default_test_points,
     lhs_series,
     mu_closed_form_residuals,
-    reference_value,
     theorem_bound,
     verify_certificate,
     verify_chain,
@@ -378,7 +376,7 @@ class TestInduction:
 
 class TestTheoremBound:
     def test_subgradient_equality_instance(self, abs_value):
-        b = theorem_bound(abs_value, [1.0], "subgradient", 0, schedule=np.array([1.0]))
+        b = theorem_bound(abs_value, [1.0], "subgradient", 0, steps=np.array([1.0]))
         assert b == pytest.approx(1.0, abs=1e-15)
 
     def test_gradient_value(self, scalar_quad):
@@ -409,15 +407,16 @@ class TestTheoremBound:
         StepSchedule.explicit([1.0 / (i + 1) ** 0.5 for i in range(11)]),
     ])
     def test_fixed_length_schedule_at_every_k(self, abs_value, schedule):
-        # resolved at its own horizon: the bound at k <= K is that of the
-        # run's own steps, bit for bit, and a k beyond its steps raises
+        # resolved at its horizon: the bound at k <= K is that of the run's
+        # own steps, bit for bit, and a k beyond its steps raises
         K = 10
         trace = ccfom.run_subgradient(abs_value, [1.0], schedule, K)
+        steps = schedule.resolve(K)
         for k in range(K + 1):
-            got = theorem_bound(abs_value, [1.0], "subgradient", k, schedule=schedule)
-            assert got == theorem_bound(abs_value, [1.0], "subgradient", k, schedule=trace.t)
+            got = theorem_bound(abs_value, [1.0], "subgradient", k, steps=steps)
+            assert got == theorem_bound(abs_value, [1.0], "subgradient", k, steps=trace.t)
         with pytest.raises(ValueError):
-            theorem_bound(abs_value, [1.0], "subgradient", K + 1, schedule=schedule)
+            theorem_bound(abs_value, [1.0], "subgradient", K + 1, steps=steps)
 
 
 class TestVerifyRunMatrix:
@@ -493,8 +492,8 @@ def reference_induction(trace, cert, p, tol=TOL):
     out = {}
     for k in range(cert.start_index, trace.horizon):
         th, z, mu = float(cert.theta[k]), cert.z[k], float(cert.mu[k])
-        y = getattr(trace, spec.query)[k + spec.offset]
-        g = trace.g[k + spec.offset]
+        y = (trace.y if spec.momentum else trace.x)[k + 1 - spec.start]
+        g = trace.g[k + 1 - spec.start]
         f_y = p.value(y)
         w = x0 - y - z / mu
         gw = float(g @ w)
@@ -510,8 +509,9 @@ def reference_induction(trace, cert, p, tol=TOL):
             x = trace.x[k]
             res["extrapolation"] = norm(y - ((1.0 - th) * x + th * (x0 - z / mu)))
             rtol["extrapolation"] = _ref_tol(tol, norm(y), norm(x), norm(x0), norm(z) / mu)
-            res["theta_mu_ratio"] = abs(th * th / ((1.0 - th) * mu) - 1.0 / p.lipschitz_grad)
-            rtol["theta_mu_ratio"] = _ref_tol(tol, 1.0 / p.lipschitz_grad)
+            t = float(trace.t[k])
+            res["theta_mu_ratio"] = abs(th * th / ((1.0 - th) * mu) - t)
+            rtol["theta_mu_ratio"] = _ref_tol(tol, t)
         ok = margin >= -tolerance and all(res[n] <= rtol[n] for n in res)
         out[k] = (margin, tolerance, res, rtol, "PASS" if ok else "FAIL")
     return out
@@ -559,7 +559,7 @@ class TestAgainstScalarReference:
     def test_chain_and_induction_match(self, cell):
         p, tr, cert = REFERENCE_CELLS[cell]()
         cert = build_certificate(tr, p) if cert is None else cert
-        pts = default_test_points(p, tr.x[0])
+        pts = [p.project_to_solution(tr.x[0]), tr.x[0]]
         table = verify_certificate(tr, cert, p, pts)
         ref = reference_chain(tr, cert, p, pts)
         assert list(ref) == table.ks.tolist()
@@ -606,7 +606,7 @@ class TestAgainstScalarReference:
         ver = verify_run(tr, p)
         ks = ver.ks.tolist()
         rows = build_rows(tr, p, ver).rows
-        bounds = [theorem_bound(p, tr.x[0], method, k, schedule=tr.t) for k in ks]
+        bounds = [theorem_bound(p, tr.x[0], method, k, steps=tr.t) for k in ks]
         assert rows.columns["theorem_bound_k"].tolist() == bounds
 
 
@@ -734,7 +734,7 @@ def _lowered_f_at_reference():
     p = ccfom.from_id("quad:diag=1,100")
     tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
     cert = build_certificate(tr, p)
-    x_star = default_test_points(p, tr.x[0])[0]
+    x_star = p.project_to_solution(tr.x[0])
     at_ref = verify_chain(tr, cert, p, lhs_series(tr, p), [x_star])
     drop = 0.3
     base = p.value_batch
@@ -763,6 +763,15 @@ FAULTS = {
 }
 
 
+# ROADMAP item 2's finite wrong-g faults, each applied to the oracle's g at one step
+_WRONG_SUBGRADIENT = {
+    "times1.5": lambda g: [1.5 * v for v in g],
+    "zero": lambda g: [0.0] * len(g),
+    "rotated90": lambda g: [-g[1], g[0], *g[2:]],
+    "times1+1e-6": lambda g: [(1.0 + 1e-6) * v for v in g],
+}
+
+
 class TestFalsifiability:
     """Each fault leaves the run's own checks clean and makes exactly the
     listed (k, check) pairs fail in the report."""
@@ -780,8 +789,8 @@ class TestFalsifiability:
         spec = method_spec("gradient")
         true_bound = spec.bound
 
-        def bound(p_, dist, k, schedule):
-            return np.where(np.asarray(k) == 30, 0.0, true_bound(p_, dist, k, schedule))
+        def bound(p_, dist, k, t):
+            return np.where(np.asarray(k) == 30, 0.0, true_bound(p_, dist, k, t))
 
         monkeypatch.setitem(methods._METHODS, "gradient", dataclasses.replace(spec, bound=bound))
         assert fired(tr, p) == {(30, "suboptimality bound")}
@@ -804,20 +813,41 @@ class TestFalsifiability:
         monkeypatch.setitem(methods._METHODS, "accelerated", dataclasses.replace(spec, mu=mu))
         assert fired(tr, p, cert) == {(30, "mu closed form")}
 
+    def test_doubled_step_fires_theta_mu_ratio(self):
+        # theta_mu_ratio compares theta_k^2/((1-theta_k) mu_k) with the run's
+        # own step t_k: a t_30 that the run did not take fails there and
+        # nowhere else
+        p = ccfom.from_id("quad:diag=1,100")
+        tr = ccfom.run_accelerated(p, [1.0, 1.0], 200)
+        t = np.array(tr.t)
+        t[30] *= 2.0
+        assert verify_run(tr, p).failures() == []
+        assert verify_run(dataclasses.replace(tr, t=t), p).failures() == [(30, "theta_mu_ratio")]
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 2: no check tests that g_k is a subgradient at its query point")
     @pytest.mark.parametrize("pid, method", [
         ("quad:diag=1,100", "gradient"), ("quad:diag=1,100", "accelerated"),
         ("norm:G=2:dim=3", "subgradient"), ("maxaff:dim=3:pieces=6:seed=0", "subgradient"),
     ])
-    def test_zero_subgradient_at_one_step_fires_there(self, pid, method):
-        # the oracle is right at every step but step 30 of 200, where it returns g = 0
+    @pytest.mark.parametrize("fault", list(_WRONG_SUBGRADIENT))
+    def test_wrong_subgradient_at_one_step_fires_there(self, pid, method, fault):
+        # the oracle is right at every step but step 30 of 200, where it
+        # returns a finite wrong vector
         p = ccfom.from_id(pid)
         calls = itertools.count()
-        lying = dataclasses.replace(
-            p, subgradient=lambda x: [0.0] * p.dim if next(calls) == 30 else p.subgradient(x))
-        trace = run_method(lying, method, np.ones(p.dim), 200)
-        assert trace.g[30].tolist() == [0.0] * p.dim
+        told = {}
+
+        def lying(x):
+            g = [float(v) for v in p.subgradient(x)]
+            if next(calls) != 30:
+                return g
+            told["true"], told["wrong"] = g, _WRONG_SUBGRADIENT[fault](g)
+            return told["wrong"]
+
+        trace = run_method(dataclasses.replace(p, subgradient=lying), method, np.ones(p.dim), 200)
+        if told["wrong"] == told["true"] or trace.g[30].tolist() != told["wrong"]:
+            pytest.fail("the fault did not reach g_30")  # not an AssertionError: never an xfail
         assert (30, "subgradient") in verify_run(trace, p).failures()
 
 
@@ -996,9 +1026,9 @@ def test_single_point_reads_go_through_the_batches():
     # the batch reaches the reference value
     p = ccfom.from_id("lse:dim=2")
     q = dataclasses.replace(p, value_batch=lambda X: p.value_batch(X) + 1.0)
-    x0 = [3.0, -3.0]
+    tr = ccfom.run_gradient(p, [3.0, -3.0], 5)
     assert p.optimal_value is None
-    assert reference_value(q, x0) == reference_value(p, x0) + 1.0
+    assert verify_run(tr, q).reference == verify_run(tr, p).reference + 1.0
 
 
 # ---------------------------------------------------------------------------

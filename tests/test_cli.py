@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -662,6 +663,23 @@ class TestConjecture:
         _, cols, rows = read_csv(tmp_path / "s.csv")
         assert cols[0] == "instance"
         assert len(rows) == 60
+
+    def test_suite_holds_one_instance_at_a_time(self, tmp_path, monkeypatch):
+        # each probed trace is dropped once its rows are written: while the
+        # next instance is probed, at most it and the one before are alive
+        honest, traces, alive = proxprobe.probe_instance, [], []
+
+        def probe(*args):
+            out = honest(*args)
+            traces.append(weakref.ref(out[0]))
+            alive.append(sum(ref() is not None for ref in traces))
+            return out
+
+        monkeypatch.setattr(proxprobe, "probe_instance", probe)
+        cfg = write_cfg(tmp_path / "s.cfg", suite="lasso", iterations=50, instances=6, dim=3,
+                        csv="s.csv", report="s.txt")
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(alive) == 6 and max(alive) <= 2, alive
 
     @pytest.mark.parametrize("kv", [
         dict(problem="quad:diag=1,10", psi="l1:lam=0.5", x0="1.0,-1.0"),

@@ -154,7 +154,7 @@ class TestRunGradient:
         p = ccfom.from_id("lse:dim=2")
         x0 = [3.0, -3.0]
         tr = ccfom.run_gradient(p, x0, 100)
-        f_ref = ccfom.reference_value(p, x0)
+        f_ref = ccfom.verify_run(tr, p).reference
         assert f_ref == pytest.approx(math.log(2), rel=1e-15)
         gap = p.value(tr.x[100]) - f_ref
         assert gap <= ccfom.theorem_bound(p, x0, "gradient", 100) + 1e-12

@@ -41,3 +41,30 @@ def test_readme_python_blocks_run():
     assert blocks
     for i, source in enumerate(blocks):
         exec(compile(source, f"README.md python block {i}", "exec"), {})
+
+
+# the README's words for a mode's letter in config.KEYS, and for a default that is none
+_READS = {"required": "R", "required list": "L", "optional": "o", "—": "-"}
+_NO_DEFAULT = {"—", "none", "the method's"}
+
+
+def test_readme_config_table_is_the_key_table():
+    # the key table under "Config files": its keys in order, their defaults, and
+    # each mode's letter, as config.KEYS has them
+    from ccfom.config import KEYS, MODES
+
+    section = README.read_text().split("### Config files", 1)[1]
+    lines = section.split("\n\n")[2].splitlines()
+    header, rule, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert header[3:] == ["run", "sweep", "verify", "conjecture", "conjecture, suite mode"]
+    assert len(header[3:]) == len(MODES) and set(rule) == {"---"}
+    table = {}
+    for keys, _, defaults, *reads in rows:
+        names = [key.strip().strip("`") for key in keys.split(",")]
+        texts = [text.strip().strip("`") for text in defaults.split(",")]
+        texts = texts if len(texts) == len(names) else texts * len(names)
+        for name, text in zip(names, texts):
+            default = None if text in _NO_DEFAULT else KEYS[name].parse(text)
+            table[name] = (default, " ".join(_READS[cell] for cell in reads))
+    assert list(table) == list(KEYS)
+    assert table == {name: (key.default, " ".join(key.reads.split())) for name, key in KEYS.items()}

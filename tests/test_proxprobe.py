@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccfom
+from ccfom import proxprobe
 from ccfom.errors import ConfigError
 from ccfom.proxprobe import (
     CompositeProblem,
@@ -330,12 +331,21 @@ class TestLassoSuite:
         assert np.all(x0a == 0.0)
 
     def test_suite_reports_margins(self):
-        probes = lasso_suite(4, 3, 40, seed=11)
+        probes = list(lasso_suite(4, 3, 40, seed=11))
         assert len(probes) == 4
         for i, (cp, trace, cert, res) in enumerate(probes):
             assert cp.phi.problem_id == f"lasso-smooth:dim=3:seed={11 + i}"
             assert res.iterations_checked == 40 and len(trace.x) == 41
             assert np.all(np.isfinite(res.margins[~res.vacuous]))
+
+    def test_suite_probes_each_instance_when_asked(self, monkeypatch):
+        # the first of a million instances comes without probing the rest
+        honest, calls = proxprobe.probe_instance, []
+        monkeypatch.setattr(proxprobe, "probe_instance",
+                            lambda *args: calls.append(1) or honest(*args))
+        cp, trace, cert, res = next(iter(lasso_suite(10**6, 5, 10)))
+        assert cp.phi.problem_id == "lasso-smooth:dim=5:seed=0"
+        assert res.iterations_checked == 10 and len(calls) == 1
 
     def test_probe_reports_violations_without_asserting(self):
         # corrupt the margin tolerance path: a fabricated composite whose

@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -329,13 +330,26 @@ def cmd_conjecture(args) -> int:
         meta = {"suite": "lasso", **{key: fmt(cfg[key]) for key in counts},
                 "psi": "l1 (per-instance lambda)", "note": Z_RECURSION_NOTE}
         columns = ["instance"] + CONJECTURE_COLUMNS
-        results = []
-        # each instance's rows are written as it is probed; only its result is kept
-        with open_csv(out["csv"], meta, columns) as write:
-            for i, probe in enumerate(lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)):
-                for grid in format_rows(CONJECTURE_COLUMNS, conjecture_rows(*probe)):
-                    write(grid, (i,))
-                results.append(probe[-1])
+
+        def written(i, probe):
+            """Write instance i's rows; keep only the arrays the report reads."""
+            for grid in format_rows(CONJECTURE_COLUMNS, conjecture_rows(*probe)):
+                write(grid, (i,))
+            r = probe[-1]
+            return SimpleNamespace(ks=r.ks, margins=r.margins, tolerances=r.tolerances,
+                                   vacuous=r.vacuous)
+
+        write = None
+        try:
+            with open_csv(out["csv"], meta, columns) as write:
+                # each instance is probed as it is written; bound only inside the
+                # comprehension, no probe outlives its rows
+                suite = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
+                results = [written(i, probe) for i, probe in enumerate(suite)]
+        except BaseException:
+            if write is not None:  # the CSV was opened: leave no partial one behind
+                out["csv"].unlink(missing_ok=True)
+            raise
     else:
         spec = cfg.single_cell()
         phi = spec.build_problem()

@@ -481,7 +481,9 @@ def _conjugate_bases(A: np.ndarray, b: np.ndarray) -> Optional[list[list[tuple[f
     conjugate or costs too much: no block is invertible (M has rank below
     n+1: the slopes lie in a hyperplane), an invertible block is too
     ill-conditioned to resolve its weights within the slack, or there are
-    more than ``_MAX_CONJUGATE_BASES`` bases.
+    more than ``_MAX_CONJUGATE_BASES`` bases.  The same rows give each
+    basis's vertex: x_j = sum_k c_kj (-b_Bk), where the basis's pieces are
+    equal.
     """
     m, n = A.shape
     if not 0 < math.comb(m, n + 1) <= _MAX_CONJUGATE_BASES:
@@ -514,13 +516,15 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     not depend on the batch.  Where enumeration does not apply (M
     of rank below n+1, a basis with condition number above
     ``_MAX_BASIS_COND``, or more than ``_MAX_CONJUGATE_BASES`` bases)
-    ``conjugate_batch`` solves one HiGHS LP per row.  The
-    optimal value and one minimizer (an LP vertex; the optimal set may be
-    larger) are computed at construction when the objective is bounded
-    below.
-    """
-    import scipy.optimize  # only here: the one family that solves LPs
+    ``conjugate_batch`` solves one HiGHS LP per row.
 
+    The optimal value and one minimizer (an LP vertex; the optimal set may
+    be larger) are found at construction when the objective is bounded
+    below.  With the bases, no LP is solved: min f = -f*(0), bit for bit
+    the enumerated conjugate at the zero row but for the sign of a zero
+    (+inf there: unbounded below), and the minimizer is the first basis
+    vertex, where its n+1 pieces are equal, of least f.  Without them one HiGHS LP in (x, t) gives both.
+    """
     A = np.array(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a matrix (one affine piece per row)")
@@ -571,6 +575,8 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
 
     bases = _conjugate_bases(A, b)
     if bases is None:
+        import scipy.optimize  # only here: the one case that solves LPs
+
         a_eq = np.vstack([A.T, np.ones((1, m))])
 
         def conjugate_batch(Z):
@@ -586,6 +592,20 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
                 else:
                     raise OracleError(f"conjugate LP failed: {res.message}")
             return out
+
+        # min_x max_i <a_i, x> + b_i as an LP in (x, t)
+        c = np.zeros(n + 1)
+        c[n] = 1.0
+        a_ub = np.hstack([A, -np.ones((m, 1))])
+        res = scipy.optimize.linprog(
+            c, A_ub=a_ub, b_ub=-b, bounds=[(None, None)] * (n + 1), method="highs"
+        )
+        if res.success:
+            minimizer, optimal_value = np.array(res.x[:n]), float(res.fun)
+        elif res.status == 3:  # unbounded below
+            minimizer = None
+        else:
+            raise OracleError(f"optimum LP failed: {res.message}")
     else:
 
         def conjugate_batch(Z):
@@ -609,25 +629,32 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
                 np.minimum(best, np.where(low >= -_WEIGHT_SLACK, value, math.inf), out=best)
             return best
 
-    # min_x max_i <a_i, x> + b_i as an LP in (x, t)
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    a_ub = np.hstack([A, -np.ones((m, 1))])
-    res = scipy.optimize.linprog(
-        c, A_ub=a_ub, b_ub=-b, bounds=[(None, None)] * (n + 1), method="highs"
-    )
-    if res.success:
-        minimizer = np.array(res.x[:n])
-        minimizer.flags.writeable = False
-        optimal_value = float(res.fun)
-        project = lambda x: minimizer  # noqa: E731
-        provenance = "LP vertex minimizer (one element of the optimal set)"
-    elif res.status == 3:  # unbounded below
-        optimal_value = None
-        project = None
+        # min f = -f*(0) (Fenchel).  At z = 0 the weights of a basis are its c_k,
+        # so f*(0) is conjugate_batch's value at the zero row, taken over Python
+        # floats (its numpy calls on one row cost more than the rest of the
+        # build): the least sum_k c_k (-b_Bk), in k order, over the bases whose
+        # c_k are >= -slack; +inf when 0 is outside conv{a_i}
+        least = min((sum(c * nb for c, _, nb in basis) for basis in bases
+                     if min(c for c, _, _ in basis) >= -_WEIGHT_SLACK), default=math.inf)
+        if least == math.inf:
+            minimizer = None
+        else:
+            optimal_value = 0.0 - least  # a zero reads +0
+            # f is least at a vertex, where the n+1 pieces of a basis are equal:
+            # (x, -t) = M_B^{-T} (-b_B).  The first vertex of least f is taken, not
+            # that of the first basis optimal at z = 0: when an optimal basis
+            # has a zero weight, its vertex need not minimize f
+            vertices = np.array([[sum(coefs[j] * nb for _, coefs, nb in basis) for j in range(n)]
+                                 for basis in bases])
+            minimizer = vertices[np.argmin(value_batch(vertices))]
+
+    if minimizer is None:
+        optimal_value = project = None
         provenance = "objective unbounded below"
     else:
-        raise OracleError(f"optimum LP failed: {res.message}")
+        minimizer.flags.writeable = False
+        project = lambda x: minimizer  # noqa: E731
+        provenance = "LP vertex minimizer (one element of the optimal set)"
 
     return ProblemInstance(
         problem_id=problem_id or f"maxaff:custom:dim={n}:pieces={m}",

@@ -113,13 +113,10 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
         assert "objective value is not finite at iteration 0" in capsys.readouterr().err
 
-    # 0: the optimum LP while the problem is built; 1: the first conjugate LP,
-    # on a rank-deficient instance (two pieces in 3-D), whose conjugate stays an LP
-    @pytest.mark.parametrize("good_calls,problem,x0", [
-        pytest.param(0, "maxaff:dim=2:pieces=5:seed=1", "0.5,-1.0", id="0"),
-        pytest.param(1, "maxaff:dim=3:pieces=2:seed=0", "0.5,-1.0,0.25", id="1"),
-    ])
-    def test_failed_lp_exits_4(self, tmp_path, monkeypatch, capsys, good_calls, problem, x0):
+    # on a rank-deficient instance (two pieces in 3-D), whose minimum and conjugate
+    # stay LPs: 0, the optimum LP while the problem is built; 1, the first conjugate LP
+    @pytest.mark.parametrize("good_calls", [0, 1])
+    def test_failed_lp_exits_4(self, tmp_path, monkeypatch, capsys, good_calls):
         import scipy.optimize
 
         real = scipy.optimize.linprog
@@ -132,7 +129,8 @@ class TestRun:
             return scipy.optimize.OptimizeResult(status=4, success=False, message="forced")
 
         monkeypatch.setattr(scipy.optimize, "linprog", flaky)
-        cfg = run_cfg(tmp_path, problem=problem, method="subgradient", x0=x0, iterations=5)
+        cfg = run_cfg(tmp_path, problem="maxaff:dim=3:pieces=2:seed=0", method="subgradient",
+                      x0="0.5,-1.0,0.25", iterations=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
         assert "LP failed: forced" in capsys.readouterr().err
 
@@ -680,6 +678,42 @@ class TestConjecture:
                         csv="s.csv", report="s.txt")
         assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert len(alive) == 6 and max(alive) <= 2, alive
+
+    def test_suite_keeps_no_probe_result(self, tmp_path, monkeypatch):
+        # the report reads four arrays per instance: no ProbeResult outlives its rows
+        honest, results = proxprobe.probe_instance, []
+
+        def probe(*args):
+            out = honest(*args)
+            results.append(weakref.ref(out[-1]))
+            return out
+
+        def report(kept, suite=False):
+            assert results and all(ref() is None for ref in results)
+            return honest_report(kept, suite)
+
+        honest_report = ccfom.cli.conjecture_report
+        monkeypatch.setattr(proxprobe, "probe_instance", probe)
+        monkeypatch.setattr(ccfom.cli, "conjecture_report", report)
+        cfg = write_cfg(tmp_path / "s.cfg", suite="lasso", iterations=50, instances=4, dim=3,
+                        csv="s.csv", report="s.txt")
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(results) == 4
+
+    def test_suite_failure_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
+        honest = proxprobe.lasso_instance
+
+        def failing(dim, seed):
+            if seed == 2:
+                raise ccfom.errors.OracleError("forced")
+            return honest(dim, seed)
+
+        monkeypatch.setattr(proxprobe, "lasso_instance", failing)
+        cfg = write_cfg(tmp_path / "s.cfg", suite="lasso", iterations=20, instances=4, dim=3,
+                        csv="s.csv", report="s.txt")
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        assert "oracle failure: forced" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "s.txt").exists()
 
     @pytest.mark.parametrize("kv", [
         dict(problem="quad:diag=1,10", psi="l1:lam=0.5", x0="1.0,-1.0"),

@@ -226,8 +226,17 @@ class TestMaxAffine:
             values = p.conjugate_batch(np.asarray(Z, dtype=float))
             return values, len(solves) - before
 
-        assert lp_solves(ccfom.from_id("maxaff:dim=3:pieces=6:seed=0"), np.zeros((3, 3)))[1] == 0
-        flat = ccfom.from_id("maxaff:dim=3:pieces=2:seed=0")  # two slopes span a line in 3-D
+        def built(build):
+            """The instance ``build()`` makes and the number of LPs that took."""
+            before = len(solves)
+            p = build()
+            return p, len(solves) - before
+
+        enumerable, n = built(lambda: ccfom.from_id("maxaff:dim=3:pieces=6:seed=0"))
+        assert n == 0  # min f = -f*(0) from the bases
+        assert lp_solves(enumerable, np.zeros((3, 3)))[1] == 0
+        flat, n = built(lambda: ccfom.from_id("maxaff:dim=3:pieces=2:seed=0"))  # two slopes span a line in 3-D
+        assert n == 1  # the optimum LP
         values, n = lp_solves(flat, [[0.0, 0.0, 0.0], [0.0, 0.0, 1e3]])
         assert n == 2  # one LP per row
         assert math.isfinite(values[0])  # the midpoint of +a and -a
@@ -239,6 +248,22 @@ class TestMaxAffine:
         assert lp_solves(ccfom.make_max_affine(thin, np.zeros(5)), np.zeros((3, 2)))[1] == 0
         monkeypatch.setattr(ccfom.problems, "_MAX_CONJUGATE_BASES", 14)  # dim=3:pieces=6 has 15
         assert lp_solves(ccfom.from_id("maxaff:dim=3:pieces=6:seed=0"), np.zeros((3, 3)))[1] == 3
+
+    def test_unbounded_enumerable_instance_has_no_reference(self):
+        A, b = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 0.0]
+        assert ccfom.problems._conjugate_bases(np.array(A), np.array(b)) is not None
+        p = ccfom.make_max_affine(A, b)  # 0 is outside the hull of the slopes: f*(0) = +inf
+        assert p.conjugate(np.zeros(2)) == math.inf
+        assert p.optimal_value is None and p.project_to_solution is None
+        assert p.solution_provenance == "objective unbounded below"
+
+    def test_reference_point_minimizes_where_an_optimal_basis_is_degenerate(self):
+        # at z = 0 the first basis, pieces 0, 1 and 2, has weights (1/2, 1/2, 0)
+        # and is optimal, but at its vertex (0, 10) piece 4 is 5 above the others
+        A = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 1.0]]
+        p = ccfom.make_max_affine(A, [0.0, 0.0, -10.0, -10.0, -5.0])
+        assert p.optimal_value == 0.0 and math.copysign(1.0, p.optimal_value) == 1.0  # not "-0"
+        assert p.value(p.project_to_solution(np.zeros(2))) == 0.0
 
     def test_conjugate_affine_combinations(self):
         # z = sum lam_i a_i with lam in the simplex gives f*(z) <= -sum lam_i b_i
@@ -464,6 +489,40 @@ def test_enumerated_conjugate_is_bitwise_the_2d_form(pid, rng):
         got, want = p.conjugate_batch(Z), _enumerated_2d(bases, n)(Z)
     assert got.tobytes() == want.tobytes()
     assert np.isfinite(got[cert.start_index : len(cert.z)]).all() and np.isinf(got).any()
+
+
+def assert_minimum_matches_lp_reference(p, A, b):
+    """The reference value and point of an enumerable max-of-affine instance are
+    -f*(0) bit for bit and the vertex HiGHS finds, where n+1 affinely
+    independent pieces are equal."""
+    m, n = A.shape
+    assert ccfom.problems._conjugate_bases(A, b) is not None
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    res = scipy.optimize.linprog(c, A_ub=np.hstack([A, -np.ones((m, 1))]), b_ub=-b,
+                                 bounds=[(None, None)] * (n + 1), method="highs")
+    assert res.status == 0
+    x = p.project_to_solution(np.zeros(n))
+    assert p.optimal_value == -p.conjugate_batch(np.zeros((1, n)))[0]
+    assert abs(p.optimal_value - res.fun) <= 1e-13 * abs(res.fun)
+    assert np.linalg.norm(x - res.x[:n]) <= 1e-12 * (1.0 + np.linalg.norm(x))
+    pieces = A @ x + b
+    fx = p.value(x)
+    active = np.abs(pieces - fx) <= 1e-13 * (1.0 + abs(fx))
+    assert np.linalg.matrix_rank(np.vstack([A[active].T, np.ones(active.sum())])) == n + 1
+
+
+@pytest.mark.parametrize("pid", MAXAFF_IDS)
+def test_maxaff_minimum_is_the_enumerated_vertex(pid):
+    assert_minimum_matches_lp_reference(*maxaff_with_pieces(pid))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_seeded_maxaff_minimum_is_the_enumerated_vertex(dim):
+    for pieces in range(dim + 1, dim + 6):
+        for seed in range(12):
+            pid = f"maxaff:dim={dim}:pieces={pieces}:seed={seed}"
+            assert_minimum_matches_lp_reference(*maxaff_with_pieces(pid))
 
 
 class TestCatalogIds:

@@ -6,15 +6,20 @@ the running-average recursion
     z_{k+1} = (1 - theta_k) z_k + theta_k g_k
     mu_{k+1} = (1 - theta_k) mu_k
 
-where theta_k, the query points y_k, and the vectors g_k (a subgradient at
-y_k) are chosen per method (see ``ccfom.methods.MethodSpec``):
+where y_k and g_k (a subgradient at y_k) are chosen per method, and theta_k
+and mu's closed form are read from the run's steps t_k by one rule
+(``ccfom.methods.MethodSpec.steps``), with S_j = t_0 + ... + t_j:
 
-    subgradient   theta_k = t_{k+1}/sum_{i<=k+1} t_i,  y_k = x_{k+1},
+    subgradient   theta_k = t_{k+1}/S_{k+1},  y_k = x_{k+1},
                   start at k=0 with z_0 = g_0, mu_0 = 1/t_0
-    gradient      theta_k = 1/(k+1),  y_k = x_k,
-                  start at k=1 with z_1 = grad f(x_0), mu_1 = L
+    gradient      theta_k = t_k/S_k,  y_k = x_k,
+                  start at k=1 with z_1 = grad f(x_0), mu_1 = 1/t_0
     accelerated   theta_k, y_k from the momentum run itself,
-                  start at k=1 with z_1 = grad f(x_0), mu_1 = L
+                  start at k=1 with z_1 = grad f(x_0), mu_1 = 1/t_0
+
+The run alone chooses the steps: with the smooth step t_k = 1/L this gives
+theta_k = 1/(k+1) and mu_k = L/k for gradient, mu_k = L theta_{k-1}^2 for
+accelerated, up to roundoff.
 
 The certificate value at k,
 
@@ -147,15 +152,14 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
     K = trace.horizon
     spec.require(p, K)
     start = spec.start
-    # mu's closed form and theta come first: their temporaries are freed
-    # before z exists
-    mu_k = float(spec.mu(trace, p.lipschitz_grad)[start])
+    # theta and mu come first, so their temporaries are freed before z
+    # exists; mu starts as its closed form, whose entry at start begins the
+    # recursion and whose later entries the recursion overwrites
     theta = np.full(K + 1, math.nan)
-    theta[start:K] = spec.theta(trace)
+    theta[start:K], mu = spec.steps(trace)
+    mu_k = float(mu[start])
     z = np.full((K + 1, trace.dim), math.nan)
-    mu = np.full(K + 1, math.nan)
     z[start] = trace.g[0]
-    mu[start] = mu_k
     z_k = z[start].tolist()
     g = trace.g[1 : K + 1 - start]
     # The recursion in blocks of _BLOCK_ROWS steps, one coordinate at a time
@@ -429,16 +433,10 @@ def verify_induction_all(
     }
 
 
-def mu_closed_form_residuals(
-    trace: MethodTrace, cert: DualCertificate, p: ProblemInstance
-) -> np.ndarray:
-    """Relative deviation of the recursion's mu_k from its closed form.
-
-    subgradient  mu_k = 1 / sum_{i<=k} t_i
-    gradient     mu_k = L / k
-    accelerated  mu_k = L * theta_{k-1}^2
-    """
-    closed = method_spec(trace.method).mu(trace, p.lipschitz_grad)
+def mu_closed_form_residuals(trace: MethodTrace, cert: DualCertificate) -> np.ndarray:
+    """Relative deviation of the recursion's mu_k from its closed form,
+    which ``MethodSpec.steps`` reads from the run's steps."""
+    closed = method_spec(trace.method).steps(trace)[1]
     out = np.full(trace.horizon + 1, math.nan)
     s = cert.start_index
     out[s:] = np.abs(cert.mu[s:] - closed[s:]) / (1.0 + np.abs(closed[s:]))
@@ -498,7 +496,7 @@ def verify_certificate(
     chain = verify_chain(trace, cert, p, lhs_vals, pts if test_points is None else test_points, tol)
     f_queries = p.value_batch(trace.y) if spec.momentum else f_x
     steps = verify_induction_all(trace, cert, lhs_vals, f_queries, tol)
-    mu_residuals = mu_closed_form_residuals(trace, cert, p)
+    mu_residuals = mu_closed_form_residuals(trace, cert)
 
     start, ks = cert.start_index, chain.ks
     n = ks.size

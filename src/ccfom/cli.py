@@ -83,7 +83,7 @@ def execute_cell(spec: RunSpec, tol: Tolerances) -> CellOutcome:
     p = spec.build_problem()
     x0 = resolve_x0(spec.x0_spec, p.dim)
     schedule_name = spec.schedule_spec or method.default_schedule
-    schedule = resolve_schedule(schedule_name, spec.method, spec.iterations, p.lipschitz_grad)
+    schedule = resolve_schedule(schedule_name, spec.method, spec.iterations)
     trace = method.run(p, x0, schedule, spec.iterations)
     rows = build_rows(trace, p, verify_run(trace, p, tol=tol))
     resolved = replace(spec, x0_spec=",".join(fmt(c) for c in x0), schedule_spec=schedule_name)

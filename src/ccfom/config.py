@@ -165,28 +165,26 @@ def resolve_x0(spec: str, dim: int) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
-def resolve_schedule(
-    spec: str, method: str, iterations: int, lipschitz_grad: Optional[float]
-) -> StepSchedule:
-    """Schedule descriptor: horizon_sqrt | inverse_L | constant:t=V | explicit:V,V,...
+def resolve_schedule(spec: str, method: str, iterations: int) -> Optional[StepSchedule]:
+    """Schedule descriptor: horizon_sqrt | constant:t=V | explicit:V,V,...
 
-    horizon_sqrt is fixed to the configured horizon.  The smooth methods
-    accept only their default schedule, and the schedule must resolve for
-    ``iterations`` on a problem whose gradient Lipschitz constant is
-    ``lipschitz_grad``.
+    horizon_sqrt is fixed to the configured horizon, and the schedule must
+    resolve for ``iterations``.  A smooth method accepts only the text of
+    its default schedule (``inverse_L``, the fixed step 1/L its run takes)
+    and gets None: its run chooses its own steps.
     """
     m = method_spec(method)
     spec = spec.strip()
-    if m.smooth and spec != m.default_schedule:
-        raise ConfigError(
-            f"{method} runs use the fixed step {m.default_schedule}; "
-            f"schedule {spec!r} is not supported"
-        )
+    if m.smooth:
+        if spec != m.default_schedule:
+            raise ConfigError(
+                f"{method} runs use the fixed step {m.default_schedule}; "
+                f"schedule {spec!r} is not supported"
+            )
+        return None
     try:
         if spec == "horizon_sqrt":
             schedule = StepSchedule.horizon_sqrt(iterations)
-        elif spec == "inverse_L":
-            schedule = StepSchedule.inverse_L()
         elif spec.startswith("constant:t="):
             schedule = StepSchedule.constant(float(spec.removeprefix("constant:t=")))
         elif spec.startswith("explicit:"):
@@ -194,7 +192,7 @@ def resolve_schedule(
             schedule = StepSchedule.explicit(vals)
         else:
             raise ConfigError(f"unknown schedule {spec!r}")
-        schedule.resolve(iterations, lipschitz_grad)
+        schedule.resolve(iterations)
     except ValueError as exc:
         raise ConfigError(f"bad schedule {spec!r}: {exc}") from exc
     return schedule

@@ -52,14 +52,16 @@ _CHECK_ROWS = 4096
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size schedule for the subgradient/gradient method.
+    """Step-size schedule for the subgradient method.
 
     Kinds:
       constant      t_i = t
       horizon_sqrt  t_i = 1/sqrt(K+1), valid only for the fixed horizon K
                     it was created with (the schedule is not anytime-safe)
-      inverse_L     t_i = 1/L, L taken from the problem
       explicit      user-supplied list of K+1 positive steps
+
+    The smooth methods take no schedule: their runs take the fixed step
+    t_i = 1/L, which the metadata names ``inverse_L``.
     """
 
     kind: str
@@ -80,17 +82,13 @@ class StepSchedule:
         return cls(kind="horizon_sqrt", horizon=int(horizon))
 
     @classmethod
-    def inverse_L(cls) -> "StepSchedule":
-        return cls(kind="inverse_L")
-
-    @classmethod
     def explicit(cls, values: Sequence[float]) -> "StepSchedule":
         vals = tuple(float(v) for v in values)
         if not vals or any(not (v > 0 and math.isfinite(v)) for v in vals):
             raise ValueError("explicit steps must be positive and finite")
         return cls(kind="explicit", values=vals)
 
-    def resolve(self, K: int, lipschitz_grad: Optional[float] = None) -> np.ndarray:
+    def resolve(self, K: int) -> np.ndarray:
         """The K+1 steps t_0..t_K for a run of horizon K."""
         if K < 0:
             raise ValueError("horizon K must be >= 0")
@@ -103,10 +101,6 @@ class StepSchedule:
                     f"refusing to run with K={K}"
                 )
             return np.full(K + 1, 1.0 / math.sqrt(K + 1))
-        if self.kind == "inverse_L":
-            if lipschitz_grad is None:
-                raise ValueError("inverse_L schedule needs the problem's gradient Lipschitz constant")
-            return np.full(K + 1, 1.0 / lipschitz_grad)
         if self.kind == "explicit":
             if len(self.values) != K + 1:
                 raise ValueError(f"explicit schedule has {len(self.values)} steps, need {K + 1}")
@@ -264,10 +258,10 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params: np.nd
 # it was given.
 
 
-def _run_descent(p: ProblemInstance, x0, schedule: StepSchedule, K: int, method: str) -> MethodTrace:
+def _run_descent(p: ProblemInstance, x0, t: np.ndarray, method: str) -> MethodTrace:
+    """x[k+1] = x[k] - t[k] * g[k] with the K+1 steps ``t``; callers check the trace budget."""
     x0 = as_point(x0, p.dim, "x0")
-    check_trace_budget(K, p.dim)
-    t = schedule.resolve(K, p.lipschitz_grad)
+    K = t.shape[0] - 1
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
@@ -349,7 +343,8 @@ def run_subgradient(
     p: ProblemInstance, x0, schedule: StepSchedule, K: int
 ) -> MethodTrace:
     """x_{k+1} = x_k - t_k g_k with g_k a subgradient of f at x_k."""
-    return _run_descent(p, x0, schedule, K, "subgradient")
+    check_trace_budget(K, p.dim)
+    return _run_descent(p, x0, schedule.resolve(K), "subgradient")
 
 
 def run_gradient(p: ProblemInstance, x0, K: int) -> MethodTrace:
@@ -358,7 +353,8 @@ def run_gradient(p: ProblemInstance, x0, K: int) -> MethodTrace:
     Descent is monotone: f(x_{k+1}) <= f(x_k) up to roundoff.
     """
     method_spec("gradient").require(p, K)
-    return _run_descent(p, x0, StepSchedule.inverse_L(), K, "gradient")
+    check_trace_budget(K, p.dim)
+    return _run_descent(p, x0, np.full(K + 1, 1.0 / p.lipschitz_grad), "gradient")
 
 
 def run_accelerated(p: ProblemInstance, x0, K: int) -> MethodTrace:
@@ -390,7 +386,8 @@ class MethodSpec:
     mu at ``start``.  Each step then takes the next oracle output: the step
     from record k reads g_k = trace.g[k + 1 - start], a subgradient at the
     query point y_k, the same row of trace.y for a method with momentum and
-    of trace.x otherwise.  Steps are read from trace.t alone.
+    of trace.x otherwise.  theta_k and mu's closed form come from one rule,
+    :meth:`steps`, which reads the run's trace.t (and trace.theta) alone.
 
     smooth           needs L (so a differentiable f), and runs only with its
                      default schedule t_k = 1/L, for which its theorem is
@@ -411,10 +408,8 @@ class MethodSpec:
     monotone: bool
     g_ball: bool
     default_schedule: str
-    theta: Callable[[MethodTrace], np.ndarray]  # theta_k for k = start..K-1
-    # LHS_k(trace, p, f) and the closed form mu_k(trace, L), for k = 0..K, NaN below start
+    # LHS_k(trace, p, f) for k = 0..K, NaN below start
     lhs: Callable[[MethodTrace, ProblemInstance, np.ndarray], np.ndarray]
-    mu: Callable[[MethodTrace, Optional[float]], np.ndarray]
     # (p, dist, k, t) -> the theorem's bound at k (an int or an array of them); t = t_0..t_k
     bound: Callable[[ProblemInstance, float, object, np.ndarray], object]
     run: Optional[Callable[..., MethodTrace]]  # (p, x0, schedule, K); None: no plain run
@@ -427,6 +422,24 @@ class MethodSpec:
             raise ValueError(f"{self.name} method needs a G constant; {p.problem_id} has none")
         if K < self.start:
             raise ValueError(f"{self.name} needs iterations >= {self.start}")
+
+    def steps(self, trace: MethodTrace) -> tuple[np.ndarray, np.ndarray]:
+        """theta_k for k = start..K-1, and mu's closed form for k = 0..K (NaN below start).
+
+        Without momentum theta_k = t_{k+1-start}/S_{k+1-start} and
+        mu_k = 1/S_{k-start}, where S_j = t_0 + ... + t_j; with momentum
+        theta_k is the run's trace.theta[k] and mu_k = (1/t_0) theta_{k-1}^2.
+        """
+        K, s = trace.horizon, self.start
+        mu = np.full(K + 1, math.nan)
+        if self.momentum:
+            if trace.theta is None:
+                raise ValueError(f"{trace.method} trace is missing its theta sequence")
+            mu[s:] = (1.0 / trace.t[0]) * trace.theta[s - 1 : K] ** 2
+            return trace.theta[s:K], mu
+        totals = np.cumsum(trace.t[: K + 1 - s])
+        mu[s:] = 1.0 / totals
+        return trace.t[1 : K + 1 - s] / totals[1:], mu
 
 
 def _from_k1(K: int, values: np.ndarray) -> np.ndarray:
@@ -456,42 +469,29 @@ def _subgradient_bound(p, dist, k, t):
     return (dist * dist + G * G * np.cumsum(ts * ts)[k]) / (2.0 * np.cumsum(ts)[k])
 
 
-def _trace_theta(trace):
-    if trace.theta is None:
-        raise ValueError(f"{trace.method} trace is missing its theta sequence")
-    return trace.theta[1:-1]
-
-
 # The run functions are looked up by name when called, so a wrapper that
 # replaces one of them on this module is also called through the table.
 _SUBGRADIENT = MethodSpec(
     name="subgradient", start=0, smooth=False, momentum=False,
     running_min_gap=True, monotone=False, g_ball=True, default_schedule="horizon_sqrt",
-    theta=lambda trace: trace.t[1:] / np.cumsum(trace.t)[1:],
     lhs=_subgradient_lhs,
-    mu=lambda trace, L: 1.0 / np.cumsum(trace.t),  # 1 / sum_{i<=k} t_i
     bound=_subgradient_bound,
     run=lambda p, x0, schedule, K: run_subgradient(p, x0, schedule, K),
 )
 _GRADIENT = MethodSpec(
     name="gradient", start=1, smooth=True, momentum=False,
     running_min_gap=False, monotone=True, g_ball=False, default_schedule="inverse_L",
-    theta=lambda trace: 1.0 / np.arange(2, trace.horizon + 1),  # 1/(k+1)
     # (f(x_1) + ... + f(x_k)) / k
     lhs=lambda trace, p, f: _from_k1(
         trace.horizon, np.cumsum(f[1:]) / np.arange(1, trace.horizon + 1)
     ),
-    mu=lambda trace, L: _from_k1(trace.horizon, L / np.arange(1, trace.horizon + 1)),  # L/k
     bound=lambda p, dist, k, t: p.lipschitz_grad * dist * dist / (2.0 * k),
     run=lambda p, x0, schedule, K: run_gradient(p, x0, K),
 )
 _ACCELERATED = MethodSpec(
     name="accelerated", start=1, smooth=True, momentum=True,
     running_min_gap=False, monotone=False, g_ball=False, default_schedule="inverse_L",
-    theta=_trace_theta,
     lhs=lambda trace, p, f: _from_k1(trace.horizon, f[1:]),  # f(x_k)
-    # L theta_{k-1}^2
-    mu=lambda trace, L: _from_k1(trace.horizon, L * trace.theta[:-1] ** 2),
     bound=lambda p, dist, k, t: 2.0 * p.lipschitz_grad * dist * dist / ((k + 1) ** 2),
     run=lambda p, x0, schedule, K: run_accelerated(p, x0, K),
 )

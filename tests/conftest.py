@@ -42,17 +42,17 @@ def sample_points(rng, dim, n=25, scale=4.0):
     return rng.uniform(-scale, scale, size=(n, dim))
 
 
-def row_recursion(trace, p):
+def row_recursion(trace):
     """z_k and mu_k by the recursion on whole rows, one k at a time (the reference)."""
     spec = method_spec(trace.method)
     K, start = trace.horizon, spec.start
     z = np.full((K + 1, trace.dim), math.nan)
     mu = np.full(K + 1, math.nan)
     theta = np.full(K + 1, math.nan)
-    theta[start:K] = spec.theta(trace)
+    theta[start:K], closed = spec.steps(trace)
     g = trace.g[1 - start:]  # the step from record k reads g_{k+1-start}
     z[start] = trace.g[0]
-    mu[start] = spec.mu(trace, p.lipschitz_grad)[start]
+    mu[start] = closed[start]
     for k in range(start, K):
         th = theta[k]
         z[k + 1] = (1.0 - th) * z[k] + th * g[k]

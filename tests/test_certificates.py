@@ -84,10 +84,10 @@ class TestBuildCertificate:
             p = ccfom.from_id(pid)
             for run in (ccfom.run_gradient, ccfom.run_accelerated):
                 tr = run(p, x0, 50)
-                res = mu_closed_form_residuals(tr, build_certificate(tr, p), p)
+                res = mu_closed_form_residuals(tr, build_certificate(tr, p))
                 assert np.nanmax(res) <= 1e-9
         p, tr = subgradient_trace("norm:G=2:dim=3", [1.0, 1.0, 1.0], 50)
-        res = mu_closed_form_residuals(tr, build_certificate(tr, p), p)
+        res = mu_closed_form_residuals(tr, build_certificate(tr, p))
         assert np.nanmax(res) <= 1e-9
 
     @pytest.mark.parametrize("method,pid,x0", [
@@ -108,7 +108,7 @@ class TestBuildCertificate:
         else:
             tr = run_method(p, method, x0, K)
         cert = build_certificate(tr, p)
-        z, mu = row_recursion(tr, p)
+        z, mu = row_recursion(tr)
         assert z.tobytes() == cert.z.tobytes()
         assert mu.tobytes() == cert.mu.tobytes()
 
@@ -802,15 +802,15 @@ class TestFalsifiability:
         tr = ccfom.run_accelerated(p, [1.0, 1.0], 60)
         cert = build_certificate(tr, p)
         assert fired(tr, p, cert) == set()
-        spec = method_spec("accelerated")
-        true_mu = spec.mu
+        true_steps = methods.MethodSpec.steps
 
-        def mu(trace, L):
-            out = np.array(true_mu(trace, L))
-            out[30] = math.nan
-            return out
+        def steps(spec, trace):
+            theta, mu = true_steps(spec, trace)
+            mu = mu.copy()
+            mu[30] = math.nan
+            return theta, mu
 
-        monkeypatch.setitem(methods._METHODS, "accelerated", dataclasses.replace(spec, mu=mu))
+        monkeypatch.setattr(methods.MethodSpec, "steps", steps)
         assert fired(tr, p, cert) == {(30, "mu closed form")}
 
     def test_doubled_step_fires_theta_mu_ratio(self):
@@ -823,6 +823,23 @@ class TestFalsifiability:
         t[30] *= 2.0
         assert verify_run(tr, p).failures() == []
         assert verify_run(dataclasses.replace(tr, t=t), p).failures() == [(30, "theta_mu_ratio")]
+
+    @pytest.mark.parametrize("method, k, first", [
+        ("gradient", 0, [(1, "certificate"), (1, "induction step"), (1, "query_point")]),
+        ("gradient", 30, [(30, "induction step"), (31, "query_point")]),
+        ("accelerated", 0,
+         [(1, "certificate"), (1, "induction step"), (1, "extrapolation"), (1, "theta_mu_ratio")]),
+    ])
+    def test_doubled_step_fires_from_its_k(self, method, k, first):
+        # theta_k and mu's closed form are read from the run's own steps, so a
+        # step t_k that the run did not take fails from the first record it
+        # reaches, and nowhere before
+        p = ccfom.from_id("quad:diag=1,100")
+        tr = run_method(p, method, [1.0, 1.0], 200)
+        t = np.array(tr.t)
+        t[k] *= 2.0
+        assert verify_run(tr, p).failures() == []
+        assert verify_run(dataclasses.replace(tr, t=t), p).failures()[: len(first)] == first
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 2: no check tests that g_k is a subgradient at its query point")

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -17,6 +18,8 @@ from ccfom import proxprobe
 from ccfom.cli import _CHECKED_COLUMNS, main
 from ccfom.proxprobe import Z_RECURSION_NOTE, ProbeResult
 from ccfom.reporting import CSV_VERSION_LINE, RUN_COLUMNS, conjecture_report, read_csv
+
+STORED_CSVS = Path(__file__).parent / "data"
 
 
 def write_cfg(path: Path, **kv) -> Path:
@@ -362,6 +365,15 @@ class TestVerify:
             cfg = run_cfg(tmp_path, name=method, problem=prob, method=method, x0=x0, iterations=40)
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
             assert main(["verify", str(out / f"{method}.csv")]) == 0
+
+    @pytest.mark.parametrize("name", ["quad_gradient.csv", "quad_accelerated.csv", "norm_subgradient.csv"])
+    def test_stored_v1_csv_verifies(self, tmp_path, capsys, name):
+        # CSVs written by ccfom at 79f06e4, at K=50; verify writes its report
+        # beside the CSV, so each is verified from a copy
+        csv = tmp_path / name
+        shutil.copyfile(STORED_CSVS / name, csv)
+        assert main(["verify", str(csv)]) == 0
+        assert re.search(r"^verify: all \d+ rows reproduce;", capsys.readouterr().out, re.M)
 
 
     # one corruption per column that ``verify`` cross-checks, at a single k

@@ -60,11 +60,6 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             StepSchedule.horizon_sqrt(10).resolve(5)
 
-    def test_inverse_L_needs_constant(self):
-        with pytest.raises(ValueError):
-            StepSchedule.inverse_L().resolve(3, None)
-        assert np.all(StepSchedule.inverse_L().resolve(3, 4.0) == 0.25)
-
     def test_explicit_length_and_positivity(self):
         with pytest.raises(ValueError):
             StepSchedule.explicit([1.0, -1.0])
@@ -360,7 +355,7 @@ def test_run_and_certificate_are_bitwise_those_of_the_row_loops(cell, K):
         trace = ccfom.run_proximal_accelerated(ccfom.CompositeProblem(phi=p, psi=how), x0, K)
         expected = _plain_momentum(p, x0, K, _PLAIN_PROX[cell])
     cert = ccfom.build_certificate(trace, p)
-    expected["z"], expected["mu"] = row_recursion(trace, p)
+    expected["z"], expected["mu"] = row_recursion(trace)
     for name, want in expected.items():
         got = getattr(cert if name in ("z", "mu") else trace, name)
         assert got.tobytes() == want.tobytes(), name  # bits, -0.0 and NaN included

@@ -15,7 +15,6 @@ from .certificates import (
     build_certificate,
     lhs_series,
     mu_closed_form_residuals,
-    theorem_bound,
     verify_certificate,
     verify_run,
 )

@@ -38,9 +38,10 @@ evaluated (NaN) fails; :attr:`Check.failed` is the only place that rule is
 written, and every verdict, residual column and report state is read from
 it.  The checks, in report order:
 
-    suboptimality bound   gap_k <= the closed-form bound of the theorem;
-                          does not apply when the distance from x0 to the
-                          reference set (or the reference value) is unknown
+    suboptimality bound   gap_k <= the theorem's closed-form bound
+                          (``MethodSpec.bound``) in the distance from x0 to
+                          the reference set; does not apply when that
+                          distance (or the reference value) is unknown
     monotone descent      f(x_k) <= f(x_{k-1}), for the gradient method
     certificate, quad_min, fenchel, end_to_end
                           the four links of the chain (:func:`verify_chain`);
@@ -55,9 +56,8 @@ it.  The checks, in report order:
 
 A record's verdict is FAIL where any check fails, else VACUOUS on a vacuous
 record, else PASS.  Each check is one array expression over all records,
-and every per-k number a run has (``lhs_series``, the table's ``cert_k``)
-is one entry of such an array.  ``theorem_bound`` is a formula that needs
-no run.
+and every per-k number a run has (``lhs_series``, the table's ``cert_k``
+and ``theorem_bound_k``) is one entry of such an array.
 
 Index bookkeeping: ``start_index`` is 0 for the subgradient certificate and
 1 for the gradient/accelerated ones.  It is read off the method
@@ -91,7 +91,6 @@ __all__ = [
     "lhs_series",
     "verify_chain",
     "verify_induction_all",
-    "theorem_bound",
     "mu_closed_form_residuals",
     "verify_certificate",
     "verify_run",
@@ -443,45 +442,20 @@ def mu_closed_form_residuals(trace: MethodTrace, cert: DualCertificate) -> np.nd
     return out
 
 
-def theorem_bound(
-    p: ProblemInstance,
-    x0,
-    method: str,
-    k: int,
-    steps: Sequence[float] = (),
-) -> Optional[float]:
-    """Closed-form suboptimality bound at iteration k, or None if the
-    distance to the reference set is unavailable.
-
-    subgradient   (dist^2 + G^2 sum_{i<=k} t_i^2) / (2 sum_{i<=k} t_i)
-    gradient      L dist^2 / (2k)
-    accelerated   2 L dist^2 / (k+1)^2
-
-    ``steps`` is t_0..t_k (a run's ``trace.t``, or a schedule resolved at
-    its horizon); the subgradient bound raises ValueError without k+1 of them.
-    """
-    spec = method_spec(method)
-    x0 = as_point(x0, p.dim, "x0")
-    dist = p.distance_to_solution(x0)
-    if dist is None:
-        return None
-    spec.require(p, k)
-    return float(spec.bound(p, dist, np.asarray(k), steps))
-
-
 def verify_certificate(
     trace: MethodTrace,
     cert: DualCertificate,
     p: ProblemInstance,
-    test_points: Optional[Sequence] = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckTable:
     """Every check on ``trace`` and its certificate ``cert``, one table over k = start..K.
 
-    x0 is projected onto the reference set once: the default test points,
-    the reference value (unless the optimal value is known) and the distance
-    are read off that one point.  f is evaluated over the iterates once (and
-    once over the query points when they are not the iterates).
+    x0 is projected onto the reference set once, and the chain's test
+    points (that projection, then x0; x0 alone without a reference set),
+    the reference value (unless the optimal value is known), the distance
+    and the theorem's bound at every k are read off that one point.  f is
+    evaluated over the iterates once (and once over the query points when
+    they are not the iterates).
     """
     spec = method_spec(trace.method)
     x0 = trace.x[0]
@@ -493,7 +467,7 @@ def verify_certificate(
             reference = float(p.value_batch(x_ref[None])[0])
     f_x = p.value_batch(trace.x)
     lhs_vals = lhs_series(trace, p, f_x)
-    chain = verify_chain(trace, cert, p, lhs_vals, pts if test_points is None else test_points, tol)
+    chain = verify_chain(trace, cert, p, lhs_vals, pts, tol)
     f_queries = p.value_batch(trace.y) if spec.momentum else f_x
     steps = verify_induction_all(trace, cert, lhs_vals, f_queries, tol)
     mu_residuals = mu_closed_form_residuals(trace, cert)
@@ -532,8 +506,7 @@ def verify_certificate(
 def verify_run(
     trace: MethodTrace,
     p: ProblemInstance,
-    test_points: Optional[Sequence] = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CheckTable:
-    """Build the certificate for a trace and run every check on it."""
-    return verify_certificate(trace, build_certificate(trace, p), p, test_points, tol)
+    """Build the certificate for a trace and run every check on it (:func:`verify_certificate`)."""
+    return verify_certificate(trace, build_certificate(trace, p), p, tol)

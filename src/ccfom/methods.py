@@ -410,8 +410,8 @@ class MethodSpec:
     default_schedule: str
     # LHS_k(trace, p, f) for k = 0..K, NaN below start
     lhs: Callable[[MethodTrace, ProblemInstance, np.ndarray], np.ndarray]
-    # (p, dist, k, t) -> the theorem's bound at k (an int or an array of them); t = t_0..t_k
-    bound: Callable[[ProblemInstance, float, object, np.ndarray], object]
+    # (p, dist, ks, t) -> the theorem's bound at each k of the array ks; t = t_0..t_K, the run's steps
+    bound: Callable[[ProblemInstance, float, np.ndarray, np.ndarray], np.ndarray]
     run: Optional[Callable[..., MethodTrace]]  # (p, x0, schedule, K); None: no plain run
 
     def require(self, p: ProblemInstance, K: int) -> None:
@@ -460,13 +460,8 @@ def _subgradient_lhs(trace, p, f):
 
 def _subgradient_bound(p, dist, k, t):
     # (dist^2 + G^2 sum_{i<=k} t_i^2) / (2 sum_{i<=k} t_i), from running sums
-    k = np.asarray(k)
-    last = int(k.max())
-    ts = np.asarray(t, dtype=float)[: last + 1]
-    if ts.size < last + 1:
-        raise ValueError(f"the bound at k={last} needs {last + 1} steps, got {ts.size}")
     G = p.lipschitz_f
-    return (dist * dist + G * G * np.cumsum(ts * ts)[k]) / (2.0 * np.cumsum(ts)[k])
+    return (dist * dist + G * G * np.cumsum(t * t)[k]) / (2.0 * np.cumsum(t)[k])
 
 
 # The run functions are looked up by name when called, so a wrapper that

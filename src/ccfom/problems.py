@@ -192,13 +192,6 @@ class ProblemInstance:
             if c is not None and not (c > 0 and math.isfinite(c)):
                 raise ValueError(f"{name} must be positive and finite")
 
-    def distance_to_solution(self, x) -> Optional[float]:
-        """||x - reference point||, or None when no reference is available."""
-        if self.project_to_solution is None:
-            return None
-        x = as_point(x, self.dim, "x")
-        return float(np.linalg.norm(x - self.project_to_solution(x)))
-
 
 # ---------------------------------------------------------------------------
 # quadratic family

@@ -152,7 +152,7 @@ def check_summary(
     if not at.size:
         return f"{title}: not applicable", None
     margin, tol = check.margin[at], check.tol[at]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where((margin == 0) & (tol == 0), 0.0, -margin / tol)
     i = int(np.argmax(ratio))  # the first NaN if there is one, else the first maximum
     failed = np.flatnonzero(check.failed)

@@ -4,7 +4,8 @@ An inequality lhs <= rhs is accepted when
 
     lhs - rhs <= max(eps_abs, eps_rel * (1 + sum of |term| magnitudes)),
 
-so checks stay meaningful when the participating terms vary over orders of
+(the product taken term by term where the sum would overflow), so checks
+stay meaningful when the participating terms vary over orders of
 magnitude along a run.
 """
 
@@ -31,13 +32,24 @@ class Tolerances:
         Each magnitude is a scalar or an array (arrays broadcast: one
         tolerance per record); the result is a float when every magnitude is
         a scalar.  Non-finite magnitudes (from vacuous records) are skipped.
-        The magnitudes are summed in argument order.
+        The magnitudes are summed in argument order.  Where that sum
+        overflows, eps_rel + sum of eps_rel * |term| is taken instead, so
+        finite terms never give an infinite tolerance.
         """
-        scale = 1.0
-        for m in magnitudes:
-            a = np.abs(m)
-            scale = scale + np.where(np.isfinite(a), a, 0.0)
-        out = np.maximum(self.eps_abs, self.eps_rel * scale)
+        with np.errstate(over="ignore"):
+            scale = 1.0
+            for m in magnitudes:
+                a = np.abs(m)
+                scale = scale + np.where(np.isfinite(a), a, 0.0)
+            out = np.maximum(self.eps_abs, self.eps_rel * scale)
+            over = np.isinf(out)
+            if over.any():
+                # where the sum overflowed, scale each term before adding it
+                scaled = self.eps_rel
+                for m in magnitudes:
+                    a = np.abs(m)
+                    scaled = scaled + np.where(np.isfinite(a), self.eps_rel * a, 0.0)
+                out = np.where(over, scaled, out)
         return float(out) if out.ndim == 0 else out
 
 

@@ -16,7 +16,6 @@ from ccfom.certificates import (
     build_certificate,
     lhs_series,
     mu_closed_form_residuals,
-    theorem_bound,
     verify_certificate,
     verify_chain,
     verify_run,
@@ -255,7 +254,7 @@ class TestVerifyChain:
             value=None)
         tr = ccfom.run_gradient(p, [1.0, 1.0], 5)
         pts = [[np.array([1.0, 1.0]), bad][i] for i in order]
-        table = verify_run(tr, nan_at_bad, pts)
+        table = chain_of(tr, build_certificate(tr, nan_at_bad), nan_at_bad, pts)
         assert not table.all_pass
         for name in ("fenchel", "end_to_end"):
             assert np.isnan(table.checks[name].margin).all(), name
@@ -375,48 +374,52 @@ class TestInduction:
 
 
 class TestTheoremBound:
-    def test_subgradient_equality_instance(self, abs_value):
-        b = theorem_bound(abs_value, [1.0], "subgradient", 0, steps=np.array([1.0]))
-        assert b == pytest.approx(1.0, abs=1e-15)
+    def test_table_bound_is_the_closed_form(self, abs_value, scalar_quad):
+        # the tight K=0 instance: d = G = t_0 = 1, so (1 + 1)/2, which is its gap
+        tr = ccfom.run_subgradient(abs_value, [1.0], StepSchedule.horizon_sqrt(0), 0)
+        ver = verify_run(tr, abs_value)
+        assert ver.values["theorem_bound_k"].tolist() == [1.0] == ver.values["gap"].tolist()
+        # d = 2, L = 1: L d^2/(2k) at k = 4 and 2 L d^2/(k+1)^2 at k = 3 are both 1/2
+        for run, K in ((ccfom.run_gradient, 4), (ccfom.run_accelerated, 3)):
+            bound = verify_run(run(scalar_quad, [2.0], K), scalar_quad).values["theorem_bound_k"]
+            assert bound[-1] == pytest.approx(0.5, abs=1e-15)
+        # an explicit-step subgradient run, at every k: d^2 = 1 + 1/4 + 1/16 and G = 2
+        p, x0 = ccfom.make_scaled_norm(2.0, 3), [1.0, 0.5, -0.25]
+        steps = [1.0 / (i + 1) ** 0.5 for i in range(11)]
+        tr = ccfom.run_subgradient(p, x0, StepSchedule.explicit(steps), 10)
+        expected = [(1.3125 + 4.0 * sum(s * s for s in steps[: k + 1])) / (2.0 * sum(steps[: k + 1]))
+                    for k in range(11)]
+        assert verify_run(tr, p).values["theorem_bound_k"] == pytest.approx(expected, rel=1e-14)
 
-    def test_gradient_value(self, scalar_quad):
-        assert theorem_bound(scalar_quad, [2.0], "gradient", 4) == pytest.approx(0.5, abs=1e-15)
 
-    def test_accelerated_value(self, scalar_quad):
-        assert theorem_bound(scalar_quad, [2.0], "accelerated", 3) == pytest.approx(0.5, abs=1e-15)
+class TestToleranceRange:
+    """Finite terms near the top of the float range never give an infinite tolerance."""
 
-    def test_unavailable_distance_returns_none(self):
-        p = ccfom.ProblemInstance(
-            problem_id="nodist",
-            dim=1,
-            value=lambda x: float(x @ x),
-            subgradient=lambda x: 2 * x,
-            conjugate=lambda z: float(z @ z) / 4,
-            value_batch=lambda X: np.sum(X * X, axis=1),
-            conjugate_batch=lambda Z: np.sum(Z * Z, axis=1) / 4,
-            lipschitz_grad=2.0,
-        )
-        assert theorem_bound(p, [1.0], "gradient", 3) is None
+    def test_overflowing_sum_is_scaled_term_by_term(self):
+        tol = TOL.bound(1e308, 1e308)
+        assert isinstance(tol, float) and tol == 1e-9 + 1e-9 * 1e308 + 1e-9 * 1e308
+        both = TOL.bound(np.array([1.0, 1e308]), np.array([2.0, 1e308]))
+        assert both.tolist() == [1e-9 * (1.0 + 1.0 + 2.0), tol]
 
-    def test_subgradient_needs_schedule(self, abs_value):
-        with pytest.raises(ValueError):
-            theorem_bound(abs_value, [1.0], "subgradient", 2)
+    def test_finite_sum_keeps_its_bits(self):
+        # max(eps_abs, eps_rel (1 + |a| + |b| + |c|)), summed in argument order,
+        # non-finite terms skipped, wherever that sum is finite
+        rng = np.random.default_rng(3)
+        terms = rng.standard_normal((3, 200)) * 10.0 ** rng.integers(-12, 300, (3, 200))
+        terms[0, :5] = [math.inf, -math.inf, math.nan, 0.0, -0.0]
+        got = TOL.bound(*terms)
+        for i in range(terms.shape[1]):
+            scale = 1.0
+            for m in terms[:, i].tolist():
+                scale += abs(m) if math.isfinite(m) else 0.0
+            assert got[i] == max(1e-9, 1e-9 * scale), i
 
-    @pytest.mark.parametrize("schedule", [
-        StepSchedule.horizon_sqrt(10),
-        StepSchedule.explicit([1.0 / (i + 1) ** 0.5 for i in range(11)]),
-    ])
-    def test_fixed_length_schedule_at_every_k(self, abs_value, schedule):
-        # resolved at its horizon: the bound at k <= K is that of the run's
-        # own steps, bit for bit, and a k beyond its steps raises
-        K = 10
-        trace = ccfom.run_subgradient(abs_value, [1.0], schedule, K)
-        steps = schedule.resolve(K)
-        for k in range(K + 1):
-            got = theorem_bound(abs_value, [1.0], "subgradient", k, steps=steps)
-            assert got == theorem_bound(abs_value, [1.0], "subgradient", k, steps=trace.t)
-        with pytest.raises(ValueError):
-            theorem_bound(abs_value, [1.0], "subgradient", K + 1, steps=steps)
+    @pytest.mark.parametrize("method", ["gradient", "accelerated"])
+    def test_no_check_of_a_huge_start_has_an_infinite_tolerance(self, method):
+        p = ccfom.from_id("quad:diag=1,1")
+        table = verify_run(run_method(p, method, [1.2e154, 1.0], 50), p)
+        for name, check in table.checks.items():
+            assert not np.isinf(check.tol[check.applicable]).any(), name
 
 
 class TestVerifyRunMatrix:
@@ -443,6 +446,22 @@ class TestVerifyRunMatrix:
 
 def _ref_tol(tol, *terms):
     return max(tol.eps_abs, tol.eps_rel * (1.0 + sum(abs(t) for t in terms if math.isfinite(t))))
+
+
+def paper_bound(p, method, x0, k, t):
+    """The theorem's closed form at k, spelt over Python floats with d = ||x0 - its projection||:
+    (d^2 + G^2 sum_{i<=k} t_i^2) / (2 sum_{i<=k} t_i), L d^2 / (2k) or 2 L d^2 / (k+1)^2."""
+    x0 = np.asarray(x0, dtype=float)
+    d = float(np.linalg.norm(x0 - p.project_to_solution(x0)))
+    if method == "subgradient":
+        total = squares = 0.0
+        for s in t[: k + 1].tolist():  # in step order, as the running sums add
+            total += s
+            squares += s * s
+        G = p.lipschitz_f
+        return (d * d + G * G * squares) / (2.0 * total)
+    L = p.lipschitz_grad
+    return L * d * d / (2.0 * k) if method == "gradient" else 2.0 * L * d * d / (k + 1) ** 2
 
 
 def reference_chain(trace, cert, p, pts, tol=TOL):
@@ -559,9 +578,8 @@ class TestAgainstScalarReference:
     def test_chain_and_induction_match(self, cell):
         p, tr, cert = REFERENCE_CELLS[cell]()
         cert = build_certificate(tr, p) if cert is None else cert
-        pts = [p.project_to_solution(tr.x[0]), tr.x[0]]
-        table = verify_certificate(tr, cert, p, pts)
-        ref = reference_chain(tr, cert, p, pts)
+        table = verify_certificate(tr, cert, p)
+        ref = reference_chain(tr, cert, p, [p.project_to_solution(tr.x[0]), tr.x[0]])
         assert list(ref) == table.ks.tolist()
         chain_failed = np.any(
             [table.checks[name].failed for name in CHAIN_CHECKS + ("g_ball",)], axis=0)
@@ -606,7 +624,7 @@ class TestAgainstScalarReference:
         ver = verify_run(tr, p)
         ks = ver.ks.tolist()
         rows = build_rows(tr, p, ver).rows
-        bounds = [theorem_bound(p, tr.x[0], method, k, steps=tr.t) for k in ks]
+        bounds = [paper_bound(p, method, tr.x[0], k, tr.t) for k in ks]
         assert rows.columns["theorem_bound_k"].tolist() == bounds
 
 

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -887,6 +888,17 @@ def test_a_fresh_out_directory_is_made(tmp_path):
     cfg = run_cfg(tmp_path, **RUN_KV)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "fresh" / "deeper")]) == 0
     assert (tmp_path / "fresh" / "deeper" / "run.csv").is_file()
+
+
+@pytest.mark.parametrize("method", ["gradient", "accelerated"])
+def test_huge_start_runs_and_verifies_without_a_warning(tmp_path, method):
+    # terms near 1e308: no tolerance is infinite and no numpy warning is raised
+    cfg = run_cfg(tmp_path, problem="quad:diag=1,1", method=method, x0="1.2e154,1", iterations=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["verify", str(tmp_path / "run.csv")]) == 0
+    assert "tol=inf" not in (tmp_path / "run.report.txt").read_text()
 
 
 def test_import_leaves_scipy_linalg_out():

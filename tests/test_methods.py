@@ -152,7 +152,8 @@ class TestRunGradient:
         f_ref = ccfom.verify_run(tr, p).reference
         assert f_ref == pytest.approx(math.log(2), rel=1e-15)
         gap = p.value(tr.x[100]) - f_ref
-        assert gap <= ccfom.theorem_bound(p, x0, "gradient", 100) + 1e-12
+        dist = float(np.linalg.norm(tr.x[0] - p.project_to_solution(tr.x[0])))
+        assert gap <= p.lipschitz_grad * dist * dist / (2.0 * 100) + 1e-12  # L d^2 / (2k)
 
     def test_requires_L_and_differentiability(self, abs_value):
         with pytest.raises(ValueError):
@@ -210,7 +211,8 @@ class TestRunAccelerated:
         p = ccfom.from_id("quad:diag=1,100")
         tr = ccfom.run_accelerated(p, [1.0, 1.0], 200)
         gap = p.value(tr.x[200]) - p.optimal_value
-        assert gap <= ccfom.theorem_bound(p, [1.0, 1.0], "accelerated", 200) + 1e-12
+        dist = float(np.linalg.norm(tr.x[0] - p.project_to_solution(tr.x[0])))
+        assert gap <= 2.0 * p.lipschitz_grad * dist * dist / (200 + 1) ** 2 + 1e-12  # 2 L d^2 / (k+1)^2
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ class TestLogSumExp:
         p = ccfom.make_log_sum_exp(2)
         x0 = np.array([3.0, -3.0])
         assert np.allclose(p.project_to_solution(x0), [0.0, 0.0])
-        assert p.distance_to_solution(x0) == pytest.approx(math.sqrt(18.0), rel=1e-15)
+        assert np.linalg.norm(x0 - p.project_to_solution(x0)) == pytest.approx(math.sqrt(18.0), rel=1e-15)
         assert p.optimal_value is None
 
 

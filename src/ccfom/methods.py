@@ -193,8 +193,11 @@ def _flush(arr: np.ndarray, start: int, flat: list) -> int:
     Returns the number of rows; ValueError when ``flat`` holds no whole
     number of rows.
     """
-    n = len(flat) // arr.shape[1]
-    arr[start : start + n] = np.reshape(flat, (n, arr.shape[1]))
+    d = arr.shape[1]
+    n = len(flat) // d
+    if n * d != len(flat):  # fromiter would drop the tail
+        raise ValueError(f"cannot reshape array of size {len(flat)} into shape ({n},{d})")
+    arr[start : start + n] = np.fromiter(flat, float, n * d).reshape(n, d)
     flat.clear()
     return n
 

@@ -200,13 +200,17 @@ class ProblemInstance:
 def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstance:
     """f(x) = (1/2)<x, A x> + <b, x> with A symmetric positive definite.
 
-    The conjugate f*(z) = (1/2)<z - b, A^{-1}(z - b)> is evaluated through a
-    Cholesky factorization computed once here, solved for a batch of rows
-    in blocks of at most ``_SOLVE_ELEMENTS`` entries.
-    Matrices with condition number above ``MAX_QUAD_CONDITION`` are
-    rejected.
+    A must be finite and symmetric to within 1e-12 (1 + max|A_ij|), tested
+    once as max|A - A^T|, and its condition number at most
+    ``MAX_QUAD_CONDITION``.  The Cholesky factor and the minimizer
+    -A^{-1} b come from LAPACK's potrf and potrs called directly, the calls
+    ``scipy.linalg.cho_factor``/``cho_solve`` make, without their per-call
+    checks.  The conjugate f*(z) = (1/2)<z - b, A^{-1}(z - b)> solves with
+    that factor, for a batch of rows in blocks of at most
+    ``_SOLVE_ELEMENTS`` entries.
     """
-    import scipy.linalg  # only here: its import takes longer than the rest of ccfom's
+    # only here: scipy.linalg's import takes longer than the rest of ccfom's
+    from scipy.linalg import LinAlgError, get_lapack_funcs
 
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -215,7 +219,8 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     if not np.all(np.isfinite(A)):
         raise ValueError("A has non-finite entries")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * (1.0 + scale)):
+    # for finite A, np.allclose(A, A.T, rtol=0, atol=tau) in one pass
+    if not np.abs(A - A.T).max(initial=0.0) <= 1e-12 * (1.0 + scale):
         raise ValueError("A must be symmetric")
     b = np.zeros(n) if b is None else np.array(as_point(b, n, "b"))
 
@@ -226,9 +231,12 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
         raise ValueError(
             f"condition number {eigs[-1] / eigs[0]:.3e} exceeds {MAX_QUAD_CONDITION:.0e}"
         )
-    factor = scipy.linalg.cho_factor(A)
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"))
+    c, info = potrf(A, lower=False, overwrite_a=False, clean=False)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     # 0 - b, not -b: with b = 0 the minimizer is +0, not -0, so f there is +0
-    minimizer = scipy.linalg.cho_solve(factor, 0.0 - b)
+    minimizer = potrs(c, 0.0 - b, lower=False)[0]
     minimizer.flags.writeable = False
 
     d = np.diagonal(A)
@@ -256,15 +264,13 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
                 g[i] += bl[i]
             return g
 
-    # cho_solve's own solver, called on each block without its per-call checks
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (factor[0],))
     rows = max(1, _SOLVE_ELEMENTS // n)
 
     def conjugate_batch(Z):
         D = np.asarray_chkfinite(Z - b)  # cho_solve's check, once per batch
         S = np.empty_like(D)
         for lo in range(0, D.shape[0], rows):
-            S[lo : lo + rows] = potrs(factor[0], D[lo : lo + rows].T, lower=factor[1])[0].T
+            S[lo : lo + rows] = potrs(c, D[lo : lo + rows].T, lower=False)[0].T
         return 0.5 * row_dot(D, S)
 
     def value_batch(X):

@@ -116,16 +116,26 @@ def make_l1(lam: float) -> Regularizer:
         return lam * np.abs(X).sum(axis=1)
 
     def prox(v, t):
-        # soft_threshold(v, lam * t) one coordinate at a time, bit for bit:
-        # np.sign is +0.0 at -0.0, and the numpy form returns a NaN x
-        # quieted, spelt x * 1.0 since a product of two NaNs may keep either
+        # soft_threshold(v, lam * t) one coordinate at a time, bit for bit,
+        # by the sign of x: sign(x) * max(|x| - a, 0) is x - a or 0.0 for
+        # x > 0, and x + a, which is -(|x| - a) exactly, or -0.0 for x < 0;
+        # a NaN x - a or x + a (x = +-inf, a = inf) passes through, as the
+        # product keeps it.  At +-0.0 np.sign is +0.0, so the product is
+        # 0.0 * max(-a, 0); a NaN x is returned quieted, spelt x * 1.0
+        # since a product of two NaNs may keep either
         a = lam * t
         out = list(v)
         for i in range(len(out)):
             x = out[i]
-            if x == x:
-                w = abs(x) - a
-                out[i] = (1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0) * (0.0 if w <= 0.0 else w)
+            if x > 0.0:
+                w = x - a
+                out[i] = 0.0 if w <= 0.0 else w
+            elif x < 0.0:
+                w = x + a
+                out[i] = -0.0 if w >= 0.0 else w
+            elif x == 0.0:
+                w = 0.0 - a
+                out[i] = 0.0 if w <= 0.0 else 0.0 * w
             else:
                 out[i] = x * 1.0
         return out
@@ -263,11 +273,11 @@ def run_proximal_accelerated(cp: CompositeProblem, x0, K: int) -> MethodTrace:
     return _run_momentum(cp.phi, x0, K, "prox_accelerated", prox=cp.psi.prox)
 
 
-def _conjectured(cert: DualCertificate, cp: CompositeProblem, x0: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """The conjectured bound at each k of ``ks``: one phi* batch and one inner-minimum batch."""
-    Z = cert.z[ks]
+def _conjectured(cert: DualCertificate, cp: CompositeProblem, x0: np.ndarray, start: int) -> np.ndarray:
+    """The conjectured bound at each k from ``start`` on: one phi* batch and one inner-minimum batch."""
+    Z = cert.z[start:]
     phistar = cp.phi.conjugate_batch(Z)
-    inner = cp.psi.inner_min_batch(Z, cert.mu[ks], x0)[0]
+    inner = cp.psi.inner_min_batch(Z, cert.mu[start:], x0)[0]
     return np.where(np.isinf(phistar), -math.inf, -phistar + inner)
 
 
@@ -305,10 +315,10 @@ def probe_instance(
     x0 = trace.x[0]
     start = cert.start_index
     ks = np.arange(start, K + 1)
-    xs = trace.x[ks]
+    xs = trace.x[start:]
     psi_vals = cp.psi.value_batch(xs)
     f_vals = cp.phi.value_batch(xs) + psi_vals
-    conied = _conjectured(cert, cp, x0, ks)
+    conied = _conjectured(cert, cp, x0, start)
     vac = np.isneginf(conied)
     margins = conied - f_vals
     tols = tol.bound(f_vals, conied)
@@ -343,10 +353,9 @@ def lasso_instance(dim: int, seed: int) -> tuple[CompositeProblem, np.ndarray]:
     m = dim + 3
     A = rng.standard_normal((m, dim))
     target = rng.standard_normal(m)
-    Q = A.T @ A
-    lin = -(A.T @ target)
-    lam = 0.3 * float(np.max(np.abs(A.T @ target)))
-    phi = make_quadratic(Q, lin, problem_id=f"lasso-smooth:dim={dim}:seed={seed}")
+    aty = A.T @ target
+    lam = 0.3 * float(np.max(np.abs(aty)))
+    phi = make_quadratic(A.T @ A, -aty, problem_id=f"lasso-smooth:dim={dim}:seed={seed}")
     cp = CompositeProblem(phi=phi, psi=make_l1(lam))
     return cp, np.zeros(dim)
 

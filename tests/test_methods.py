@@ -606,6 +606,33 @@ def test_fault_in_the_second_block_raises_the_per_step_error(run, faults):
         assert err.value.iteration == k
 
 
+def test_flush_of_a_partial_row_raises():
+    arr = np.zeros((4, 2))
+    flat = [1.0] * 7
+    with pytest.raises(ValueError, match=r"^cannot reshape array of size 7 into shape \(3,2\)$"):
+        ccfom.methods._flush(arr, 0, flat)
+    assert not arr.any() and len(flat) == 7
+    flat = [1.0, 2.0, 3.0, 4.0]
+    assert ccfom.methods._flush(arr, 1, flat) == 2
+    assert arr.tolist() == [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0], [0.0, 0.0]] and flat == []
+
+
+@pytest.mark.parametrize("run", list(_RUNS.values()), ids=list(_RUNS))
+@pytest.mark.parametrize("K,message", [
+    (9, "could not broadcast input array from shape (15,2) into shape (10,2)"),
+    (10, "cannot reshape array of size 33 into shape (16,2)"),
+    (5000, "could not broadcast input array from shape (6144,2) into shape (5001,2)"),
+])
+def test_oracle_row_one_coordinate_too_long_fails_at_the_flush(run, K, message):
+    # 3 floats per g row in dimension 2: a block of g rows that is not a whole
+    # number of 2-float rows cannot be reshaped, and one that is holds too many
+    p = ccfom.from_id("quad:diag=1,10")
+    long = dataclasses.replace(p, subgradient=lambda x: list(p.subgradient(x)) + [0.0])
+    with pytest.raises(ValueError) as err:
+        run(long, [1.0, -2.0], K)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # memory of the method loops
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.spatial
 from hypothesis import given, settings
@@ -132,6 +133,78 @@ class TestQuadratic:
                 e[i] = h
                 fd = (p.value(x + e) - p.value(x - e)) / (2 * h)
                 assert g[i] == pytest.approx(fd, abs=1e-4)
+
+
+def _cho_reference(A, b, Z):
+    """Minimizer, optimal value and conjugate of (1/2)<x, A x> + <b, x> from
+    scipy's ``cho_factor``/``cho_solve``, the conjugate in 100-row solves."""
+    factor = scipy.linalg.cho_factor(A)
+    minimizer = scipy.linalg.cho_solve(factor, 0.0 - b)
+    D = Z - b
+    S = np.vstack([scipy.linalg.cho_solve(factor, D[lo : lo + 100].T).T
+                   for lo in range(0, D.shape[0], 100)])
+    return minimizer, 0.5 * ccfom.problems.row_dot(D, S)
+
+
+def _assert_construction_is_cho(p, A, b):
+    Z = np.random.default_rng([31, p.dim]).standard_normal((1000, p.dim)) * 3.0
+    minimizer, conj = _cho_reference(np.asarray(A, float), np.asarray(b, float), Z)
+    got = p.project_to_solution(np.zeros(p.dim))
+    assert got.tobytes() == minimizer.tobytes()
+    assert np.float64(p.optimal_value).tobytes() == p.value_batch(minimizer[None, :])[0].tobytes()
+    assert p.conjugate_batch(Z).tobytes() == conj.tobytes()
+
+
+class TestQuadraticConstruction:
+    """make_quadratic calls potrf/potrs itself; the bits are those of cho_factor/cho_solve."""
+
+    @pytest.mark.parametrize("pid,diag,b", [
+        ("quad:diag=1,100", [1.0, 100.0], [0.0, 0.0]),
+        ("quad:diag=3,7.3", [3.0, 7.3], [0.0, 0.0]),
+        ("quad:diag=1,10", [1.0, 10.0], [0.0, 0.0]),
+        ("quad:diag=1,2,3:b=1,-2,0.5", [1.0, 2.0, 3.0], [1.0, -2.0, 0.5]),
+    ])
+    def test_catalog_quads(self, pid, diag, b):
+        _assert_construction_is_cho(ccfom.from_id(pid), np.diag(diag), b)
+
+    def test_dense_matrix(self):
+        M = np.random.default_rng(3).standard_normal((9, 6))
+        A, b = M.T @ M + 0.25 * np.eye(6), np.linspace(-2.0, 1.5, 6)
+        _assert_construction_is_cho(ccfom.make_quadratic(A, b), A, b)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_lasso_instances(self, dim):
+        # lasso_instance's smooth part and lam, against the construction spelt out
+        for seed in range(50):
+            rng = np.random.default_rng([271828, seed])
+            M = rng.standard_normal((dim + 3, dim))
+            target = rng.standard_normal(dim + 3)
+            cp, _ = ccfom.lasso_instance(dim, seed)
+            _assert_construction_is_cho(cp.phi, M.T @ M, -(M.T @ target))
+            assert cp.psi.label == ccfom.make_l1(0.3 * float(np.max(np.abs(M.T @ target)))).label
+
+    def test_symmetry_tolerance_boundary(self):
+        # tau = 1e-12 (1 + max|A_ij|): an asymmetry of exactly tau passes, the next float up
+        # does not, as np.allclose(A, A.T, rtol=0, atol=tau) decides
+        tau = 1e-12 * (1.0 + 2.0)
+        for off, ok in ((tau, True), (np.nextafter(tau, math.inf), False)):
+            A = np.array([[2.0, 0.0], [off, 2.0]])
+            assert np.allclose(A, A.T, rtol=0.0, atol=tau) is ok
+            if ok:
+                ccfom.make_quadratic(A)
+            else:
+                with pytest.raises(ValueError, match="A must be symmetric"):
+                    ccfom.make_quadratic(A)
+
+    def test_factor_failure_is_cho_factors_error(self):
+        # symmetric within tau: the lower triangle, which eigvalsh reads, is positive
+        # definite (condition 4e10), the upper one, which potrf reads, is not
+        A = np.array([[0.01, 0.01 + 5e-13], [0.01 - 5e-13, 0.01]])
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            scipy.linalg.cho_factor(A)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            ccfom.make_quadratic(A)
+        assert str(got.value) == str(want.value)
 
 
 class TestScaledNorm:

@@ -105,6 +105,25 @@ class TestRegularizers:
             assert np.array(psi.prox(v, t)).tobytes() == want.tobytes()
             for x, w in zip(v, want):
                 assert np.array(psi.prox([x], t)).tobytes() == w.tobytes(), x
+        # 10^4 seeded bit patterns of either sign: exponent 0 (zeros and subnormals),
+        # 0x7FF (infinities and NaNs, quiet or signalling, of any payload), any
+        # exponent, and the exponents around a's, each with a zero or random mantissa
+        rng = np.random.default_rng(20261020)
+        n = 10_000
+        near = math.frexp(a)[1] + 1022 if 0.0 < a < math.inf else 1023
+        exponent = np.choose(rng.integers(0, 4, n), [
+            np.zeros(n, np.int64), np.full(n, 0x7FF), rng.integers(0, 0x800, n),
+            near + rng.integers(-1, 2, n),
+        ]).astype(np.uint64)
+        mantissa = rng.integers(0, 1 << 52, n, dtype=np.uint64) * (rng.random(n) < 0.75)
+        sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+        bits = sign | (exponent << np.uint64(52)) | mantissa
+        v = bits.view(np.float64).tolist()
+        with np.errstate(invalid="ignore"):
+            want = soft_threshold(bits.view(np.float64), a).view(np.uint64)
+        got = np.array(psi.prox(v, t)).view(np.uint64)
+        bad = np.flatnonzero(got != want)
+        assert bad.size == 0, [(hex(bits[i]), hex(got[i]), hex(want[i])) for i in bad[:5]]
 
     def test_box_prox_is_bitwise_np_clip(self):
         # the list prox against np.clip, with bounds of either zero sign: where x
@@ -313,7 +332,7 @@ class TestConjecturedCertificate:
             mu=np.array(cert.mu), theta=np.array(cert.theta),
         )
         x0 = np.array([1.0, -1.0])
-        assert _conjectured(hacked, cp, x0, np.array([1]))[0] == -math.inf
+        assert _conjectured(hacked, cp, x0, 1)[0] == -math.inf
 
 
 class TestLassoSuite:

@@ -11,6 +11,7 @@ import pytest
 import ccfom
 from ccfom.errors import OracleError
 from ccfom.methods import StepSchedule, method_spec, theta_sequence
+from ccfom.problems import UNROLL_DIM
 from ccfom.proxprobe import soft_threshold
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, row_recursion
 
@@ -267,6 +268,11 @@ _PLAIN = {
         lambda p, x0, K: ccfom.run_subgradient(p, x0, StepSchedule.horizon_sqrt(K), K),
         lambda p, x0, K: _plain_descent(p, x0, StepSchedule.horizon_sqrt(K).resolve(K)),
     ),
+    "subgradient maxaff": (
+        lambda dim: ccfom.from_id(f"maxaff:dim={dim}:pieces={dim + 3}:seed=0"),
+        lambda p, x0, K: ccfom.run_subgradient(p, x0, StepSchedule.horizon_sqrt(K), K),
+        lambda p, x0, K: _plain_descent(p, x0, StepSchedule.horizon_sqrt(K).resolve(K)),
+    ),
     "gradient quad": (
         _quad,
         lambda p, x0, K: ccfom.run_gradient(p, x0, K),
@@ -302,9 +308,10 @@ _PLAIN = {
 }
 
 
-@pytest.mark.parametrize("dim", [1, 2, 40])
+@pytest.mark.parametrize("dim", [1, 2, UNROLL_DIM, UNROLL_DIM + 1, 40])
 @pytest.mark.parametrize("case", list(_PLAIN))
 def test_trace_is_bitwise_that_of_the_plain_loop(case, dim, rng):
+    # the steppers' rows written out (dims up to UNROLL_DIM) and as loops (above it)
     build, run, plain = _PLAIN[case]
     p = build(dim)
     x0 = rng.uniform(-2.0, 2.0, dim)
@@ -318,6 +325,44 @@ def test_trace_is_bitwise_that_of_the_plain_loop(case, dim, rng):
             continue
         assert got.shape == expected[name].shape
         assert got.tobytes() == expected[name].tobytes(), name  # bits, -0.0 and NaN included
+
+
+@pytest.mark.parametrize("template", ["_DESCENT", "_MOMENTUM", "_PROX_MOMENTUM"])
+def test_a_dim_above_the_bound_shares_the_loop_form(template):
+    # one compiled stepper serves every dim above UNROLL_DIM, a loop over the row
+    template = getattr(ccfom.methods, template)
+    above = ccfom.problems._generated(template, UNROLL_DIM + 1)
+    assert ccfom.problems._generated(template, 10**5) is above
+    assert ccfom.problems._generated(template, UNROLL_DIM) is not above
+    assert "for i in range(len(" in ccfom.problems._source(template, None)
+    assert "[0]" in ccfom.problems._source(template, UNROLL_DIM)
+
+
+def test_a_run_at_dim_10_5_compiles_nothing_of_its_size(monkeypatch):
+    # lse:dim=100000 and norm:G=1:dim=100000 under every method they admit: the
+    # steppers and the norm oracle take the loop form, whose source does not grow with dim
+    sources = []
+    real = ccfom.problems._source
+
+    def recorded(template, dim):
+        sources.append(real(template, dim))
+        return sources[-1]
+
+    monkeypatch.setattr(ccfom.problems, "_source", recorded)
+    ccfom.problems._compiled.cache_clear()
+    lse, norm = ccfom.from_id("lse:dim=100000"), ccfom.from_id("norm:G=1:dim=100000")
+    x0 = np.linspace(-1.0, 1.0, 10**5)
+    for trace, want in [
+        (ccfom.run_gradient(lse, x0, 2), _plain_descent(lse, x0, np.ones(3))),
+        (ccfom.run_accelerated(lse, x0, 2), _plain_momentum(lse, x0, 2)),
+        (ccfom.run_subgradient(norm, x0, StepSchedule.constant(0.5), 2),
+         _plain_descent(norm, x0, np.full(3, 0.5))),
+    ]:
+        for name in ("x", "g", "y"):
+            if name in want:
+                assert getattr(trace, name).tobytes() == want[name].tobytes(), name
+    assert len(sources) == 3  # the descent and momentum steppers, the norm oracle
+    assert max(len(source) for source in sources) < 1000
 
 
 # every family under every method it admits, and the l1, box and zero prox

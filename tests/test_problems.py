@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import ccfom
 from ccfom.errors import ConfigError
+from ccfom.problems import UNROLL_DIM
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, sample_points
 
 ALL_CELLS = SMOOTH_CELLS + NONSMOOTH_CELLS
@@ -196,15 +198,28 @@ class TestQuadraticConstruction:
                 with pytest.raises(ValueError, match="A must be symmetric"):
                     ccfom.make_quadratic(A)
 
-    def test_factor_failure_is_cho_factors_error(self):
-        # symmetric within tau: the lower triangle, which eigvalsh reads, is positive
-        # definite (condition 4e10), the upper one, which potrf reads, is not
+    def test_definiteness_is_that_of_the_upper_triangle(self):
+        # symmetric within tau: the symmetric matrix of the lower triangle is positive
+        # definite (condition 4e10), that of the upper one, which potrf factors, is not
         A = np.array([[0.01, 0.01 + 5e-13], [0.01 - 5e-13, 0.01]])
-        with pytest.raises(np.linalg.LinAlgError) as want:
-            scipy.linalg.cho_factor(A)
-        with pytest.raises(np.linalg.LinAlgError) as got:
+        assert np.linalg.eigvalsh(A, UPLO="L")[0] > 0.0 > np.linalg.eigvalsh(A, UPLO="U")[0]
+        with pytest.raises(ValueError, match="^A must be positive definite$"):
             ccfom.make_quadratic(A)
-        assert str(got.value) == str(want.value)
+
+    def test_every_use_reads_the_upper_triangle(self):
+        # an A symmetric within tau is the instance of its upper triangle's symmetric matrix
+        A = np.array([[2.0, 1.0 + 2e-12, 0.5], [1.0, 3.0, -1e-12], [0.5, 0.0, 4.0]])
+        b = np.array([0.5, -1.0, 0.0])
+        got, want = ccfom.make_quadratic(A, b), ccfom.make_quadratic(np.triu(A) + np.triu(A, 1).T, b)
+        rng = np.random.default_rng(5)
+        X, Z = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+        assert got.lipschitz_grad == want.lipschitz_grad
+        assert np.float64(got.optimal_value).tobytes() == np.float64(want.optimal_value).tobytes()
+        assert got.project_to_solution(X[0]).tobytes() == want.project_to_solution(X[0]).tobytes()
+        assert got.value_batch(X).tobytes() == want.value_batch(X).tobytes()
+        assert got.conjugate_batch(Z).tobytes() == want.conjugate_batch(Z).tobytes()
+        for x in X.tolist():
+            assert got.subgradient(x) == want.subgradient(x)
 
 
 class TestScaledNorm:
@@ -696,6 +711,17 @@ def _dense_quad_signed_zero_b():
     return ccfom.make_quadratic(A, b), _dense_quad(A, b)
 
 
+def _diag_quad_case(n):
+    d, b = np.linspace(0.5, 40.0, n), np.linspace(-2.0, 3.0, n)
+    return ccfom.make_quadratic(np.diag(d), b), _diag_quad(d, b)
+
+
+def _dense_quad_case(n):
+    M = np.random.default_rng(n).standard_normal((n + 3, n))
+    A, b = M.T @ M + np.eye(n), np.linspace(-2.0, 3.0, n)
+    return ccfom.make_quadratic(A, b), _dense_quad(A, b)
+
+
 def _maxaff_case(pid):
     p, A, b = maxaff_with_pieces(pid)
     return p, _maxaff(A, b)
@@ -723,7 +749,13 @@ _ORACLE_CASES = {
     "quad dense (lasso)": _dense_lasso_quad,
     "norm:G=2:dim=3": lambda: (ccfom.from_id("norm:G=2:dim=3"), _norm(2.0)),
     "norm:G=1:dim=1": lambda: (ccfom.from_id("norm:G=1:dim=1"), _norm(1.0)),
-    **{f"lse:dim={n}": (lambda n=n: (ccfom.from_id(f"lse:dim={n}"), _lse)) for n in (1, 2, 3, 8, 9, 16)},
+    **{f"lse:dim={n}": (lambda n=n: (ccfom.from_id(f"lse:dim={n}"), _lse)) for n in (1, 2, 3, 7, 8, 9, 16)},
+    # the generated oracles with their rows written out (UNROLL_DIM) and as loops (one more)
+    **{case: build for n in (UNROLL_DIM, UNROLL_DIM + 1) for case, build in {
+        f"quad diag dim={n}": lambda n=n: _diag_quad_case(n),
+        f"quad dense dim={n}": lambda n=n: _dense_quad_case(n),
+        f"norm:G=3:dim={n}": lambda n=n: (ccfom.from_id(f"norm:G=3:dim={n}"), _norm(3.0)),
+    }.items()},
     **{pid: (lambda pid=pid: _maxaff_case(pid)) for pid in MAXAFF_IDS},
     "quad dense:b=-0,0,1.5": _dense_quad_signed_zero_b,
 }
@@ -745,6 +777,33 @@ _EDGE_CASES = {
         [[-_INF, 0.0], [-_INF, 5.0], [_INF, 0.0], [0.0, -_INF], [_INF, -_INF],
          [math.nan, 0.0], [0.0, math.nan]]),
 }
+
+
+def test_exp_of_a_float_is_that_of_np_exp_on_a_list():
+    # the lse oracle below 8 coordinates takes float(np.exp(v)) per coordinate
+    # where it took np.exp on the list of them: the same bits over a seeded
+    # sweep of 10^5 values, from underflow to overflow, with +-0, +-inf and NaN
+    rng = np.random.default_rng(20)
+    v = np.concatenate([
+        rng.standard_normal(40_000) * 3.0,
+        -rng.uniform(0.0, 40.0, 20_000),
+        -rng.uniform(700.0, 760.0, 20_000),  # subnormal results, then 0
+        rng.uniform(-1.0, 1.0, 19_900) * 10.0 ** rng.uniform(-320, 0, 19_900),
+        rng.uniform(705.0, 712.0, 90),  # inf from 709.78
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 709.782712893384, -745.2],
+    ])
+    assert v.size == 10**5
+    rng.shuffle(v)
+    values = v.tolist()
+    with np.errstate(over="ignore"):
+        lists, lo = [], 0
+        for size in itertools.cycle(range(1, 8)):  # lists of 1 to 7 values, as the oracle had
+            if lo >= v.size:
+                break
+            lists.extend(np.exp(values[lo : lo + size]).tolist())
+            lo += size
+        floats = [float(np.exp(x)) for x in values]
+        assert np.array(floats).tobytes() == np.array(lists).tobytes() == np.exp(v).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 300])

@@ -254,53 +254,52 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params: np.nd
 
 # The steppers run over Python floats: the IEEE operations of the row
 # arithmetic, in its order, with no numpy call and no function frame but
-# the oracle's and the prox's.  Each is generated from one template per
-# kind (``problems._generated``): a row up to UNROLL_DIM coordinates is one
-# list display, e.g. ``[xk[0] - tk*gk[0], xk[1] - tk*gk[1]]``, and a longer
-# one the loop over a copy of its base row.  The template is compiled once
-# per process and dim, and each run calls its factory to bind the oracle,
-# the prox and the step.  Every row is a new list, since the oracle or the
-# prox may keep, or return, the list it was given.  Rows are appended with
-# extend, not +=: an oracle may return an ndarray, and list += ndarray is
-# numpy's elementwise sum.
+# the oracle's and the prox's.  Each is a template of ``problems._generated``:
+# up to UNROLL_DIM coordinates a row is compiled as one list display, e.g.
+# ``[xk[0] - tk * gk[0], xk[1] - tk * gk[1]]``, and above it as the
+# comprehension over coords that the template writes.  A template is
+# compiled once per process and dim, and each run binds its oracle, prox
+# and step.  Every row is a new list, since the oracle or the prox may
+# keep, or return, the list it was given.  Rows are appended with extend,
+# not +=: an oracle may return an ndarray, and list += ndarray is numpy's
+# elementwise sum.
 
 # x[k+1] = x[k] - t[k] * g[k]
 _DESCENT = """
-def factory(subgradient):
+def factory(coords, subgradient):
     def stepper(xk, ts, gs, xs):
         put_g, put_x = gs.extend, xs.extend
         for tk in ts:
             gk = subgradient(xk)
             put_g(gk)
-            xk = ROW(xk, xk[i] - tk * gk[i])
+            xk = [xk[i] - tk * gk[i] for i in coords]
             put_x(xk)
         return xk
     return stepper
 """
 
-# x[k+1] = prox(y[k] - t[k] * g[k], t[k])
+# x[k+1] = prox(y[k] - t[k] * g[k], t[k]), without prox when it is None
 # y[k+1] = x[k+1] + (x[k+1] - x[k]) * (theta[k+1] * (1 - theta[k]) / theta[k])
 # (a sum of two NaNs, whose bits CPython may take from either one, comes
 # only after a non-finite step: the run raises OracleError)
-_PROX_MOMENTUM = """
-def factory(subgradient, prox, tk, xk, xs):
+_MOMENTUM = """
+def factory(coords, subgradient, prox, tk, xk, xs):
     def stepper(yk, cs, gs, ys):
         nonlocal xk
         put_g, put_x, put_y = gs.extend, xs.extend, ys.extend
         for c in cs:
             gk = subgradient(yk)
             put_g(gk)
-            x1 = ROW(yk, yk[i] - tk * gk[i])
-            x1 = prox(x1, tk)
+            x1 = [yk[i] - tk * gk[i] for i in coords]
+            if prox is not None:
+                x1 = prox(x1, tk)
             put_x(x1)
-            yk = ROW(x1, x1[i] + (x1[i] - xk[i]) * c)
+            yk = [x1[i] + (x1[i] - xk[i]) * c for i in coords]
             put_y(yk)
             xk = x1
         return yk
     return stepper
 """
-# the same without prox: x[k+1] = y[k] - t[k] * g[k]
-_MOMENTUM = _PROX_MOMENTUM.replace("            x1 = prox(x1, tk)\n", "")
 
 
 def _run_descent(p: ProblemInstance, x0, t: np.ndarray, method: str) -> MethodTrace:
@@ -310,7 +309,7 @@ def _run_descent(p: ProblemInstance, x0, t: np.ndarray, method: str) -> MethodTr
     x = np.empty((K + 1, p.dim))
     g = np.empty((K + 1, p.dim))
     x[0] = x0
-    stepper = _generated(_DESCENT, p.dim)(p.subgradient)
+    stepper = _generated(_DESCENT, p.dim, p.subgradient)
     _oracle_loop(p, x, g, t, stepper)
     return MethodTrace(method=method, x=x, g=g, t=t)
 
@@ -339,9 +338,7 @@ def _run_momentum(
     theta = theta_sequence(K)
     coefs = theta[1:] * (1.0 - theta[:-1]) / theta[:-1]
     xs = []
-    tk, xk = float(t[0]), x0.tolist()
-    template = _MOMENTUM if prox is None else _PROX_MOMENTUM
-    stepper = _generated(template, p.dim)(p.subgradient, prox, tk, xk, xs)
+    stepper = _generated(_MOMENTUM, p.dim, p.subgradient, prox, float(t[0]), x0.tolist(), xs)
     _oracle_loop(p, y, g, coefs, stepper, extra=((x, xs),))
     return MethodTrace(method=method, x=x, g=g, t=t, y=y, theta=theta)
 

@@ -142,55 +142,53 @@ def _pairwise_sum(values: list[float]) -> float:
 
 
 # Per-coordinate loops over Python floats (a method step, a catalog oracle)
-# are generated from source templates.  In a template, a line
-# ``target = ROW(base, expr)`` stands for a new row with entry i = expr;
-# up to UNROLL_DIM coordinates it is written out as one list display,
-# ``target = [expr at 0, expr at 1, ...]``, which runs no loop and no index
-# stores, and above it as the loop ``target = list(base)`` then
-# ``target[i] = expr`` for each i < len(target), with expr reading base[i]
-# from the copy, as a loop that updates a row in place does.  Both are the
-# IEEE operations of expr, coordinate by coordinate, so the two forms give
-# the same bits.  The bound keeps compiling cheap: the momentum-with-prox
-# stepper compiles in 0.7 ms at dim 32, but in 24 ms at dim 1,000 and in
-# 0.28 s and ~100 MB at dim 10^4, growing with the dim, where the loop
-# form's source is the same few lines at every dim.
+# are source templates whose rows are comprehensions over the coordinates,
+# ``target = [expr for i in coords]``.  Up to UNROLL_DIM coordinates each
+# such row is compiled written out as one list display, ``[expr at 0,
+# expr at 1, ...]``, which runs no loop, no index store and no comprehension
+# frame; above it the template is compiled as written.  Both evaluate expr
+# coordinate by coordinate, so they give the same bits.  The display is
+# what pays at small dims: a dim-2 descent row takes 86 ns as a display,
+# 160 ns as a loop updating a copy in place, 290 ns as the comprehension and
+# 490 ns as ``list(map(sub, xk, map(mul, repeat(tk), gk)))``; from about
+# dim 33 on the comprehension is as fast as the loop.  The bound keeps
+# compiling cheap: the momentum stepper's displays compile in 0.7 ms at
+# dim 32, but in 24 ms at dim 1,000 and in 0.28 s and ~100 MB at dim 10^4,
+# growing with the dim, where the template's source is the same at every dim.
 UNROLL_DIM = 32
 
-_ROW = re.compile(r"^( *)(\w+) = ROW\((\w+), (.+)\)$", re.MULTILINE)
+# a row comprehension whose expr subscripts nothing but [i]
+_ROW = re.compile(r"\[([^\[\]]*(?:\[i\][^\[\]]*)*) for i in coords\]")
 
 
 def _source(template: str, dim: Optional[int]) -> str:
-    """``template`` with its ROW lines written out for ``dim`` coordinates, or as loops for None."""
+    """``template`` with its rows written out for ``dim`` coordinates; as written for None."""
+    if dim is None:
+        return template
 
-    def row(m):
-        pad, target, base, expr = m.groups()
-        if dim is None:
-            # entry i of the copy is still that of base when expr reads it
-            expr = re.sub(rf"\b{base}\[i\]", f"{target}[i]", expr)
-            return (f"{pad}{target} = list({base})\n{pad}for i in range(len({target})):\n"
-                    f"{pad}    {target}[i] = {expr}")
-        return f"{pad}{target} = [{', '.join(expr.replace('[i]', f'[{i}]') for i in range(dim))}]"
+    def display(m):
+        return "[" + ", ".join(m[1].replace("[i]", f"[{i}]") for i in range(dim)) + "]"
 
-    return _ROW.sub(row, template)
+    return _ROW.sub(display, template)
 
 
 @functools.cache
 def _compiled(template: str, dim: Optional[int]) -> Callable:
-    # the generated code sees math and np as the module does, and nothing else of it
-    namespace = {"math": math, "np": np}
+    # the generated code sees np and _pairwise_sum as the module does, and nothing else of it
+    namespace = {"np": np, "_pairwise_sum": _pairwise_sum}
     exec(compile(_source(template, dim), f"<ccfom rows dim={dim}>", "exec"), namespace)
     return namespace["factory"]
 
 
-def _generated(template: str, dim: int) -> Callable:
-    """The function ``factory`` that ``template`` defines, its rows of ``dim`` coordinates.
+def _generated(template: str, dim: int, *names) -> Callable:
+    """What ``template``'s ``factory(coords, *names)`` returns for ``coords = range(dim)``.
 
-    Compiled once per process for each template and dim up to
-    ``UNROLL_DIM``, and once for all dims above it, which share the loop
-    form; callers call the factory once per instance or run to bind their
-    names.
+    The factory is compiled once per process for each template and dim up
+    to ``UNROLL_DIM``, and once for all dims above it, which share the
+    template as written; callers call this once per instance or run to
+    bind their names.
     """
-    return _compiled(template, dim if dim <= UNROLL_DIM else None)
+    return _compiled(template, dim if dim <= UNROLL_DIM else None)(range(dim), *names)
 
 
 def _one_row(batch: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], float]:
@@ -251,22 +249,9 @@ class ProblemInstance:
 # quadratic family
 
 _DIAGONAL_GRAD = """
-def factory(dl, bl):
+def factory(coords, dl, bl):
     def grad(x):
-        g = ROW(dl, dl[i] * x[i] + bl[i])
-        return g
-    return grad
-"""
-
-# the matvec stays one BLAS gemv (its FMA bits are not those of a sum over
-# Python floats; A.dot calls it as A @ x does, with less dispatch); + b is
-# the same IEEE sum over floats
-_DENSE_GRAD = """
-def factory(A, bl):
-    def grad(x):
-        g = A.dot(x).tolist()
-        g = ROW(g, g[i] + bl[i])
-        return g
+        return [dl[i] * x[i] + bl[i] for i in coords]
     return grad
 """
 
@@ -299,9 +284,11 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     if not np.abs(A - A.T).max(initial=0.0) <= 1e-12 * (1.0 + scale):
         raise ValueError("A must be symmetric")
     # from here on one matrix, the symmetric one of A's upper triangle: potrf
-    # reads that triangle, eigvalsh the lower one; for symmetric A, A itself
-    lower = np.tril_indices(n, -1)
-    A[lower] = A.T[lower]
+    # reads that triangle, eigvalsh the lower one; only lower entries unequal
+    # to their mirror change, so an A symmetric by value keeps its bits
+    differ = np.tril(A != A.T, -1)
+    if differ.any():
+        A[differ] = A.T[differ]
     b = np.zeros(n) if b is None else np.array(as_point(b, n, "b"))
 
     eigs = np.linalg.eigvalsh(A)
@@ -320,13 +307,23 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
     minimizer.flags.writeable = False
 
     d = np.diagonal(A)
+    coords = range(n)
     if np.array_equal(A, np.diag(d)) and not np.any(np.signbit(b) & (b == 0.0)):
         # A @ x + b one coordinate at a time: for finite x the off-diagonal
         # products are exact zeros, which change only the sign of a zero
         # row sum, and adding a b_i that is not -0.0 erases that sign
-        grad = _generated(_DIAGONAL_GRAD, n)(d.tolist(), b.tolist())
+        grad = _generated(_DIAGONAL_GRAD, n, d.tolist(), b.tolist())
     else:
-        grad = _generated(_DENSE_GRAD, n)(A, b.tolist())
+        bl = b.tolist()
+
+        def grad(x):
+            # the matvec stays one BLAS gemv (its FMA bits are not those of
+            # a sum over Python floats; A.dot calls it as A @ x does, with
+            # less dispatch); + b is the same IEEE sum over floats
+            g = A.dot(x).tolist()
+            for i in coords:
+                g[i] += bl[i]
+            return g
 
     rows = max(1, _SOLVE_ELEMENTS // n)
 
@@ -364,22 +361,6 @@ def make_quadratic(A, b=None, problem_id: Optional[str] = None) -> ProblemInstan
 # ---------------------------------------------------------------------------
 # scaled norm family
 
-# (G / ||x||) * x; ||x|| as np.linalg.norm(x) takes it, by BLAS ddot (an FMA
-# chain, not the sequential sum of squares), which v.dot(v) calls as v @ v
-# does, with less dispatch
-_NORM_GRAD = """
-def factory(G, dim):
-    def subgradient(x):
-        v = np.array(x, dtype=float)
-        nx = math.sqrt(v.dot(v))
-        if nx == 0.0:
-            return [0.0] * dim
-        s = G / nx
-        g = ROW(x, s * x[i])
-        return g
-    return subgradient
-"""
-
 
 def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> ProblemInstance:
     """f(x) = G ||x||, the canonical G-Lipschitz nonsmooth objective.
@@ -393,7 +374,21 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
     G = float(G)
     zero = np.zeros(dim)
     zero.flags.writeable = False
-    subgradient = _generated(_NORM_GRAD, dim)(G, dim)
+    coords = range(dim)
+
+    def subgradient(x):
+        # (G / ||x||) * x; ||x|| as np.linalg.norm(x) takes it, by BLAS ddot
+        # (an FMA chain, not the sequential sum of squares), which v.dot(v)
+        # calls as v @ v does, with less dispatch
+        v = np.array(x, dtype=float)
+        nx = math.sqrt(v.dot(v))
+        if nx == 0.0:
+            return [0.0] * dim
+        s = G / nx
+        g = list(x)
+        for i in coords:
+            g[i] = s * g[i]
+        return g
 
     def conjugate_batch(Z):
         inside = np.sqrt(row_dot(Z, Z)) <= G * (1.0 + _BALL_SLACK)
@@ -422,23 +417,21 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
 # log-sum-exp family
 
 # The gradient e / sum e with e = exp(x - max x): np.exp itself, whose bits
-# math.exp does not always give, and the sum in np.add.reduce's order.
-# Below 8 coordinates, where that order is sequential from 0.0, np.exp is
-# called on each float: float(np.exp(v)) has the bits of np.exp on an array
-# holding v, and a gradient at dim 2 takes 0.73 us against 1.40 with
-# np.exp on the list and its tolist().  From 8 on the sum is pairwise, and
-# per-float calls gain less with the dim until they lose (dim 40: 10.6 us
-# against 8.3), so there the one call on the list stays.
-_SHORT_LSE_GRAD = """
-def factory(exp):
+# math.exp does not always give, called on each float (float(np.exp(v)) has
+# the bits of np.exp on an array holding v), and the sum in np.add.reduce's
+# order.  Per float, a gradient at dim 2 takes 0.88 us against 1.44 with
+# np.exp on the list and its tolist(); the two are even at dim 8, and the
+# list call wins above it (dim 16: 5.3 us against 4.6; dim 50: 17.3 against
+# 11.2), at dims no benchmark workload runs.
+_LSE_GRAD = """
+def factory(coords):
+    exp = np.exp
+
     def grad(x):
         m = max(x)
-        e = ROW(x, float(exp(x[i] - m)))
-        total = 0.0
-        for v in e:
-            total += v
-        e = ROW(e, e[i] / total)
-        return e
+        e = [float(exp(x[i] - m)) for i in coords]
+        total = _pairwise_sum(e)
+        return [e[i] / total for i in coords]
     return grad
 """
 
@@ -458,21 +451,7 @@ def make_log_sum_exp(dim: int, problem_id: Optional[str] = None) -> ProblemInsta
     if dim < 1:
         raise ValueError("dim must be >= 1")
 
-    if dim < 8:
-        grad = _generated(_SHORT_LSE_GRAD, dim)(np.exp)
-    else:
-        coords = range(dim)
-
-        def grad(x):
-            m = max(x)
-            e = list(x)
-            for i in coords:
-                e[i] -= m
-            e = np.exp(e).tolist()
-            total = _pairwise_sum(e)
-            for i in coords:
-                e[i] /= total
-            return e
+    grad = _generated(_LSE_GRAD, dim)
 
     def conjugate_batch(Z):
         zc = np.clip(Z, 0.0, None)

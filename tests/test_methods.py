@@ -311,7 +311,7 @@ _PLAIN = {
 @pytest.mark.parametrize("dim", [1, 2, UNROLL_DIM, UNROLL_DIM + 1, 40])
 @pytest.mark.parametrize("case", list(_PLAIN))
 def test_trace_is_bitwise_that_of_the_plain_loop(case, dim, rng):
-    # the steppers' rows written out (dims up to UNROLL_DIM) and as loops (above it)
+    # the steppers' rows written out (dims up to UNROLL_DIM) and as comprehensions (above it)
     build, run, plain = _PLAIN[case]
     p = build(dim)
     x0 = rng.uniform(-2.0, 2.0, dim)
@@ -327,20 +327,30 @@ def test_trace_is_bitwise_that_of_the_plain_loop(case, dim, rng):
         assert got.tobytes() == expected[name].tobytes(), name  # bits, -0.0 and NaN included
 
 
-@pytest.mark.parametrize("template", ["_DESCENT", "_MOMENTUM", "_PROX_MOMENTUM"])
-def test_a_dim_above_the_bound_shares_the_loop_form(template):
-    # one compiled stepper serves every dim above UNROLL_DIM, a loop over the row
-    template = getattr(ccfom.methods, template)
-    above = ccfom.problems._generated(template, UNROLL_DIM + 1)
-    assert ccfom.problems._generated(template, 10**5) is above
-    assert ccfom.problems._generated(template, UNROLL_DIM) is not above
-    assert "for i in range(len(" in ccfom.problems._source(template, None)
-    assert "[0]" in ccfom.problems._source(template, UNROLL_DIM)
+@pytest.mark.parametrize("template, names", [
+    (ccfom.methods._DESCENT, 1), (ccfom.methods._MOMENTUM, 5),
+    (ccfom.problems._DIAGONAL_GRAD, 2), (ccfom.problems._LSE_GRAD, 0),
+])
+def test_rows_are_displays_up_to_the_bound_and_comprehensions_above(template, names, monkeypatch):
+    # up to UNROLL_DIM every row of a template is written out; above it one
+    # compiled factory, the template as written, serves every dim
+    source = ccfom.problems._source(template, UNROLL_DIM)
+    assert "for i in coords]" in template
+    assert "for i in coords]" not in source and "[i]" not in source
+    assert f"[{UNROLL_DIM - 1}]" in source
+    assert ccfom.problems._source(template, None) == template
+    compiled = []
+    real = ccfom.problems._compiled
+    monkeypatch.setattr(ccfom.problems, "_compiled", lambda t, dim: compiled.append(dim) or real(t, dim))
+    for dim in (UNROLL_DIM, UNROLL_DIM + 1, 10**5):
+        ccfom.problems._generated(template, dim, *[None] * names)  # a factory only binds its names
+    assert compiled == [UNROLL_DIM, None, None]
 
 
 def test_a_run_at_dim_10_5_compiles_nothing_of_its_size(monkeypatch):
     # lse:dim=100000 and norm:G=1:dim=100000 under every method they admit: the
-    # steppers and the norm oracle take the loop form, whose source does not grow with dim
+    # steppers and the lse oracle compile their templates as written, whose
+    # source does not grow with dim
     sources = []
     real = ccfom.problems._source
 
@@ -361,7 +371,7 @@ def test_a_run_at_dim_10_5_compiles_nothing_of_its_size(monkeypatch):
         for name in ("x", "g", "y"):
             if name in want:
                 assert getattr(trace, name).tobytes() == want[name].tobytes(), name
-    assert len(sources) == 3  # the descent and momentum steppers, the norm oracle
+    assert len(sources) == 3  # the descent and momentum steppers, the lse oracle
     assert max(len(source) for source in sources) < 1000
 
 

@@ -206,6 +206,16 @@ class TestQuadraticConstruction:
         with pytest.raises(ValueError, match="^A must be positive definite$"):
             ccfom.make_quadratic(A)
 
+    def test_a_symmetric_a_keeps_its_signed_zeros(self, monkeypatch):
+        # A symmetric by value with zeros of both signs across the diagonal: the
+        # matrix every use reads (the one eigvalsh gets) is A bit for bit
+        A = np.array([[2.0, 0.0, 1.0], [-0.0, 3.0, 0.5], [1.0, 0.5, 4.0]])
+        seen, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: seen.append(M.tobytes()) or eigvalsh(M))
+        ccfom.make_quadratic(A, [1.0, -0.0, 1.0])
+        ccfom.make_quadratic(A.T)
+        assert seen == [A.tobytes(), A.T.tobytes()]
+
     def test_every_use_reads_the_upper_triangle(self):
         # an A symmetric within tau is the instance of its upper triangle's symmetric matrix
         A = np.array([[2.0, 1.0 + 2e-12, 0.5], [1.0, 3.0, -1e-12], [0.5, 0.0, 4.0]])
@@ -750,9 +760,10 @@ _ORACLE_CASES = {
     "norm:G=2:dim=3": lambda: (ccfom.from_id("norm:G=2:dim=3"), _norm(2.0)),
     "norm:G=1:dim=1": lambda: (ccfom.from_id("norm:G=1:dim=1"), _norm(1.0)),
     **{f"lse:dim={n}": (lambda n=n: (ccfom.from_id(f"lse:dim={n}"), _lse)) for n in (1, 2, 3, 7, 8, 9, 16)},
-    # the generated oracles with their rows written out (UNROLL_DIM) and as loops (one more)
+    # at the bound of written-out rows (UNROLL_DIM) and one above it
     **{case: build for n in (UNROLL_DIM, UNROLL_DIM + 1) for case, build in {
         f"quad diag dim={n}": lambda n=n: _diag_quad_case(n),
+        f"lse:dim={n}": lambda n=n: (ccfom.from_id(f"lse:dim={n}"), _lse),
         f"quad dense dim={n}": lambda n=n: _dense_quad_case(n),
         f"norm:G=3:dim={n}": lambda n=n: (ccfom.from_id(f"norm:G=3:dim={n}"), _norm(3.0)),
     }.items()},
@@ -780,9 +791,9 @@ _EDGE_CASES = {
 
 
 def test_exp_of_a_float_is_that_of_np_exp_on_a_list():
-    # the lse oracle below 8 coordinates takes float(np.exp(v)) per coordinate
-    # where it took np.exp on the list of them: the same bits over a seeded
-    # sweep of 10^5 values, from underflow to overflow, with +-0, +-inf and NaN
+    # the lse oracle takes float(np.exp(v)) per coordinate where it took
+    # np.exp on the list of them: the same bits over a seeded sweep of 10^5
+    # values, from underflow to overflow, with +-0, +-inf and NaN
     rng = np.random.default_rng(20)
     v = np.concatenate([
         rng.standard_normal(40_000) * 3.0,
@@ -797,7 +808,7 @@ def test_exp_of_a_float_is_that_of_np_exp_on_a_list():
     values = v.tolist()
     with np.errstate(over="ignore"):
         lists, lo = [], 0
-        for size in itertools.cycle(range(1, 8)):  # lists of 1 to 7 values, as the oracle had
+        for size in itertools.cycle([*range(1, 41), 100, 1000]):  # lists as the oracle had
             if lo >= v.size:
                 break
             lists.extend(np.exp(values[lo : lo + size]).tolist())

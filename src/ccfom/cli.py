@@ -325,31 +325,13 @@ def cmd_conjecture(args) -> int:
     cfg = ExperimentConfig.from_file(args.config, "conjecture", _flags(args))
     tol, K = cfg.tolerances(), cfg["iterations"]
     out = _outputs(args.out, cfg, "csv", "report")
-    if cfg.mode == SUITE:
+    suite = cfg.mode == SUITE
+    if suite:
         counts = ("instances", "dim", "iterations", "seed")
         meta = {"suite": "lasso", **{key: fmt(cfg[key]) for key in counts},
                 "psi": "l1 (per-instance lambda)", "note": Z_RECURSION_NOTE}
         columns = ["instance"] + CONJECTURE_COLUMNS
-
-        def written(i, probe):
-            """Write instance i's rows; keep only the arrays the report reads."""
-            for grid in format_rows(CONJECTURE_COLUMNS, conjecture_rows(*probe)):
-                write(grid, (i,))
-            r = probe[-1]
-            return SimpleNamespace(ks=r.ks, margins=r.margins, tolerances=r.tolerances,
-                                   vacuous=r.vacuous)
-
-        write = None
-        try:
-            with open_csv(out["csv"], meta, columns) as write:
-                # each instance is probed as it is written; bound only inside the
-                # comprehension, no probe outlives its rows
-                suite = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
-                results = [written(i, probe) for i, probe in enumerate(suite)]
-        except BaseException:
-            if write is not None:  # the CSV was opened: leave no partial one behind
-                out["csv"].unlink(missing_ok=True)
-            raise
+        probes = lasso_suite(cfg["instances"], cfg["dim"], K, cfg["seed"], tol)
     else:
         spec = cfg.single_cell()
         phi = spec.build_problem()
@@ -358,8 +340,6 @@ def cmd_conjecture(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         x0 = resolve_x0(spec.x0_spec, cp.dim)
-        probe = (cp, *probe_instance(cp, x0, K, tol))
-        results = [probe[-1]]
         meta = {
             "problem": spec.problem_id,
             "psi": cp.psi.label,
@@ -370,9 +350,30 @@ def cmd_conjecture(args) -> int:
             "eps_abs": fmt(tol.eps_abs),
             "note": Z_RECURSION_NOTE,
         }
-        write_csv(out["csv"], meta, CONJECTURE_COLUMNS, conjecture_rows(*probe))
+        columns = CONJECTURE_COLUMNS
+        probes = ((cp, *probe_instance(cp, x0, K, tol)) for cp in [cp])  # probed when written
 
-    lines = conjecture_report(results, suite=cfg.mode == SUITE)
+    def written(i, probe):
+        """Write instance i's rows (behind its index in a suite); keep only the
+        arrays the report reads."""
+        for grid in format_rows(CONJECTURE_COLUMNS, conjecture_rows(*probe)):
+            write(grid, (i,) if suite else ())
+        r = probe[-1]
+        return SimpleNamespace(ks=r.ks, margins=r.margins, tolerances=r.tolerances,
+                               vacuous=r.vacuous)
+
+    write = None
+    try:
+        with open_csv(out["csv"], meta, columns) as write:
+            # each instance is probed as it is written; bound only inside the
+            # comprehension, no probe outlives its rows
+            results = [written(i, probe) for i, probe in enumerate(probes)]
+    except BaseException:
+        if write is not None:  # the CSV was opened: leave no partial one behind
+            out["csv"].unlink(missing_ok=True)
+        raise
+
+    lines = conjecture_report(results, suite=suite)
     write_report(out["report"], [Z_RECURSION_NOTE], lines)
     print(lines[-1])  # the summary line
     return EXIT_PASS

@@ -468,6 +468,17 @@ def _subgradient_bound(p, dist, k, t):
     return (dist * dist + G * G * np.cumsum(t * t)[k]) / (2.0 * np.cumsum(t)[k])
 
 
+def _squared_over(c: float, dist: float, denominator: np.ndarray) -> np.ndarray:
+    """c dist^2 / denominator.  Where c dist^2 overflows, dist is divided by the
+    square root of the denominator first, so a bound that is a float stays finite."""
+    top = c * dist * dist
+    if math.isfinite(top):
+        return top / denominator
+    root = np.sqrt(denominator)
+    with np.errstate(over="ignore"):
+        return c * (dist / root) * (dist / root)
+
+
 # The run functions are looked up by name when called, so a wrapper that
 # replaces one of them on this module is also called through the table.
 _SUBGRADIENT = MethodSpec(
@@ -484,14 +495,14 @@ _GRADIENT = MethodSpec(
     lhs=lambda trace, p, f: _from_k1(
         trace.horizon, np.cumsum(f[1:]) / np.arange(1, trace.horizon + 1)
     ),
-    bound=lambda p, dist, k, t: p.lipschitz_grad * dist * dist / (2.0 * k),
+    bound=lambda p, dist, k, t: _squared_over(p.lipschitz_grad, dist, 2.0 * k),
     run=lambda p, x0, schedule, K: run_gradient(p, x0, K),
 )
 _ACCELERATED = MethodSpec(
     name="accelerated", start=1, smooth=True, momentum=True,
     running_min_gap=False, monotone=False, g_ball=False, default_schedule="inverse_L",
     lhs=lambda trace, p, f: _from_k1(trace.horizon, f[1:]),  # f(x_k)
-    bound=lambda p, dist, k, t: 2.0 * p.lipschitz_grad * dist * dist / ((k + 1) ** 2),
+    bound=lambda p, dist, k, t: _squared_over(2.0 * p.lipschitz_grad, dist, (k + 1) ** 2),
     run=lambda p, x0, schedule, K: run_accelerated(p, x0, K),
 )
 _METHODS = {

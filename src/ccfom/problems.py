@@ -594,6 +594,8 @@ def make_max_affine(A, b, problem_id: Optional[str] = None) -> ProblemInstance:
     A = np.array(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a matrix (one affine piece per row)")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A has non-finite entries")
     m, n = A.shape
     b = np.array(as_point(b, m, "b"))
     if m < 1:
@@ -822,6 +824,8 @@ def from_id(pid: str) -> ProblemInstance:
             if "abs" in params:
                 take({"abs"})
                 G = _one(float, params["abs"], pid)
+                if not (G > 0 and math.isfinite(G)):
+                    raise ValueError("G must be positive and finite")
                 return make_max_affine([[G], [-G]], [0.0, 0.0], problem_id=pid)
             take({"dim", "pieces", "seed"})
             dim = _one(int, params["dim"], pid) if "dim" in params else 2

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,15 @@ import ccfom
 from ccfom import cells
 from ccfom.methods import method_spec
 from ccfom.reporting import Table, format_rows
+
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(ccfom.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
+def console(cwd, *args) -> subprocess.CompletedProcess:
+    """``python <args>`` in ``cwd``: a fresh interpreter that imports this ccfom."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_ENV, capture_output=True, text=True)
+
 
 # Catalog cells used by several test modules: (problem id, x0)
 SMOOTH_CELLS = [

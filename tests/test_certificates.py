@@ -813,6 +813,25 @@ class TestFalsifiability:
         monkeypatch.setitem(methods._METHODS, "gradient", dataclasses.replace(spec, bound=bound))
         assert fired(tr, p) == {(30, "suboptimality bound")}
 
+    @pytest.mark.parametrize("pid,run,optimal_value", [
+        ("quad:diag=1,1", ccfom.run_accelerated, -1e306),
+        ("quad:diag=1,2", ccfom.run_gradient, -1e307),
+    ], ids=["accelerated", "gradient"])
+    def test_bound_whose_product_overflows_is_finite_and_fires(self, pid, run, optimal_value):
+        # from (1.2e154, 1) the bound's numerator (2) L dist^2 overflows, though
+        # every bound is a float; a gap raised by a lowered optimal value fails it
+        # exactly where it exceeds it
+        p = ccfom.from_id(pid)
+        tr = run(p, [1.2e154, 1.0], 50)
+        bound = verify_run(tr, p).values["theorem_bound_k"]
+        assert np.isfinite(bound).all()
+        assert fired(tr, p) == set()
+        lowered = dataclasses.replace(p, optimal_value=optimal_value)
+        gap = verify_run(tr, lowered).values["gap"]
+        over = np.arange(1, 51)[gap > bound].tolist()
+        assert 0 < len(over) < 50
+        assert fired(tr, lowered) == {(k, "suboptimality bound") for k in over}
+
     def test_nan_mu_closed_form(self, monkeypatch):
         # a closed form that cannot be evaluated at k fails there, in the
         # verdict and in the report alike

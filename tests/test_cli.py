@@ -1,10 +1,7 @@
+import errno
 import math
-import os
 import re
 import shutil
-import subprocess
-import sys
-import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -15,10 +12,11 @@ import pytest
 
 import ccfom
 from ccfom.certificates import Check
-from ccfom import proxprobe
+from ccfom import cells, proxprobe
 from ccfom.cli import _CHECKED_COLUMNS, main
 from ccfom.proxprobe import Z_RECURSION_NOTE, ProbeResult
 from ccfom.reporting import CSV_VERSION_LINE, RUN_COLUMNS, conjecture_report, read_csv
+from conftest import console
 
 STORED_CSVS = Path(__file__).parent / "data"
 
@@ -38,6 +36,53 @@ def run_cfg(tmp_path, name="run", **kv) -> Path:
     kv.setdefault("csv", f"{name}.csv")
     kv.setdefault("report", f"{name}.report.txt")
     return write_cfg(tmp_path / f"{name}.cfg", **kv)
+
+
+# Cells whose outputs several tests read: each is run once in a module,
+# through :func:`shared_run`
+SHARED_CELLS = {
+    "norm": ("run", dict(problem="norm:G=2:dim=3", method="subgradient", x0="1.0,0.5,-0.25",
+                         iterations=25)),
+    # K=10^4: summary-first reports, a line per failing, vacuous or worst record
+    "long": ("run", dict(problem="quad:diag=1,100", method="accelerated", x0="1.0,1.0",
+                         iterations=10_000)),
+    "conj": ("conjecture", dict(problem="quad:diag=1,10", psi="l1:lam=0.5",
+                                method="prox_accelerated", x0="1.0,-1.0", iterations=10_000)),
+    "suite": ("conjecture", dict(suite="lasso", instances=20, iterations=200)),
+    "box": ("conjecture", dict(problem="quad:diag=4:b=10", psi="box:lo=-1:hi=1",
+                               method="prox_accelerated", x0="0.5", iterations=2000)),
+    "sweep": ("sweep", dict(problem="quad:diag=1,100; lse:dim=2", method="gradient; accelerated",
+                            x0="0.5,-1.5", iterations=500)),
+}
+SHARED_CELLS["sweep in res"] = ("sweep", dict(SHARED_CELLS["sweep"][1], csv="res/sweep.csv"))
+
+
+@pytest.fixture(scope="module")
+def shared_run(tmp_path_factory):
+    """``shared_run(name)``: the directory ``name/`` that cell ``name`` of
+    SHARED_CELLS wrote its outputs to, run once in this module from the config
+    ``name.cfg`` beside it (csv ``name.csv`` unless the cell names one, report
+    ``name.report.txt``)."""
+    root, done = tmp_path_factory.mktemp("shared"), {}
+
+    def shared(name):
+        if name not in done:
+            command, kv = SHARED_CELLS[name]
+            kv = {"csv": f"{name}.csv", **kv, "report": f"{name}.report.txt"}
+            (root / name / kv["csv"]).parent.mkdir(parents=True, exist_ok=True)
+            cfg = write_cfg(root / f"{name}.cfg", **kv)
+            done[name] = main([command, "--config", str(cfg), "--out", str(root / name)])
+        assert done[name] == 0
+        return root / name
+
+    return shared
+
+
+def written_files(out: Path) -> dict[str, bytes]:
+    """Each file a command wrote under ``out`` (no ``.verify.txt``), by relative
+    path, with ``out`` spelt ``<out>`` where a file names it."""
+    return {p.relative_to(out).as_posix(): p.read_bytes().replace(bytes(out), b"<out>")
+            for p in sorted(out.rglob("*")) if p.is_file() and not p.name.endswith(".verify.txt")}
 
 
 class TestRun:
@@ -93,6 +138,7 @@ class TestRun:
     def test_invalid_configs_exit_3(self, tmp_path, kv):
         cfg = run_cfg(tmp_path, **kv)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.report.txt").exists()
 
     def test_trace_over_budget_exits_3(self, tmp_path, capsys):
         cfg = run_cfg(tmp_path, problem=QUAD_100, method="gradient", iterations=OVER_BUDGET)
@@ -137,15 +183,6 @@ class TestRun:
                       x0="0.5,-1.0,0.25", iterations=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
         assert "LP failed: forced" in capsys.readouterr().err
-
-    def test_csv_is_bit_stable(self, tmp_path):
-        cfg = run_cfg(tmp_path, problem="norm:G=2:dim=3", method="subgradient",
-                      x0="1.0,0.5,-0.25", iterations=25)
-        for out in ("a", "b"):
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
-        assert (tmp_path / "a/run.csv").read_bytes() == (tmp_path / "b/run.csv").read_bytes()
-        report = (tmp_path / "a/run.report.txt").read_bytes()
-        assert report == (tmp_path / "b/run.report.txt").read_bytes()
 
     def test_svg_output_parses(self, tmp_path):
         cfg = run_cfg(tmp_path, problem="quad:diag=1,100", method="accelerated",
@@ -357,15 +394,19 @@ class TestVerify:
         empty.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(empty)]) == 3
 
-    def test_verify_gradient_and_accelerated_runs(self, tmp_path):
-        for method, prob, x0 in (
-            ("gradient", "quad:diag=1,10", "ones"),
-            ("accelerated", "lse:dim=2", "3.0,-3.0"),
-        ):
-            out = tmp_path / method
-            cfg = run_cfg(tmp_path, name=method, problem=prob, method=method, x0=x0, iterations=40)
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            assert main(["verify", str(out / f"{method}.csv")]) == 0
+    @pytest.mark.parametrize("prob,method,x0,K", [
+        ("quad:diag=1,10", "gradient", "ones", 40),
+        ("lse:dim=2", "accelerated", "3.0,-3.0", 40),
+        ("maxaff:dim=5:pieces=8:seed=2", "subgradient", "0.5,-1.5,2.0,1.0,-0.5", 500),
+        # rank-deficient: the conjugate is one LP per k
+        ("maxaff:dim=3:pieces=2:seed=0", "subgradient", "0.5,-1.0,0.25", 200),
+        # 1/(1/L) differs from L
+        ("quad:diag=3,7.3", "gradient", "1.0,1.0", 10_000),
+    ], ids=["gradient", "accelerated", "maxaff5", "maxaff2-lp", "gradient-7.3"])
+    def test_run_verifies(self, tmp_path, prob, method, x0, K):
+        cfg = run_cfg(tmp_path, problem=prob, method=method, x0=x0, iterations=K)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["verify", str(tmp_path / "run.csv")]) == 0
 
     @pytest.mark.parametrize("name", ["quad_gradient.csv", "quad_accelerated.csv", "norm_subgradient.csv"])
     def test_stored_v1_csv_verifies(self, tmp_path, capsys, name):
@@ -579,6 +620,46 @@ class TestSweep:
             assert main(["verify", str(cell)]) == 0
 
 
+@pytest.mark.parametrize("name", ["norm", "suite", "box", "sweep"])
+def test_reruns_are_byte_identical(shared_run, name):
+    # the rerun in a fresh interpreter; every output, a sweep's cell CSVs too
+    first = shared_run(name)
+    second = first.with_name(f"{name} rerun")
+    done = console(first.parent, "-m", "ccfom", SHARED_CELLS[name][0], "--config", f"{name}.cfg",
+                   "--out", str(second))
+    assert done.returncode == 0, done.stderr
+    assert written_files(first) == written_files(second)
+
+
+def test_sweep_cells_verify_and_sit_next_to_the_aggregate(shared_run):
+    plain, nested = shared_run("sweep"), shared_run("sweep in res")
+    csvs = {path: data for path, data in written_files(plain).items() if path.endswith(".csv")}
+    assert len(csvs) == 5
+    assert {f"res/{path}": data for path, data in csvs.items()} == {
+        path: data for path, data in written_files(nested).items() if path.endswith(".csv")}
+    for out in (plain, nested / "res"):
+        for i in range(4):
+            assert main(["verify", str(out / f"sweep.cell{i:03d}.csv")]) == 0
+
+
+# A line of a summary-first report that names one record, and the one form it takes
+REPORT_ITEM = re.compile(r"(instance [0-9]+ )?k=[0-9]+: ")
+REPORT_ITEM_FORM = re.compile(REPORT_ITEM.pattern + r"(VACUOUS record: .+"
+                              r"|[a-z_ ]+: residual=[^ ]+ tol=[^ ]+ (pass|FAIL|VIOLATION))")
+
+
+@pytest.mark.parametrize("name", ["long", "conj", "suite"])
+def test_report_is_under_64_kb_with_one_item_form(shared_run, name):
+    report = (shared_run(name) / f"{name}.report.txt").read_bytes()
+    assert len(report) < 65536
+    items = [line for line in report.decode().splitlines() if REPORT_ITEM.match(line)]
+    assert items and [line for line in items if not REPORT_ITEM_FORM.fullmatch(line)] == []
+
+
+def test_long_run_verifies(shared_run):
+    assert main(["verify", str(shared_run("long") / "long.csv")]) == 0
+
+
 class TestConjecture:
     def test_worked_example(self, tmp_path):
         cfg = write_cfg(
@@ -713,19 +794,34 @@ class TestConjecture:
         assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert len(results) == 4
 
-    def test_suite_failure_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
-        honest = proxprobe.lasso_instance
+    @pytest.mark.parametrize("mode", ["suite", "single"])
+    def test_suite_failure_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys, mode):
+        if mode == "suite":  # the third instance's oracle fails
+            honest = proxprobe.lasso_instance
 
-        def failing(dim, seed):
-            if seed == 2:
-                raise ccfom.errors.OracleError("forced")
-            return honest(dim, seed)
+            def failing(dim, seed):
+                if seed == 2:
+                    raise ccfom.errors.OracleError("forced")
+                return honest(dim, seed)
 
-        monkeypatch.setattr(proxprobe, "lasso_instance", failing)
-        cfg = write_cfg(tmp_path / "s.cfg", suite="lasso", iterations=20, instances=4, dim=3,
-                        csv="s.csv", report="s.txt")
-        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 4
-        assert "oracle failure: forced" in capsys.readouterr().err
+            monkeypatch.setattr(proxprobe, "lasso_instance", failing)
+            kv = dict(suite="lasso", iterations=20, instances=4, dim=3)
+            code, message = 4, "oracle failure: forced"
+        else:  # the disk fills while the second chunk of rows is written
+            honest, chunks = cells.grid_text, []
+
+            def full(grid):
+                chunks.append(None)
+                if len(chunks) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return honest(grid)
+
+            monkeypatch.setattr(cells, "grid_text", full)
+            kv = dict(problem="quad:diag=1,10", psi="l1:lam=0.5", x0="1.0,-1.0", iterations=5000)
+            code, message = 3, "config error: cannot write an output: No space left on device"
+        cfg = write_cfg(tmp_path / "s.cfg", csv="s.csv", report="s.txt", **kv)
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists() and not (tmp_path / "s.txt").exists()
 
     @pytest.mark.parametrize("kv", [
@@ -890,24 +986,12 @@ def test_a_fresh_out_directory_is_made(tmp_path):
     assert (tmp_path / "fresh" / "deeper" / "run.csv").is_file()
 
 
-@pytest.mark.parametrize("method", ["gradient", "accelerated"])
-def test_huge_start_runs_and_verifies_without_a_warning(tmp_path, method):
-    # terms near 1e308: no tolerance is infinite and no numpy warning is raised
-    cfg = run_cfg(tmp_path, problem="quad:diag=1,1", method=method, x0="1.2e154,1", iterations=50)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert main(["verify", str(tmp_path / "run.csv")]) == 0
-    assert "tol=inf" not in (tmp_path / "run.report.txt").read_text()
-
-
-def test_import_leaves_scipy_linalg_out():
+def test_import_leaves_scipy_linalg_out(tmp_path):
     """Only the quadratic family needs scipy.linalg; it is imported there."""
     code = ("import sys, ccfom; ccfom.from_id('lse:dim=2'); "
             "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(Path(ccfom.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    done = console(tmp_path, "-c", code)
+    assert done.returncode == 0, done.stderr
 
 
 class TestInputSchema:

@@ -296,6 +296,11 @@ class TestMaxAffine:
         assert p.optimal_value == pytest.approx(0.0, abs=1e-12)
         assert p.lipschitz_f == 1.0
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_pieces(self, bad):
+        with pytest.raises(ValueError, match="A has non-finite entries"):
+            ccfom.make_max_affine([[1.0, 0.0], [0.0, bad]], [0.0, 0.0])
+
     def test_least_norm_tie_2d(self):
         p = ccfom.make_max_affine([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0])
         g = p.subgradient(np.array([0.0, -5.0]))

@@ -12,19 +12,27 @@ certify is spelt by "%.17g" itself (see :mod:`ccfom.cells`).  Read back,
 each cell is text as the csv module splits it, or, for ``ccfom verify``, the
 whole data block is one ``np.loadtxt`` call that converts each column to its
 dtype, a file it cannot read going to the csv module.
+
+Every output (CSV, report, SVG) that already exists is rewritten in place and
+cut to its new length when its writer exits, by an error too, so it holds
+what a fresh file would.  Only a process killed mid-rewrite leaves the old
+file's tail behind the new bytes; ``ccfom verify`` rejects such a CSV, since
+its rows no longer reproduce.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from collections.abc import Callable, Iterator, Sequence
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -340,6 +348,9 @@ def _slots(column) -> np.ndarray:
     if kind in "iub":
         return cells.int_slots(column)
     texts = column if kind == "U" else np.array([fmt(v) for v in column], dtype=object)
+    if len(texts) and (texts == texts[0]).all():  # a constant column, such as all-PASS verdicts
+        slot = cells.byte_slots([_cell_bytes(texts[0])])
+        return np.broadcast_to(slot, (len(texts), slot.shape[1]))
     distinct, code = np.unique(texts, return_inverse=True)
     return cells.byte_slots([_cell_bytes(text) for text in distinct.tolist()])[code]
 
@@ -361,6 +372,50 @@ def format_rows(columns: Sequence[str], rows: Table) -> Iterator[np.ndarray]:
         yield cells.grid([_slots(col[lo : lo + _CSV_CHUNK_ROWS]) for col in data])
 
 
+def _untruncated(path, flags: int) -> int:
+    """``os.open`` as ``open`` calls it, but keeping an existing file's blocks."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _cut(out: TextIO, length: int):
+    """End a file that was ``length`` bytes long at the position written to, the
+    buffered text included."""
+    try:
+        out.flush()
+    finally:
+        fd = out.fileno()
+        end = os.lseek(fd, 0, os.SEEK_CUR)
+        if end < length:
+            os.ftruncate(fd, end)
+
+
+@contextmanager
+def _rewritten(path) -> Iterator[TextIO]:
+    """``open(path, "w")`` for every output: a text file, created 0o666 & ~umask.
+
+    An existing file is written over in place and, when the writer exits by
+    an error too, cut at the position reached if it was longer, so it holds
+    what a truncating open would have left; the writer's error is the one
+    raised.  Unlike
+    freeing the old blocks first (``O_TRUNC``), this keeps ext4 with
+    ``discard`` from discarding blocks that the same bytes fill again.  A
+    process killed mid-write leaves the old file's tail behind the new bytes.
+    Only a regular file is cut: ``ftruncate`` fails on ``/dev/null``.
+    """
+    with open(path, "w", opener=_untruncated) as out:
+        old = os.fstat(out.fileno())
+        length = old.st_size if stat.S_ISREG(old.st_mode) else 0
+        try:
+            yield out
+        except BaseException:
+            if length:
+                with suppress(OSError):
+                    _cut(out, length)
+            raise
+        if length:
+            _cut(out, length)
+
+
 @contextmanager
 def open_csv(path, meta: dict[str, str], columns: Sequence[str]):
     """Write a schema-v1 CSV's version line, metadata and header, then yield
@@ -368,7 +423,7 @@ def open_csv(path, meta: dict[str, str], columns: Sequence[str]):
     behind the cells ``prefix``, as constant leading columns of its grid (so
     before each row, not each text line: a quoted cell may hold a newline).  A
     multi-part CSV is written as such blocks."""
-    with open(path, "w") as out:
+    with _rewritten(path) as out:
         out.write("".join([CSV_VERSION_LINE + "\n", *(f"# {k} = {v}\n" for k, v in meta.items()),
                            ",".join(map(_quote, columns)) + "\n"]))
 
@@ -444,8 +499,8 @@ def read_csv(path, dtypes: Optional[dict] = None) -> tuple[dict[str, str], list[
 
 
 def write_report(path, header: Sequence[str], lines: Sequence[str]):
-    body = list(header) + list(lines)
-    Path(path).write_text("\n".join(body) + "\n")
+    with _rewritten(path) as out:
+        out.write("\n".join([*header, *lines]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -554,4 +609,5 @@ def render_convergence_svg(path, series: list[Series]):
             f'font-size="14">no positive values to plot</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    with _rewritten(path) as out:
+        out.write("\n".join(parts) + "\n")

@@ -289,7 +289,6 @@ def test_criterion_9_corruption_sensitivity(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(bad)]) == 2
-    report = (str(bad) + ".verify.txt")
-    text = open(report).read()
+    text = (tmp_path / "bad.csv.verify.txt").read_text()
     assert f"k={target_k}" in text and "FAIL" in text
     announce(9, True, f"10% inflation of f(x_k) at k={target_k} makes verify fail at that k")

@@ -1,5 +1,6 @@
 import errno
 import math
+import os
 import re
 import shutil
 import weakref
@@ -12,7 +13,7 @@ import pytest
 
 import ccfom
 from ccfom.certificates import Check
-from ccfom import cells, proxprobe
+from ccfom import cells, proxprobe, reporting
 from ccfom.cli import _CHECKED_COLUMNS, main
 from ccfom.proxprobe import Z_RECURSION_NOTE, ProbeResult
 from ccfom.reporting import CSV_VERSION_LINE, RUN_COLUMNS, conjecture_report, read_csv
@@ -83,6 +84,19 @@ def written_files(out: Path) -> dict[str, bytes]:
     path, with ``out`` spelt ``<out>`` where a file names it."""
     return {p.relative_to(out).as_posix(): p.read_bytes().replace(bytes(out), b"<out>")
             for p in sorted(out.rglob("*")) if p.is_file() and not p.name.endswith(".verify.txt")}
+
+
+def fill_disk_at_second_chunk(monkeypatch):
+    """Make the disk fill while the second chunk of CSV rows is written."""
+    honest, chunks = cells.grid_text, []
+
+    def full(grid):
+        chunks.append(None)
+        if len(chunks) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return honest(grid)
+
+    monkeypatch.setattr(cells, "grid_text", full)
 
 
 class TestRun:
@@ -183,6 +197,32 @@ class TestRun:
                       x0="0.5,-1.0,0.25", iterations=5)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 4
         assert "LP failed: forced" in capsys.readouterr().err
+
+    def test_csv_on_dev_null_exits_0_and_writes_the_report(self, tmp_path):
+        """An output that is not a regular file is written but not cut to length."""
+        cfg = run_cfg(tmp_path, problem="quad:diag=1", method="gradient", x0="2.0", iterations=10,
+                      csv=os.devnull)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "run.report.txt").read_text().startswith("run: problem=quad:diag=1 ")
+
+    def test_failed_rewrite_holds_only_what_was_written(self, tmp_path, monkeypatch, capsys):
+        """A CSV over a longer file, whose second chunk of rows cannot be written,
+        holds the header and the first chunk, and no byte of the old file."""
+        kv = dict(problem="quad:diag=1,10", method="gradient", x0="1.0,-1.0", iterations=5000)
+        assert main(["run", "--config", str(run_cfg(tmp_path, "ref", **kv)),
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "ref.csv").read_bytes().splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines) if line.startswith(b"k,")) + 1
+        first_chunk = b"".join(lines[: header + reporting._CSV_CHUNK_ROWS])
+        stale = tmp_path / "run.csv"
+        stale.write_bytes(b"stale\n" * 400_000)
+        assert stale.stat().st_size > len(first_chunk)
+        fill_disk_at_second_chunk(monkeypatch)
+        capsys.readouterr()
+        assert main(["run", "--config", str(run_cfg(tmp_path, **kv)), "--out", str(tmp_path)]) == 3
+        assert "config error: cannot write an output: No space left on device" in (
+            capsys.readouterr().err)
+        assert stale.read_bytes() == first_chunk
 
     def test_svg_output_parses(self, tmp_path):
         cfg = run_cfg(tmp_path, problem="quad:diag=1,100", method="accelerated",
@@ -289,6 +329,17 @@ class TestVerify:
         assert main(["verify", str(bad)]) == 3
         assert capsys.readouterr().err == (
             f"config error: {bad}: field larger than field limit (131072)\n")
+
+    def test_rewrite_killed_midway_is_rejected(self, tmp_path):
+        """A rewrite killed mid-write leaves the old file's tail behind the new
+        bytes: here the first half of a K=100 CSV over a K=200 CSV of one cell."""
+        short, long = tmp_path / "short", tmp_path / "long"
+        short.mkdir()
+        long.mkdir()
+        new = self.make_run(short, iterations=100).read_bytes()
+        with open(self.make_run(long, iterations=200), "r+b") as old:
+            old.write(new[: len(new) // 2])
+        assert main(["verify", str(long / "run.csv")]) in (2, 3)
 
     @pytest.mark.parametrize("edit, stored", [
         (lambda lines: lines[:-1], 12),
@@ -631,6 +682,34 @@ def test_reruns_are_byte_identical(shared_run, name):
     assert written_files(first) == written_files(second)
 
 
+@pytest.mark.parametrize("name, verified", [
+    ("norm", ["norm.csv"]), ("suite", []), ("box", []),
+    ("sweep", [f"sweep.cell{i:03d}.csv" for i in range(4)]),
+], ids=["norm", "suite", "box", "sweep"])
+def test_reruns_over_longer_stale_outputs_are_byte_identical(tmp_path, name, verified):
+    """A rerun into the first run's directory, after junk was appended to every
+    file there (an SVG and each verify's report too), leaves each file as the
+    first run wrote it."""
+    command, kv = SHARED_CELLS[name]
+    svg = {} if command == "conjecture" else {"svg": f"{name}.svg"}
+    cfg = write_cfg(tmp_path / f"{name}.cfg", csv=f"{name}.csv", report=f"{name}.report.txt",
+                    **svg, **kv)
+    out = tmp_path / name
+
+    def run() -> dict[Path, bytes]:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        for csv in verified:
+            assert main(["verify", str(out / csv)]) == 0
+        return {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    first = run()
+    assert len([p for p in first if p.name.endswith(".verify.txt")]) == len(verified)
+    for path in first:
+        with open(path, "ab") as f:
+            f.write(b"junk,\n" * 10_000)
+    assert run() == first
+
+
 def test_sweep_cells_verify_and_sit_next_to_the_aggregate(shared_run):
     plain, nested = shared_run("sweep"), shared_run("sweep in res")
     csvs = {path: data for path, data in written_files(plain).items() if path.endswith(".csv")}
@@ -807,19 +886,12 @@ class TestConjecture:
             monkeypatch.setattr(proxprobe, "lasso_instance", failing)
             kv = dict(suite="lasso", iterations=20, instances=4, dim=3)
             code, message = 4, "oracle failure: forced"
-        else:  # the disk fills while the second chunk of rows is written
-            honest, chunks = cells.grid_text, []
-
-            def full(grid):
-                chunks.append(None)
-                if len(chunks) == 2:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return honest(grid)
-
-            monkeypatch.setattr(cells, "grid_text", full)
+        else:
+            fill_disk_at_second_chunk(monkeypatch)
             kv = dict(problem="quad:diag=1,10", psi="l1:lam=0.5", x0="1.0,-1.0", iterations=5000)
             code, message = 3, "config error: cannot write an output: No space left on device"
         cfg = write_cfg(tmp_path / "s.cfg", csv="s.csv", report="s.txt", **kv)
+        (tmp_path / "s.csv").write_bytes(b"stale\n" * 400_000)  # a longer file, written over
         assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists() and not (tmp_path / "s.txt").exists()

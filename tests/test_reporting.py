@@ -49,7 +49,8 @@ _MIXED = ["text", 1.5, 7, True, math.nan, "x,y"]
 
 
 def _table(n: int) -> Table:
-    """n rows cycling through every kind of cell, one column per kind."""
+    """n rows cycling through every kind of cell, one column per kind, and two
+    constant text columns, one of them quoted."""
     return Table({
         "k": np.arange(n),
         "f": np.resize(np.array(_FLOATS), n),
@@ -59,6 +60,8 @@ def _table(n: int) -> Table:
         "flag64": np.resize(np.array([0, 1], dtype=np.int64), n),
         "text": np.resize(np.array(_TEXTS), n),
         "mixed": [_MIXED[i % len(_MIXED)] for i in range(n)],
+        "verdict": np.full(n, "PASS"),
+        "psi": np.full(n, 'l1 "lam", 0.5'),
     })
 
 
@@ -69,7 +72,7 @@ _CHUNK = reporting._CSV_CHUNK_ROWS
 def test_write_csv_is_bytewise_that_of_csv_writer(tmp_path, n):
     rows = _table(n)
     meta = {"problem": "quad:diag=1,100", "eps_rel": "1e-09"}
-    columns = ["k", "f", "neg", "int32", "flag", "flag64", "text", "mixed"]
+    columns = ["k", "f", "neg", "int32", "flag", "flag64", "text", "mixed", "verdict", "psi"]
     got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
     write_csv(got, meta, columns, rows)
     ref.write_text(_reference_csv(meta, columns, rows))

@@ -76,6 +76,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import methods
 from .methods import MethodTrace, method_spec
 from .problems import ProblemInstance, as_point, row_dot
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -100,11 +101,6 @@ CHAIN_CHECKS = ("certificate", "quad_min", "fenchel", "end_to_end")
 # the per-step inequality k -> k+1, and the identities of the step
 INDUCTION_CHECKS = ("induction step",)
 IDENTITY_CHECKS = ("query_point", "extrapolation", "theta_mu_ratio")
-
-# Steps per block of the certificate recursion: the Python float lists of a
-# block (its coefficients, mu, and one coordinate's steps and values) hold
-# a few times 4096 entries at any horizon.
-_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +157,14 @@ def build_certificate(trace: MethodTrace, p: ProblemInstance) -> DualCertificate
     z[start] = trace.g[0]
     z_k = z[start].tolist()
     g = trace.g[1 : K + 1 - start]
-    # The recursion in blocks of _BLOCK_ROWS steps, one coordinate at a time
+    # The recursion in blocks of methods._BLOCK_SIZE steps, one coordinate at a time
     # over Python floats: z_j * c + s is the same two IEEE operations in the
     # same order as z[k+1] = (1 - theta_k) z[k] + theta_k g_k row by row,
     # so the same bits, without a numpy call per k.  mu is carried from
     # block to block, so no per-step list outlives its block.
-    for lo in range(0, K - start, _BLOCK_ROWS):
-        hi = min(K - start, lo + _BLOCK_ROWS)
+    block = methods._BLOCK_SIZE
+    for lo in range(0, K - start, block):
+        hi = min(K - start, lo + block)
         th = theta[start + lo : start + hi]
         keeps = (1.0 - th).tolist()
         steps = th[:, None] * g[lo:hi]

@@ -41,13 +41,12 @@ __all__ = [
 # Full-history traces are kept in memory; desk scale only.
 MAX_TRACE_SCALARS = 10**8
 
-# Rows per block of the loop: the steps of a block keep their rows in
-# lists of Python floats, write them into the trace at the block's end, and
-# are then checked for finiteness in one value_batch call.  The lists and
-# the check's temporaries stay near 4096 * dim * 32 bytes (1 MB at dim 8)
-# per trace array at any horizon, and a block's write and check take a few
-# microseconds against the milliseconds its steps take.
-_CHECK_ROWS = 4096
+# Records per block in every layer that walks a run's records: the method
+# loop, the certificate's z/mu recursion and the CSV writer, each of which
+# reads it here when called.  A layer's Python objects and temporaries stay
+# O(_BLOCK_SIZE * dim), near 1 MB at dim 8, at any horizon, and a block's
+# overhead is microseconds against the milliseconds its records take.
+_BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params: np.nd
     """g[k] = a subgradient at q[k] for k = 0..K, with q[k+1] from g[k] and params[k] (k < K).
 
     q[0] is filled; ``params`` holds at least the K step parameters.  The
-    loop keeps the rows of ``_CHECK_ROWS`` steps in flat lists and writes
+    loop keeps the rows of ``_BLOCK_SIZE`` steps in flat lists and writes
     them into q and g at the block's end.  The steps of a block are one
     call ``stepper(qk, ps, gs, qs)``: from the query point qk, a list of
     Python floats, it takes one step per float of the list ``ps``, appends
@@ -240,8 +239,8 @@ def _oracle_loop(p: ProblemInstance, q: np.ndarray, g: np.ndarray, params: np.nd
 
     qk = q[0].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, K + 1, _CHECK_ROWS):
-            hi = min(K + 1, lo + _CHECK_ROWS)
+        for lo in range(0, K + 1, _BLOCK_SIZE):
+            hi = min(K + 1, lo + _BLOCK_SIZE)
             try:
                 qk = stepper(qk, params[lo : min(hi, K)].tolist(), gs, qs)
                 if hi > K:

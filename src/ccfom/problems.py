@@ -505,8 +505,6 @@ def _least_norm_in_hull(rows: np.ndarray) -> np.ndarray:
     subgradient, just not the least-norm one).
     """
     m = rows.shape[0]
-    if m == 1:
-        return rows[0].copy()
     if m > _MAX_ACTIVE_PIECES:
         return rows[int(np.argmin(np.linalg.norm(rows, axis=1)))].copy()
     best = None

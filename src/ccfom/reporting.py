@@ -36,7 +36,7 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from . import cells
+from . import cells, methods
 from .certificates import CHAIN_CHECKS, IDENTITY_CHECKS, INDUCTION_CHECKS, Check, CheckTable
 from .config import fmt, parse_config_text
 from .errors import ConfigError
@@ -318,9 +318,6 @@ def conjecture_report(results: Sequence, suite: bool = False) -> list[str]:
 # ---------------------------------------------------------------------------
 # CSV cells: a chunk of rows as one byte grid (see ccfom.cells)
 
-# Data rows are formatted and written this many at a time.
-_CSV_CHUNK_ROWS = 4096
-
 
 def _quote(text: str) -> str:
     """A text cell as the csv module writes it: quoted, its quotes doubled, when it
@@ -356,7 +353,7 @@ def _slots(column) -> np.ndarray:
 
 
 def format_rows(columns: Sequence[str], rows: Table) -> Iterator[np.ndarray]:
-    """The data rows of ``rows``, in chunks of ``_CSV_CHUNK_ROWS``, each chunk one
+    """The data rows of ``rows``, in chunks of ``methods._BLOCK_SIZE``, each chunk one
     byte grid for ``write`` of :func:`open_csv`; a chunk may be written more
     than once.
 
@@ -368,8 +365,9 @@ def format_rows(columns: Sequence[str], rows: Table) -> Iterator[np.ndarray]:
     other column is fmt's text, quoted as csv.writer quotes it.
     """
     data = [rows.columns[c] for c in columns]
-    for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-        yield cells.grid([_slots(col[lo : lo + _CSV_CHUNK_ROWS]) for col in data])
+    block = methods._BLOCK_SIZE
+    for lo in range(0, len(rows), block):
+        yield cells.grid([_slots(col[lo : lo + block]) for col in data])
 
 
 def _untruncated(path, flags: int) -> int:

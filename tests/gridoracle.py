@@ -15,7 +15,8 @@ import numpy as np
 
 from ccfom.problems import ProblemInstance, as_point
 
-__all__ = ["GridSpec", "GridMax", "conjugate_by_grid", "min_by_grid", "lipschitz_estimate"]
+__all__ = ["GridSpec", "GridMax", "scan_by_grid", "conjugate_by_grid", "min_by_grid",
+           "lipschitz_estimate"]
 
 MAX_GRID_POINTS = 10**8
 _BLOCK_POINTS = 1 << 20
@@ -78,19 +79,20 @@ def _check_supported(p: ProblemInstance, grid: GridSpec):
         raise ValueError(f"grid dimension {grid.dim} != problem dimension {p.dim}")
 
 
-def _scan_max(p: ProblemInstance, grid: GridSpec, z: np.ndarray | None):
-    """Max over grid points of <z, x> - f(x) (or of -f(x) when z is None).
+def _scan(p: ProblemInstance, grid: GridSpec, zs: np.ndarray):
+    """One pass over the grid, f evaluated once per block of points: for each row
+    z of ``zs`` the max of <z, x> - f(x) and its argmax, and the min of f and its
+    argmin.
 
     Deterministic: ties resolve to the lowest linear index, regardless of
-    block size (blocks are compared with a strict >).
+    block size (blocks are compared with a strict inequality).
     """
     axes = grid.axes()
     tail = axes[1:]
     tail_count = int(np.prod([a.size for a in tail])) if tail else 1
     rows_per_block = max(1, _BLOCK_POINTS // tail_count)
 
-    best_val = -math.inf
-    best_point = None
+    best = [(-math.inf, None)] * (len(zs) + 1)  # <z, x> - f per z, then -f
     n0 = axes[0].size
     for start in range(0, n0, rows_per_block):
         block_axis = axes[0][start : start + rows_per_block]
@@ -100,14 +102,17 @@ def _scan_max(p: ProblemInstance, grid: GridSpec, z: np.ndarray | None):
         X = np.empty((mesh[0].size, grid.dim), order="F")
         for j, m in enumerate(mesh):
             X[:, j] = m.ravel()
-        scores = -p.value_batch(X)
-        if z is not None:
-            scores += X @ z
-        i = int(np.argmax(scores))  # first occurrence on ties
-        if scores[i] > best_val:
-            best_val = float(scores[i])
-            best_point = X[i].copy()
-    return best_val, best_point
+        neg_f = -p.value_batch(X)  # frees the batch's temporaries at once
+        # -f last, so that no other scores outlive the block
+        for n, z in enumerate([*zs, None]):
+            scores = neg_f if z is None else X @ z
+            if z is not None:
+                scores += neg_f
+            i = int(np.argmax(scores))  # first occurrence on ties
+            if scores[i] > best[n][0]:
+                best[n] = (float(scores[i]), X[i].copy())
+    *maxima, (neg_min, argmin) = best
+    return maxima, (-neg_min, argmin)
 
 
 def lipschitz_estimate(p: ProblemInstance, grid: GridSpec, samples_per_axis: int = 9) -> float:
@@ -120,6 +125,18 @@ def lipschitz_estimate(p: ProblemInstance, grid: GridSpec, samples_per_axis: int
     return max(float(np.linalg.norm(p.subgradient(row))) for row in X.tolist())
 
 
+def scan_by_grid(p: ProblemInstance, grid: GridSpec, zs=()) -> tuple[list[GridMax], tuple[float, np.ndarray]]:
+    """:func:`conjugate_by_grid` at each dual point of ``zs``, and :func:`min_by_grid`,
+    from one pass over the grid."""
+    _check_supported(p, grid)
+    zs = [np.asarray(as_point(z, p.dim, "z")) for z in zs]
+    best, minimum = _scan(p, grid, zs)
+    g_box = lipschitz_estimate(p, grid)
+    maxima = [GridMax(value, grid.max_step() * (float(np.linalg.norm(z)) + g_box), argmax)
+              for z, (value, argmax) in zip(zs, best)]
+    return maxima, minimum
+
+
 def conjugate_by_grid(p: ProblemInstance, z, grid: GridSpec) -> GridMax:
     """Grid evaluation of f*(z) = sup_x <z, x> - f(x) over the grid box.
 
@@ -128,16 +145,9 @@ def conjugate_by_grid(p: ProblemInstance, z, grid: GridSpec) -> GridMax:
     (error bound h * (||z|| + G_box), h the grid step, G_box a sampled
     Lipschitz estimate on the box).
     """
-    _check_supported(p, grid)
-    z = as_point(z, p.dim, "z")
-    value, argmax = _scan_max(p, grid, np.asarray(z))
-    g_box = lipschitz_estimate(p, grid)
-    bound = grid.max_step() * (float(np.linalg.norm(z)) + g_box)
-    return GridMax(value=value, error_bound=bound, argmax=argmax)
+    return scan_by_grid(p, grid, [z])[0][0]
 
 
 def min_by_grid(p: ProblemInstance, grid: GridSpec) -> tuple[float, np.ndarray]:
     """Grid minimum of f and its argmin; an upper bound on the optimal value."""
-    _check_supported(p, grid)
-    value, argmin = _scan_max(p, grid, None)
-    return -value, argmin
+    return scan_by_grid(p, grid)[1]

@@ -1107,6 +1107,19 @@ def test_report_header_with_reference_value_but_no_distance():
     assert lines[3] == "suboptimality bound: not applicable"
 
 
+@pytest.mark.parametrize("A", [[[1.0], [2.0]], [[1.0, 0.0], [2.0, 0.0]]], ids=["enumerated", "lp"])
+def test_unbounded_max_affine_run_skips_the_bound_checks(A):
+    # f* by its one basis (dim 1), and by HiGHS LPs (two slopes on a line in
+    # 2-D, no basis), whose optimum LP is unbounded: neither has a reference
+    p = ccfom.make_max_affine(A, [0.0, 0.0])
+    assert (ccfom.problems._conjugate_bases(np.array(A), np.zeros(2)) is None) == (p.dim == 2)
+    assert p.optimal_value is None and p.solution_provenance == "objective unbounded below"
+    tr = ccfom.run_subgradient(p, np.ones(p.dim), StepSchedule.constant(0.1), 10)
+    lines = build_rows(tr, p, verify_run(tr, p), TOL).report_lines
+    assert lines[1] == "reference value unavailable; closed-form bound checks skipped"
+    assert lines[3] == "suboptimality bound: not applicable"
+
+
 def test_report_text_is_formatted_on_first_read(monkeypatch):
     import ccfom.reporting as reporting
 

@@ -14,8 +14,9 @@ import pytest
 import ccfom
 from ccfom.certificates import Check
 from ccfom import cells, proxprobe, reporting
-from ccfom.cli import _CHECKED_COLUMNS, main
-from ccfom.proxprobe import Z_RECURSION_NOTE, ProbeResult
+from ccfom.cli import _CHECKED_COLUMNS, execute_cell, main
+from ccfom.config import ExperimentConfig
+from ccfom.proxprobe import Z_RECURSION_NOTE, ProbeResult, probe_instance, regularizer_from_id
 from ccfom.reporting import CSV_VERSION_LINE, RUN_COLUMNS, conjecture_report, read_csv
 from conftest import console
 
@@ -213,7 +214,7 @@ class TestRun:
                      "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "ref.csv").read_bytes().splitlines(keepends=True)
         header = next(i for i, line in enumerate(lines) if line.startswith(b"k,")) + 1
-        first_chunk = b"".join(lines[: header + reporting._CSV_CHUNK_ROWS])
+        first_chunk = b"".join(lines[: header + ccfom.methods._BLOCK_SIZE])
         stale = tmp_path / "run.csv"
         stale.write_bytes(b"stale\n" * 400_000)
         assert stale.stat().st_size > len(first_chunk)
@@ -233,6 +234,14 @@ class TestRun:
         root = ET.parse(tmp_path / "run.svg").getroot()
         assert root.tag.endswith("svg")
         assert (tmp_path / "run.svg").read_text().count("polyline") >= 2  # curve + bound
+
+    def test_svg_of_a_run_from_the_minimizer_has_nothing_to_plot(self, tmp_path):
+        # every gap and bound is 0: no point of a log-scale plot
+        cfg = run_cfg(tmp_path, problem="quad:diag=1,100", method="gradient", x0="zeros",
+                      iterations=5, svg="run.svg")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        svg = (tmp_path / "run.svg").read_text()
+        assert "no positive values to plot" in svg and "polyline" not in svg
 
 
 class TestVerify:
@@ -437,6 +446,13 @@ class TestVerify:
         f = tmp_path / "x.csv"
         f.write_text("k,f\n1,2\n")
         assert main(["verify", str(f)]) == 3
+
+    def test_rejects_a_conjecture_csv(self, tmp_path, capsys):
+        cfg = run_cfg(tmp_path, **CONJ_KV)
+        assert main(["conjecture", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "run.csv")]) == 3
+        assert "unexpected columns" in capsys.readouterr().err
 
     def test_rejects_empty_trace(self, tmp_path):
         csv = self.make_run(tmp_path)
@@ -739,6 +755,55 @@ def test_long_run_verifies(shared_run):
     assert main(["verify", str(shared_run("long") / "long.csv")]) == 0
 
 
+# One cell per method loop; the proximal l1 one is a conjecture cell
+BLOCK_CELLS = {
+    "subgradient": dict(problem="norm:G=2:dim=3", method="subgradient", x0="1.0,0.5,-0.25"),
+    "gradient": dict(problem="lse:dim=2", method="gradient", x0="1.0,-2.0"),
+    "accelerated": dict(problem="quad:diag=1,100", method="accelerated", x0="1.0,1.0"),
+    "prox_accelerated l1": dict(problem="quad:diag=1,10", psi="l1:lam=0.5",
+                                method="prox_accelerated", x0="1.0,-1.0"),
+}
+
+
+def walked_bytes(out: Path, kv) -> dict[str, bytes]:
+    """The bytes of everything made by the layers that walk a K=10 run in blocks: its
+    trace, its certificate's z/mu/theta, its check margins, and its CSV and report."""
+    K, command = 10, "conjecture" if "psi" in kv else "run"
+    out.mkdir()
+    cfg = run_cfg(out, iterations=K, **kv)
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    if command == "conjecture":
+        cp = ccfom.CompositeProblem(phi=ccfom.from_id(kv["problem"]),
+                                    psi=regularizer_from_id(kv["psi"]))
+        trace, cert, result = probe_instance(cp, [float(c) for c in kv["x0"].split(",")], K)
+        margins = {"conjecture margin": result.margins}
+    else:
+        config = ExperimentConfig.from_file(cfg, command)
+        outcome = execute_cell(config.single_cell(), config.tolerances())
+        trace, table = outcome.trace, outcome.rows.table
+        cert, margins = table.certificate, {n: c.margin for n, c in table.checks.items()}
+    arrays = {**{f"trace.{n}": getattr(trace, n) for n in ("x", "g", "t", "y", "theta")},
+              **{f"certificate.{n}": getattr(cert, n) for n in ("z", "mu", "theta")}, **margins}
+    return {**{n: a.tobytes() for n, a in arrays.items() if a is not None}, **written_files(out)}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CELLS))
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, name):
+    """The method loop, the certificate recursion and the CSV writer walk a run in
+    blocks of ``methods._BLOCK_SIZE`` records: blocks of 1 and 3 records give the
+    bytes of one default block."""
+    grids = []
+    honest = cells.grid
+    monkeypatch.setattr(cells, "grid", lambda slots: grids.append(None) or honest(slots))
+    default = walked_bytes(tmp_path / "default", BLOCK_CELLS[name])
+    assert len(grids) == 1
+    for block in (1, 3):
+        monkeypatch.setattr(ccfom.methods, "_BLOCK_SIZE", block)
+        grids.clear()
+        assert walked_bytes(tmp_path / f"block {block}", BLOCK_CELLS[name]) == default, block
+        assert len(grids) == -(-len(read_csv(tmp_path / "default" / "run.csv")[2]) // block)
+
+
 class TestConjecture:
     def test_worked_example(self, tmp_path):
         cfg = write_cfg(
@@ -1006,15 +1071,43 @@ UNREAD = dict(psi="zero", suite="lasso", instances=3, dim=2, seed=1)
     ("sweep", dict(RUN_KV, csv="nodir/s.csv"), "."),
     ("conjecture", dict(CONJ_KV, report="nodir/r.txt"), "."),
     ("run", RUN_KV, "afile"),  # --out naming a file
-], ids=["run-csv", "run-svg", "sweep-csv", "conjecture-report", "out-is-a-file"])
+    ("run", dict(RUN_KV, csv="adir"), "."),
+], ids=["run-csv", "run-svg", "sweep-csv", "conjecture-report", "out-is-a-file",
+        "csv-is-a-directory"])
 def test_unwritable_output_exits_3(tmp_path, capsys, command, kv, out):
     (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
     cfg = run_cfg(tmp_path, **kv)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 3
-    assert "config error: cannot write " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: cannot write " in err
+    assert ("it is a directory" in err) == (kv.get("csv") == "adir")
     if "svg" in kv:
         # every output is checked before the cell runs: none is left behind
         assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.report.txt").exists()
+
+
+@pytest.mark.parametrize("command,kv,message", [
+    ("conjecture", dict(CONJ_KV, method="accelerated"),
+     "conjecture runs use method = prox_accelerated"),
+    ("conjecture", dict(CONJ_KV, iterations=0), "conjecture needs iterations >= 1"),
+    ("sweep", dict(RUN_KV, problem=";"), "problem: empty list"),
+    ("conjecture", dict(SUITE_KV, suite="other"), "unknown suite 'other'"),
+], ids=["conjecture-method", "conjecture-K=0", "sweep-empty-list", "unknown-suite"])
+def test_config_error_exits_3_with_its_message(tmp_path, capsys, command, kv, message):
+    cfg = run_cfg(tmp_path, **kv)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_config_with_comments_blank_lines_and_presets_runs(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a subgradient cell\nproblem = norm:G=1:dim=2\n\nmethod = subgradient\n"
+                   "x0 = e1\niterations = 5\nschedule = constant:t=0.1\ncsv = run.csv\n"
+                   "report = run.report.txt\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    meta, _, rows = read_csv(tmp_path / "run.csv")
+    assert (meta["x0"], meta["schedule"], len(rows)) == ("1,0", "constant:t=0.1", 6)
 
 
 @pytest.mark.parametrize("command,kv,link", [

@@ -48,7 +48,7 @@ def test_verdict_mismatch_exits_2(tmp_path):
     assert "Traceback" not in done.stderr
 
 
-# K=10^4 cells whose CSVs hold several 4096-row blocks of the method loop, with
+# K=10^4 cells whose CSVs hold several blocks of records, with
 # zero and NaN cells; each one steps through a generated stepper, and the
 # diagonal quadratic's and the norm's oracles are generated too
 _CHUNKED_CELLS = {

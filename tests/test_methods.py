@@ -478,7 +478,7 @@ def test_a_step_calls_only_its_oracle_and_its_prox(run):
     # every Python-level call of a run, counted by code object: K+1 oracle
     # calls, K prox calls (prox runs only), and a few calls per block of
     # the loop (its stepper, the write and the check)
-    K = 2 * 4096 + 1
+    K = 2 * ccfom.methods._BLOCK_SIZE + 1
     p = ccfom.from_id("quad:diag=1,1.5")  # stable under the subgradient run's step 1
     oracle, prox = p.subgradient.__code__, ccfom.make_l1(0.1).prox.__code__
 
@@ -632,7 +632,7 @@ def test_g_non_finite_in_its_last_coordinate_alone_is_found_at_its_k(run, nonfin
 def test_blocked_check_raises_the_per_step_error(run, faults, monkeypatch):
     # blocks of 3 rows put faults on both sides of block boundaries: the
     # loop writes its rows into the trace and checks them once per block
-    monkeypatch.setattr(ccfom.methods, "_CHECK_ROWS", 3)
+    monkeypatch.setattr(ccfom.methods, "_BLOCK_SIZE", 3)
     test_oracle_error_is_that_of_a_per_step_check(run, math.nan, faults)
 
 
@@ -645,7 +645,7 @@ def test_fault_in_the_second_block_raises_the_per_step_error(run, faults):
     # the blocks of the loop as they are: the fault at k = 4097 lies one
     # step into the second block of a run of three
     K = 2 * 4096 + 1
-    assert ccfom.methods._CHECK_ROWS == 4096
+    assert ccfom.methods._BLOCK_SIZE == 4096
     p = ccfom.from_id("lse:dim=2")
     x0 = [1.0, -2.0]
     clean = run(p, x0, K)

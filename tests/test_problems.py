@@ -306,6 +306,18 @@ class TestMaxAffine:
         g = p.subgradient(np.array([0.0, -5.0]))
         assert np.allclose(g, [0.0, 0.0], atol=1e-12)
 
+    def test_more_active_pieces_than_the_face_guard_take_a_row(self, rng):
+        # 13 unit slopes around the circle, all active at 0: past
+        # _MAX_ACTIVE_PIECES the subgradient is a row, not the hull's least-norm point
+        angles = 2.0 * np.pi * np.arange(13) / 13
+        A = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        assert len(A) > ccfom.problems._MAX_ACTIVE_PIECES
+        p = ccfom.make_max_affine(A, np.zeros(13))
+        g = np.array(p.subgradient([0.0, 0.0]))
+        assert any(np.array_equal(g, row) for row in A)
+        for y in sample_points(rng, 2, n=20):
+            assert p.value(y) >= p.value(np.zeros(2)) + float(g @ y) - 1e-12
+
     def test_seeded_instance_is_bounded_with_valid_subgradients(self, rng):
         p = ccfom.from_id("maxaff:dim=3:pieces=6:seed=0")
         assert p.optimal_value is not None

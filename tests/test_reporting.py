@@ -65,7 +65,7 @@ def _table(n: int) -> Table:
     })
 
 
-_CHUNK = reporting._CSV_CHUNK_ROWS
+_CHUNK = ccfom.methods._BLOCK_SIZE
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])

@@ -33,10 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .certificates import Check, lhs_series, verify_run
-from .config import SUITE, ExperimentConfig, RunSpec, cell_metadata, resolve_schedule, resolve_x0
+from .config import SUITE, ExperimentConfig, RunSpec, _parse, cell_metadata, resolve_schedule, resolve_x0
 from .errors import ConfigError, OracleError
 from .methods import MethodTrace, method_spec
-from .problems import ProblemInstance
+from .problems import ProblemInstance, _spell
 from .proxprobe import CompositeProblem, Z_RECURSION_NOTE, lasso_suite, probe_instance
 from .reporting import (
     CONJECTURE_COLUMNS,
@@ -141,7 +141,7 @@ def cmd_run(args) -> int:
     header = [
         f"run: problem={spec.problem_id} method={spec.method} "
         f"x0={outcome.meta['x0']} K={spec.iterations} schedule={outcome.meta['schedule']}",
-        f"tolerances: eps_rel={tol.eps_rel:g} eps_abs={tol.eps_abs:g}",
+        f"tolerances: eps_rel={_spell(tol.eps_rel)} eps_abs={_spell(tol.eps_abs)}",
     ]
     write_report(out["report"], header, outcome.rows.report_lines)
     if "svg" in out:
@@ -174,11 +174,11 @@ def cmd_verify(args) -> int:
     if not rows:
         raise ConfigError(f"{args.csv}: no data rows (empty trace)")
     flags = _flags(args)
+    for key, text in flags.items():  # a bad flag's message names its key, not the file
+        _parse(key, text)
     try:
         cfg = ExperimentConfig.from_values(meta, "verify", flags)
-    except ConfigError as exc:  # a bad flag's message names its key, not the file
-        if any(str(exc).startswith(f"{key}: ") for key in flags):
-            raise
+    except ConfigError as exc:
         raise ConfigError(f"{args.csv} metadata {exc}") from None
     spec, tol = cfg.single_cell(), cfg.tolerances()
     cols = rows.columns  # read as numbers, or as text converted as int() and float() convert it
@@ -257,7 +257,7 @@ def cmd_verify(args) -> int:
                             f"residual {fmt(residual[i])} exceeds tol {fmt(link.tol[i])}")
 
     report_path = Path(str(args.csv) + ".verify.txt")
-    header = [f"verify: {args.csv}", f"tolerances: eps_rel={tol.eps_rel:g} eps_abs={tol.eps_abs:g}"]
+    header = [f"verify: {args.csv}", f"tolerances: eps_rel={_spell(tol.eps_rel)} eps_abs={_spell(tol.eps_abs)}"]
     write_report(report_path, header, summary + ["FAIL " + f for f in failures])
     if failures:
         for f in failures:

@@ -138,6 +138,8 @@ def _use(key: str, mode: str) -> str:
 
 
 def _parse(key: str, text: str):
+    if ";" in text:
+        raise ConfigError(f"{key}: a ';' list is accepted only by sweep, got {text!r}")
     try:
         return KEYS[key].parse(text.strip())
     except ConfigError as exc:
@@ -270,8 +272,6 @@ class ExperimentConfig:
                 values[key] = tuple(_parse(key, v) for v in text.split(";") if v.strip())
                 if not values[key]:
                     raise ConfigError(f"{key}: empty list")
-            elif ";" in text:
-                raise ConfigError(f"{key}: a ';' list is accepted only by sweep, got {text!r}")
             else:
                 values[key] = _parse(key, text)
         if mode in ("conjecture", SUITE):

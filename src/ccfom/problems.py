@@ -401,7 +401,7 @@ def make_scaled_norm(G: float, dim: int, problem_id: Optional[str] = None) -> Pr
         return G * np.sqrt(acc)
 
     return ProblemInstance(
-        problem_id=problem_id or f"norm:G={G:g}:dim={dim}",
+        problem_id=problem_id or f"norm:G={_spell(G)}:dim={dim}",
         dim=dim,
         subgradient=subgradient,
         value_batch=value_batch,
@@ -752,6 +752,12 @@ def random_max_affine(dim: int, pieces: int, seed: int, problem_id: Optional[str
 
 # ---------------------------------------------------------------------------
 # catalog identifiers
+
+
+def _spell(v: float) -> str:
+    """``v`` as ``:g`` spells it when that reads back as ``v``, else its shortest exact text."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
 
 
 def _parse_params(parts: list[str], pid: str, kind: str = "problem id") -> dict[str, str]:

@@ -36,7 +36,7 @@ from .certificates import Check, DualCertificate, build_certificate, _quad_min_t
 from .errors import ConfigError
 from .methods import MethodTrace, _run_momentum, method_spec
 from .problems import (
-    ProblemInstance, _check_keys, _floats, _parse_params, as_point, make_quadratic, row_dot,
+    ProblemInstance, _check_keys, _floats, _parse_params, _spell, as_point, make_quadratic, row_dot,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -57,7 +57,7 @@ __all__ = [
 
 Z_RECURSION_NOTE = (
     "CONJECTURE probe: z-recursion fed with grad of the smooth part at y_k "
-    "(no composite construction is known; this is the minimal analogue)"
+    "(the minimal analogue; the probe does not use Gutman & Pena's composite construction)"
 )
 
 
@@ -88,12 +88,6 @@ class Regularizer:
     inner_min_batch: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     prox: Callable[[Sequence[float], float], list[float]]
     dim: Optional[int] = None
-
-
-def _spell(v: float) -> str:
-    """``v`` as ``:g`` spells it when that reads back as ``v``, else its shortest exact text."""
-    text = f"{v:g}"
-    return text if float(text) == v else repr(v)
 
 
 def soft_threshold(v: np.ndarray, amount) -> np.ndarray:

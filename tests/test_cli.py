@@ -1240,6 +1240,44 @@ class TestInputSchema:
         assert capsys.readouterr().err == (
             f"config error: {key}: expected a positive finite number, got 'abc'\n")
 
+    @pytest.mark.parametrize("flags,edit,message", [
+        # a ';' list given as a flag over a good file (a bad number: the test above)
+        (["--eps-abs", "1e-9;2e-9"], None,
+         "eps_abs: a ';' list is accepted only by sweep, got '1e-9;2e-9'"),
+        # a bad metadata tolerance, with a good flag for the other one
+        (["--eps-abs", "1e-9"], ("eps_rel", "abc"),
+         "{csv} metadata eps_rel: expected a positive finite number, got 'abc'"),
+        (["--eps-rel", "1e-9"], ("eps_abs", "0"),
+         "{csv} metadata eps_abs: expected a positive finite number, got '0'"),
+        # both bad: the flag's error comes first, before the file's earlier key
+        (["--eps-abs", "abc"], ("method", "nope"),
+         "eps_abs: expected a positive finite number, got 'abc'"),
+    ], ids=["list flag", "bad eps_rel in file", "bad eps_abs in file", "both bad"])
+    def test_verify_tells_a_bad_flag_from_a_bad_file(self, tmp_path, capsys, flags, edit, message):
+        assert main(["run", "--config", str(run_cfg(tmp_path, **RUN_KV)), "--out", str(tmp_path)]) == 0
+        csv = tmp_path / "run.csv"
+        if edit:
+            key, val = edit
+            lines = csv.read_text().splitlines()
+            csv.write_text("\n".join((f"# {key} = {val}" if line.startswith(f"# {key} = ") else line)
+                                     for line in lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(csv), *flags]) == 3
+        assert capsys.readouterr().err == f"config error: {message.format(csv=csv)}\n"
+
+    def test_report_headers_spell_tolerances_that_read_back(self, tmp_path):
+        # ":g" would write eps_rel=1.23457e-09 and eps_abs=2e-09
+        flags = ["--eps-rel", "1.234567891e-9", "--eps-abs", "2.0000001e-9"]
+        cfg = run_cfg(tmp_path, **RUN_KV)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path), *flags]) == 0
+        assert main(["verify", str(tmp_path / "run.csv"), *flags]) == 0
+        expected = "tolerances: eps_rel=1.234567891e-09 eps_abs=2.0000001e-09"
+        for report in ("run.report.txt", "run.csv.verify.txt"):
+            line = (tmp_path / report).read_text().splitlines()[1]
+            assert line == expected
+            spelt = dict(part.split("=") for part in line.removeprefix("tolerances: ").split())
+            assert (float(spelt["eps_rel"]), float(spelt["eps_abs"])) == (1.234567891e-9, 2.0000001e-9)
+
     @pytest.mark.parametrize("kv", [
         dict(CONJ_KV, problem="quad:diag=1; quad:diag=2"),
         dict(CONJ_KV, psi="l1:lam=1; zero"),

@@ -72,6 +72,19 @@ def test_run_in_a_fresh_interpreter_is_that_of_cli_main_and_verifies(tmp_path, c
     assert b",nan," in written and b",0," in written
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the check terms overflow from x0 = (1e154, 1) on quad:diag=1,100: gradient in "
+    "lhs_series's cumulative sum, accelerated in verify_chain's quad term"))
+@pytest.mark.parametrize("method", ["gradient", "accelerated"])
+def test_float_edge_cell_of_a_stiff_quadratic_runs_warning_free(tmp_path, method):
+    (tmp_path / "edge.cfg").write_text(
+        f"problem = quad:diag=1,100\nmethod = {method}\nx0 = 1e154,1\niterations = 50\n"
+        "csv = edge.csv\nreport = edge.report.txt\n")
+    done = console(tmp_path, "-W", "error::RuntimeWarning", "-m", "ccfom",
+                   "run", "--config", "edge.cfg", "--out", ".")
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 @pytest.mark.parametrize("method", ["gradient", "accelerated"])
 def test_overflow_edge_cell_warns_nothing(tmp_path, method):
     # from (1.2e154, 1) the check terms come near 1e308: run and verify raise no
@@ -88,14 +101,16 @@ def test_overflow_edge_cell_warns_nothing(tmp_path, method):
 def test_fifty_instance_suite_peaks_under_300_mb(tmp_path):
     # one interpreter runs cli.main on the suite and reads its own peak RSS:
     # each instance's trace and certificate (3.8 MB at K = 2*10^4, so 190 MB
-    # for all 50) are dropped once its rows are written
+    # for all 50) are dropped once its rows are written.  VmHWM is the peak of
+    # the address space that exec started; ru_maxrss would carry over the peak
+    # of the process that started the interpreter (this test process)
     (tmp_path / "big.cfg").write_text("suite = lasso\ninstances = 50\ndim = 5\niterations = 20000\n"
                                       "csv = big.csv\nreport = big.report.txt\n")
     done = console(tmp_path, "-c", (
-        "import resource\n"
         "from ccfom.cli import main\n"
         "code = main(['conjecture', '--config', 'big.cfg', '--out', 'bigsuite'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"))  # KiB on Linux
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(code, hwm.split()[1])\n"))  # 'VmHWM:  <n> kB'
     assert done.returncode == 0, done.stderr
     code, peak_kib = map(int, done.stdout.split()[-2:])
     assert code == 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ccfom
 from ccfom.errors import ConfigError
-from ccfom.problems import UNROLL_DIM
+from ccfom.problems import UNROLL_DIM, _spell
 from conftest import NONSMOOTH_CELLS, SMOOTH_CELLS, sample_points
 
 ALL_CELLS = SMOOTH_CELLS + NONSMOOTH_CELLS
@@ -245,11 +245,33 @@ class TestScaledNorm:
         assert p.conjugate(np.array([0.0, 2.0])) == 0.0
         assert p.conjugate(np.array([1.0, 1.0])) == 0.0
 
+    @pytest.mark.parametrize("G,pid", [
+        (2.0, "norm:G=2:dim=2"),
+        (1e-5, "norm:G=1e-05:dim=2"),
+        # values that ":g" would round to six digits
+        (1.23456789, "norm:G=1.23456789:dim=2"),
+        (1.0 / 3.0, "norm:G=0.3333333333333333:dim=2"),
+    ])
+    def test_default_id_rebuilds_G_exactly(self, G, pid):
+        p = ccfom.make_scaled_norm(G, 2)
+        assert p.problem_id == pid
+        again = ccfom.from_id(p.problem_id)
+        assert (again.problem_id, again.lipschitz_f, again.dim) == (pid, G, 2)
+
     def test_rejects_nonpositive_G(self):
         with pytest.raises(ValueError):
             ccfom.make_scaled_norm(0.0, 1)
         with pytest.raises(ValueError):
             ccfom.make_scaled_norm(-1.0, 2)
+
+
+@given(st.floats(allow_nan=False))
+@settings(max_examples=500, deadline=None)
+def test_spell_reads_back_and_is_g_wherever_g_reads_back(v):
+    text = _spell(v)
+    assert float(text) == v and math.copysign(1.0, float(text)) == math.copysign(1.0, v)
+    if float(f"{v:g}") == v:
+        assert text == f"{v:g}"
 
 
 class TestLogSumExp:
